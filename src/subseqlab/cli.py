@@ -151,10 +151,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    cfg = RunConfig(
-        "table", {"n_max": args.n_max, "workers": args.workers}, None, args.out, args.format
-    )
-    records = extremal_table(args.k, args.n_max, workers=args.workers)
+    cfg = RunConfig("table", {"n_max": args.n_max}, None, args.out, args.format)
+    records = extremal_table(args.k, args.n_max)
     rows = [
         {
             "n": r.n,
@@ -580,7 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="extremal values for all n up to a bound")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     _add_common(p, formats=("json", "csv"))
     p.set_defaults(handler=_cmd_table)
 

@@ -14,10 +14,20 @@ state linearly and monotonically, which yields two sound prunings:
 * pointwise dominance -- a state that is <= an already-visited state
   of the same depth can be dropped (any extension would do at least
   as well from the earlier state, with a lexicographically smaller
-  pattern);
+  pattern).  The test compares the final count first: a stored state
+  whose final count is below the candidate's cannot dominate it, so
+  it is skipped without reading the rest of the vector;
 * capacity bounds -- the count after appending any suffix is
   ``sum_j (c[j]-c[j-1]) * (best count achievable inside w[j:])``,
   so precomputed suffix capacities give an upper bound for cutoff.
+
+A suffix's capacity is its own most-common count, found by the same
+branch-and-bound.  Renaming letters bijectively maps the patterns of a
+word one-to-one onto those of the renamed word with equal counts, so
+the capacity depends only on the suffix's first-occurrence form.  A
+caller that searches many words of one alphabet (the extremal scan)
+passes a dict memo keyed by that form's ``relabel_code``; a single
+search does not, since its suffixes rarely repeat a form.
 
 Witness tie-breaks are always "lexicographically smallest pattern
 among the maximisers", which the DFS order delivers for free.
@@ -30,7 +40,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import ContractError
-from .words import Word
+from .words import Word, relabel_code
 
 _DOMINANCE_STORE_CAP = 512  # per-depth cap on states kept for dominance tests
 
@@ -208,7 +218,10 @@ def _extend_counts(c: list[int], syms: tuple[int, ...], base: int, symbol: int) 
 
 
 def _dominated(stored: list[list[int]], cand: list[int]) -> bool:
+    last = cand[-1]
     for s in stored:
+        if s[-1] < last:
+            continue  # fails on its last entry: no need to compare the rest
         ok = True
         for a, b in zip(s, cand):
             if a < b:
@@ -256,23 +269,37 @@ def _max_count_in_suffix(syms: tuple[int, ...], k: int, start: int, capacities: 
     return best
 
 
-def _suffix_capacities(w: Word) -> list[int]:
-    """capacities[j] = max over all patterns of their count inside w[j:]."""
-    n = len(w)
-    capacities = [1] * (n + 1)
-    for start in range(n - 1, 0, -1):
-        capacities[start] = _max_count_in_suffix(w.symbols, w.alphabet_size, start, capacities)
+def _suffix_capacities(w: Word, memo: dict[int, int] | None = None) -> list[int]:
+    """capacities[j] = max over all patterns of their count inside w[j:].
+
+    ``memo`` maps the relabel code of a suffix to its capacity; it is
+    read and filled, and must only ever see words of one alphabet size.
+    """
+    syms = w.symbols
+    k = w.alphabet_size
+    capacities = [1] * (len(w) + 1)
+    for start in range(len(w) - 1, 0, -1):
+        if memo is None:
+            capacities[start] = _max_count_in_suffix(syms, k, start, capacities)
+            continue
+        key = relabel_code(syms[start:], k)
+        cap = memo.get(key)
+        if cap is None:
+            cap = memo[key] = _max_count_in_suffix(syms, k, start, capacities)
+        capacities[start] = cap
     return capacities
 
 
 def _search_most_common(
-    w: Word, abort_at: int | None = None
+    w: Word, abort_at: int | None = None, capacity_memo: dict[int, int] | None = None
 ) -> tuple[int, tuple[int, ...] | None, bool]:
     """Core search for max_occurrences.
 
     Returns (value, witness symbols, aborted).  With ``abort_at`` set
     the search stops as soon as it proves value >= abort_at (witness
     is then None and the returned value is just the proof threshold).
+    ``capacity_memo`` is handed to ``_suffix_capacities``; it pays off
+    when many words of one alphabet share suffix forms, as in a scan.
     """
     n = len(w)
     if n == 0:
@@ -281,7 +308,7 @@ def _search_most_common(
         return 1, None, True
     syms = w.symbols
     k = w.alphabet_size
-    capacities = _suffix_capacities(w)
+    capacities = _suffix_capacities(w, capacity_memo)
     best = 1
     best_witness: tuple[int, ...] = ()
     by_depth: list[list[list[int]]] = [[] for _ in range(n + 1)]

@@ -1,12 +1,14 @@
 """Extremal tables: the hardest-to-compress words of each length.
 
 ``extremal_value(k, n)`` is the minimum, over all length-n words on a
-k-letter alphabet, of the most-common-subsequence count.  The search
-enumerates one representative per symmetry orbit (first-occurrence
-normal form, minimised against the reversal — both operations preserve
-every occurrence count) and prunes each candidate with an early-abort
-threshold: once some pattern already occurs as often as the best word
-found so far, the candidate cannot strictly improve the minimum.
+k-letter alphabet, of the most-common-subsequence count.  The search is
+a single serial scan over one representative per symmetry orbit
+(first-occurrence normal form, minimised against the reversal — both
+operations preserve every occurrence count).  It prunes each candidate
+with an early-abort threshold: once some pattern already occurs as
+often as the best word found so far, the candidate cannot strictly
+improve the minimum.  The scan keeps one suffix-capacity memo for all
+its candidates, since their suffixes repeat the same relabel forms.
 
 The n-th root of the table value brackets the growth constant:
 
@@ -27,16 +29,12 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from math import comb
-from multiprocessing import Pool
 
 from .counting import _search_most_common, sum_over_lengths
 from .errors import BudgetError, ContractError
-from .words import Word
+from .words import Word, first_occurrence_form
 
 DEFAULT_BUDGETS = {2: 16, 3: 9, 4: 6}
-
-_SEED_BLOCK = 64  # scanned sequentially to warm the abort threshold
-_PARALLEL_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -71,16 +69,6 @@ class MuWindow:
             raise ContractError("window lower bound exceeds upper bound")
 
 
-def _normal(syms: tuple[int, ...]) -> tuple[int, ...]:
-    seen: dict[int, int] = {}
-    out = []
-    for s in syms:
-        if s not in seen:
-            seen[s] = len(seen)
-        out.append(seen[s])
-    return tuple(out)
-
-
 def canonical_representatives(k: int, n: int):
     """Yield one word per relabel+reverse orbit, in lexicographic order.
 
@@ -96,7 +84,7 @@ def canonical_representatives(k: int, n: int):
     def rec(i: int, used: int):
         if i == n:
             w = tuple(prefix)
-            if _normal(w[::-1]) >= w:
+            if first_occurrence_form(w[::-1]) >= w:
                 yield w
             return
         for s in range(min(used + 1, k)):
@@ -106,42 +94,21 @@ def canonical_representatives(k: int, n: int):
     yield from rec(0, 0)
 
 
-def _scan_block(args) -> tuple[int, tuple[int, ...]] | None:
-    k, block, threshold = args
-    best: tuple[int, tuple[int, ...]] | None = None
-    for syms in block:
-        value, _, aborted = _search_most_common(Word(syms, k), abort_at=threshold)
-        if aborted:
-            continue
-        if best is None or value < best[0]:
-            best = (value, syms)
-            threshold = value
-    return best
+def _min_scan(k: int, n: int) -> tuple[int, tuple[int, ...]]:
+    """(value, minimizer): one serial pass over the orbit representatives.
 
-
-def _min_scan(k: int, n: int, workers: int) -> tuple[int, tuple[int, ...]]:
-    reps = list(canonical_representatives(k, n))
-    best: tuple[int, tuple[int, ...]] | None = None
-    if workers <= 1 or len(reps) <= 2 * _SEED_BLOCK:
-        best = _scan_block((k, reps, None))
-    else:
-        best = _scan_block((k, reps[:_SEED_BLOCK], None))
-        rest = reps[_SEED_BLOCK:]
-        blocks = [rest[i : i + _PARALLEL_BLOCK] for i in range(0, len(rest), _PARALLEL_BLOCK)]
-        with Pool(workers) as pool:
-            i = 0
-            while i < len(blocks):
-                batch = blocks[i : i + workers]
-                threshold = None if best is None else best[0]
-                args = [(k, b, threshold) for b in batch]
-                for result in pool.map(_scan_block, args):
-                    if result is None:
-                        continue
-                    if best is None or result < best:
-                        best = result
-                i += len(batch)
-    assert best is not None  # the first representative always completes
-    return best
+    The first representative sets the abort threshold; each later one
+    either aborts (cannot beat it) or, having finished, lowers it.
+    """
+    memo: dict[int, int] = {}
+    reps = canonical_representatives(k, n)
+    best_syms = next(reps)
+    best, _, _ = _search_most_common(Word(best_syms, k), capacity_memo=memo)
+    for syms in reps:
+        value, _, aborted = _search_most_common(Word(syms, k), abort_at=best, capacity_memo=memo)
+        if not aborted:  # a finished search stayed below abort_at
+            best, best_syms = value, syms
+    return best, best_syms
 
 
 def load_known_records() -> list[ExtremalRecord]:
@@ -169,7 +136,6 @@ def extremal_value(
     k: int,
     n: int,
     budgets: dict[int, int] | None = None,
-    workers: int = 1,
     use_registry: bool = True,
 ) -> ExtremalRecord:
     """Exact minimum of the most-common-subsequence count over [k]^n.
@@ -192,7 +158,7 @@ def extremal_value(
             f"extremal search for k={k} is budgeted to n <= {limit} (asked n={n}); "
             "pass budgets={...} to raise the limit explicitly"
         )
-    value, syms = _min_scan(k, n, workers)
+    value, syms = _min_scan(k, n)
     return ExtremalRecord(k, n, value, Word(syms, k), "exhaustive")
 
 
@@ -200,11 +166,10 @@ def extremal_table(
     k: int,
     n_max: int,
     budgets: dict[int, int] | None = None,
-    workers: int = 1,
     use_registry: bool = False,
 ) -> list[ExtremalRecord]:
     return [
-        extremal_value(k, n, budgets=budgets, workers=workers, use_registry=use_registry)
+        extremal_value(k, n, budgets=budgets, use_registry=use_registry)
         for n in range(1, n_max + 1)
     ]
 

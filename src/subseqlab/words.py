@@ -156,6 +156,24 @@ def relabel(w: Word, mapping) -> Word:
     return Word(tuple(mapping[s] for s in w.symbols), w.alphabet_size)
 
 
+def first_occurrence_form(syms: tuple[int, ...]) -> tuple[int, ...]:
+    """Symbols renamed in order of first appearance (restricted growth form)."""
+    seen: dict[int, int] = {}
+    return tuple([seen.setdefault(s, len(seen)) for s in syms])
+
+
+def relabel_code(syms: tuple[int, ...], k: int) -> int:
+    """The first-occurrence form of syms as one int, for dict keys.
+
+    Digits in base k under a leading 1, so equal codes mean equal
+    length and equal form for one alphabet size k (not across sizes).
+    """
+    code = 1
+    for s in first_occurrence_form(syms):
+        code = code * k + s
+    return code
+
+
 def normalize(w: Word) -> Word:
     """First-occurrence normal form: rename letters in order of first appearance.
 
@@ -163,13 +181,7 @@ def normalize(w: Word) -> Word:
     under alphabet relabelling (first symbol becomes 0, each previously
     unseen symbol takes the next free id).
     """
-    seen: dict[int, int] = {}
-    out = []
-    for s in w.symbols:
-        if s not in seen:
-            seen[s] = len(seen)
-        out.append(seen[s])
-    return Word(tuple(out), w.alphabet_size)
+    return Word(first_occurrence_form(w.symbols), w.alphabet_size)
 
 
 def canonical_key(w: Word) -> CanonicalKey:

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from math import comb
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from subseqlab.counting import (
     EmbeddingMap,
+    _search_most_common,
     PrefixCountState,
     count_occurrences,
     enumerate_embeddings,
@@ -16,9 +18,10 @@ from subseqlab.counting import (
     validate_embedding,
 )
 from subseqlab.errors import ContractError
-from subseqlab.words import Word, concat, from_ids, power, relabel, reverse, word
+from subseqlab.words import Word, concat, from_ids, power, relabel, relabel_code, reverse, word
 
 from oracles import (
+    brute_max_over_patterns,
     brute_most_common,
     brute_most_common_of_length,
     brute_profile,
@@ -189,6 +192,29 @@ def test_most_common_matches_brute_force():
         b_value, b_witness = brute_most_common(w.symbols, k)
         assert (value, witness.symbols) == (b_value, b_witness)
         assert count_occurrences(witness, w) == value
+
+
+def test_capacity_memo_changes_no_search_result():
+    # one memo per alphabet (relabel codes are base k), shared across
+    # every word and length, as in an extremal scan
+    memos = {}
+    for k, n_top in ((2, 10), (3, 6)):
+        memo = memos[k] = {}
+        for n in range(n_top + 1):
+            for syms in product(range(k), repeat=n):
+                w = Word(syms, k)
+                for abort_at in (None, 2, 3, 5, 9):
+                    plain = _search_most_common(w, abort_at)
+                    assert _search_most_common(w, abort_at, capacity_memo=memo) == plain
+    # every stored capacity is exact, whichever word stored it
+    seen = 0
+    for n in range(1, 9):
+        for syms in product(range(2), repeat=n):
+            for start in range(1, n):
+                suffix = syms[start:]
+                assert memos[2][relabel_code(suffix, 2)] == brute_max_over_patterns(suffix, 2)
+                seen += 1
+    assert seen and len(memos[2]) < seen  # suffixes really share entries
 
 
 def test_fixed_length_examples():

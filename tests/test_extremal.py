@@ -75,10 +75,18 @@ def test_canonical_representatives_cover_orbits():
         assert set(reps) == keys
 
 
-def test_workers_do_not_change_results():
-    seq = extremal_value(2, 12, use_registry=False, workers=1)
-    par = extremal_value(2, 12, use_registry=False, workers=2)
-    assert (seq.value, seq.minimizer) == (par.value, par.minimizer)
+def test_minimizer_is_first_minimum_of_unaborted_scan():
+    # reference: full max_occurrences over the representatives in order,
+    # keeping the first word that attains the minimum
+    for k, n_top in ((2, 11), (3, 7)):
+        for n in range(0, n_top + 1):
+            ref = None
+            for syms in canonical_representatives(k, n):
+                value = max_occurrences(Word(syms, k))[0]
+                if ref is None or value < ref[0]:
+                    ref = (value, syms)
+            rec = extremal_value(k, n, use_registry=False)
+            assert (rec.value, rec.minimizer) == (ref[0], Word(ref[1], k))
 
 
 def test_budget_errors_name_the_limit():
