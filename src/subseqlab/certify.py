@@ -3,8 +3,11 @@
 Given any word, build an explicit pattern whose occurrence count is
 provably large, then have the counting engine recount it.  A
 certificate is the witness pattern, the claimed bound, the independent
-recount, and the derivation steps.  Claims rest on three constructive
-facts:
+recount, and the derivation steps.  The routes below only claim:
+``certify_word`` picks each chunk's route by its claim, and its one
+recount is of the concatenated witness.
+
+Claims rest on three constructive facts:
 
 - a letter that repeats inside a block embeds in at least two ways,
   and choices in disjoint blocks multiply (``repeat-letter`` +
@@ -27,6 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import prod
 
 from .counting import count_occurrences
 from .errors import ContractError, NotApplicable
@@ -106,26 +110,21 @@ class Certificate:
         return self.verified >= self.claimed
 
 
+Claim = tuple[Word, int, list[Step]]  # witness, claimed bound, steps: not yet recounted
+
+
 def _certified(witness: Word, claimed: int, steps, host: Word, info=None) -> Certificate:
     # the recount is always the counting engine's, never local arithmetic
     verified = count_occurrences(witness, host)
     return Certificate(witness, claimed, verified, tuple(steps), info or {})
 
 
-def duplicate_letter_certificate(bd: BlockDecomposition) -> Certificate:
-    """One repeated letter per non-permutation block: each block offers
-    two embeddings of its letter, and the blocks are disjoint."""
-    picks: list[tuple[int, int]] = []
-    for b, block in enumerate(bd.blocks, start=1):
-        if bd.is_permutation[b - 1]:
-            continue
-        seen: set[int] = set()
-        repeated: set[int] = set()
-        for s in block.symbols:
-            if s in seen:
-                repeated.add(s)
-            seen.add(s)
-        picks.append((b, min(repeated)))
+def _duplicate_letter_claim(bd: BlockDecomposition) -> Claim:
+    picks = [
+        (b, min(s for s, c in Counter(block.symbols).items() if c > 1))
+        for b, block in enumerate(bd.blocks, start=1)
+        if not bd.is_permutation[b - 1]
+    ]
     if not picks:
         raise NotApplicable("every block is a permutation")
     witness = Word(tuple(letter for _, letter in picks), bd.word.alphabet_size)
@@ -133,7 +132,13 @@ def duplicate_letter_certificate(bd: BlockDecomposition) -> Certificate:
     steps.append(
         Step("product-across-blocks", tuple(range(len(picks))), tuple(b for b, _ in picks))
     )
-    return _certified(witness, 2 ** len(picks), steps, bd.word)
+    return witness, 2 ** len(picks), steps
+
+
+def duplicate_letter_certificate(bd: BlockDecomposition) -> Certificate:
+    """One repeated letter per non-permutation block: each block offers
+    two embeddings of its letter, and the blocks are disjoint."""
+    return _certified(*_duplicate_letter_claim(bd), bd.word)
 
 
 @dataclass(frozen=True)
@@ -217,6 +222,11 @@ def disjoint_triples(bd: BlockDecomposition, count: int) -> TripleFamily:
     return TripleFamily(tuple(found), count)
 
 
+def _pair_claim(bd: BlockDecomposition, i: int, j: int) -> Claim:
+    length, witness = lcs2(bd.blocks[i - 1], bd.blocks[j - 1])
+    return witness, length + 1, [Step("split-pair", (), (i, j))]
+
+
 def lcs_pair_certificate(bd: BlockDecomposition, i: int, j: int) -> Certificate:
     """A common subsequence of blocks i < j embeds once per choice of
     the switch point from block i to block j: bound = length + 1."""
@@ -224,15 +234,42 @@ def lcs_pair_certificate(bd: BlockDecomposition, i: int, j: int) -> Certificate:
         raise ContractError(
             f"need 1 <= i < j <= {bd.block_count}, got ({i}, {j})"
         )
-    length, witness = lcs2(bd.blocks[i - 1], bd.blocks[j - 1])
-    return _certified(witness, length + 1, [Step("split-pair", (), (i, j))], bd.word)
+    return _certified(*_pair_claim(bd, i, j), bd.word)
 
 
-def _split_pair_candidate(bd: BlockDecomposition, i: int, j: int, restricted):
-    """(claimed, witness, steps) for one restricted block pair."""
-    a, b = restricted
-    length, witness = lcs2(a, b)
-    return length + 1, witness, [Step("split-pair", (), (i, j))]
+def _stored_lcs(t: TripleFinding, x: int, y: int) -> int:
+    # blocks x < y of the triple (0 first, 1 middle, 2 last); x + y - 1
+    # numbers the pairs (0, 1), (0, 2), (1, 2) in order
+    return (t.lcs_first_middle, t.lcs_first_last, t.lcs_middle_last)[x + y - 1]
+
+
+def _chained_claim(bd: BlockDecomposition, triples: tuple[TripleFinding, ...]) -> Claim:
+    """Best candidate of a nonempty middle-ordered family, chosen by the
+    LCS lengths its findings store; only the winner's pairs are run
+    again, for their witnesses."""
+    for a, b in zip(triples, triples[1:]):
+        if a.middle >= b.middle:
+            raise ContractError("triples must be ordered by middle block")
+    # a candidate is a list of pairs (triple, x, y) with disjoint spans
+    candidates = [[(triples[0], 1, 2)], [(triples[-1], 0, 1)]]
+    candidates += [[(t, 0, 2)] for t in triples]
+    candidates += [[(a, 0, 1), (b, 1, 2)] for a, b in zip(triples, triples[1:])]
+    pairs = max(candidates, key=lambda c: prod(_stored_lcs(*pair) + 1 for pair in c))
+    witness, claimed, steps = Word((), bd.word.alphabet_size), 1, []
+    for t, x, y in pairs:
+        blocks = (t.first, t.middle, t.last)
+        restricted = _triple_restrictions(bd, *blocks)
+        length, part = lcs2(restricted[x], restricted[y])
+        if length != _stored_lcs(t, x, y):
+            raise ContractError(
+                f"triple {blocks} misrecords the LCS of blocks {blocks[x]}, {blocks[y]}"
+            )
+        witness = concat(witness, part)
+        claimed *= length + 1
+        steps.append(Step("split-pair", (), (blocks[x], blocks[y])))
+    if len(pairs) == 2:
+        steps.append(Step("concat-product", (0, 1), ()))
+    return witness, claimed, steps
 
 
 def chained_certificate(bd: BlockDecomposition, triples) -> Certificate:
@@ -242,117 +279,80 @@ def chained_certificate(bd: BlockDecomposition, triples) -> Certificate:
     triple's (first, middle) pair; every triple's (first, last) pair;
     and for consecutive triples the product of the earlier (first,
     middle) pair with the later (middle, last) pair — the earlier pair
-    ends before the later one starts, so their bounds multiply.
+    ends before the later one starts, so their bounds multiply.  With
+    no triples, the best pair of permutation blocks is claimed instead.
     """
     triples = tuple(triples)
     if not triples:
-        return _best_pair_fallback(bd)
-    for a, b in zip(triples, triples[1:]):
-        if a.middle >= b.middle:
-            raise ContractError("triples must be ordered by middle block")
-    restricted = {
-        (t.first, t.middle, t.last): _triple_restrictions(bd, t.first, t.middle, t.last)
-        for t in triples
-    }
-
-    def pair(t: TripleFinding, which: str):
-        ri, rj, rl = restricted[(t.first, t.middle, t.last)]
-        if which == "first-middle":
-            return _split_pair_candidate(bd, t.first, t.middle, (ri, rj))
-        if which == "first-last":
-            return _split_pair_candidate(bd, t.first, t.last, (ri, rl))
-        return _split_pair_candidate(bd, t.middle, t.last, (rj, rl))
-
-    candidates = [pair(triples[0], "middle-last"), pair(triples[-1], "first-middle")]
-    candidates.extend(pair(t, "first-last") for t in triples)
-    for earlier, later in zip(triples, triples[1:]):
-        c1, w1, s1 = pair(earlier, "first-middle")
-        c2, w2, s2 = pair(later, "middle-last")
-        steps = s1 + s2 + [Step("concat-product", (0, 1), ())]
-        candidates.append((c1 * c2, concat(w1, w2), steps))
-    claimed, witness, steps = max(candidates, key=lambda c: c[0])
-    product = 1
-    for t in triples:
-        product *= t.lcs_first_middle * t.lcs_first_last * t.lcs_middle_last
-    info = {
-        "inequality_product": product,
-        "inequality_count": 2 * len(triples) + 1,
-    }
-    return _certified(witness, claimed, steps, bd.word, info)
+        return _certified(*_best_pair_claim(bd), bd.word)
+    product = prod(t.lcs_first_middle * t.lcs_first_last * t.lcs_middle_last for t in triples)
+    info = {"inequality_product": product, "inequality_count": 2 * len(triples) + 1}
+    return _certified(*_chained_claim(bd, triples), bd.word, info)
 
 
-def _best_pair_fallback(bd: BlockDecomposition) -> Certificate:
+def _best_pair_claim(bd: BlockDecomposition) -> Claim:
     indices = bd.permutation_indices
     if len(indices) < 2:
         raise NotApplicable("no triples and fewer than 2 permutation blocks")
-    best = None
-    for i, j in combinations(indices, 2):
-        length, _ = lcs2(bd.blocks[i - 1], bd.blocks[j - 1])
-        if best is None or length > best[0]:
-            best = (length, i, j)
-    _, i, j = best
-    return lcs_pair_certificate(bd, i, j)
+    claims = (_pair_claim(bd, i, j) for i, j in combinations(indices, 2))
+    return max(claims, key=lambda c: c[1])
 
 
-def _letter_frequency_certificate(piece: Word) -> Certificate:
+def _letter_frequency_claim(piece: Word) -> Claim:
     counts = Counter(piece.symbols)
     top = max(counts.values())
     letter = min(s for s, c in counts.items() if c == top)
-    witness = Word((letter,), piece.alphabet_size)
-    return _certified(witness, top, [Step("letter-frequency", (), ())], piece)
+    return Word((letter,), piece.alphabet_size), top, [Step("letter-frequency", (), ())]
 
 
-def _certify_chunk(piece: Word) -> Certificate:
-    """Best of three routes on one chunk, ties broken in route order:
+def _certify_chunk(piece: Word) -> Claim:
+    """Best of three routes on one chunk, by claim alone (certify_word
+    recounts only the final witness), ties broken in route order:
     forced repeats (blocks longer than the alphabet), permutation-block
     mining, single-letter frequency."""
     k = piece.alphabet_size
-    candidates: list[Certificate] = []
+    candidates: list[Claim] = []
     b_repeat = len(piece) // (k + 1)
-    if b_repeat >= 1:
-        try:
-            candidates.append(duplicate_letter_certificate(decompose(piece, b_repeat)))
-        except NotApplicable:
-            pass
+    if b_repeat >= 1:  # blocks longer than k: every one repeats a letter
+        candidates.append(_duplicate_letter_claim(decompose(piece, b_repeat)))
     b_perm = len(piece) // k
     if b_perm >= 2:
         bd = decompose(piece, b_perm)
         perm_count = len(bd.permutation_indices)
         if perm_count >= 3:
             family = disjoint_triples(bd, perm_count // 3)
-            candidates.append(chained_certificate(bd, family.triples))
+            candidates.append(_chained_claim(bd, family.triples))
         elif perm_count == 2:
-            candidates.append(_best_pair_fallback(bd))
-    candidates.append(_letter_frequency_certificate(piece))
-    return max(candidates, key=lambda c: c.claimed)
+            candidates.append(_best_pair_claim(bd))
+    candidates.append(_letter_frequency_claim(piece))
+    return max(candidates, key=lambda c: c[1])
 
 
 def certify_word(w: Word, chunk: int) -> Certificate:
-    """Cut w into consecutive chunks, certify each, and multiply: the
-    concatenated witness embeds chunk-locally, so counts multiply."""
+    """Cut w into consecutive chunks, claim a bound for each, and
+    multiply: the concatenated witness embeds chunk-locally, so counts
+    multiply.  Its recount against w is the only one."""
     if chunk < 1:
         raise ContractError(f"chunk length must be >= 1, got {chunk}")
     if len(w) == 0:
         return _certified(Word((), w.alphabet_size), 1, [Step("empty-word", (), ())], w)
     witness = Word((), w.alphabet_size)
-    claimed = 1
     steps: list[Step] = []
     chunk_step_ends = []
     chunk_claims = []
     pos = 0
     while pos < len(w):
         end = min(pos + chunk, len(w))
-        cert = _certify_chunk(subword(w, Interval(pos, end - 1)))
+        part, part_claim, part_steps = _certify_chunk(subword(w, Interval(pos, end - 1)))
         offset = len(steps)
         steps.extend(
-            Step(s.rule, tuple(r + offset for r in s.refs), s.blocks) for s in cert.steps
+            Step(s.rule, tuple(r + offset for r in s.refs), s.blocks) for s in part_steps
         )
         chunk_step_ends.append(len(steps) - 1)
-        chunk_claims.append(cert.claimed)
-        witness = concat(witness, cert.witness)
-        claimed *= cert.claimed
+        chunk_claims.append(part_claim)
+        witness = concat(witness, part)
         pos = end
     steps.append(
         Step("chunk-product", tuple(chunk_step_ends), tuple(range(1, len(chunk_claims) + 1)))
     )
-    return _certified(witness, claimed, steps, w, {"chunk_claims": chunk_claims})
+    return _certified(witness, prod(chunk_claims), steps, w, {"chunk_claims": chunk_claims})

@@ -188,6 +188,19 @@ def _agree_count(a: SignVector, b: SignVector) -> int:
     return sum(1 for x, y in zip(a, b) if x == y)
 
 
+def _sweep(name, cap, instances, exact=False, note="") -> PropertyResult:
+    """Check every (label, value) instance: value == cap when ``exact``,
+    else value <= cap; the worst value and first eight failures are kept."""
+    worst = None
+    failures = []
+    for label, value in instances:
+        if worst is None or value > worst:
+            worst = value
+        if (value != cap) if exact else (value > cap):
+            failures.append((label, value))
+    return PropertyResult(name, not failures, True, worst, tuple(failures[:8]), note)
+
+
 def verify_sign_properties(vectors) -> PropertyReport:
     """Brute-force check of the eight agreement facts the analysis needs
     from a period-8 family of length-8 sign vectors.
@@ -205,88 +218,75 @@ def verify_sign_properties(vectors) -> PropertyReport:
     def at(i):  # 1-based periodic
         return vs[(i - 1) % 8]
 
-    results = []
-
-    def record(name, cap, instances, note=""):
-        # instances: iterable of (label, value); ok iff every value <= cap
-        worst = None
-        failures = []
-        for label, value in instances:
-            if worst is None or value > worst:
-                worst = value
-            if value > cap:
-                failures.append((label, value))
-        results.append(
-            PropertyResult(name, not failures, True, worst, tuple(failures[:8]), note)
-        )
-
-    record(
-        "adjacent-pairs-agree-le2",
-        2,
-        ((i, len(agreement_set([at(i), at(i + 1)]))) for i in range(1, 9)),
-    )
-    record(
-        "distinct-pairs-agree-le4",
-        4,
-        (
-            ((i, j), _agree_count(vs[i], vs[j]))
-            for i, j in combinations(range(8), 2)
-            if vs[i] != vs[j]
+    results = [
+        _sweep(
+            "adjacent-pairs-agree-le2",
+            2,
+            ((i, len(agreement_set([at(i), at(i + 1)]))) for i in range(1, 9)),
         ),
-    )
-    record(
-        "consecutive-triples-agree-nowhere",
-        0,
-        ((i, len(agreement_set([at(i), at(i + 1), at(i + 2)]))) for i in range(1, 9)),
-    )
-    record(
-        "adjacent-plus-outsider-agree-le1",
-        1,
-        (
-            ((i, j), len(agreement_set([at(i), at(i + 1), vs[j]])))
-            for i in range(1, 9)
-            for j in range(8)
-            if vs[j] != at(i) and vs[j] != at(i + 1)
+        _sweep(
+            "distinct-pairs-agree-le4",
+            4,
+            (
+                ((i, j), _agree_count(vs[i], vs[j]))
+                for i, j in combinations(range(8), 2)
+                if vs[i] != vs[j]
+            ),
         ),
-    )
-    record(
-        "distinct-triples-agree-le2",
-        2,
-        (
-            ((a, b, c), len(agreement_set([vs[a], vs[b], vs[c]])))
-            for a, b, c in combinations(range(8), 3)
-            if vs[a] != vs[b] and vs[a] != vs[c] and vs[b] != vs[c]
+        _sweep(
+            "consecutive-triples-agree-nowhere",
+            0,
+            ((i, len(agreement_set([at(i), at(i + 1), at(i + 2)]))) for i in range(1, 9)),
         ),
-    )
-    record(
-        "last2-blocks-differ-within-gap3",
-        1,
-        (
-            ((i, j), 2 if at(i)[6:] == at(i + j)[6:] else 0)
-            for i in range(1, 9)
-            for j in range(1, 4)
+        _sweep(
+            "adjacent-plus-outsider-agree-le1",
+            1,
+            (
+                ((i, j), len(agreement_set([at(i), at(i + 1), vs[j]])))
+                for i in range(1, 9)
+                for j in range(8)
+                if vs[j] != at(i) and vs[j] != at(i + 1)
+            ),
         ),
-        note="value 2 flags an equal last-2 projection",
-    )
-    record(
-        "last3-blocks-differ-within-gap7",
-        1,
-        (
-            ((i, j), 2 if at(i)[5:] == at(i + j)[5:] else 0)
-            for i in range(1, 9)
-            for j in range(1, 8)
+        _sweep(
+            "distinct-triples-agree-le2",
+            2,
+            (
+                ((a, b, c), len(agreement_set([vs[a], vs[b], vs[c]])))
+                for a, b, c in combinations(range(8), 3)
+                if vs[a] != vs[b] and vs[a] != vs[c] and vs[b] != vs[c]
+            ),
         ),
-        note="value 2 flags an equal last-3 projection",
-    )
-    record(
-        "last5-blocks-agree-le3-within-gap7",
-        3,
-        (
-            ((i, j), _agree_count(at(i)[3:], at(i + j)[3:]))
-            for i in range(1, 9)
-            for j in range(1, 8)
+        _sweep(
+            "last2-blocks-differ-within-gap3",
+            1,
+            (
+                ((i, j), 2 if at(i)[6:] == at(i + j)[6:] else 0)
+                for i in range(1, 9)
+                for j in range(1, 4)
+            ),
+            note="value 2 flags an equal last-2 projection",
         ),
-    )
+        _sweep(
+            "last3-blocks-differ-within-gap7",
+            1,
+            (
+                ((i, j), 2 if at(i)[5:] == at(i + j)[5:] else 0)
+                for i in range(1, 9)
+                for j in range(1, 8)
+            ),
+            note="value 2 flags an equal last-3 projection",
+        ),
+        _sweep(
+            "last5-blocks-agree-le3-within-gap7",
+            3,
+            (
+                ((i, j), _agree_count(at(i)[3:], at(i + j)[3:]))
+                for i in range(1, 9)
+                for j in range(1, 8)
+            ),
+        ),
+    ]
     return PropertyReport(tuple(results))
 
 
@@ -379,12 +379,6 @@ def verify_lemma_intermediate(r: int, t: int, family) -> IntermediateReport:
     return IntermediateReport(t, r, len(unique), J, t ** len(J), computed)
 
 
-def restrict_to_prefix_class(w: Word, x: int, cls: int, alphabet: TupleAlphabet) -> Word:
-    """Subsequence of w keeping symbols whose first x coordinates pack to cls."""
-    kept = tuple(s for s in w.symbols if alphabet.prefix_class(s, x) == cls)
-    return Word(kept, w.alphabet_size)
-
-
 def verify_permutation_properties(
     t: int,
     vectors=None,
@@ -405,63 +399,52 @@ def verify_permutation_properties(
     def at(i):  # 1-based periodic
         return perms[(i - 1) % 8]
 
-    results = []
-
-    def sweep(name, cap, instances, exact=False, note=""):
-        worst = None
-        failures = []
-        for label, value in instances:
-            if worst is None or value > worst:
-                worst = value
-            bad = (value != cap) if exact else (value > cap)
-            if bad:
-                failures.append((label, value))
-        results.append(
-            PropertyResult(name, not failures, True, worst, tuple(failures[:8]), note)
-        )
-
-    sweep(
-        "adjacent-lcs-le-t2",
-        t**2,
-        ((i, lcs2(at(i), at(i + 1))[0]) for i in range(1, 9)),
-    )
-    sweep(
-        "distinct-pair-lcs-le-t4",
-        t**4,
-        (
-            ((i, j), lcs2(perms[i], perms[j])[0])
-            for i, j in combinations(range(8), 2)
-            if perms[i] != perms[j]
+    results = [
+        _sweep(
+            "adjacent-lcs-le-t2",
+            t**2,
+            ((i, lcs2(at(i), at(i + 1))[0]) for i in range(1, 9)),
         ),
-    )
+        _sweep(
+            "distinct-pair-lcs-le-t4",
+            t**4,
+            (
+                ((i, j), lcs2(perms[i], perms[j])[0])
+                for i, j in combinations(range(8), 2)
+                if perms[i] != perms[j]
+            ),
+        ),
+    ]
 
     triples_affordable = alphabet.size**2 <= triple_work_budget
     if triples_affordable:
-        sweep(
-            "consecutive-triple-lcs-eq-1",
-            1,
-            ((i, lcs3(at(i), at(i + 1), at(i + 2))[0]) for i in range(1, 9)),
-            exact=True,
-        )
-        sweep(
-            "adjacent-plus-outsider-lcs-le-t",
-            t,
-            (
-                ((i, j), lcs3(at(i), at(i + 1), perms[j])[0])
-                for i in range(1, 9)
-                for j in range(8)
-                if perms[j] != at(i) and perms[j] != at(i + 1)
+        results += [
+            _sweep(
+                "consecutive-triple-lcs-eq-1",
+                1,
+                ((i, lcs3(at(i), at(i + 1), at(i + 2))[0]) for i in range(1, 9)),
+                exact=True,
             ),
-        )
-        sweep(
-            "distinct-triple-lcs-le-t2",
-            t**2,
-            (
-                ((a, b, c), lcs3(perms[a], perms[b], perms[c])[0])
-                for a, b, c in combinations(range(8), 3)
-                if perms[a] != perms[b] and perms[a] != perms[c] and perms[b] != perms[c]
+            _sweep(
+                "adjacent-plus-outsider-lcs-le-t",
+                t,
+                (
+                    ((i, j), lcs3(at(i), at(i + 1), perms[j])[0])
+                    for i in range(1, 9)
+                    for j in range(8)
+                    if perms[j] != at(i) and perms[j] != at(i + 1)
+                ),
             ),
-        )
+            _sweep(
+                "distinct-triple-lcs-le-t2",
+                t**2,
+                (
+                    ((a, b, c), lcs3(perms[a], perms[b], perms[c])[0])
+                    for a, b, c in combinations(range(8), 3)
+                    if perms[a] != perms[b] and perms[a] != perms[c] and perms[b] != perms[c]
+                ),
+            ),
+        ]
     else:
         skip_note = (
             f"triple LCS needs ~{alphabet.size**2} work per instance, "
@@ -505,9 +488,9 @@ def verify_permutation_properties(
                             worst_cls = value
                     yield (i, j), worst_cls
 
-        sweep(name, cap, instances())
+        return _sweep(name, cap, instances())
 
-    class_sweep("fixed-prefix6-lcs-le-t", 6, range(1, 4), t)
-    class_sweep("fixed-prefix5-lcs-le-t2", 5, range(1, 8), t**2)
-    class_sweep("fixed-prefix3-lcs-le-t3", 3, range(1, 8), t**3)
+    results.append(class_sweep("fixed-prefix6-lcs-le-t", 6, range(1, 4), t))
+    results.append(class_sweep("fixed-prefix5-lcs-le-t2", 5, range(1, 8), t**2))
+    results.append(class_sweep("fixed-prefix3-lcs-le-t3", 3, range(1, 8), t**3))
     return PropertyReport(tuple(results))

@@ -21,13 +21,21 @@ state linearly and monotonically, which yields two sound prunings:
   ``sum_j (c[j]-c[j-1]) * (best count achievable inside w[j:])``,
   so precomputed suffix capacities give an upper bound for cutoff.
 
-A suffix's capacity is its own most-common count, found by the same
-branch-and-bound.  Renaming letters bijectively maps the patterns of a
-word one-to-one onto those of the renamed word with equal counts, so
-the capacity depends only on the suffix's first-occurrence form.  A
-caller that searches many words of one alphabet (the extremal scan)
-passes a dict memo keyed by that form's ``relabel_code``; a single
-search does not, since its suffixes rarely repeat a form.
+One routine, ``_branch_and_bound``, runs this search on any suffix
+``w[start:]``.  The capacities are that search run from right to left:
+``start = n-1, ..., 1``, each using the capacities already found.  The
+most-common search is the ``start = 0`` call, which also returns the
+witness and can abort once a count reaches a threshold (the extremal
+scan only needs to know a word is no better than its best so far).
+``max_occurrences_of_length`` keeps its own search, since its bound
+depends on how many symbols remain to be placed.
+
+Renaming letters bijectively maps the patterns of a word one-to-one
+onto those of the renamed word with equal counts, so a suffix's
+capacity depends only on its first-occurrence form.  A caller that
+searches many words of one alphabet (the extremal scan) passes a dict
+memo keyed by that form's ``relabel_code``; a single search does not,
+since its suffixes rarely repeat a form.
 
 Witness tie-breaks are always "lexicographically smallest pattern
 among the maximisers", which the DFS order delivers for free.
@@ -172,42 +180,13 @@ def enumerate_embeddings(v: Word, w: Word, cap: int | None = None) -> EmbeddingE
     return EmbeddingEnumeration(out, truncated)
 
 
-@dataclass(frozen=True)
-class PrefixCountState:
-    """c[j] = embeddings of the current pattern prefix into w[:j].
-
-    For a real prefix the counts are nondecreasing in j and c[0] is 1
-    for the empty prefix, 0 otherwise.
-    """
-
-    counts: tuple[int, ...]
-
-    @classmethod
-    def initial(cls, w_length: int) -> "PrefixCountState":
-        return cls((1,) * (w_length + 1))
-
-    def extend(self, w: Word, symbol: int) -> "PrefixCountState":
-        c = self.counts
-        out = [0] * len(c)
-        syms = w.symbols
-        for j in range(1, len(c)):
-            out[j] = out[j - 1] + (c[j - 1] if syms[j - 1] == symbol else 0)
-        return PrefixCountState(tuple(out))
-
-    def dominates(self, other: "PrefixCountState") -> bool:
-        return all(a >= b for a, b in zip(self.counts, other.counts))
-
-    def value(self) -> int:
-        return self.counts[-1]
-
-
 # ---------------------------------------------------------------------------
 # branch-and-bound maximisers
 
 
 def _extend_counts(c: list[int], syms: tuple[int, ...], base: int, symbol: int) -> list[int]:
-    # raw-list version of PrefixCountState.extend for the hot loops;
-    # c[d] refers to the boundary after syms[base + d - 1]
+    # the state after appending symbol to the pattern; c[d] refers to
+    # the boundary after syms[base + d - 1]
     out = [0] * len(c)
     acc = 0
     for d in range(1, len(c)):
@@ -232,28 +211,45 @@ def _dominated(stored: list[list[int]], cand: list[int]) -> bool:
     return False
 
 
-def _max_count_in_suffix(syms: tuple[int, ...], k: int, start: int, capacities: list[int]) -> int:
-    """Best count of any pattern inside syms[start:], given capacities[j] for j > start."""
-    n = len(syms)
-    length = n - start
+def _branch_and_bound(
+    syms: tuple[int, ...],
+    k: int,
+    start: int,
+    capacities: list[int],
+    abort_at: int | None = None,
+) -> tuple[int, tuple[int, ...] | None, bool]:
+    """Most frequent pattern inside syms[start:], given capacities[j] for j > start.
+
+    Returns (value, lex-min witness, aborted).  With ``abort_at`` set
+    the search stops at the first count >= abort_at; the witness is
+    then None and the value is that count.
+    """
+    length = len(syms) - start
+    caps = capacities[start:]
     best = 1  # the empty pattern
-    root = [1] * (length + 1)
+    best_witness: tuple[int, ...] = ()
     by_depth: list[list[list[int]]] = [[] for _ in range(length + 1)]
+    prefix: list[int] = []
+    aborted = False
 
     def rec(c: list[int], depth: int) -> None:
-        nonlocal best
+        nonlocal best, best_witness, aborted
         for symbol in range(k):
             nc = _extend_counts(c, syms, start, symbol)
             v = nc[-1]
             if v > best:
                 best = v
+                best_witness = (*prefix, symbol)
+                if abort_at is not None and v >= abort_at:
+                    aborted = True
+                    return
             # capacity bound over all nonempty continuations (and stopping here)
             bound = 0
             prev = 0
             for d in range(1, length + 1):
                 cd = nc[d]
                 if cd != prev:
-                    bound += (cd - prev) * capacities[start + d]
+                    bound += (cd - prev) * caps[d]
                     prev = cd
             if bound <= best:
                 continue
@@ -262,30 +258,38 @@ def _max_count_in_suffix(syms: tuple[int, ...], k: int, start: int, capacities: 
                 continue
             if len(store) < _DOMINANCE_STORE_CAP:
                 store.append(nc)
+            prefix.append(symbol)
             rec(nc, depth + 1)
+            prefix.pop()
+            if aborted:
+                return
 
     if length > 0:
-        rec(root, 0)
-    return best
+        rec([1] * (length + 1), 0)
+    if aborted:
+        return best, None, True
+    return best, best_witness, False
 
 
 def _suffix_capacities(w: Word, memo: dict[int, int] | None = None) -> list[int]:
     """capacities[j] = max over all patterns of their count inside w[j:].
 
-    ``memo`` maps the relabel code of a suffix to its capacity; it is
-    read and filled, and must only ever see words of one alphabet size.
+    Filled from right to left, each suffix searched with the
+    capacities of the shorter ones.  ``memo`` maps the relabel code of
+    a suffix to its capacity; it is read and filled, and must only
+    ever see words of one alphabet size.
     """
     syms = w.symbols
     k = w.alphabet_size
     capacities = [1] * (len(w) + 1)
     for start in range(len(w) - 1, 0, -1):
         if memo is None:
-            capacities[start] = _max_count_in_suffix(syms, k, start, capacities)
+            capacities[start] = _branch_and_bound(syms, k, start, capacities)[0]
             continue
         key = relabel_code(syms[start:], k)
         cap = memo.get(key)
         if cap is None:
-            cap = memo[key] = _max_count_in_suffix(syms, k, start, capacities)
+            cap = memo[key] = _branch_and_bound(syms, k, start, capacities)[0]
         capacities[start] = cap
     return capacities
 
@@ -301,54 +305,12 @@ def _search_most_common(
     ``capacity_memo`` is handed to ``_suffix_capacities``; it pays off
     when many words of one alphabet share suffix forms, as in a scan.
     """
-    n = len(w)
-    if n == 0:
+    if len(w) == 0:
         return 1, (), False
     if abort_at is not None and abort_at <= 1:
         return 1, None, True
-    syms = w.symbols
-    k = w.alphabet_size
     capacities = _suffix_capacities(w, capacity_memo)
-    best = 1
-    best_witness: tuple[int, ...] = ()
-    by_depth: list[list[list[int]]] = [[] for _ in range(n + 1)]
-    prefix: list[int] = []
-    aborted = False
-
-    def rec(c: list[int], depth: int) -> None:
-        nonlocal best, best_witness, aborted
-        for symbol in range(k):
-            if aborted:
-                return
-            nc = _extend_counts(c, syms, 0, symbol)
-            v = nc[-1]
-            prefix.append(symbol)
-            if v > best:
-                best = v
-                best_witness = tuple(prefix)
-                if abort_at is not None and best >= abort_at:
-                    aborted = True
-                    prefix.pop()
-                    return
-            bound = 0
-            prev = 0
-            for d in range(1, n + 1):
-                cd = nc[d]
-                if cd != prev:
-                    bound += (cd - prev) * capacities[d]
-                    prev = cd
-            if bound > best:
-                store = by_depth[depth + 1]
-                if not _dominated(store, nc):
-                    if len(store) < _DOMINANCE_STORE_CAP:
-                        store.append(nc)
-                    rec(nc, depth + 1)
-            prefix.pop()
-
-    rec([1] * (n + 1), 0)
-    if aborted:
-        return best, None, True
-    return best, best_witness, False
+    return _branch_and_bound(w.symbols, w.alphabet_size, 0, capacities, abort_at)
 
 
 def max_occurrences(w: Word) -> tuple[int, Word]:

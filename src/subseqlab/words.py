@@ -97,7 +97,7 @@ def word(text: str, alphabet_size: int | None = None) -> Word:
     if text == "":
         syms: tuple[int, ...] = ()
     elif any(c.isdigit() for c in text):
-        syms = tuple(int(p) for p in text.split(","))
+        syms = tuple(_parse_int(p, "symbol id") for p in text.split(","))
     else:
         for c in text:
             if c not in _LETTERS:
@@ -106,6 +106,13 @@ def word(text: str, alphabet_size: int | None = None) -> Word:
     if alphabet_size is None:
         alphabet_size = max(syms, default=0) + 1
     return Word(syms, alphabet_size)
+
+
+def _parse_int(token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ContractError(f"{what} {token!r} is not an integer") from None
 
 
 def from_ids(ids, alphabet_size: int | None = None) -> Word:
@@ -215,11 +222,14 @@ def dump_words(words: list[Word], path: str | Path) -> None:
 
 
 def load_words(path: str | Path) -> list[Word]:
-    raw = Path(path).read_text()
+    try:
+        raw = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ContractError(f"{path}: not a text file ({exc.reason})") from None
     lines = raw.split("\n")
     if lines and lines[-1] == "":
         lines.pop()  # trailing newline, not an empty word
     if not lines or not lines[0].startswith("alphabet k="):
         raise ContractError(f"{path}: missing 'alphabet k=<int>' header")
-    k = int(lines[0].split("=", 1)[1])
+    k = _parse_int(lines[0].split("=", 1)[1], f"{path}: alphabet size")
     return [word(line, alphabet_size=k) for line in lines[1:]]

@@ -2,10 +2,12 @@
 
 Everything here is deliberately naive and self-contained: counting by
 enumerating position combinations, maximising by sweeping every
-pattern, orbits by applying every group element.  None of it shares
-code with the package, so agreement is evidence, not tautology.
+pattern or every position subset, orbits by applying every group
+element.  None of it shares code with the package, so agreement is
+evidence, not tautology.
 """
 
+from collections import Counter
 from itertools import combinations, permutations, product
 
 
@@ -30,15 +32,19 @@ def count_by_plain_dp(v_syms, w_syms):
 
 def brute_most_common(w_syms, k):
     """(max count, witness) over every pattern length; witness is the
-    lexicographically smallest maximiser under tuple comparison."""
+    lexicographically smallest maximiser under tuple comparison.
+
+    Counts every pattern at once by spelling out each of the 2^n
+    position subsets of w (the empty subset spells the empty pattern);
+    a pattern over range(k) that no subset spells occurs 0 times and
+    never beats the empty pattern's 1.
+    """
     n = len(w_syms)
-    best, witness = 1, ()
-    for length in range(1, n + 1):
-        for v in product(range(k), repeat=length):
-            c = count_by_plain_dp(v, w_syms)
-            if c > best or (c == best and v < witness):
-                best, witness = c, v
-    return best, witness
+    counts = Counter(
+        tuple(w_syms[i] for i in range(n) if mask >> i & 1) for mask in range(1 << n)
+    )
+    best = max(counts.values())
+    return best, min(v for v, c in counts.items() if c == best)
 
 
 def brute_most_common_of_length(w_syms, k, length):

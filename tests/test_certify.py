@@ -1,13 +1,16 @@
 """Certificates: every claimed bound must survive an independent
 recount, and the derivation machinery must match its stated rules."""
 
+import hashlib
 import random
 from itertools import product as iproduct
 
 import pytest
 
+from subseqlab import certify
 from subseqlab.certify import (
     BlockDecomposition,
+    TripleFinding,
     best_triple,
     certify_word,
     chained_certificate,
@@ -255,6 +258,15 @@ def test_chained_certificate_rejects_unordered():
         chained_certificate(bd, tuple(reversed(family.triples)))
 
 
+def test_chained_certificate_rejects_a_finding_its_blocks_do_not_support():
+    w = power(word("abcd"), 3)
+    bd = decompose(w, 3)
+    (t,) = disjoint_triples(bd, 1).triples
+    inflated = TripleFinding(t.first, t.middle, t.last, t.common_symbols, 9, 9, 9)
+    with pytest.raises(ContractError):
+        chained_certificate(bd, (inflated,))
+
+
 def test_chained_certificate_empty_falls_back_to_best_pair():
     w = power(word("abcde"), 2)
     cert = chained_certificate(decompose(w, 2), ())
@@ -331,3 +343,106 @@ def test_certify_construction_word_scaling():
         claims.append(cert.claimed)
     assert claims == sorted(claims)
     assert claims[-1] > 1
+
+
+def test_certify_word_recounts_once(monkeypatch):
+    calls = []
+
+    def counting(v, w):
+        calls.append((v, w))
+        return count_occurrences(v, w)
+
+    monkeypatch.setattr(certify, "count_occurrences", counting)
+    rng = random.Random(17)
+    words = [rand_word(rng, 4, 150), perm_block_word(rng, 6, 20), Word((), 3)]
+    words.append(build_construction_word(2, 4).word)
+    for w in words:
+        calls.clear()
+        cert = certify_word(w, chunk=32 if len(w) < 1000 else 1024)
+        assert calls == [(cert.witness, w)]
+        assert cert.verified == count_occurrences(cert.witness, w)
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs: witness, claim, recount, steps and info of every
+# certificate, as produced by the certify module before its chunk routes
+# switched to claims with one recount
+
+
+def _record(cert):
+    steps = tuple((s.rule, s.refs, s.blocks) for s in cert.steps)
+    return (cert.witness.symbols, cert.claimed, cert.verified, steps, sorted(cert.info.items()))
+
+
+def _digest(records):
+    return hashlib.sha256(repr(records).encode()).hexdigest()
+
+
+def _pinned_words():
+    rng = random.Random(20261017)
+    out = []
+    for trial in range(150):
+        k = rng.choice((4, 5, 6))
+        if trial % 2:
+            w = rand_word(rng, k, rng.randrange(1, 300))
+        else:
+            syms = list(perm_block_word(rng, k, rng.randrange(1, 40)).symbols)
+            for _ in range(rng.randrange(0, 4)):
+                syms[rng.randrange(len(syms))] = rng.randrange(k)
+            w = Word(tuple(syms), k)
+        out.append((w, rng.choice((8, 16, 32, 64, 128))))
+    for _ in range(60):
+        # near-powers of one permutation: long common subsequences, so
+        # the split-pair and concat-product routes win
+        k = rng.randrange(5, 11)
+        base = list(range(k))
+        rng.shuffle(base)
+        syms = []
+        for _ in range(rng.randrange(2, 13)):
+            block = base[:]
+            i = rng.randrange(k - 1)
+            block[i], block[i + 1] = block[i + 1], block[i]
+            syms.extend(block)
+        out.append((Word(tuple(syms), k), k * rng.randrange(2, 7)))
+    return out
+
+
+def test_certify_word_pinned_outputs():
+    records = [_record(certify_word(w, chunk)) for w, chunk in _pinned_words()]
+    rules = {rule for r in records for rule, _, _ in r[3]}
+    assert {"repeat-letter", "letter-frequency", "split-pair", "concat-product"} <= rules
+    assert _digest(records) == "d9bca80f1ec93c0525361ba0ea2629a38a044099eaf6ffd3436928de6b4645b0"
+
+
+def test_certify_word_pinned_block_word():
+    cert = certify_word(build_construction_word(2, 16).word, chunk=1024)
+    assert (cert.claimed, cert.verified) == (83521, 239337728)
+    assert cert.info == {"chunk_claims": [17, 17, 17, 17]}
+    assert [s.rule for s in cert.steps] == ["split-pair"] * 4 + ["chunk-product"]
+    assert _digest(_record(cert)) == (
+        "e4c6464df7a85febf8bd50bd6a757d5ab4ada7dc695c1f85b8987e2399d4da21"
+    )
+
+
+def test_public_certificates_pinned_outputs():
+    rng = random.Random(7)
+    records = []
+    for _ in range(60):
+        k = rng.choice((4, 5, 6))
+        syms = list(perm_block_word(rng, k, rng.randrange(2, 14)).symbols)
+        for _ in range(rng.randrange(0, 3)):
+            syms[rng.randrange(len(syms))] = rng.randrange(k)
+        bd = decompose(Word(tuple(syms), k), len(syms) // k)
+        for build in (
+            lambda: duplicate_letter_certificate(bd),
+            lambda: lcs_pair_certificate(bd, 1, bd.block_count),
+            lambda: chained_certificate(
+                bd, disjoint_triples(bd, len(bd.permutation_indices) // 3).triples
+            ),
+            lambda: chained_certificate(bd, ()),
+        ):
+            try:
+                records.append(_record(build()))
+            except NotApplicable as exc:
+                records.append(("NA", str(exc)))
+    assert _digest(records) == "6a2ee6b382f86a031469213d47b1fa95efa83bb0aaa66e83d9fba8f281f879b9"

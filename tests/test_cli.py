@@ -1,9 +1,14 @@
 """Frontend tests: run main() in-process and inspect artifacts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import subseqlab
 from subseqlab.cli import EXIT_OK, EXIT_USAGE, RunConfig, main
 from subseqlab.errors import ContractError
 from subseqlab.words import load_words
@@ -55,6 +60,30 @@ def test_count_bad_alphabet_usage_error(capsys):
     code, _, err = run(["count", "--v", "a", "--w", "aa", "--k", "0"], capsys)
     assert code == EXIT_USAGE
     assert "count:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, header, line",
+    [
+        (["count", "--v", "1,x", "--w", "1,2"], None, None),
+        (["count", "--v", "1,,2", "--w", "1,2"], None, None),
+        (["certify", "--input"], "alphabet k=x", "ab"),
+        (["certify", "--input"], "alphabet k=3", "1,x"),
+    ],
+)
+def test_malformed_words_exit_2_without_traceback(tmp_path, argv, header, line):
+    # a separate interpreter, so an escaping exception would show as a traceback
+    if header is not None:
+        path = tmp_path / "bad.words"
+        path.write_text(f"{header}\n{line}\n")
+        argv = argv + [str(path)]
+    env = dict(os.environ, PYTHONPATH=str(Path(subseqlab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "subseqlab.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    assert "not an integer" in proc.stderr
 
 
 # ---------------------------------------------------------------------------

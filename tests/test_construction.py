@@ -12,7 +12,6 @@ from subseqlab.construction import (
     build_construction_word,
     build_permutation,
     parse_signs,
-    restrict_to_prefix_class,
     sign_vector_at,
     signed_key,
     signs_to_text,
@@ -326,11 +325,3 @@ def test_block_properties_budget_skips_triples():
     # unchecked results do not poison the verdict
     assert report.ok
 
-
-def test_restriction_helper():
-    alph = TupleAlphabet(2, 8)
-    p = build_permutation(base_sign_vectors()[0], 2)
-    r = restrict_to_prefix_class(p, 1, 0, alph)
-    assert len(r) == 128
-    assert all(alph.coords(s)[0] == 1 for s in r.symbols)
-    assert is_permutation_word(r)

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from subseqlab.counting import (
     EmbeddingMap,
+    _dominated,
+    _extend_counts,
     _search_most_common,
-    PrefixCountState,
     count_occurrences,
     enumerate_embeddings,
     max_occurrences,
@@ -140,12 +141,12 @@ def test_state_extension_matches_prefix_counts():
         k = 2
         w = rand_word(rng, k, rng.randrange(1, 9))
         v = rand_word(rng, k, rng.randrange(1, 5))
-        state = PrefixCountState.initial(len(w))
+        state = [1] * (len(w) + 1)  # the empty prefix
         for s in v.symbols:
-            state = state.extend(w, s)
+            state = _extend_counts(state, w.symbols, 0, s)
         for j in range(len(w) + 1):
             prefix_w = Word(w.symbols[:j], k)
-            assert state.counts[j] == count_occurrences(v, prefix_w)
+            assert state[j] == count_occurrences(v, prefix_w)
 
 
 def test_state_dominance_is_preserved_by_extension():
@@ -161,15 +162,14 @@ def test_state_dominance_is_preserved_by_extension():
         high = [c + rng.randrange(0, 3) for c in low]
         for j in range(1, n + 1):
             high[j] = max(high[j], high[j - 1])
-        s_low = PrefixCountState(tuple(low))
-        s_high = PrefixCountState(tuple(high))
-        assert s_high.dominates(s_low)
+        assert _dominated([high], low)
+        assert _dominated([low], high) == (low == high)
         for _ in range(rng.randrange(1, 5)):
             sym = rng.randrange(2)
-            s_low = s_low.extend(w, sym)
-            s_high = s_high.extend(w, sym)
-            assert s_high.dominates(s_low)
-        assert s_high.value() >= s_low.value()
+            low = _extend_counts(low, w.symbols, 0, sym)
+            high = _extend_counts(high, w.symbols, 0, sym)
+            assert _dominated([high], low)
+        assert high[-1] >= low[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +192,23 @@ def test_most_common_matches_brute_force():
         b_value, b_witness = brute_most_common(w.symbols, k)
         assert (value, witness.symbols) == (b_value, b_witness)
         assert count_occurrences(witness, w) == value
+
+
+def test_search_abort_contract_exhaustive():
+    # every k=2 word of n <= 10 and k=3 word of n <= 6: an abort happens
+    # exactly when the true value reaches abort_at; otherwise value and
+    # lex-min witness are the brute-force ones
+    for k, n_top in ((2, 10), (3, 6)):
+        for n in range(n_top + 1):
+            for syms in product(range(k), repeat=n):
+                b_value, b_witness = brute_most_common(syms, k)
+                for abort_at in (None, 2, 3, 5, 9):
+                    value, witness, aborted = _search_most_common(Word(syms, k), abort_at)
+                    assert aborted == (abort_at is not None and b_value >= abort_at)
+                    if aborted:
+                        assert witness is None and abort_at <= value <= b_value
+                    else:
+                        assert (value, witness) == (b_value, b_witness)
 
 
 def test_capacity_memo_changes_no_search_result():

@@ -49,6 +49,12 @@ def test_parse_empty():
     assert w.alphabet_size == 1
 
 
+def test_unparsable_ids_name_the_token():
+    for text, token in (("1,x", "'x'"), ("1,,2", "''"), ("0,1.5", "'1.5'")):
+        with pytest.raises(ContractError, match=token):
+            word(text)
+
+
 def test_symbol_out_of_range_rejected():
     with pytest.raises(ContractError):
         Word((0, 3), 3)
@@ -176,6 +182,16 @@ def test_word_file_header_required(tmp_path):
     path = tmp_path / "broken.words"
     path.write_text("ab\nba\n")
     with pytest.raises(ContractError):
+        load_words(path)
+
+
+def test_word_file_bad_header_or_encoding(tmp_path):
+    path = tmp_path / "broken.words"
+    path.write_text("alphabet k=x\nab\n")
+    with pytest.raises(ContractError, match="'x'"):
+        load_words(path)
+    path.write_bytes(b"alphabet k=2\n\xff\xfe\n")
+    with pytest.raises(ContractError, match="not a text file"):
         load_words(path)
 
 
