@@ -44,7 +44,14 @@ from .extremal import (
     known_record,
     mu_window,
 )
-from .lcs import check_triple_product, lcs2, lcs3, multi_lcs
+from .lcs import (
+    check_triple_product,
+    is_permutation_word,
+    lcs2,
+    lcs3,
+    multi_lcs,
+    permutation_chain_lcs,
+)
 from .shapes import run_break_bound_suite, run_claim_suite
 from .words import Word, from_ids, load_words, to_text, word
 
@@ -223,6 +230,8 @@ def _cmd_lcs(args) -> int:
     elif len(words) == 3:
         overall, wit = lcs3(words[0], words[1], words[2])
         witness = to_text(wit)
+    elif all(is_permutation_word(w) for w in words):
+        overall, _ = permutation_chain_lcs(words)
     else:
         overall = multi_lcs(words)
     payload = {

@@ -387,8 +387,10 @@ def verify_permutation_properties(
     """LCS bounds for the signed-lex blocks: adjacent and distinct pairs,
     consecutive and mixed triples, and the fixed-prefix-class bounds.
 
-    Triples cost ~length^2 work each; when that exceeds the budget the
-    triple results are reported as unchecked rather than guessed.
+    Each triple builds one dominance mask per symbol, length^2 bits in
+    all (about length^2/8 bytes, see ``lcs.permutation_chain_lcs``);
+    when length^2 exceeds ``triple_work_budget`` the triple results are
+    reported as unchecked rather than guessed.
     """
     vs = tuple(tuple(v) for v in (vectors if vectors is not None else _BASE_SIGNS))
     if len(vs) != 8 or any(len(v) != 8 for v in vs):

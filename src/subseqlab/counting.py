@@ -151,29 +151,27 @@ def enumerate_embeddings(v: Word, w: Word, cap: int | None = None) -> EmbeddingE
                 feasible = False
                 break
             limit[i] = horizon = positions[t]
-        cur = [0] * m
-
-        def rec(i: int, start: int) -> None:
-            if want is not None and len(out) >= want:
-                return
-            positions = occ[v.symbols[i]]
-            hi = limit[i]
-            for t in range(bisect_left(positions, start), len(positions)):
-                p = positions[t]
-                if p > hi:
-                    break
-                cur[i] = p
+        if feasible:
+            # depth-first over pattern indices with an explicit stack:
+            # nxt[i] is the next candidate in lists[i] for index i
+            lists = [occ[s] for s in v.symbols]
+            cur = [0] * m
+            nxt = [0] * m
+            i = 0
+            while i >= 0:
+                positions, t = lists[i], nxt[i]
+                if t == len(positions) or positions[t] > limit[i]:
+                    i -= 1
+                    continue
+                p = cur[i] = positions[t]
+                nxt[i] = t + 1
                 if i + 1 == m:
                     out.append(EmbeddingMap(tuple(cur), m))
                     if want is not None and len(out) >= want:
-                        return
+                        break
                 else:
-                    rec(i + 1, p + 1)
-                    if want is not None and len(out) >= want:
-                        return
-
-        if feasible:
-            rec(0, 0)
+                    i += 1
+                    nxt[i] = bisect_left(lists[i], p + 1)
     truncated = cap is not None and len(out) > cap
     if truncated:
         out.pop()

@@ -150,3 +150,39 @@ def profile_by_definitions(v_syms, positions, w_syms, block_count, block_length)
         reaches.append(h)
     overlaps = [reaches[i] - entries[i + 1] for i in range(block_count - 1)]
     return tuple(entries), tuple(reaches), tuple(overlaps)
+
+
+def quadratic_chain_lcs(all_syms):
+    """(length, lex-min witness) common to permutation words, by comparing
+    every pair of common-symbol points (positions in each word).
+
+    Heights are longest chains starting at each point, filled right to
+    left over the points sorted by first position; the witness takes, at
+    each remaining height, the smallest symbol above the previous pick.
+    """
+    common = set(all_syms[0]).intersection(*all_syms[1:])
+    if not common:
+        return 0, ()
+    positions = [{c: p for p, c in enumerate(s)} for s in all_syms]
+    pts = sorted((tuple(pos[c] for pos in positions), c) for c in common)
+    m = len(pts)
+    heights = [1] * m
+    for a in range(m - 1, -1, -1):
+        pa = pts[a][0]
+        for b in range(a + 1, m):
+            pb = pts[b][0]
+            if heights[b] >= heights[a] and all(x > y for x, y in zip(pb, pa)):
+                heights[a] = heights[b] + 1
+    best = max(heights)
+    out = []
+    cur = None
+    for r in range(best, 0, -1):
+        pick = None
+        for (pa, sym), h in zip(pts, heights):
+            if h != r or (cur is not None and not all(x > y for x, y in zip(pa, cur))):
+                continue
+            if pick is None or sym < pick[1]:
+                pick = (pa, sym)
+        cur = pick[0]
+        out.append(pick[1])
+    return best, tuple(out)

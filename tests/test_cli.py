@@ -10,8 +10,11 @@ import pytest
 
 import subseqlab
 from subseqlab.cli import EXIT_OK, EXIT_USAGE, RunConfig, main
+from subseqlab.construction import build_construction_word
 from subseqlab.errors import ContractError
-from subseqlab.words import load_words
+from subseqlab.words import load_words, to_text
+
+from oracles import quadratic_chain_lcs
 
 
 def run(argv, capsys):
@@ -195,6 +198,25 @@ def test_lcs_five_words_no_witness(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["witness"] is None
     assert payload["lengths"] == "1"
+
+
+@pytest.mark.parametrize("blocks", [4, 8])
+def test_lcs_many_permutation_blocks(tmp_path, capsys, blocks):
+    # the product-space DP would need 257^blocks states; the chain kernel
+    # answers permutation inputs of any number of words
+    cw = build_construction_word(2, blocks)
+    ws = [cw.block(i) for i in range(1, blocks + 1)]
+    path = tmp_path / "blocks.words"
+    path.write_text(
+        f"alphabet k={cw.word.alphabet_size}\n" + "".join(to_text(w) + "\n" for w in ws)
+    )
+    code, out, _ = run(["lcs", "--inputs", str(path)], capsys)
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["words"] == blocks
+    assert payload["witness"] is None
+    expected = quadratic_chain_lcs([w.symbols for w in ws])[0]
+    assert payload["lengths"] == str(expected) == "1"
 
 
 def test_lcs_missing_file(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, product
 
@@ -6,6 +7,8 @@ import pytest
 from subseqlab.construction import (
     ConstructionWord,
     IntermediateReport,
+    PropertyReport,
+    PropertyResult,
     TupleAlphabet,
     agreement_set,
     base_sign_vectors,
@@ -295,6 +298,31 @@ def test_block_properties_t2():
     assert report.result("fixed-prefix6-lcs-le-t").worst <= 2
     assert report.result("fixed-prefix5-lcs-le-t2").worst <= 4
     assert report.result("fixed-prefix3-lcs-le-t3").worst <= 8
+
+
+def test_block_properties_t2_reports_are_pinned():
+    # pins taken from the quadratic chain route; the triple sweeps must
+    # read the same through the layer-mask kernel, failures included
+    pinned = PropertyReport(
+        tuple(
+            PropertyResult(name, True, True, worst, ())
+            for name, worst in (
+                ("adjacent-lcs-le-t2", 4),
+                ("distinct-pair-lcs-le-t4", 16),
+                ("consecutive-triple-lcs-eq-1", 1),
+                ("adjacent-plus-outsider-lcs-le-t", 2),
+                ("distinct-triple-lcs-le-t2", 4),
+                ("fixed-prefix6-lcs-le-t", 2),
+                ("fixed-prefix5-lcs-le-t2", 4),
+                ("fixed-prefix3-lcs-le-t3", 8),
+            )
+        )
+    )
+    assert verify_permutation_properties(2) == pinned
+    h = hashlib.sha256()
+    for key, family in list(single_sign_mutations(base_sign_vectors()))[::9]:
+        h.update(repr((key, verify_permutation_properties(2, vectors=family))).encode())
+    assert h.hexdigest() == "ae78a94fa7f6d66180fcf317047c19d8b81b469ab5d1b2433d626d4295b724bd"
 
 
 def test_block_properties_t3():

@@ -109,6 +109,15 @@ def test_enumerate_cap_truncation():
         enumerate_embeddings(word("ab"), word("abab"), cap=-1)
 
 
+def test_enumerate_long_pattern_does_not_recurse():
+    v, w = Word((0, 1) * 750, 2), Word((0, 1) * 800, 2)
+    res = enumerate_embeddings(v, w, cap=3)
+    assert len(res) == 3 and res.truncated
+    assert res.maps[0].positions == tuple(range(1500))
+    for e in res:
+        validate_embedding(v, w, e)
+
+
 def test_enumeration_size_equals_count():
     rng = random.Random(23)
     for _ in range(300):

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import subseqlab.lcs as lcs_module
+from subseqlab.construction import verify_permutation_properties
 from subseqlab.counting import count_occurrences
 from subseqlab.errors import BudgetError, ContractError
 from subseqlab.lcs import (
@@ -19,7 +21,7 @@ from subseqlab.lcs import (
 )
 from subseqlab.words import Word, reverse, word
 
-from oracles import brute_lcs, lis_by_patience
+from oracles import brute_lcs, lis_by_patience, quadratic_chain_lcs
 
 
 def _perm_word(rng, length, alphabet_size=None):
@@ -171,6 +173,52 @@ def test_chain_length_never_grows_with_more_words():
         lengths = [permutation_chain_lcs(ws[:u])[0] for u in range(1, 5)]
         assert lengths == sorted(lengths, reverse=True)
         assert lengths[0] == n
+
+
+def _partial_perm_words(rng, u, k):
+    """u permutation words over range(k): independent random supports,
+    one shared support, disjoint supports, or one support with a few
+    symbols dropped per word (nearly equal supports)."""
+    kind = rng.choice(["random", "shared", "disjoint", "near"])
+    if kind == "disjoint":
+        pool = rng.sample(range(k), k)
+        cut = k // u
+        return [Word(tuple(pool[i * cut : (i + 1) * cut]), k) for i in range(u)]
+    if kind == "random":
+        supports = [rng.sample(range(k), rng.randrange(k + 1)) for _ in range(u)]
+    else:
+        base = rng.sample(range(k), rng.randrange(k + 1))
+        drop = 0 if kind == "shared" else min(3, len(base))
+        supports = [rng.sample(base, len(base) - rng.randrange(drop + 1)) for _ in range(u)]
+    return [Word(tuple(s), k) for s in supports]
+
+
+def test_chain_kernel_matches_quadratic_reference():
+    rng = random.Random(20261018)
+    for trial in range(500):
+        u = rng.randrange(1, 6)
+        k = rng.choice([1, 2, 5, 12, 40, 100, 200, 300])
+        ws = _partial_perm_words(rng, u, k)
+        length, witness = permutation_chain_lcs(ws)
+        assert (length, witness.symbols) == quadratic_chain_lcs([w.symbols for w in ws])
+
+
+def test_chain_kernel_matches_quadratic_reference_on_block_triples(monkeypatch):
+    # every triple the t=2 block sweep sends through lcs3's permutation route
+    seen = []
+    kernel = lcs_module.permutation_chain_lcs
+
+    def recording(ws):
+        result = kernel(ws)
+        seen.append((ws, result))
+        return result
+
+    monkeypatch.setattr(lcs_module, "permutation_chain_lcs", recording)
+    assert verify_permutation_properties(2).ok
+    assert len(seen) == 112
+    for ws, (length, witness) in seen:
+        assert len(ws) == 3
+        assert (length, witness.symbols) == quadratic_chain_lcs([w.symbols for w in ws])
 
 
 def test_multi_agrees_with_pair_and_triple():
