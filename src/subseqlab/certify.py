@@ -34,7 +34,7 @@ from math import prod
 
 from .counting import count_occurrences
 from .errors import ContractError, NotApplicable
-from .lcs import lcs2
+from .lcs import is_permutation_word, lcs2
 from .words import Interval, Word, concat, subword
 
 
@@ -69,7 +69,7 @@ def decompose(w: Word, blocks: int) -> BlockDecomposition:
     parts = tuple(
         subword(w, Interval(i * length, (i + 1) * length - 1)) for i in range(blocks)
     )
-    flags = tuple(len(set(p.symbols)) == len(p) for p in parts)
+    flags = tuple(is_permutation_word(p) for p in parts)
     return BlockDecomposition(w, length, parts, flags, len(w) - blocks * length)
 
 

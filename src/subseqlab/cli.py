@@ -57,7 +57,6 @@ from .words import Word, from_ids, load_words, to_text, word
 
 SCHEMA_VERSION = 1
 EXIT_OK, EXIT_VIOLATION, EXIT_USAGE = 0, 1, 2
-_PROFILE_ENV = "SUBSEQLAB_PROFILE"  # "quick" shrinks verify-all budgets
 
 
 @dataclass
@@ -302,26 +301,16 @@ def _cmd_verify_construction(args) -> int:
     cfg = RunConfig(
         "verify-construction", {"t": args.t}, None, args.out, args.format
     )
-    checks = []
-    if args.level == "signs":
-        report = verify_sign_properties(base_sign_vectors())
-        checks.extend(
-            {
-                "name": res.name,
-                "ok": res.ok,
-                "checked": res.checked,
-                "worst": res.worst,
-                "note": res.note,
-            }
-            for res in report.results
-        )
-    elif args.level == "lemma":
+    if args.level == "lemma":
         if args.t > 4:
             raise ContractError("lemma sweep is budgeted to t <= 4")
-        checks.append(_intermediate_sweep(args.t, max_r=2))
-    else:  # permutations
-        report = verify_permutation_properties(args.t)
-        checks.extend(
+        checks = [_intermediate_sweep(args.t, max_r=2)]
+    else:
+        if args.level == "signs":
+            report = verify_sign_properties(base_sign_vectors())
+        else:  # permutations
+            report = verify_permutation_properties(args.t)
+        checks = [
             {
                 "name": res.name,
                 "ok": res.ok,
@@ -330,7 +319,7 @@ def _cmd_verify_construction(args) -> int:
                 "note": res.note,
             }
             for res in report.results
-        )
+        ]
     ok = all(c["ok"] or c.get("checked") == 0 for c in checks)
     _write_json(
         cfg,
@@ -519,24 +508,24 @@ def _va_registry() -> tuple[bool, str]:
 
 
 def _cmd_verify_all(args) -> int:
-    quick = args.quick or os.environ.get(_PROFILE_ENV) == "quick"
+    quick = args.quick
     seed = args.seed
     rng = random.Random(seed)
     n_max = 8 if quick else 10
     checks = [
-        ("intro-count-example", lambda: _va_intro_count()),
+        ("intro-count-example", _va_intro_count),
         ("dp-vs-enumeration", lambda: _va_dp_vs_enumeration(rng, 200 if quick else 500)),
         ("extremal-cross-consistency", lambda: _va_extremal_consistency(n_max)),
-        ("submultiplicativity-instance", lambda: _va_submult_instance()),
-        ("sign-properties", lambda: _va_signs()),
-        ("sign-mutation-tripwire", lambda: _va_sign_mutations()),
+        ("submultiplicativity-instance", _va_submult_instance),
+        ("sign-properties", _va_signs),
+        ("sign-mutation-tripwire", _va_sign_mutations),
         ("common-subsequence-families", lambda: _va_lemma(2 if quick else 3)),
         ("triple-product-floor", lambda: _va_triple_floor(rng, 200 if quick else 2000)),
         ("block-pair-triple-bounds", lambda: _va_block_properties(2)),
         ("shape-claims", lambda: _va_shapes(seed, 10 if quick else 12, 6 if quick else 20)),
         ("prefix-break-bound", lambda: _va_break_bound(seed, 100 if quick else 400)),
         ("certificate-soundness", lambda: _va_certify(rng, 20 if quick else 60)),
-        ("registry-window", lambda: _va_registry()),
+        ("registry-window", _va_registry),
     ]
     failures = 0
     for name, run in checks:

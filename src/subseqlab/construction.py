@@ -29,7 +29,6 @@ SignVector = tuple[int, ...]
 
 PERMUTATION_BUDGET = 10**6
 CONSTRUCTION_BUDGET = 4 * 10**6
-TRIPLE_WORK_BUDGET = 10**7
 
 _BASE_SIGNS: tuple[SignVector, ...] = (
     (+1, +1, +1, +1, +1, +1, +1, +1),
@@ -379,18 +378,13 @@ def verify_lemma_intermediate(r: int, t: int, family) -> IntermediateReport:
     return IntermediateReport(t, r, len(unique), J, t ** len(J), computed)
 
 
-def verify_permutation_properties(
-    t: int,
-    vectors=None,
-    triple_work_budget: int = TRIPLE_WORK_BUDGET,
-) -> PropertyReport:
+def verify_permutation_properties(t: int, vectors=None) -> PropertyReport:
     """LCS bounds for the signed-lex blocks: adjacent and distinct pairs,
     consecutive and mixed triples, and the fixed-prefix-class bounds.
 
-    Each triple builds one dominance mask per symbol, length^2 bits in
-    all (about length^2/8 bytes, see ``lcs.permutation_chain_lcs``);
-    when length^2 exceeds ``triple_work_budget`` the triple results are
-    reported as unchecked rather than guessed.
+    When ``lcs3`` refuses the blocks with a BudgetError, the three
+    triple properties are all reported as unchecked, with its message
+    as the note, rather than guessed.
     """
     vs = tuple(tuple(v) for v in (vectors if vectors is not None else _BASE_SIGNS))
     if len(vs) != 8 or any(len(v) != 8 for v in vs):
@@ -418,8 +412,7 @@ def verify_permutation_properties(
         ),
     ]
 
-    triples_affordable = alphabet.size**2 <= triple_work_budget
-    if triples_affordable:
+    try:
         results += [
             _sweep(
                 "consecutive-triple-lcs-eq-1",
@@ -447,17 +440,13 @@ def verify_permutation_properties(
                 ),
             ),
         ]
-    else:
-        skip_note = (
-            f"triple LCS needs ~{alphabet.size**2} work per instance, "
-            f"over the budget of {triple_work_budget}"
-        )
+    except BudgetError as exc:
         for name in (
             "consecutive-triple-lcs-eq-1",
             "adjacent-plus-outsider-lcs-le-t",
             "distinct-triple-lcs-le-t2",
         ):
-            results.append(PropertyResult(name, True, False, None, (), skip_note))
+            results.append(PropertyResult(name, True, False, None, (), str(exc)))
 
     bucket_cache: dict[tuple[int, int], list[tuple[int, ...]]] = {}
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache, cmp_to_key
 from importlib import resources
 from math import comb
 
@@ -111,25 +112,24 @@ def _min_scan(k: int, n: int) -> tuple[int, tuple[int, ...]]:
     return best, best_syms
 
 
-def load_known_records() -> list[ExtremalRecord]:
+@cache
+def _known_records() -> tuple[ExtremalRecord, ...]:
     raw = resources.files(__package__).joinpath("data/known_values.json").read_text()
-    data = json.loads(raw)
-    return [
+    return tuple(
         ExtremalRecord(r["k"], r["n"], int(r["value"]), None, r["method"])
-        for r in data["extremal_records"]
-    ]
+        for r in json.loads(raw)["extremal_records"]
+    )
+
+
+def load_known_records() -> list[ExtremalRecord]:
+    return list(_known_records())
 
 
 def known_record(k: int, n: int) -> ExtremalRecord | None:
-    for r in load_known_records():
+    for r in _known_records():
         if (r.k, r.n) == (k, n):
             return r
     return None
-
-
-def reference_bounds() -> list[dict]:
-    raw = resources.files(__package__).joinpath("data/known_values.json").read_text()
-    return json.loads(raw)["reference_bounds"]
 
 
 def extremal_value(
@@ -248,8 +248,9 @@ def best_window(records: list[ExtremalRecord], places: int = 3) -> MuWindow:
     k = windows[0].k
     if any(w.k != k for w in windows):
         raise ContractError("records must share one alphabet size")
-    lo = max((w.lower for w in windows), key=_RootKey)
-    hi = min((w.upper for w in windows), key=_RootKey)
+    by_root = cmp_to_key(lambda p, q: cross_compare(*p, *q))
+    lo = max((w.lower for w in windows), key=by_root)
+    hi = min((w.upper for w in windows), key=by_root)
     return MuWindow(
         k,
         lo,
@@ -258,18 +259,6 @@ def best_window(records: list[ExtremalRecord], places: int = 3) -> MuWindow:
         root_decimal(*hi, places, "ceil"),
         places,
     )
-
-
-class _RootKey:
-    """Total-order adapter so (base, root) pairs sort by their real root."""
-
-    def __init__(self, pair: tuple[int, int]):
-        self.pair = pair
-
-    def __lt__(self, other: "_RootKey") -> bool:
-        a, n1 = self.pair
-        b, n2 = other.pair
-        return cross_compare(a, n1, b, n2) < 0
 
 
 def mu_upper_from_profile(w: Word) -> tuple[int, int]:

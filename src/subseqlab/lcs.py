@@ -1,28 +1,38 @@
 """Longest common subsequences, tuned for permutation inputs.
 
-``lcs2`` / ``lcs3`` return exact lengths together with a witness, and
-``multi_lcs`` handles any number of words (length only) by a
-product-space DP under an explicit state budget.
+Every route decision, and the memory bound that goes with it, lives
+here.  All routes return the exact length, and ``lcs2`` / ``lcs3``
+also the witness, which on every route is the lexicographically
+smallest among the maximum-length common subsequences; the fast routes
+are checked against the DP routes on both.
 
 Words in which every symbol occurs at most once ("permutation words")
-admit a much faster route: a common subsequence of permutations is a
-chain in the poset of per-word positions.  ``permutation_chain_lcs``
-finds the longest chain for any number of words with a layer-mask
-kernel over Python ints: one bit per common symbol, one "above in every
-other word" mask per point built by one sweep per word, and one mask
-per chain height, so each of the m points costs a few int operations
-on m-bit masks and the masks take about m^2/8 bytes.  For two words
-``lcs2`` keeps the Fenwick-tree increasing-subsequence sweep, which
-needs no masks and is still faster there (1.0-1.3x on random
-permutation pairs of 50-400 symbols); ``lcs3`` sends permutation
-triples to the kernel.  The fast paths are dispatched automatically and
-must agree with the DP paths -- including the witness, which on every
-path is the lexicographically smallest among the maximum-length
-solutions.
+make a common subsequence a chain in the poset of per-word positions:
+
+* two permutation words (``lcs2``): a patience sweep over the second
+  positions, O(m log m) time and O(m) memory for m common symbols;
+* three or more permutation words (``lcs3``, ``permutation_chain_lcs``):
+  a layer-mask kernel over Python ints, one m-bit "above in every other
+  word" mask per point and one mask per chain height, so m^2 mask bits
+  in all.  ``CHAIN_MASK_BIT_BUDGET`` (2^30 bits) bounds that: the t=3
+  signed-lex blocks (m = 6561) pass, the t=4 ones (m = 65536) are
+  refused with a BudgetError before any mask is built.
+
+Pairs stay off the kernel because its masks are quadratic.  On two
+random 32768-symbol permutations (one 2-vCPU x86 host, Python 3.11) the
+kernel took 0.42 s and 153 MB of traced allocations, the patience sweep
+0.05 s and 6 MB; t=4 block pairs would not fit the budget at all.
+
+Anything else runs a DP: ``lcs2`` the quadratic suffix table, ``lcs3``
+the cubic one under ``LCS3_CELL_BUDGET``, and ``multi_lcs`` (length
+only, any number of words) the product-space table under
+``MULTI_LCS_STATE_BUDGET``.  Both witness DPs share one lex-min
+reconstruction.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import BudgetError, ContractError
@@ -30,6 +40,7 @@ from .words import Word
 
 MULTI_LCS_STATE_BUDGET = 10**8
 LCS3_CELL_BUDGET = 5 * 10**6
+CHAIN_MASK_BIT_BUDGET = 2**30
 
 
 def is_permutation_word(w: Word) -> bool:
@@ -78,7 +89,7 @@ def _dp_lcs2(w1: Word, w2: Word) -> tuple[int, Word]:
             else:
                 a, b = below[j], row[j + 1]
                 row[j] = a if a >= b else b
-    witness = _reconstruct_lex_min(s1, s2, L)
+    witness = _lex_min_witness((s1, s2), lambda i, j: L[i][j])
     return L[0][0], Word(witness, w1.alphabet_size)
 
 
@@ -89,89 +100,71 @@ def _occurrence_lists(s: tuple[int, ...]) -> dict[int, list[int]]:
     return occ
 
 
-def _reconstruct_lex_min(s1, s2, L) -> tuple[int, ...]:
-    # greedy: at each step take the smallest symbol whose earliest
-    # occurrence pair still allows a full-length completion
-    from bisect import bisect_left
+def _lex_min_witness(seqs, suffix_lcs) -> tuple[int, ...]:
+    """Lexicographically smallest longest common subsequence of ``seqs``,
+    where ``suffix_lcs(*starts)`` is the LCS length of the suffixes
+    starting at those indices (the DP table).
 
-    occ1, occ2 = _occurrence_lists(s1), _occurrence_lists(s2)
-    shared = sorted(set(occ1) & set(occ2))
+    Greedy: at each step take the smallest symbol whose earliest
+    occurrences after the current starts still allow a full-length
+    completion.
+    """
+    occs = [_occurrence_lists(s) for s in seqs]
+    shared = sorted(set(occs[0]).intersection(*occs[1:]))
     out = []
-    i = j = 0
-    r = L[0][0]
+    starts = [0] * len(seqs)
+    r = suffix_lcs(*starts)
     while r > 0:
         for sym in shared:
-            ps1 = occ1[sym]
-            t1 = bisect_left(ps1, i)
-            if t1 == len(ps1):
-                continue
-            ps2 = occ2[sym]
-            t2 = bisect_left(ps2, j)
-            if t2 == len(ps2):
-                continue
-            i2, j2 = ps1[t1], ps2[t2]
-            if 1 + L[i2 + 1][j2 + 1] == r:
-                out.append(sym)
-                i, j = i2 + 1, j2 + 1
-                r -= 1
-                break
+            nxt = []
+            for occ, start in zip(occs, starts):
+                ps = occ[sym]
+                t = bisect_left(ps, start)
+                if t == len(ps):
+                    break
+                nxt.append(ps[t] + 1)
+            else:
+                if 1 + suffix_lcs(*nxt) == r:
+                    out.append(sym)
+                    starts = nxt
+                    r -= 1
+                    break
         else:  # pragma: no cover - the table guarantees progress
             raise AssertionError("witness reconstruction lost the thread")
     return tuple(out)
 
 
-class _MaxFenwick:
-    """Prefix-maximum Fenwick tree over 1..n (values start at 0)."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.tree = [0] * (n + 1)
-
-    def update(self, i: int, value: int) -> None:
-        while i <= self.n:
-            if self.tree[i] < value:
-                self.tree[i] = value
-            i += i & -i
-
-    def query(self, i: int) -> int:
-        out = 0
-        while i > 0:
-            if self.tree[i] > out:
-                out = self.tree[i]
-            i -= i & -i
-        return out
-
-
 def _perm_lcs2(w1: Word, w2: Word) -> tuple[int, Word]:
     pos2 = {c: p for p, c in enumerate(w2.symbols)}
     elems = [(p1, pos2[c], c) for p1, c in enumerate(w1.symbols) if c in pos2]
-    if not elems:
-        return 0, Word((), w1.alphabet_size)
-    n2 = len(w2)
-    # heights: h(e) = longest chain starting at e, filled right to left
-    bit = _MaxFenwick(n2)
-    heights: dict[tuple[int, int, int], int] = {}
-    best = 0
-    for e in sorted(elems, reverse=True):
-        h = 1 + bit.query(n2 - e[1] - 1)  # max over strictly larger p2
-        heights[e] = h
-        bit.update(n2 - e[1], h)
-        if h > best:
-            best = h
-    buckets: dict[int, list[tuple[int, int, int]]] = {}
-    for e, h in heights.items():
-        buckets.setdefault(h, []).append(e)
+    # Patience sweep from right to left.  A chain read backwards has
+    # falling second positions, so with them negated it is an increasing
+    # run: tails[h] is the smallest negated second position that starts
+    # a chain of h + 1 points among those seen, and buckets[h] holds the
+    # points whose longest chain has h + 1 points.
+    tails: list[int] = []
+    buckets: list[list[tuple[int, int, int]]] = []
+    for e in reversed(elems):
+        q = -e[1]
+        h = bisect_left(tails, q)
+        if h == len(tails):
+            tails.append(q)
+            buckets.append([e])
+        else:
+            tails[h] = q
+            buckets[h].append(e)
+    # every point after and above a pick of height r + 1 has height at
+    # most r, so the smallest such symbol of height r is lex-min
     out = []
     cur1 = cur2 = -1
-    for r in range(best, 0, -1):
+    for bucket in reversed(buckets):
         pick = None
-        for p1, p2, sym in buckets[r]:
-            if p1 > cur1 and p2 > cur2 and (pick is None or sym < pick[2]):
-                pick = (p1, p2, sym)
-        assert pick is not None
+        for e in bucket:
+            if e[0] > cur1 and e[1] > cur2 and (pick is None or e[2] < pick[2]):
+                pick = e
         out.append(pick[2])
         cur1, cur2 = pick[0], pick[1]
-    return best, Word(tuple(out), w1.alphabet_size)
+    return len(buckets), Word(tuple(out), w1.alphabet_size)
 
 
 # ---------------------------------------------------------------------------
@@ -198,16 +191,10 @@ def lcs3(w1: Word, w2: Word, w3: Word, max_cells: int = LCS3_CELL_BUDGET) -> tup
 
 
 def _dp_lcs3(w1: Word, w2: Word, w3: Word) -> tuple[int, Word]:
-    from bisect import bisect_left
-
     s1, s2, s3 = w1.symbols, w2.symbols, w3.symbols
     n1, n2, n3 = len(s1), len(s2), len(s3)
     d2, d3 = n2 + 1, n3 + 1
     L = [0] * ((n1 + 1) * d2 * d3)
-
-    def idx(i, j, l):
-        return (i * d2 + j) * d3 + l
-
     for i in range(n1 - 1, -1, -1):
         c1 = s1[i]
         for j in range(n2 - 1, -1, -1):
@@ -229,30 +216,8 @@ def _dp_lcs3(w1: Word, w2: Word, w3: Word) -> tuple[int, Word]:
                     if b > best:
                         best = b
                 L[base + l] = best
-    occs = [_occurrence_lists(s) for s in (s1, s2, s3)]
-    shared = sorted(set(occs[0]) & set(occs[1]) & set(occs[2]))
-    out = []
-    i = j = l = 0
-    r = L[0]
-    total = r
-    while r > 0:
-        for sym in shared:
-            nxt = []
-            for occ, start in ((occs[0], i), (occs[1], j), (occs[2], l)):
-                ps = occ[sym]
-                t = bisect_left(ps, start)
-                if t == len(ps):
-                    break
-                nxt.append(ps[t])
-            else:
-                if 1 + L[idx(nxt[0] + 1, nxt[1] + 1, nxt[2] + 1)] == r:
-                    out.append(sym)
-                    i, j, l = nxt[0] + 1, nxt[1] + 1, nxt[2] + 1
-                    r -= 1
-                    break
-        else:  # pragma: no cover
-            raise AssertionError("witness reconstruction lost the thread")
-    return total, Word(tuple(out), w1.alphabet_size)
+    witness = _lex_min_witness((s1, s2, s3), lambda i, j, l: L[(i * d2 + j) * d3 + l])
+    return L[0], Word(witness, w1.alphabet_size)
 
 
 def permutation_chain_lcs(ws: list[Word]) -> tuple[int, Word]:
@@ -275,7 +240,9 @@ def permutation_chain_lcs(ws: list[Word]) -> tuple[int, Word]:
       every point above a pick of height r + 1 has height at most r, so
       this is the lexicographically smallest longest chain.
 
-    The masks take about m^2/8 bytes for m common symbols.
+    The masks hold m^2 bits (about m^2/8 bytes) for m common symbols; a
+    BudgetError is raised before any is built when m^2 exceeds
+    ``CHAIN_MASK_BIT_BUDGET``.
     """
     _check_alphabets(ws)
     for w in ws:
@@ -286,9 +253,14 @@ def permutation_chain_lcs(ws: list[Word]) -> tuple[int, Word]:
         common &= set(w.symbols)
     if not common:
         return 0, Word((), ws[0].alphabet_size)
+    m = len(common)
+    if m * m > CHAIN_MASK_BIT_BUDGET:
+        raise BudgetError(
+            f"chain kernel needs {m * m} mask bits for {m} common symbols, "
+            f"over the budget of {CHAIN_MASK_BIT_BUDGET}"
+        )
     positions = [{c: p for p, c in enumerate(w.symbols)} for w in ws]
     syms = sorted(common, key=positions[0].__getitem__)
-    m = len(syms)
     full = (1 << m) - 1
     above = [full] * m
     for pos in positions[1:]:

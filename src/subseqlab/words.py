@@ -34,10 +34,12 @@ class Word:
     def __post_init__(self) -> None:
         if self.alphabet_size < 1:
             raise ContractError(f"alphabet_size must be >= 1, got {self.alphabet_size}")
-        for s in self.symbols:
-            if not (0 <= s < self.alphabet_size):
+        if self.symbols:
+            lo, hi = min(self.symbols), max(self.symbols)
+            if lo < 0 or hi >= self.alphabet_size:
                 raise ContractError(
-                    f"symbol {s} out of range for alphabet of size {self.alphabet_size}"
+                    f"symbol {lo if lo < 0 else hi} out of range "
+                    f"for alphabet of size {self.alphabet_size}"
                 )
 
     def __len__(self) -> int:

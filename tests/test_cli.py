@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import subseqlab
+import subseqlab.lcs as lcs_module
 from subseqlab.cli import EXIT_OK, EXIT_USAGE, RunConfig, main
 from subseqlab.construction import build_construction_word
 from subseqlab.errors import ContractError
@@ -217,6 +218,20 @@ def test_lcs_many_permutation_blocks(tmp_path, capsys, blocks):
     assert payload["witness"] is None
     expected = quadratic_chain_lcs([w.symbols for w in ws])[0]
     assert payload["lengths"] == str(expected) == "1"
+
+
+@pytest.mark.parametrize("text", ["abcd\nacbd\nabdc\n", "abcd\nacbd\nabdc\ndcba\n"])
+def test_lcs_over_chain_budget_exits_2(tmp_path, capsys, monkeypatch, text):
+    # three and four permutation words go to the chain kernel, whose
+    # budget refusal is a usage error, not a traceback
+    monkeypatch.setattr(lcs_module, "CHAIN_MASK_BIT_BUDGET", 15)
+    path = tmp_path / "perms.words"
+    path.write_text("alphabet k=4\n" + text)
+    code, out, err = run(["lcs", "--inputs", str(path)], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "16 mask bits for 4 common symbols, over the budget of 15" in err
+    assert "Traceback" not in err
 
 
 def test_lcs_missing_file(capsys):

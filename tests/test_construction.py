@@ -4,6 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
+import subseqlab.lcs as lcs_module
 from subseqlab.construction import (
     ConstructionWord,
     IntermediateReport,
@@ -326,12 +327,16 @@ def test_block_properties_t2_reports_are_pinned():
 
 
 def test_block_properties_t3():
-    # triples cost ~t^16 work each and are skipped by the default budget
+    # the chain kernel's mask budget admits t=3 blocks (6561 symbols),
+    # so all 112 triples are checked
     report = verify_permutation_properties(3)
     assert report.ok
+    assert all(r.checked for r in report.results)
     assert report.result("adjacent-lcs-le-t2").worst == 9
     assert report.result("distinct-pair-lcs-le-t4").worst == 81
-    assert not report.result("distinct-triple-lcs-le-t2").checked
+    assert report.result("consecutive-triple-lcs-eq-1").worst == 1
+    assert report.result("adjacent-plus-outsider-lcs-le-t").worst == 3
+    assert report.result("distinct-triple-lcs-le-t2").worst == 9
     assert report.result("fixed-prefix6-lcs-le-t").worst == 3
     assert report.result("fixed-prefix5-lcs-le-t2").worst == 9
     assert report.result("fixed-prefix3-lcs-le-t3").worst == 27
@@ -345,11 +350,23 @@ def test_block_properties_detect_bad_family():
     assert report.result("adjacent-lcs-le-t2").worst == 256
 
 
-def test_block_properties_budget_skips_triples():
-    report = verify_permutation_properties(2, triple_work_budget=100)
-    triple = report.result("consecutive-triple-lcs-eq-1")
-    assert not triple.checked
-    assert "budget" in triple.note
+def test_block_properties_budget_skips_triples(monkeypatch):
+    # t=2 blocks have 256 common symbols, 65536 mask bits per triple
+    monkeypatch.setattr(lcs_module, "CHAIN_MASK_BIT_BUDGET", 65535)
+    report = verify_permutation_properties(2)
+    triples = (
+        "consecutive-triple-lcs-eq-1",
+        "adjacent-plus-outsider-lcs-le-t",
+        "distinct-triple-lcs-le-t2",
+    )
+    for name in triples:
+        triple = report.result(name)
+        assert not triple.checked and triple.worst is None
+        assert triple.note == (
+            "chain kernel needs 65536 mask bits for 256 common symbols, "
+            "over the budget of 65535"
+        )
+    # the pair and prefix-class sweeps still run
+    assert all(r.checked for r in report.results if r.name not in triples)
     # unchecked results do not poison the verdict
     assert report.ok
-

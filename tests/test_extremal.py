@@ -1,4 +1,6 @@
+import json
 import random
+from importlib import resources
 from itertools import product
 
 import pytest
@@ -18,7 +20,6 @@ from subseqlab.extremal import (
     load_known_records,
     mu_upper_from_profile,
     mu_window,
-    reference_bounds,
     root_decimal,
 )
 from subseqlab.words import Word, from_ids, word
@@ -108,7 +109,8 @@ def test_registry_record_is_external_and_not_recomputed():
     with pytest.raises(BudgetError):
         extremal_value(2, 40, use_registry=False)
     assert [(r.k, r.n) for r in load_known_records()] == [(2, 40)]
-    assert all(b["method"] == "verified-external" for b in reference_bounds())
+    data = json.loads(resources.files("subseqlab").joinpath("data/known_values.json").read_text())
+    assert all(b["method"] == "verified-external" for b in data["reference_bounds"])
 
 
 # ---------------------------------------------------------------------------

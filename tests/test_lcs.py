@@ -1,4 +1,5 @@
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 import subseqlab.lcs as lcs_module
 from subseqlab.construction import verify_permutation_properties
 from subseqlab.counting import count_occurrences
-from subseqlab.errors import BudgetError, ContractError
+from subseqlab.errors import BudgetError, ContractError, NotApplicable, WordRangeError
 from subseqlab.lcs import (
     _dp_lcs2,
     _dp_lcs3,
@@ -17,6 +18,7 @@ from subseqlab.lcs import (
     lcs2,
     lcs3,
     multi_lcs,
+    CHAIN_MASK_BIT_BUDGET,
     permutation_chain_lcs,
 )
 from subseqlab.words import Word, reverse, word
@@ -76,16 +78,25 @@ def test_dp_matches_brute_force(xs, ys):
 
 
 def test_permutation_route_matches_dp_route():
+    # full, partial and disjoint supports; the pair route must agree with
+    # the DP route, the chain kernel and the quadratic chain reference,
+    # witness included
     rng = random.Random(20260814)
-    for trial in range(300):
-        n = rng.choice([0, 1, 2, 3, 5, 8, 13, 30, 60, 120])
-        k = n + rng.randrange(0, 5)
-        a = _perm_word(rng, n, max(k, 1))
-        b = _perm_word(rng, min(n + rng.randrange(0, 3), max(k, 1)), max(k, 1))
+    for trial in range(600):
+        if trial % 2:
+            a, b = _partial_perm_words(rng, 2, rng.choice([1, 2, 5, 12, 40, 100]))
+        else:
+            n = rng.choice([0, 1, 2, 3, 5, 8, 13, 30, 60, 120])
+            k = max(n + rng.randrange(0, 5), 1)
+            a = _perm_word(rng, n, k)
+            b = _perm_word(rng, min(n + rng.randrange(0, 3), k), k)
         assert is_permutation_word(a) and is_permutation_word(b)
-        assert _perm_lcs2(a, b) == _dp_lcs2(a, b)
+        result = _perm_lcs2(a, b)
+        assert result == _dp_lcs2(a, b)
+        assert result == permutation_chain_lcs([a, b])
+        assert (result[0], result[1].symbols) == quadratic_chain_lcs([a.symbols, b.symbols])
         # public entry dispatches to the fast route for these inputs
-        assert lcs2(a, b) == _perm_lcs2(a, b)
+        assert lcs2(a, b) == result
 
 
 def test_lcs_with_identity_is_lis():
@@ -157,14 +168,6 @@ def test_chain_route_rejects_repeats():
         permutation_chain_lcs([word("aba"), word("ab")])
 
 
-def test_chain_route_on_pairs_equals_lcs2():
-    rng = random.Random(11)
-    for _ in range(100):
-        n = rng.randrange(0, 30)
-        a, b = _perm_word(rng, n, n + 2), _perm_word(rng, n, n + 2)
-        assert permutation_chain_lcs([a, b]) == lcs2(a, b)
-
-
 def test_chain_length_never_grows_with_more_words():
     rng = random.Random(12)
     for _ in range(50):
@@ -219,6 +222,61 @@ def test_chain_kernel_matches_quadratic_reference_on_block_triples(monkeypatch):
     for ws, (length, witness) in seen:
         assert len(ws) == 3
         assert (length, witness.symbols) == quadratic_chain_lcs([w.symbols for w in ws])
+
+
+def test_chain_kernel_budget(monkeypatch):
+    # the default admits t=3 blocks (6561 symbols) and refuses t=4 ones
+    # (65536) before building a mask
+    assert 6561**2 <= CHAIN_MASK_BIT_BUDGET
+    identity = Word(tuple(range(65536)), 65536)
+    with pytest.raises(BudgetError, match="65536 common symbols"):
+        permutation_chain_lcs([identity, identity, identity])
+    # the budget counts common symbols, m^2 bits for m of them
+    ws = [Word((0, 1, 2, 3, 4, 5), 7), Word((5, 4, 3, 2, 1, 0), 7), Word((1, 0, 3, 2, 5, 4, 6), 7)]
+    monkeypatch.setattr(lcs_module, "CHAIN_MASK_BIT_BUDGET", 35)
+    with pytest.raises(BudgetError, match="36 mask bits for 6 common symbols, over the budget of 35"):
+        lcs3(*ws)
+    with pytest.raises(BudgetError, match="over the budget of 35"):
+        permutation_chain_lcs(ws[:2])
+    # pairs keep their own route, which needs no masks
+    assert lcs2(*ws[:2])[0] == 1
+    monkeypatch.setattr(lcs_module, "CHAIN_MASK_BIT_BUDGET", 36)
+    assert lcs3(*ws) == _dp_lcs3(*ws)
+
+
+_DOCUMENTED_ERRORS = (ContractError, WordRangeError, BudgetError, NotApplicable)
+
+
+@st.composite
+def _any_word(draw):
+    """A word over its own alphabet of 1-6 symbols: sometimes a
+    permutation word, otherwise with repeats likely."""
+    k = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        syms = draw(st.permutations(range(k)))[: draw(st.integers(0, k))]
+    else:
+        syms = draw(st.lists(st.integers(0, k - 1), max_size=7))
+    return Word(tuple(syms), k)
+
+
+@given(st.lists(_any_word(), max_size=4), st.integers(1, 300), st.integers(0, 40))
+@settings(max_examples=400, deadline=None)
+def test_lcs_api_raises_only_documented_errors(ws, budget, mask_bits):
+    calls = [
+        lambda: multi_lcs(ws, max_states=budget),
+        lambda: permutation_chain_lcs(ws),
+    ]
+    if len(ws) >= 2:
+        calls.append(lambda: lcs2(ws[0], ws[1]))
+    if len(ws) >= 3:
+        calls.append(lambda: lcs3(*ws[:3], max_cells=budget))
+        calls.append(lambda: check_triple_product(*ws[:3]))
+    with patch.object(lcs_module, "CHAIN_MASK_BIT_BUDGET", mask_bits):
+        for call in calls:
+            try:
+                call()
+            except _DOCUMENTED_ERRORS:
+                pass
 
 
 def test_multi_agrees_with_pair_and_triple():

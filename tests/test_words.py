@@ -60,6 +60,14 @@ def test_symbol_out_of_range_rejected():
         Word((0, 3), 3)
     with pytest.raises(ContractError):
         Word((0,), 0)
+    # the offending symbol is named, wherever it sits
+    deep = [s % 5 for s in range(20000)]
+    deep[17321] = 5
+    with pytest.raises(ContractError, match="symbol 5 out of range for alphabet of size 5"):
+        Word(tuple(deep), 5)
+    with pytest.raises(ContractError, match="symbol -1 out of range"):
+        Word((2, 0, -1, 4), 5)
+    assert Word((), 1).symbols == ()
 
 
 def test_subword_examples():
