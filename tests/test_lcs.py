@@ -163,6 +163,14 @@ def test_three_way_budget():
     assert lcs3(long, long, long, max_cells=10**7)[0] == 200
 
 
+def test_chain_route_on_pairs_equals_lcs2():
+    rng = random.Random(11)
+    for _ in range(100):
+        n = rng.randrange(0, 30)
+        a, b = _perm_word(rng, n, n + 2), _perm_word(rng, n, n + 2)
+        assert permutation_chain_lcs([a, b]) == lcs2(a, b)
+
+
 def test_chain_route_rejects_repeats():
     with pytest.raises(ContractError):
         permutation_chain_lcs([word("aba"), word("ab")])
