@@ -19,6 +19,7 @@ raising, so callers can surface which instance failed and by how much.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .errors import BudgetError, ContractError
@@ -316,6 +317,30 @@ class ConstructionWord:
             raise ContractError(f"block {i} outside [1, {self.block_count}]")
         lo = (i - 1) * self.block_length
         return Word(self.word.symbols[lo : lo + self.block_length], self.word.alphabet_size)
+
+    @cached_property
+    def block_offsets(self) -> tuple[tuple[int, ...], ...]:
+        """Per block (0-based), where each symbol sits in it:
+        ``block_offsets[i][s]`` is the offset of symbol s in block i+1.
+
+        Built once per distinct block and shared by equal blocks, so a
+        built word (period 8) holds at most eight.  Raises ContractError
+        unless every block is a permutation of ``range(block_length)``.
+        """
+        L = self.block_length
+        syms = self.word.symbols
+        by_content: dict[tuple[int, ...], tuple[int, ...]] = {}
+        out = []
+        for i in range(self.block_count):
+            block = syms[i * L : (i + 1) * L]
+            offsets = by_content.get(block)
+            if offsets is None:
+                if sorted(block) != list(range(L)):
+                    raise ContractError(f"block {i + 1} is not a permutation of range({L})")
+                # the inverse permutation: offsets ordered by their symbol
+                offsets = by_content[block] = tuple(sorted(range(L), key=block.__getitem__))
+            out.append(offsets)
+        return tuple(out)
 
     @property
     def alphabet(self) -> TupleAlphabet:

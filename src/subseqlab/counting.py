@@ -101,7 +101,16 @@ def validate_embedding(v: Word, w: Word, f: EmbeddingMap) -> None:
     """Raise ContractError unless f really embeds v into w."""
     if f.source_length != len(v):
         raise ContractError("embedding length does not match pattern length")
-    for j, p in zip(v.symbols, f.positions):
+    pos = f.positions
+    # positions increase, so both ends in range puts all of them in range
+    if not pos or (
+        0 <= pos[0]
+        and pos[-1] < len(w)
+        and tuple(map(w.symbols.__getitem__, pos)) == v.symbols
+    ):
+        return
+    # rejected: find the first bad position for the message
+    for j, p in zip(v.symbols, pos):
         if not (0 <= p < len(w)):
             raise ContractError(f"position {p} out of range")
         if w.symbols[p] != j:

@@ -121,10 +121,6 @@ def _known_records() -> tuple[ExtremalRecord, ...]:
     )
 
 
-def load_known_records() -> list[ExtremalRecord]:
-    return list(_known_records())
-
-
 def known_record(k: int, n: int) -> ExtremalRecord | None:
     for r in _known_records():
         if (r.k, r.n) == (k, n):

@@ -10,6 +10,11 @@ permutation blocks, record for each block i:
 - ``overlap[i]``: reach[i] - entry[i+1], measuring how far block i's
   fit runs past the point where the embedding enters block i+1.
 
+Every block is a permutation, so a pattern slice fits inside it exactly
+when the slice's offsets in the block strictly increase.  Profiles and
+their checks read those offsets from ``ConstructionWord.block_offsets``,
+so reach[i] costs O(reach[i] - entry[i] + 1).
+
 Classifying each overlap into six bands (thresholds 1, 10t, 10t^2,
 10t^3, 10t^4 for alphabet [t]^8) gives the embedding's *shape*.  The
 checkers in this module test, on enumerated embeddings, the structural
@@ -36,7 +41,7 @@ from .construction import (
 )
 from .counting import EmbeddingMap, enumerate_embeddings, validate_embedding
 from .errors import ContractError
-from .words import Word, is_subsequence
+from .words import Word
 
 SHAPE_CLASSES = (0, 1, 2, 3, 4, 8)
 
@@ -56,6 +61,23 @@ class EmbeddingProfile:
     overlap: tuple[int, ...]
 
 
+def _fit_end(syms, j: int, offsets: tuple[int, ...]) -> int:
+    """First index >= j at which syms[j:] stops fitting in the block
+    whose symbol -> offset index is ``offsets``.  A block is a
+    permutation, so a slice fits in it exactly when its symbols' offsets
+    strictly increase; a symbol outside the block ends the fit."""
+    size = len(offsets)
+    n = len(syms)
+    prev = -1
+    while j < n:
+        s = syms[j]
+        if s >= size or offsets[s] <= prev:
+            break
+        prev = offsets[s]
+        j += 1
+    return j
+
+
 def embedding_profile(v: Word, f: EmbeddingMap, cw: ConstructionWord) -> EmbeddingProfile:
     """Exact profile of one embedding; rejects maps that do not embed v."""
     validate_embedding(v, cw.word, f)
@@ -63,34 +85,36 @@ def embedding_profile(v: Word, f: EmbeddingMap, cw: ConstructionWord) -> Embeddi
     B = cw.block_count
     L = cw.block_length
     pos = f.positions
-    entry = [bisect_left(pos, (i - 1) * L) + 1 for i in range(1, B + 1)]
-    reach = []
-    wsyms = cw.word.symbols
+    entry = tuple(bisect_left(pos, i * L) + 1 for i in range(B))
     vsyms = v.symbols
-    for i in range(1, B + 1):
-        j = entry[i - 1] - 1  # 0-based pattern pointer
-        lo = (i - 1) * L
-        for p in range(lo, lo + L):
-            if j < m and vsyms[j] == wsyms[p]:
-                j += 1
-        reach.append(j)
+    reach = tuple(
+        _fit_end(vsyms, entry[i] - 1, offsets) for i, offsets in enumerate(cw.block_offsets)
+    )
     overlap = tuple(reach[i] - entry[i + 1] for i in range(B - 1))
-    return EmbeddingProfile(m, B, tuple(entry), tuple(reach), overlap)
+    return EmbeddingProfile(m, B, entry, reach, overlap)
 
 
 def check_profile_invariants(
     v: Word, profile: EmbeddingProfile, cw: ConstructionWord, maximality: bool = False
 ) -> list[dict]:
-    """Re-derive the profile's promises by independent subsequence tests.
+    """Re-derive the profile's promises from the definitions.
 
     Always checks: entry is monotone, reach >= entry-1, overlap >= -1,
-    and each v<entry..reach> slice embeds in its block.  With
-    ``maximality`` also checks reach cannot be extended by one.
+    overlap[i] = reach[i] - entry[i+1], and each v<entry..reach> slice
+    fits in its block (its offsets in the block strictly increase).
+    With ``maximality`` also checks reach cannot be extended by one.
+    Raises ContractError when the profile's block count or tuple
+    lengths do not match ``cw``.
     """
-    violations = []
     B = profile.block_count
     m = profile.pattern_length
     ent, rea, ove = profile.entry, profile.reach, profile.overlap
+    if B != cw.block_count or (len(ent), len(rea), len(ove)) != (B, B, B - 1):
+        raise ContractError(
+            f"profile of {B} blocks with {len(ent)}/{len(rea)}/{len(ove)} "
+            f"entry/reach/overlap values does not fit a {cw.block_count}-block word"
+        )
+    violations = []
     for i in range(B - 1):
         if ent[i] > ent[i + 1]:
             violations.append({"kind": "entry-monotone", "block": i + 1})
@@ -98,16 +122,17 @@ def check_profile_invariants(
             violations.append({"kind": "overlap-definition", "block": i + 1})
         if ove[i] < -1:
             violations.append({"kind": "overlap-floor", "block": i + 1})
-    for i in range(B):
+    vsyms = v.symbols
+    for i, offsets in enumerate(cw.block_offsets):
         if rea[i] < ent[i] - 1:
             violations.append({"kind": "reach-floor", "block": i + 1})
         lo, hi = ent[i] - 1, rea[i] - 1  # 0-based inclusive pattern slice
-        piece = Word(v.symbols[lo : hi + 1], v.alphabet_size)
-        if not is_subsequence(piece, cw.block(i + 1)):
+        piece = vsyms[lo : hi + 1]
+        if _fit_end(piece, 0, offsets) < len(piece):
             violations.append({"kind": "block-fit", "block": i + 1})
         if maximality and rea[i] < m:
-            extended = Word(v.symbols[lo : hi + 2], v.alphabet_size)
-            if is_subsequence(extended, cw.block(i + 1)):
+            extended = vsyms[lo : hi + 2]
+            if _fit_end(extended, 0, offsets) == len(extended):
                 violations.append({"kind": "reach-maximality", "block": i + 1})
     return violations
 
@@ -255,13 +280,17 @@ ALL_SHAPE_CLAIMS = (
 # prefix-break positions
 
 
+def _check_alphabet(b: Word, alphabet: TupleAlphabet) -> None:
+    if b.alphabet_size != alphabet.size:
+        raise ContractError("word alphabet does not match the tuple alphabet")
+
+
 def e_set(b: Word, x: int, alphabet: TupleAlphabet) -> frozenset[int]:
     """1-based positions z where the first-x-coordinate projection of
     b changes between z and z+1."""
     if not 1 <= x <= alphabet.r:
         raise ContractError(f"projection length {x} outside [1, {alphabet.r}]")
-    if b.alphabet_size != alphabet.size:
-        raise ContractError("word alphabet does not match the tuple alphabet")
+    _check_alphabet(b, alphabet)
     div = alphabet.t ** (alphabet.r - x)
     syms = b.symbols
     return frozenset(
@@ -280,6 +309,7 @@ def break_counts(b: Word, alphabet: TupleAlphabet) -> list[int]:
     """|e_set(b, x)| for every x in 1..r, in one pass: an adjacent pair
     breaks projection x exactly when its first differing coordinate is
     <= x."""
+    _check_alphabet(b, alphabet)
     t, r = alphabet.t, alphabet.r
     per_first_diff = [0] * (r + 1)
     syms = b.symbols
@@ -447,6 +477,7 @@ def run_claim_suite(
         report.patterns_checked += 1
         entries_seen: dict[tuple[int, ...], int] = {}
         next_entry_choices: dict[tuple[int, int, int], set[int]] = {}
+        break_items: dict[tuple[int, int], list[dict]] = {}
         for e_index, f in enumerate(enum):
             report.embeddings_checked += 1
             profile = embedding_profile(v, f, cw)
@@ -474,15 +505,19 @@ def run_claim_suite(
                 ],
             )
             # per-block slices of the pattern live inside single blocks,
-            # so the prefix-break bound applies to each of them
+            # so the prefix-break bound applies to each of them; a slice
+            # is checked once per sample, its items repeated per block
             for i in range(cw.block_count):
                 lo, hi = profile.entry[i] - 1, profile.reach[i]
-                piece = Word(v.symbols[lo:hi], v.alphabet_size)
+                items = break_items.get((lo, hi))
+                if items is None:
+                    piece = Word(v.symbols[lo:hi], v.alphabet_size)
+                    items = break_items[lo, hi] = check_break_bound(piece, t, alphabet)
                 report.add(
                     "break-bound",
                     [
                         dict(item, sample=sample_index, embedding=e_index, block=i + 1)
-                        for item in check_break_bound(piece, t, alphabet)
+                        for item in items
                     ],
                 )
             # the full entry sequence must identify the embedding

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 from .errors import ContractError, WordRangeError
@@ -35,6 +36,9 @@ class Word:
         if self.alphabet_size < 1:
             raise ContractError(f"alphabet_size must be >= 1, got {self.alphabet_size}")
         if self.symbols:
+            if not all(map(isinstance, self.symbols, repeat(int))):
+                bad = next(s for s in self.symbols if not isinstance(s, int))
+                raise ContractError(f"symbol {bad!r} is not an int")
             lo, hi = min(self.symbols), max(self.symbols)
             if lo < 0 or hi >= self.alphabet_size:
                 raise ContractError(

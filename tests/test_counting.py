@@ -132,10 +132,21 @@ def test_enumeration_size_equals_count():
 
 def test_validate_embedding_rejects_junk():
     v, w = word("ab"), word("abab")
-    with pytest.raises(ContractError):
+    validate_embedding(v, w, EmbeddingMap((2, 3), 2))
+    with pytest.raises(ContractError, match="^symbol mismatch at position 1$"):
         validate_embedding(v, w, EmbeddingMap((1, 2), 2))  # w[1] is 'b'
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="^embedding length does not match pattern length$"):
         validate_embedding(v, w, EmbeddingMap((0,), 1))
+    with pytest.raises(ContractError, match="^position 4 out of range$"):
+        validate_embedding(v, w, EmbeddingMap((0, 4), 2))  # one past the end
+    with pytest.raises(ContractError, match="^position -1 out of range$"):
+        validate_embedding(v, w, EmbeddingMap((-1, 1), 2))
+    # w[-1] would read the matching last 'b': a negative index is refused
+    with pytest.raises(ContractError, match="^position -1 out of range$"):
+        validate_embedding(word("ba"), w, EmbeddingMap((-1, 2), 2))
+    # the first bad position is the one named, whatever comes after it
+    with pytest.raises(ContractError, match="^symbol mismatch at position 1$"):
+        validate_embedding(v, w, EmbeddingMap((1, 9), 2))
     with pytest.raises(ContractError):
         EmbeddingMap((2, 1), 2)
 

@@ -17,7 +17,6 @@ from subseqlab.extremal import (
     extremal_value,
     iroot,
     known_record,
-    load_known_records,
     mu_upper_from_profile,
     mu_window,
     root_decimal,
@@ -108,8 +107,8 @@ def test_registry_record_is_external_and_not_recomputed():
     # registry is bypassed when computing, so the budget guard fires
     with pytest.raises(BudgetError):
         extremal_value(2, 40, use_registry=False)
-    assert [(r.k, r.n) for r in load_known_records()] == [(2, 40)]
     data = json.loads(resources.files("subseqlab").joinpath("data/known_values.json").read_text())
+    assert [(r["k"], r["n"]) for r in data["extremal_records"]] == [(2, 40)]
     assert all(b["method"] == "verified-external" for b in data["reference_bounds"])
 
 

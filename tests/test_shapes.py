@@ -1,15 +1,22 @@
 """Shape analysis: profiles against a definitional oracle, band
 classification, claim checkers on synthetic shapes, prefix-break
-counts, and the greedy segment decomposition."""
+counts, the greedy segment decomposition, pinned claim-suite reports,
+and the documented-errors contract."""
 
+import hashlib
 import random
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from subseqlab.construction import TupleAlphabet, build_construction_word
+from subseqlab import shapes as shapes_module
+from subseqlab.construction import ConstructionWord, TupleAlphabet, build_construction_word
 from subseqlab.counting import EmbeddingMap, enumerate_embeddings
-from subseqlab.errors import ContractError
+from subseqlab.errors import BudgetError, ContractError, NotApplicable, WordRangeError
 from subseqlab.shapes import (
+    _DENSITY_PALETTE,
+    SHAPE_CLASSES,
     EmbeddingProfile,
     check_after_jump_decay,
     check_big_interval_containment,
@@ -76,19 +83,46 @@ def test_profile_rejects_non_embedding(cw_t2_b3):
 
 
 def test_profile_matches_definitional_oracle(cw_t2_b3):
-    cw = cw_t2_b3
+    cw_t2_b12 = build_construction_word(2, 12)
+    # blocks repeat with period 8, and so does their index
+    assert all(cw_t2_b12.block_offsets[i + 8] is cw_t2_b12.block_offsets[i] for i in range(4))
+    cases = (
+        (cw_t2_b3, 3, 8),
+        (cw_t2_b12, 2, 4),
+        (build_construction_word(3, 2), 1, 2),
+    )
     rng = random.Random(4180)
     total = 0
-    for _ in range(12):
-        v = sample_pattern(rng, cw, rng.choice((0.01, 0.05, 0.15)))
-        for f in enumerate_embeddings(v, cw.word, cap=25):
-            got = embedding_profile(v, f, cw)
-            ent, rea, ove = profile_by_definitions(
-                v.symbols, f.positions, cw.word.symbols, cw.block_count, cw.block_length
-            )
-            assert (got.entry, got.reach, got.overlap) == (ent, rea, ove)
-            total += 1
-    assert total >= 40
+    for cw, per_density, cap in cases:
+        patterns = [Word((), cw.word.alphabet_size)] + [
+            sample_pattern(rng, cw, density)
+            for density in _DENSITY_PALETTE
+            for _ in range(per_density)
+        ]
+        for v in patterns:
+            for f in enumerate_embeddings(v, cw.word, cap=cap):
+                got = embedding_profile(v, f, cw)
+                ent, rea, ove = profile_by_definitions(
+                    v.symbols, f.positions, cw.word.symbols, cw.block_count, cw.block_length
+                )
+                assert (got.entry, got.reach, got.overlap) == (ent, rea, ove)
+                total += 1
+    assert total >= 90
+
+
+def test_block_index_rejects_non_permutation_block(cw_t2_b3):
+    syms = list(cw_t2_b3.word.symbols)
+    syms[256 + 7] = syms[256 + 3]  # block 2 repeats a symbol
+    bad = ConstructionWord(2, 8, 3, 256, Word(tuple(syms), 256))
+    with pytest.raises(ContractError, match="block 2 is not a permutation"):
+        bad.block_offsets
+    v = Word(syms[:2], 256)
+    with pytest.raises(ContractError, match="block 2 is not a permutation"):
+        embedding_profile(v, EmbeddingMap((0, 1), 2), bad)
+    # a word too short for its declared blocks fails the same way
+    short = ConstructionWord(2, 8, 3, 256, Word(cw_t2_b3.word.symbols[:700], 256))
+    with pytest.raises(ContractError, match="block 3 is not a permutation"):
+        short.block_offsets
 
 
 def test_profile_invariants_on_samples(cw_t2_b3):
@@ -101,9 +135,19 @@ def test_profile_invariants_on_samples(cw_t2_b3):
             assert check_profile_invariants(v, p, cw, maximality=True) == []
 
 
+def _with_reach(p, block, delta):
+    """p with reach[block-1] moved by delta and the overlaps recomputed
+    from it, so overlap-definition cannot object."""
+    reach = list(p.reach)
+    reach[block - 1] += delta
+    overlap = tuple(reach[i] - p.entry[i + 1] for i in range(p.block_count - 1))
+    return EmbeddingProfile(p.pattern_length, p.block_count, p.entry, tuple(reach), overlap)
+
+
 def test_invariant_checker_flags_corrupted_profile(cw_t2_b3):
     cw = cw_t2_b3
-    v = Word(cw.word.symbols[:3], cw.word.alphabet_size)
+    n = cw.word.alphabet_size
+    v = Word(cw.word.symbols[:3], n)
     p = embedding_profile(v, EmbeddingMap((0, 1, 2), 3), cw)
     bad = EmbeddingProfile(
         p.pattern_length,
@@ -114,6 +158,42 @@ def test_invariant_checker_flags_corrupted_profile(cw_t2_b3):
     )
     kinds = {item["kind"] for item in check_profile_invariants(v, bad, cw)}
     assert "overlap-definition" in kinds
+
+    # block 1 holds b[5], b[6] in order but b[2] only before them, so
+    # the third pattern symbol lands in block 2 and reach[0] is 2
+    b1 = cw.block(1).symbols
+    v = Word((b1[5], b1[6], b1[2]), n)
+    f = enumerate_embeddings(v, cw.word, cap=1).maps[0]
+    p = embedding_profile(v, f, cw)
+    assert (p.entry, p.reach) == ((1, 3, 4), (2, 3, 3))
+    for maximality in (False, True):
+        assert check_profile_invariants(v, p, cw, maximality=maximality) == []
+    # raised reach: the slice b[5], b[6], b[2] does not fit block 1
+    assert check_profile_invariants(v, _with_reach(p, 1, +1), cw) == [
+        {"kind": "block-fit", "block": 1}
+    ]
+    # lowered reach still fits (its overlap drops below -1), but only
+    # maximality sees that it can be extended
+    lowered = _with_reach(p, 1, -1)
+    plain = check_profile_invariants(v, lowered, cw)
+    assert plain == [{"kind": "overlap-floor", "block": 1}]
+    assert check_profile_invariants(v, lowered, cw, maximality=True) == plain + [
+        {"kind": "reach-maximality", "block": 1}
+    ]
+
+    # a repeated symbol never fits a permutation block
+    v = Word((b1[0], b1[0]), n)
+    f = enumerate_embeddings(v, cw.word, cap=1).maps[0]
+    p = embedding_profile(v, f, cw)
+    assert (p.entry, p.reach) == ((1, 2, 3), (1, 2, 2))
+    assert check_profile_invariants(v, _with_reach(p, 1, +1), cw) == [
+        {"kind": "block-fit", "block": 1}
+    ]
+
+    # a profile of another block count is refused, not half-checked
+    short = EmbeddingProfile(2, 2, p.entry[:2], p.reach[:2], p.overlap[:1])
+    with pytest.raises(ContractError, match="does not fit a 3-block word"):
+        check_profile_invariants(v, short, cw)
 
 
 # ---------------------------------------------------------------------------
@@ -395,13 +475,80 @@ def test_claim_suite_smoke():
     assert report.distinct_shapes >= 1
 
 
-def test_claim_suite_deterministic():
-    a = run_claim_suite(2, blocks=10, patterns=3, seed=7, embed_cap=15)
-    b = run_claim_suite(2, blocks=10, patterns=3, seed=7, embed_cap=15)
-    assert (a.embeddings_checked, a.distinct_shapes) == (
-        b.embeddings_checked,
-        b.distinct_shapes,
+def _suite_digest(report) -> str:
+    key = (
+        report.patterns_checked,
+        report.embeddings_checked,
+        report.distinct_shapes,
+        report.shapes,
+        sorted(report.violations.items()),
     )
+    return hashlib.sha256(repr(key).encode()).hexdigest()
+
+
+# pinned reports: (args, kwargs) -> (embeddings_checked, distinct_shapes,
+# digest); any change to what a report says changes its digest
+_PINNED_SUITES = (
+    (
+        (2, 12, 20, 7),
+        {},
+        (1408, 32, "a932e2cf2bbb0c8b589aa98f7099de9fc58e15206266d4feba292c5a22e6f776"),
+    ),
+    (
+        (2, 16, 6, 3),
+        {},
+        (680, 20, "256e25003466a3b465c8b5b022c4e9e6e7a91f285f4de75b5c7110c18cc7eab7"),
+    ),
+    (
+        (2, 1, 8, 5),
+        {},
+        (8, 1, "dd23ade29a4cb11d6c1cc8a5aa33457b097010bc56ec2bac02dc39d5787f4ae4"),
+    ),
+    (
+        (2, 10, 6, 20260814),
+        {"embed_cap": 40},
+        (167, 11, "b8ba6617f00398568298c67720fa0fd6671bdd62208e27e05c3a0c8912281613"),
+    ),
+    (
+        (2, 10, 5, 11),
+        {"maximality_spot_checks": 3},
+        (390, 6, "0cb3ada51ac5cf51f1abac7884ea8f77d107c9dd08103ef251d5cad608a79209"),
+    ),
+    (
+        (3, 2, 4, 1),
+        {},
+        (5, 1, "c4577befda457f979d16a62afa4dbe6dd805ec1c49d8ac19517b64b40c5c5964"),
+    ),
+)
+
+
+def test_claim_suite_deterministic():
+    for args, kwargs, (embeddings, distinct, digest) in _PINNED_SUITES:
+        report = run_claim_suite(*args, **kwargs)
+        assert report.ok, (args, report.violations)
+        assert (report.embeddings_checked, report.distinct_shapes) == (embeddings, distinct)
+        assert _suite_digest(report) == digest, args
+
+
+def test_claim_suite_break_bound_items_keep_their_order(monkeypatch):
+    # flag every third piece length, so the report carries break-bound
+    # items whose order per embedding and block is pinned
+    real = shapes_module.check_break_bound
+
+    def flagging(b, t, alphabet):
+        flag = [{"claim": "break-bound", "x": 1, "count": len(b), "cap": 0}]
+        return (flag if len(b) % 3 == 1 else []) + real(b, t, alphabet)
+
+    monkeypatch.setattr(shapes_module, "check_break_bound", flagging)
+    pinned = (
+        ((2, 12, 20, 7), 7431, "04c5c37b0a951729739044543ac29f66abb662a6bcda365973b03c33cd26a0f2"),
+        ((2, 10, 5, 11), 1568, "1f31bf9aa4fc3c7da06c7fab7f7b30f9b5b0968e36a81b4e5b8291e83441091a"),
+    )
+    for args, total, digest in pinned:
+        r = run_claim_suite(*args)
+        assert r.total_violations == total
+        key = (r.embeddings_checked, sorted(r.violations.items()))
+        assert hashlib.sha256(repr(key).encode()).hexdigest() == digest, args
 
 
 def test_sample_pattern_is_subsequence():
@@ -411,3 +558,101 @@ def test_sample_pattern_is_subsequence():
         v = sample_pattern(rng, cw, 0.02)
         assert len(v) >= 1
         assert is_subsequence(v, cw.word)
+
+
+# ---------------------------------------------------------------------------
+# contract: documented errors only, on legal and illegal inputs
+
+_DOCUMENTED_ERRORS = (ContractError, WordRangeError, BudgetError, NotApplicable)
+
+
+@cache
+def _small_word(blocks: int, broken: bool) -> ConstructionWord:
+    """A t=2 construction word; ``broken`` repeats a symbol in its last block."""
+    cw = build_construction_word(2, blocks)
+    if not broken:
+        return cw
+    syms = list(cw.word.symbols)
+    syms[-1] = syms[-2]
+    return ConstructionWord(2, 8, blocks, 256, Word(tuple(syms), 256))
+
+
+@st.composite
+def _pattern_and_map(draw, cw):
+    """A pattern and a position map for it: a true embedding of a host
+    subsequence, or (often) junk of any length, range or alphabet."""
+    n = len(cw.word)
+    if draw(st.booleans()):
+        pos = sorted(draw(st.sets(st.integers(0, n - 1), max_size=12)))
+        v = Word(tuple(cw.word.symbols[p] for p in pos), cw.word.alphabet_size)
+    else:
+        k = draw(st.sampled_from((1, 2, 255, 256, 257, 300)))
+        v = Word(tuple(draw(st.lists(st.integers(0, k - 1), max_size=12))), k)
+        pos = sorted(draw(st.sets(st.integers(-3, n + 3), max_size=12)))
+    return v, pos
+
+
+def _junk_profile(draw, p):
+    """p, or p with one value moved or one tuple shortened."""
+    fields = [p.pattern_length, p.block_count, p.entry, p.reach, p.overlap]
+    which = draw(st.integers(0, 5))
+    if which == 5:
+        return p
+    if which < 2:
+        fields[which] += draw(st.integers(-3, 3))
+    else:
+        values = list(fields[which])
+        if values and draw(st.booleans()):
+            values.pop()
+        elif values:
+            i = draw(st.integers(0, len(values) - 1))
+            values[i] += draw(st.integers(-600, 600))
+        fields[which] = tuple(values)
+    return EmbeddingProfile(*fields)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_shapes_api_raises_only_documented_errors(data):
+    draw = data.draw
+    cw = _small_word(draw(st.integers(1, 3)), draw(st.booleans()))
+    v, pos = draw(_pattern_and_map(cw))
+    t, r = draw(st.integers(0, 3)), draw(st.integers(0, 9))
+    b = Word(tuple(draw(st.lists(st.integers(0, 299), max_size=10))), 300)
+    if draw(st.booleans()) and 1 <= t and 1 <= r and t**r <= 300:
+        b = Word(tuple(s % t**r for s in b.symbols), t**r)
+    x, y = draw(st.integers(-1, 10)), draw(st.integers(-1, 4))
+    s = tuple(draw(st.lists(st.sampled_from(SHAPE_CLASSES + (5, -1, 2.5, "8")), max_size=20)))
+
+    def profile_calls():
+        f = EmbeddingMap(tuple(pos), draw(st.integers(len(pos) - 1, len(pos) + 1)))
+        p = embedding_profile(v, f, cw)
+        check_profile_invariants(v, _junk_profile(draw, p), cw, maximality=draw(st.booleans()))
+
+    def suite_call():
+        run_claim_suite(
+            draw(st.integers(1, 2)),
+            draw(st.integers(0, 2)),
+            draw(st.integers(0, 2)),
+            draw(st.integers(0, 99)),
+            embed_cap=draw(st.integers(-1, 3)),
+            maximality_spot_checks=draw(st.integers(0, 2)),
+        )
+
+    calls = [profile_calls, lambda: decompose_shape(s), suite_call]
+    try:
+        alphabet = TupleAlphabet(t, r)
+    except ContractError:
+        pass
+    else:
+        calls += [
+            lambda: e_set(b, x, alphabet),
+            lambda: e_subsample(b, x, y, alphabet),
+            lambda: break_counts(b, alphabet),
+            lambda: check_break_bound(b, t, alphabet),
+        ]
+    for call in calls:
+        try:
+            call()
+        except _DOCUMENTED_ERRORS:
+            pass

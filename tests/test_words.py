@@ -68,6 +68,12 @@ def test_symbol_out_of_range_rejected():
     with pytest.raises(ContractError, match="symbol -1 out of range"):
         Word((2, 0, -1, 4), 5)
     assert Word((), 1).symbols == ()
+    # symbols must be ints: floats (NaN slips past min/max), strings, None
+    for bad in (1.5, float("nan"), "a", None):
+        with pytest.raises(ContractError, match="is not an int"):
+            Word((0, bad, 2), 3)
+    # any int the range check accepts stays legal, however wide
+    assert Word((0, 2**70), 2**71).symbols == (0, 2**70)
 
 
 def test_subword_examples():
