@@ -22,20 +22,16 @@ state linearly and monotonically, which yields two sound prunings:
   so precomputed suffix capacities give an upper bound for cutoff.
 
 One routine, ``_branch_and_bound``, runs this search on any suffix
-``w[start:]``.  The capacities are that search run from right to left:
-``start = n-1, ..., 1``, each using the capacities already found.  The
-most-common search is the ``start = 0`` call, which also returns the
-witness and can abort once a count reaches a threshold (the extremal
-scan only needs to know a word is no better than its best so far).
+``w[start:]``, optionally from a *floor*: a count some pattern is known
+to reach.  The capacities are that search run from right to left,
+``start = n-1, ..., 1``, each using the capacities already found and
+floored at the last one, since ``w[start+1:]`` is a factor of
+``w[start:]``.  The most-common search is the ``start = 0`` call, which
+returns the witness and can abort once a count reaches a threshold.
+The extremal scan passes capacities it already knows, with the floor
+``capacities[1]``, and gets no witness.
 ``max_occurrences_of_length`` keeps its own search, since its bound
 depends on how many symbols remain to be placed.
-
-Renaming letters bijectively maps the patterns of a word one-to-one
-onto those of the renamed word with equal counts, so a suffix's
-capacity depends only on its first-occurrence form.  A caller that
-searches many words of one alphabet (the extremal scan) passes a dict
-memo keyed by that form's ``relabel_code``; a single search does not,
-since its suffixes rarely repeat a form.
 
 Witness tie-breaks are always "lexicographically smallest pattern
 among the maximisers", which the DFS order delivers for free.
@@ -46,9 +42,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
+from operator import lt
 
 from .errors import ContractError
-from .words import Word, relabel_code
+from .words import Word
 
 _DOMINANCE_STORE_CAP = 512  # per-depth cap on states kept for dominance tests
 
@@ -93,7 +90,7 @@ class EmbeddingMap:
     def __post_init__(self) -> None:
         if len(self.positions) != self.source_length:
             raise ContractError("positions/source_length mismatch")
-        if any(a >= b for a, b in zip(self.positions, self.positions[1:])):
+        if not all(map(lt, self.positions, self.positions[1:])):
             raise ContractError("positions must be strictly increasing")
 
 
@@ -224,17 +221,20 @@ def _branch_and_bound(
     start: int,
     capacities: list[int],
     abort_at: int | None = None,
+    floor: int | None = None,
 ) -> tuple[int, tuple[int, ...] | None, bool]:
     """Most frequent pattern inside syms[start:], given capacities[j] for j > start.
 
     Returns (value, lex-min witness, aborted).  With ``abort_at`` set
     the search stops at the first count >= abort_at; the witness is
-    then None and the value is that count.
+    then None and the value is that count.  With ``floor`` set (a count
+    some pattern reaches, below abort_at) the running maximum starts
+    there and the witness is None.
     """
     length = len(syms) - start
     caps = capacities[start:]
-    best = 1  # the empty pattern
-    best_witness: tuple[int, ...] = ()
+    best = 1 if floor is None else floor
+    best_witness: tuple[int, ...] = ()  # the empty pattern
     by_depth: list[list[list[int]]] = [[] for _ in range(length + 1)]
     prefix: list[int] = []
     aborted = False
@@ -273,51 +273,47 @@ def _branch_and_bound(
 
     if length > 0:
         rec([1] * (length + 1), 0)
-    if aborted:
-        return best, None, True
+    if aborted or floor is not None:
+        return best, None, aborted
     return best, best_witness, False
 
 
-def _suffix_capacities(w: Word, memo: dict[int, int] | None = None) -> list[int]:
+def _suffix_capacities(w: Word) -> list[int]:
     """capacities[j] = max over all patterns of their count inside w[j:].
 
-    Filled from right to left, each suffix searched with the
-    capacities of the shorter ones.  ``memo`` maps the relabel code of
-    a suffix to its capacity; it is read and filled, and must only
-    ever see words of one alphabet size.
+    Filled from right to left, each suffix searched with the capacities
+    of the shorter ones and floored at the next one's.
     """
     syms = w.symbols
     k = w.alphabet_size
     capacities = [1] * (len(w) + 1)
     for start in range(len(w) - 1, 0, -1):
-        if memo is None:
-            capacities[start] = _branch_and_bound(syms, k, start, capacities)[0]
-            continue
-        key = relabel_code(syms[start:], k)
-        cap = memo.get(key)
-        if cap is None:
-            cap = memo[key] = _branch_and_bound(syms, k, start, capacities)[0]
-        capacities[start] = cap
+        capacities[start] = _branch_and_bound(
+            syms, k, start, capacities, floor=capacities[start + 1]
+        )[0]
     return capacities
 
 
 def _search_most_common(
-    w: Word, abort_at: int | None = None, capacity_memo: dict[int, int] | None = None
+    w: Word, abort_at: int | None = None, capacities: list[int] | None = None
 ) -> tuple[int, tuple[int, ...] | None, bool]:
     """Core search for max_occurrences.
 
     Returns (value, witness symbols, aborted).  With ``abort_at`` set
     the search stops as soon as it proves value >= abort_at (witness
     is then None and the returned value is just the proof threshold).
-    ``capacity_memo`` is handed to ``_suffix_capacities``; it pays off
-    when many words of one alphabet share suffix forms, as in a scan.
+    A caller that knows the exact top counts of the suffixes w[j:],
+    j >= 1, passes them as ``capacities``; the search then starts from
+    the floor capacities[1] and returns no witness.
     """
     if len(w) == 0:
         return 1, (), False
-    if abort_at is not None and abort_at <= 1:
-        return 1, None, True
-    capacities = _suffix_capacities(w, capacity_memo)
-    return _branch_and_bound(w.symbols, w.alphabet_size, 0, capacities, abort_at)
+    floor = 1 if capacities is None else capacities[1]
+    if abort_at is not None and abort_at <= floor:
+        return floor, None, True
+    if capacities is None:
+        return _branch_and_bound(w.symbols, w.alphabet_size, 0, _suffix_capacities(w), abort_at)
+    return _branch_and_bound(w.symbols, w.alphabet_size, 0, capacities, abort_at, floor)
 
 
 def max_occurrences(w: Word) -> tuple[int, Word]:
@@ -346,38 +342,44 @@ def max_occurrences_of_length(w: Word, length: int) -> tuple[int, Word]:
     best = 0
     best_witness = (0,) * length
     by_depth: list[list[list[int]]] = [[] for _ in range(length + 1)]
-    prefix: list[int] = []
-
-    def rec(c: list[int], depth: int) -> None:
-        nonlocal best, best_witness
+    # explicit-stack DFS: states[d] is the count vector of prefix[:d]
+    # (set before it is read), nxt[d] the next symbol to try at depth d
+    prefix = [0] * length
+    states = [[1] * (n + 1)] * length
+    nxt = [0] * length
+    depth = 0
+    while depth >= 0:
+        symbol = nxt[depth]
+        if symbol == k:
+            depth -= 1
+            continue
+        nxt[depth] = symbol + 1
+        prefix[depth] = symbol
+        nc = _extend_counts(states[depth], syms, 0, symbol)
         remaining = length - depth - 1
-        for symbol in range(k):
-            nc = _extend_counts(c, syms, 0, symbol)
-            prefix.append(symbol)
-            if remaining == 0:
-                v = nc[-1]
-                if v > best:
-                    best = v
-                    best_witness = tuple(prefix)
-            else:
-                # binomial capacity: a pattern of r symbols fits into a
-                # window of length L at most C(L, r) ways
-                bound = 0
-                prev = 0
-                for d in range(1, n + 1):
-                    cd = nc[d]
-                    if cd != prev:
-                        bound += (cd - prev) * comb(n - d, remaining)
-                        prev = cd
-                if bound > best:
-                    store = by_depth[depth + 1]
-                    if not _dominated(store, nc):
-                        if len(store) < _DOMINANCE_STORE_CAP:
-                            store.append(nc)
-                        rec(nc, depth + 1)
-            prefix.pop()
-
-    rec([1] * (n + 1), 0)
+        if remaining == 0:
+            v = nc[-1]
+            if v > best:
+                best = v
+                best_witness = tuple(prefix)
+            continue
+        # binomial capacity: a pattern of r symbols fits into a
+        # window of length L at most C(L, r) ways
+        bound = 0
+        prev = 0
+        for d in range(1, n + 1):
+            cd = nc[d]
+            if cd != prev:
+                bound += (cd - prev) * comb(n - d, remaining)
+                prev = cd
+        if bound > best:
+            store = by_depth[depth + 1]
+            if not _dominated(store, nc):
+                if len(store) < _DOMINANCE_STORE_CAP:
+                    store.append(nc)
+                depth += 1
+                states[depth] = nc
+                nxt[depth] = 0
     return best, Word(best_witness, k)
 
 

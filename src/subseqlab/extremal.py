@@ -1,14 +1,19 @@
 """Extremal tables: the hardest-to-compress words of each length.
 
 ``extremal_value(k, n)`` is the minimum, over all length-n words on a
-k-letter alphabet, of the most-common-subsequence count.  The search is
-a single serial scan over one representative per symmetry orbit
-(first-occurrence normal form, minimised against the reversal — both
-operations preserve every occurrence count).  It prunes each candidate
-with an early-abort threshold: once some pattern already occurs as
-often as the best word found so far, the candidate cannot strictly
-improve the minimum.  The scan keeps one suffix-capacity memo for all
-its candidates, since their suffixes repeat the same relabel forms.
+k-letter alphabet, of the most-common-subsequence count.  Relabelling
+keeps every count, so the scan is one depth-first walk, in lex order,
+over words x in first-occurrence form.  Each node searches rev(x).  Its
+suffixes are x's ancestors reversed, so their exact top counts, kept on
+the stack, are the search's capacities; its parent is a factor of it,
+so the parent's count is a floor to start from.  A search aborts once a
+pattern occurs as often as the best leaf so far, pruning the node's
+subtree, as does a parent already at the best; ties abort, so the
+minimizer is the lexicographically first.  Reversal keeps every count
+too, and a leaf whose reversal has a smaller form meets that twin's
+count as the best, so it always aborts.  A table starts each row at
+best = U + 1, U the smallest top count of the previous row's minimizer
+extended by one symbol.
 
 The n-th root of the table value brackets the growth constant:
 
@@ -33,7 +38,7 @@ from math import comb
 
 from .counting import _search_most_common, sum_over_lengths
 from .errors import BudgetError, ContractError
-from .words import Word, first_occurrence_form
+from .words import Word
 
 DEFAULT_BUDGETS = {2: 16, 3: 9, 4: 6}
 
@@ -70,45 +75,41 @@ class MuWindow:
             raise ContractError("window lower bound exceeds upper bound")
 
 
-def canonical_representatives(k: int, n: int):
-    """Yield one word per relabel+reverse orbit, in lexicographic order.
+def _require_int(**values) -> None:
+    for name, value in values.items():
+        if not isinstance(value, int):
+            raise ContractError(f"{name} must be an int, got {value!r}")
 
-    Words are produced in first-occurrence normal form (each new symbol
-    is the smallest unused id) and kept only when not lexicographically
-    beaten by the normal form of their reversal.
-    """
+
+def _min_scan(k: int, n: int, seed: Word | None = None) -> tuple[int, tuple[int, ...]]:
+    """(value, lex-first minimizer); ``seed`` is a word of length n - 1
+    whose extensions bound the minimum from above."""
     if n == 0:
-        yield ()
-        return
-    prefix = [0] * n
-
-    def rec(i: int, used: int):
-        if i == n:
-            w = tuple(prefix)
-            if first_occurrence_form(w[::-1]) >= w:
-                yield w
-            return
-        for s in range(min(used + 1, k)):
-            prefix[i] = s
-            yield from rec(i + 1, max(used, s + 1))
-
-    yield from rec(0, 0)
-
-
-def _min_scan(k: int, n: int) -> tuple[int, tuple[int, ...]]:
-    """(value, minimizer): one serial pass over the orbit representatives.
-
-    The first representative sets the abort threshold; each later one
-    either aborts (cannot beat it) or, having finished, lowers it.
-    """
-    memo: dict[int, int] = {}
-    reps = canonical_representatives(k, n)
-    best_syms = next(reps)
-    best, _, _ = _search_most_common(Word(best_syms, k), capacity_memo=memo)
-    for syms in reps:
-        value, _, aborted = _search_most_common(Word(syms, k), abort_at=best, capacity_memo=memo)
-        if not aborted:  # a finished search stayed below abort_at
-            best, best_syms = value, syms
+        return 1, ()
+    best = None
+    if seed is not None:
+        best = 1 + min(_search_most_common(Word((*seed.symbols, s), k))[0] for s in range(k))
+    best_syms = ()
+    x = [0] * n
+    vals = [1] * (n + 1)  # vals[d]: exact top count of x[:d]
+    # pending nodes (d, x[d], distinct symbols in x[:d]), popped in lex order
+    stack = [(0, 0, 0)]
+    while stack:
+        d, s, used = stack.pop()
+        if best is not None and vals[d] >= best:
+            continue  # the parent x[:d] already reaches the best
+        x[d] = s
+        rev = tuple(x[d::-1])
+        # capacities[j] = vals[d + 1 - j] is the ancestor rev[j:]; slot 0 is unused
+        value, _, aborted = _search_most_common(Word(rev, k), best, vals[d + 1 :: -1])
+        if aborted:
+            continue
+        if d + 1 == n:
+            best, best_syms = value, tuple(x)
+            continue
+        vals[d + 1] = value
+        used = max(used, s + 1)
+        stack += [(d + 1, t, used) for t in reversed(range(min(used + 1, k)))]
     return best, best_syms
 
 
@@ -139,23 +140,7 @@ def extremal_value(
     Registry hits are returned as-is (method ``verified-external``);
     everything else is searched exhaustively within the per-k budget.
     """
-    if k < 1 or n < 0:
-        raise ContractError(f"need k >= 1 and n >= 0, got k={k}, n={n}")
-    if use_registry:
-        hit = known_record(k, n)
-        if hit is not None:
-            return hit
-    limits = dict(DEFAULT_BUDGETS)
-    if budgets:
-        limits.update(budgets)
-    limit = limits.get(k, 0)
-    if n > limit:
-        raise BudgetError(
-            f"extremal search for k={k} is budgeted to n <= {limit} (asked n={n}); "
-            "pass budgets={...} to raise the limit explicitly"
-        )
-    value, syms = _min_scan(k, n)
-    return ExtremalRecord(k, n, value, Word(syms, k), "exhaustive")
+    return _record(k, n, budgets, use_registry, None)
 
 
 def extremal_table(
@@ -164,10 +149,35 @@ def extremal_table(
     budgets: dict[int, int] | None = None,
     use_registry: bool = False,
 ) -> list[ExtremalRecord]:
-    return [
-        extremal_value(k, n, budgets=budgets, use_registry=use_registry)
-        for n in range(1, n_max + 1)
-    ]
+    """Records for n = 1..n_max; each searched row seeds the next one."""
+    _require_int(n_max=n_max)
+    records: list[ExtremalRecord] = []
+    for n in range(1, n_max + 1):
+        seed = records[-1].minimizer if records else None
+        records.append(_record(k, n, budgets, use_registry, seed))
+    return records
+
+
+def _record(k, n, budgets, use_registry, seed: Word | None) -> ExtremalRecord:
+    """One checked table row; a searched row starts from ``seed`` (see _min_scan)."""
+    _require_int(k=k, n=n)
+    if k < 1 or n < 0:
+        raise ContractError(f"need k >= 1 and n >= 0, got k={k}, n={n}")
+    hit = known_record(k, n) if use_registry else None
+    if hit is not None:
+        return hit
+    if not isinstance(budgets, (dict, type(None))):
+        raise ContractError(f"budgets must be a dict, got {budgets!r}")
+    limits = {**DEFAULT_BUDGETS, **(budgets or {})}
+    _require_int(**{f"budgets[{key!r}]": limit for key, limit in limits.items()})
+    limit = limits.get(k, 0)
+    if n > limit:
+        raise BudgetError(
+            f"extremal search for k={k} is budgeted to n <= {limit} (asked n={n}); "
+            "pass budgets={...} to raise the limit explicitly"
+        )
+    value, syms = _min_scan(k, n, seed)
+    return ExtremalRecord(k, n, value, Word(syms, k), "exhaustive")
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +186,7 @@ def extremal_table(
 
 def iroot(x: int, n: int) -> int:
     """floor(x ** (1/n)) by Newton iteration on integers."""
+    _require_int(x=x, n=n)
     if x < 0 or n < 1:
         raise ContractError(f"iroot needs x >= 0, n >= 1, got x={x}, n={n}")
     if x == 0:
@@ -197,6 +208,7 @@ def iroot(x: int, n: int) -> int:
 
 def cross_compare(a: int, n1: int, b: int, n2: int) -> int:
     """Sign of a^(1/n1) - b^(1/n2), decided by cross-powering (exact)."""
+    _require_int(a=a, n1=n1, b=b, n2=n2)
     if a < 0 or b < 0 or n1 < 1 or n2 < 1:
         raise ContractError("cross_compare needs nonnegative bases, positive roots")
     left, right = a**n2, b**n1
@@ -206,6 +218,7 @@ def cross_compare(a: int, n1: int, b: int, n2: int) -> int:
 def root_decimal(a: int, n: int, places: int, mode: str) -> str:
     """a^(1/n) as a decimal string with the given places, rounded
     down ("floor") or up ("ceil")."""
+    _require_int(a=a, n=n, places=places)
     if mode not in ("floor", "ceil"):
         raise ContractError(f"mode must be floor or ceil, got {mode!r}")
     if places < 0:
@@ -216,12 +229,13 @@ def root_decimal(a: int, n: int, places: int, mode: str) -> str:
         r += 1
     if places == 0:
         return str(r)
-    return f"{r // 10**places}.{r % 10**places:0{places}d}"
+    return f"{r // 10**places}.{str(r % 10**places).zfill(places)}"
 
 
 def mu_window(record: ExtremalRecord, places: int = 3) -> MuWindow:
     """Two-sided growth-constant bracket from one extremal record:
     value^(1/n) <= mu_k <= (n*value)^(1/n), valid for k >= 2, n >= 3."""
+    _require_int(k=record.k, n=record.n, value=record.value)
     if record.k < 2 or record.n < 3:
         raise ContractError("window bracketing needs k >= 2 and n >= 3")
     lower = (record.value, record.n)
@@ -287,6 +301,7 @@ def check_submultiplicativity(
 ) -> SubmultReport:
     """Exact instance check of the table inequality
     value(k, m*n) <= C(m*n + m - 1, m - 1) * value(k, n)^m."""
+    _require_int(m=m, n=n)
     if m < 1 or n < 1:
         raise ContractError("need m >= 1 and n >= 1")
     lhs = extremal_value(k, m * n, budgets=budgets, use_registry=False).value

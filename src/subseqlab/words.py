@@ -7,10 +7,9 @@ both encodings round-trip through the one-words-per-line file format
 with an ``alphabet k=<int>`` header.
 
 Besides construction and slicing, this module owns the symmetry
-machinery used by the extremal searches: first-occurrence relabelling
-(a word's "restricted growth" normal form), reversal, and the
-canonical key that is constant on orbits of the combined relabel +
-reverse group action.
+machinery: first-occurrence relabelling (a word's "restricted growth"
+normal form), reversal, and the canonical key that is constant on
+orbits of the combined relabel + reverse group action.
 """
 
 from __future__ import annotations
@@ -169,24 +168,6 @@ def relabel(w: Word, mapping) -> Word:
     return Word(tuple(mapping[s] for s in w.symbols), w.alphabet_size)
 
 
-def first_occurrence_form(syms: tuple[int, ...]) -> tuple[int, ...]:
-    """Symbols renamed in order of first appearance (restricted growth form)."""
-    seen: dict[int, int] = {}
-    return tuple([seen.setdefault(s, len(seen)) for s in syms])
-
-
-def relabel_code(syms: tuple[int, ...], k: int) -> int:
-    """The first-occurrence form of syms as one int, for dict keys.
-
-    Digits in base k under a leading 1, so equal codes mean equal
-    length and equal form for one alphabet size k (not across sizes).
-    """
-    code = 1
-    for s in first_occurrence_form(syms):
-        code = code * k + s
-    return code
-
-
 def normalize(w: Word) -> Word:
     """First-occurrence normal form: rename letters in order of first appearance.
 
@@ -194,7 +175,8 @@ def normalize(w: Word) -> Word:
     under alphabet relabelling (first symbol becomes 0, each previously
     unseen symbol takes the next free id).
     """
-    return Word(first_occurrence_form(w.symbols), w.alphabet_size)
+    seen: dict[int, int] = {}
+    return Word(tuple([seen.setdefault(s, len(seen)) for s in w.symbols]), w.alphabet_size)
 
 
 def canonical_key(w: Word) -> CanonicalKey:

@@ -64,14 +64,23 @@ def brute_profile(w_syms, k):
 
 
 def brute_max_over_patterns(w_syms, k):
-    """Plain M(w) without any witness bookkeeping (for speed)."""
-    n = len(w_syms)
+    """Plain M(w) without any witness bookkeeping (for speed).
+
+    Grows patterns one symbol at a time and keeps only those that
+    occur: no extension of a pattern that does not occur can occur.
+    """
     best = 1
-    for length in range(1, n + 1):
-        for v in product(range(k), repeat=length):
-            c = count_by_plain_dp(v, w_syms)
-            if c > best:
-                best = c
+    level = [()]
+    while level:
+        grown = []
+        for v in level:
+            for s in range(k):
+                u = (*v, s)
+                c = count_by_plain_dp(u, w_syms)
+                if c:
+                    grown.append(u)
+                    best = max(best, c)
+        level = grown
     return best
 
 
@@ -83,6 +92,34 @@ def orbit_of(syms, k):
         out.add(fwd)
         out.add(fwd[::-1])
     return out
+
+
+def canonical_representatives(k, n):
+    """Yield one word per relabel+reverse orbit, in lexicographic order.
+
+    Words are produced in first-occurrence form (each new symbol is the
+    smallest unused id) by recursion over positions, and kept only when
+    not lexicographically beaten by the first-occurrence form of their
+    reversal.
+    """
+
+    def form(syms):
+        seen = {}
+        return tuple(seen.setdefault(s, len(seen)) for s in syms)
+
+    prefix = [0] * n
+
+    def rec(i, used):
+        if i == n:
+            w = tuple(prefix)
+            if form(w[::-1]) >= w:
+                yield w
+            return
+        for s in range(min(used + 1, k)):
+            prefix[i] = s
+            yield from rec(i + 1, max(used, s + 1))
+
+    yield from rec(0, 0)
 
 
 def subsequence_by_two_pointer(v_syms, w_syms):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 from math import comb
@@ -10,6 +11,7 @@ from subseqlab.counting import (
     _dominated,
     _extend_counts,
     _search_most_common,
+    _suffix_capacities,
     count_occurrences,
     enumerate_embeddings,
     max_occurrences,
@@ -19,7 +21,7 @@ from subseqlab.counting import (
     validate_embedding,
 )
 from subseqlab.errors import ContractError
-from subseqlab.words import Word, concat, from_ids, power, relabel, relabel_code, reverse, word
+from subseqlab.words import Word, concat, from_ids, power, relabel, reverse, word
 
 from oracles import (
     brute_max_over_patterns,
@@ -147,8 +149,18 @@ def test_validate_embedding_rejects_junk():
     # the first bad position is the one named, whatever comes after it
     with pytest.raises(ContractError, match="^symbol mismatch at position 1$"):
         validate_embedding(v, w, EmbeddingMap((1, 9), 2))
-    with pytest.raises(ContractError):
-        EmbeddingMap((2, 1), 2)
+
+
+def test_embedding_map_messages_pinned():
+    assert EmbeddingMap((), 0).positions == ()
+    assert EmbeddingMap((0, 3, 7), 3).positions == (0, 3, 7)
+    for positions in ((2, 1), (1, 1), (0, 5, 5), (0, 2, 1, 3)):
+        with pytest.raises(ContractError, match="^positions must be strictly increasing$"):
+            EmbeddingMap(positions, len(positions))
+    # the length check comes first
+    for positions, length in (((0, 1), 3), ((2, 1), 3), ((), 1)):
+        with pytest.raises(ContractError, match="^positions/source_length mismatch$"):
+            EmbeddingMap(positions, length)
 
 
 # ---------------------------------------------------------------------------
@@ -231,27 +243,31 @@ def test_search_abort_contract_exhaustive():
                         assert (value, witness) == (b_value, b_witness)
 
 
-def test_capacity_memo_changes_no_search_result():
-    # one memo per alphabet (relabel codes are base k), shared across
-    # every word and length, as in an extremal scan
-    memos = {}
+def test_search_with_supplied_capacities_is_exact():
+    # the extremal scan's call: exact suffix capacities supplied, the
+    # search floored at capacities[1]; an abort happens exactly when the
+    # true value reaches abort_at, otherwise the value is exact, and no
+    # witness comes back either way.  The floored capacity computation
+    # of a plain search must give the same exact capacities.
     for k, n_top in ((2, 10), (3, 6)):
-        memo = memos[k] = {}
+        brute = {}
         for n in range(n_top + 1):
             for syms in product(range(k), repeat=n):
-                w = Word(syms, k)
+                brute[syms] = brute_max_over_patterns(syms, k)
+                if n == 0:
+                    continue
+                capacities = [0] + [brute[syms[j:]] for j in range(1, n + 1)]
+                assert _suffix_capacities(Word(syms, k))[1:] == capacities[1:]
                 for abort_at in (None, 2, 3, 5, 9):
-                    plain = _search_most_common(w, abort_at)
-                    assert _search_most_common(w, abort_at, capacity_memo=memo) == plain
-    # every stored capacity is exact, whichever word stored it
-    seen = 0
-    for n in range(1, 9):
-        for syms in product(range(2), repeat=n):
-            for start in range(1, n):
-                suffix = syms[start:]
-                assert memos[2][relabel_code(suffix, 2)] == brute_max_over_patterns(suffix, 2)
-                seen += 1
-    assert seen and len(memos[2]) < seen  # suffixes really share entries
+                    value, witness, aborted = _search_most_common(
+                        Word(syms, k), abort_at, capacities
+                    )
+                    assert witness is None
+                    assert aborted == (abort_at is not None and brute[syms] >= abort_at)
+                    if aborted:
+                        assert abort_at <= value <= brute[syms]
+                    else:
+                        assert value == brute[syms]
 
 
 def test_fixed_length_examples():
@@ -273,6 +289,27 @@ def test_fixed_length_matches_brute_force():
         value, witness = max_occurrences_of_length(w, length)
         b_value, b_witness = brute_most_common_of_length(w.symbols, k, length)
         assert (value, witness.symbols) == (b_value, b_witness)
+
+
+def test_fixed_length_search_pinned():
+    # (count, witness) of 450 seeded random words and lengths, recorded
+    # with the recursive search this explicit-stack loop replaced
+    rng = random.Random(20261018)
+    h = hashlib.sha256()
+    for _ in range(450):
+        k = rng.choice([1, 2, 3, 4])
+        n = rng.randrange(0, 16)
+        w = Word(tuple(rng.randrange(k) for _ in range(n)), k)
+        length = rng.randrange(0, n + 2)
+        value, witness = max_occurrences_of_length(w, length)
+        h.update(repr((k, w.symbols, length, value, witness.symbols)).encode())
+    assert h.hexdigest() == "36bdc5323b34e8dc06d465c09cfbd00c3cdcfc765af36d987ea21d77b8fe8cec"
+
+
+def test_fixed_length_long_pattern_does_not_recurse():
+    value, witness = max_occurrences_of_length(Word((0,) * 1500, 1), 1400)
+    assert value == comb(1500, 1400)
+    assert witness == Word((0,) * 1400, 1)
 
 
 def test_profile_and_sum():

@@ -4,13 +4,14 @@ from importlib import resources
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from subseqlab import extremal as extremal_module
 from subseqlab.counting import max_occurrences, sum_over_lengths
-from subseqlab.errors import BudgetError, ContractError
+from subseqlab.errors import BudgetError, ContractError, NotApplicable, WordRangeError
 from subseqlab.extremal import (
     ExtremalRecord,
     best_window,
-    canonical_representatives,
     check_submultiplicativity,
     cross_compare,
     extremal_table,
@@ -23,7 +24,9 @@ from subseqlab.extremal import (
 )
 from subseqlab.words import Word, from_ids, word
 
-from oracles import brute_max_over_patterns
+from oracles import brute_max_over_patterns, canonical_representatives
+
+_DOCUMENTED_ERRORS = (ContractError, WordRangeError, BudgetError, NotApplicable)
 
 
 # frozen by the exhaustive search and spot-checked against the
@@ -87,6 +90,72 @@ def test_minimizer_is_first_minimum_of_unaborted_scan():
                     ref = (value, syms)
             rec = extremal_value(k, n, use_registry=False)
             assert (rec.value, rec.minimizer) == (ref[0], Word(ref[1], k))
+
+
+def test_seeded_table_rows_match_unseeded_scans():
+    # a table seeds each row with the previous row's minimizer; the rows
+    # must equal the unseeded extremal_value records
+    for k, n_max in ((2, 13), (3, 8), (4, 6)):
+        rows = extremal_table(k, n_max)
+        assert rows == [extremal_value(k, n, use_registry=False) for n in range(1, n_max + 1)]
+
+
+def test_k2_n15_pinned():
+    rec = extremal_value(2, 15, use_registry=False)
+    assert rec.value == 162
+    assert rec.minimizer.symbols == (0, 1, 1, 0, 0, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1)
+
+
+def _traced_scan(monkeypatch, k, n, seed, exact=False):
+    """Run one scan and return (searches, aborted searches).  Every
+    node search must get a floor below its threshold and, with
+    ``exact``, the oracle's top counts as capacities."""
+    search = extremal_module._search_most_common
+    brute = {}
+    seen = [0, 0]
+
+    def checked(w, abort_at=None, capacities=None):
+        syms = w.symbols
+        if capacities is None:  # a seed search: a one-symbol extension of the seed
+            assert abort_at is None and syms[:-1] == seed.symbols
+        else:
+            # exact ancestor capacities, and a floor below the threshold
+            assert capacities[len(syms)] == 1
+            for j in range(1, len(syms) if exact else 1):
+                suffix = syms[j:]
+                if suffix not in brute:
+                    brute[suffix] = brute_max_over_patterns(suffix, k)
+                assert capacities[j] == brute[suffix]
+            assert abort_at is None or capacities[1] < abort_at
+        result = search(w, abort_at, capacities)
+        seen[0] += 1
+        seen[1] += result[2]
+        return result
+
+    monkeypatch.setattr(extremal_module, "_search_most_common", checked)
+    try:
+        extremal_module._min_scan(k, n, seed)
+    finally:
+        monkeypatch.undo()
+    return tuple(seen)
+
+
+def test_scan_searches_get_exact_capacities_and_a_floor_below_the_threshold(monkeypatch):
+    for k, n in ((2, 9), (3, 6), (4, 5)):
+        seed = extremal_value(k, n - 1, use_registry=False).minimizer
+        _traced_scan(monkeypatch, k, n, None, exact=True)
+        _traced_scan(monkeypatch, k, n, seed, exact=True)
+
+
+def test_scan_node_searches_pinned(monkeypatch):
+    # (searches, aborted) of the pruned walk: the parent prune, the
+    # abort test and the seed threshold each change these counts
+    seed12 = extremal_value(2, 12, use_registry=False).minimizer
+    seed6 = extremal_value(3, 6, use_registry=False).minimizer
+    assert _traced_scan(monkeypatch, 2, 13, None) == (5605, 2768)
+    assert _traced_scan(monkeypatch, 2, 13, seed12) == (4642, 2317)
+    assert _traced_scan(monkeypatch, 3, 7, None) == (217, 132)
+    assert _traced_scan(monkeypatch, 3, 7, seed6) == (178, 112)
 
 
 def test_budget_errors_name_the_limit():
@@ -231,3 +300,69 @@ def test_submultiplicativity_instances():
         check_submultiplicativity(2, 2, 10)
     with pytest.raises(ContractError):
         check_submultiplicativity(2, 0, 3)
+
+
+# ---------------------------------------------------------------------------
+# contracts
+
+
+def test_non_int_arguments_are_contract_errors():
+    for call in (
+        lambda: extremal_value(2, 3, budgets={2: "x"}),
+        lambda: extremal_value(None, 5),
+        lambda: extremal_value(2, 2.0),
+        lambda: extremal_value(2, 3, budgets=[(2, 3)]),
+        lambda: extremal_table(2, 3.0),
+        lambda: iroot(2.5, 2),
+        lambda: iroot(4, None),
+        lambda: root_decimal(2, 3, 1.5, "floor"),
+        lambda: cross_compare(1e308, 1, 2, 5),
+        lambda: mu_window(ExtremalRecord(2, 5, 2.5, None, "exhaustive")),
+        lambda: check_submultiplicativity(2, None, 3),
+    ):
+        with pytest.raises(ContractError, match="must be"):
+            call()
+
+
+_JUNK = st.sampled_from([None, 2.0, 1.5, float("nan"), "3", (2,), True])
+
+
+def _int_or_junk(lo, hi):
+    return st.one_of(st.integers(lo, hi), _JUNK)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_extremal_api_raises_only_documented_errors(data):
+    draw = data.draw
+    k = draw(_int_or_junk(-1, 4))
+    n = draw(_int_or_junk(-1, 8))
+    budgets = draw(
+        st.one_of(
+            st.none(),
+            st.dictionaries(st.integers(-1, 5), _int_or_junk(-1, 8), max_size=3),
+            _JUNK,
+        )
+    )
+    use_registry = draw(st.booleans())
+    places = draw(_int_or_junk(-1, 5))
+    small = _int_or_junk(-5, 10**6)
+    root = _int_or_junk(-2, 6)
+    record = ExtremalRecord(
+        draw(_int_or_junk(0, 4)), draw(_int_or_junk(0, 12)), draw(small), None, "exhaustive"
+    )
+    calls = [
+        lambda: extremal_value(k, n, budgets=budgets, use_registry=use_registry),
+        lambda: extremal_table(k, n, budgets=budgets, use_registry=use_registry),
+        lambda: mu_window(record, places),
+        lambda: best_window([record] * draw(st.integers(0, 2)), places),
+        lambda: iroot(draw(small), draw(root)),
+        lambda: root_decimal(draw(small), draw(root), places, draw(st.sampled_from(["floor", "ceil", "up"]))),
+        lambda: cross_compare(draw(small), draw(root), draw(small), draw(root)),
+        lambda: check_submultiplicativity(k, draw(_int_or_junk(-1, 3)), draw(_int_or_junk(-1, 3)), budgets),
+    ]
+    for call in calls:
+        try:
+            call()
+        except _DOCUMENTED_ERRORS:
+            pass
