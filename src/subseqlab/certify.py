@@ -33,7 +33,7 @@ from itertools import combinations
 from math import prod
 
 from .counting import count_occurrences
-from .errors import ContractError, NotApplicable
+from .errors import ContractError, NotApplicable, require_int
 from .lcs import is_permutation_word, lcs2
 from .words import Interval, Word, concat, subword
 
@@ -61,6 +61,7 @@ class BlockDecomposition:
 def decompose(w: Word, blocks: int) -> BlockDecomposition:
     """Split the first blocks*(|w| // blocks) symbols evenly; the
     remainder is reported, not covered."""
+    require_int(blocks=blocks)
     if blocks < 1:
         raise ContractError(f"block count must be >= 1, got {blocks}")
     if blocks > len(w):
@@ -77,6 +78,7 @@ def recommended_parameters(r: int) -> tuple[int, int]:
     """(block count, block length) on the schedule that makes the
     asymptotic bound work: alphabet size 2^r - (2^r mod r^2), split
     into 2r^2 + 5r blocks of that size divided by r^2."""
+    require_int(r=r)
     if r < 1:
         raise ContractError(f"parameter must be >= 1, got {r}")
     k = 2**r - (2**r % (r * r))
@@ -209,6 +211,7 @@ def best_triple(bd: BlockDecomposition) -> TripleFinding:
 def disjoint_triples(bd: BlockDecomposition, count: int) -> TripleFamily:
     """Greedily extract ``count`` block-disjoint triples (fewer if the
     permutation blocks run out), returned ordered by middle index."""
+    require_int(count=count)
     if count < 0:
         raise ContractError(f"triple count must be >= 0, got {count}")
     available = list(bd.permutation_indices)
@@ -230,6 +233,7 @@ def _pair_claim(bd: BlockDecomposition, i: int, j: int) -> Claim:
 def lcs_pair_certificate(bd: BlockDecomposition, i: int, j: int) -> Certificate:
     """A common subsequence of blocks i < j embeds once per choice of
     the switch point from block i to block j: bound = length + 1."""
+    require_int(i=i, j=j)
     if not 1 <= i < j <= bd.block_count:
         raise ContractError(
             f"need 1 <= i < j <= {bd.block_count}, got ({i}, {j})"
@@ -258,6 +262,8 @@ def _chained_claim(bd: BlockDecomposition, triples: tuple[TripleFinding, ...]) -
     witness, claimed, steps = Word((), bd.word.alphabet_size), 1, []
     for t, x, y in pairs:
         blocks = (t.first, t.middle, t.last)
+        if not 1 <= t.first < t.middle < t.last <= bd.block_count:
+            raise ContractError(f"triple {blocks} is not increasing in 1..{bd.block_count}")
         restricted = _triple_restrictions(bd, *blocks)
         length, part = lcs2(restricted[x], restricted[y])
         if length != _stored_lcs(t, x, y):
@@ -332,6 +338,7 @@ def certify_word(w: Word, chunk: int) -> Certificate:
     """Cut w into consecutive chunks, claim a bound for each, and
     multiply: the concatenated witness embeds chunk-locally, so counts
     multiply.  Its recount against w is the only one."""
+    require_int(chunk=chunk)
     if chunk < 1:
         raise ContractError(f"chunk length must be >= 1, got {chunk}")
     if len(w) == 0:

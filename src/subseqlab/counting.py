@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from math import comb
 from operator import lt
 
-from .errors import ContractError
+from .errors import ContractError, require_int
 from .words import Word
 
 _DOMINANCE_STORE_CAP = 512  # per-depth cap on states kept for dominance tests
@@ -133,8 +133,10 @@ def enumerate_embeddings(v: Word, w: Word, cap: int | None = None) -> EmbeddingE
     ``truncated`` reports whether more exist.
     """
     _check_shared_alphabet(v, w)
-    if cap is not None and cap < 0:
-        raise ContractError(f"cap must be >= 0, got {cap}")
+    if cap is not None:
+        require_int(cap=cap)
+        if cap < 0:
+            raise ContractError(f"cap must be >= 0, got {cap}")
     m = len(v)
     want = None if cap is None else cap + 1  # one extra to detect truncation
     out: list[EmbeddingMap] = []
@@ -330,6 +332,7 @@ def max_occurrences(w: Word) -> tuple[int, Word]:
 
 def max_occurrences_of_length(w: Word, length: int) -> tuple[int, Word]:
     """Most frequent pattern of exactly the given length: (count, witness)."""
+    require_int(length=length)
     if length < 0:
         raise ContractError(f"length must be >= 0, got {length}")
     n = len(w)

@@ -29,3 +29,10 @@ class NotApplicable(Exception):
     Distinct from ContractError: the input is legal, there is just no
     result of the requested kind (e.g. no duplicated letter anywhere).
     """
+
+
+def require_int(**values) -> None:
+    """Raise ContractError naming the first argument that is not an int."""
+    for name, value in values.items():
+        if not isinstance(value, int):
+            raise ContractError(f"{name} must be an int, got {value!r}")

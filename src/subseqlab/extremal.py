@@ -6,14 +6,17 @@ keeps every count, so the scan is one depth-first walk, in lex order,
 over words x in first-occurrence form.  Each node searches rev(x).  Its
 suffixes are x's ancestors reversed, so their exact top counts, kept on
 the stack, are the search's capacities; its parent is a factor of it,
-so the parent's count is a floor to start from.  A search aborts once a
-pattern occurs as often as the best leaf so far, pruning the node's
-subtree, as does a parent already at the best; ties abort, so the
-minimizer is the lexicographically first.  Reversal keeps every count
-too, and a leaf whose reversal has a smaller form meets that twin's
-count as the best, so it always aborts.  A table starts each row at
-best = U + 1, U the smallest top count of the previous row's minimizer
-extended by one symbol.
+so the parent's count is a floor to start from.  Top counts are
+supermultiplicative, and every word of length r counts at least a
+pigeonhole bound L(r), so a node is cut once its count reaches the best
+leaf so far divided by L of the symbols still to come: by an aborted
+search, or with no search, by an ancestor's exact count times a letter
+bound on the rest (see _min_scan).  Ties are cut, so the minimizer is
+the lexicographically first.  Reversal keeps every count too, and a
+leaf whose reversal has a smaller form meets that twin's count as the
+best, so it is always cut.  A table starts each row at best = U + 1, U
+the smallest top count of the previous row's minimizer extended by one
+symbol.
 
 The n-th root of the table value brackets the growth constant:
 
@@ -37,7 +40,7 @@ from importlib import resources
 from math import comb
 
 from .counting import _search_most_common, sum_over_lengths
-from .errors import BudgetError, ContractError
+from .errors import BudgetError, ContractError, require_int
 from .words import Word
 
 DEFAULT_BUDGETS = {2: 16, 3: 9, 4: 6}
@@ -75,33 +78,39 @@ class MuWindow:
             raise ContractError("window lower bound exceeds upper bound")
 
 
-def _require_int(**values) -> None:
-    for name, value in values.items():
-        if not isinstance(value, int):
-            raise ContractError(f"{name} must be an int, got {value!r}")
-
-
 def _min_scan(k: int, n: int, seed: Word | None = None) -> tuple[int, tuple[int, ...]]:
     """(value, lex-first minimizer); ``seed`` is a word of length n - 1
-    whose extensions bound the minimum from above."""
+    whose extensions bound the minimum from above.
+
+    The top patterns of u and v concatenate, so M(uv) >= M(u) * M(v).  A
+    word of length r has a letter occurring c >= ceil(r / k) times, whose
+    half power occurs half[c] = C(c, c // 2) times, so M >= L(r) =
+    half[ceil(r / k)].  Every leaf below the node y = x[:d+1] counts at
+    least M(y) * L(n - d - 1), so y is cut once M(y) reaches ceil(best /
+    L(n - d - 1)): before its search if vals[j] * half[top letter count
+    of y[j:]] does for some j <= d (j = d is the parent), else when its
+    search aborts.  At a leaf L(0) = 1, so the threshold is best.
+    """
     if n == 0:
         return 1, ()
-    best = None
+    best = 2**n + 1  # above every count: a word has 2^n position subsets
     if seed is not None:
         best = 1 + min(_search_most_common(Word((*seed.symbols, s), k))[0] for s in range(k))
     best_syms = ()
+    half = [comb(c, c // 2) for c in range(n + 1)]
     x = [0] * n
     vals = [1] * (n + 1)  # vals[d]: exact top count of x[:d]
     # pending nodes (d, x[d], distinct symbols in x[:d]), popped in lex order
     stack = [(0, 0, 0)]
     while stack:
         d, s, used = stack.pop()
-        if best is not None and vals[d] >= best:
-            continue  # the parent x[:d] already reaches the best
         x[d] = s
+        threshold = -(-best // half[-(-(n - d - 1) // k)])
+        if _product_reaches(x, vals, d, k, half, threshold):
+            continue
         rev = tuple(x[d::-1])
         # capacities[j] = vals[d + 1 - j] is the ancestor rev[j:]; slot 0 is unused
-        value, _, aborted = _search_most_common(Word(rev, k), best, vals[d + 1 :: -1])
+        value, _, aborted = _search_most_common(Word(rev, k), threshold, vals[d + 1 :: -1])
         if aborted:
             continue
         if d + 1 == n:
@@ -111,6 +120,18 @@ def _min_scan(k: int, n: int, seed: Word | None = None) -> tuple[int, tuple[int,
         used = max(used, s + 1)
         stack += [(d + 1, t, used) for t in reversed(range(min(used + 1, k)))]
     return best, best_syms
+
+
+def _product_reaches(x, vals, d, k, half, threshold) -> bool:
+    """Whether vals[j] * half[top letter count of x[j : d + 1]] >= threshold for a j <= d."""
+    counts = [0] * k
+    top = 0
+    for j in range(d, -1, -1):
+        counts[x[j]] += 1
+        top = max(top, counts[x[j]])
+        if vals[j] * half[top] >= threshold:
+            return True
+    return False
 
 
 @cache
@@ -150,7 +171,7 @@ def extremal_table(
     use_registry: bool = False,
 ) -> list[ExtremalRecord]:
     """Records for n = 1..n_max; each searched row seeds the next one."""
-    _require_int(n_max=n_max)
+    require_int(n_max=n_max)
     records: list[ExtremalRecord] = []
     for n in range(1, n_max + 1):
         seed = records[-1].minimizer if records else None
@@ -160,7 +181,7 @@ def extremal_table(
 
 def _record(k, n, budgets, use_registry, seed: Word | None) -> ExtremalRecord:
     """One checked table row; a searched row starts from ``seed`` (see _min_scan)."""
-    _require_int(k=k, n=n)
+    require_int(k=k, n=n)
     if k < 1 or n < 0:
         raise ContractError(f"need k >= 1 and n >= 0, got k={k}, n={n}")
     hit = known_record(k, n) if use_registry else None
@@ -169,7 +190,7 @@ def _record(k, n, budgets, use_registry, seed: Word | None) -> ExtremalRecord:
     if not isinstance(budgets, (dict, type(None))):
         raise ContractError(f"budgets must be a dict, got {budgets!r}")
     limits = {**DEFAULT_BUDGETS, **(budgets or {})}
-    _require_int(**{f"budgets[{key!r}]": limit for key, limit in limits.items()})
+    require_int(**{f"budgets[{key!r}]": limit for key, limit in limits.items()})
     limit = limits.get(k, 0)
     if n > limit:
         raise BudgetError(
@@ -186,7 +207,7 @@ def _record(k, n, budgets, use_registry, seed: Word | None) -> ExtremalRecord:
 
 def iroot(x: int, n: int) -> int:
     """floor(x ** (1/n)) by Newton iteration on integers."""
-    _require_int(x=x, n=n)
+    require_int(x=x, n=n)
     if x < 0 or n < 1:
         raise ContractError(f"iroot needs x >= 0, n >= 1, got x={x}, n={n}")
     if x == 0:
@@ -208,7 +229,7 @@ def iroot(x: int, n: int) -> int:
 
 def cross_compare(a: int, n1: int, b: int, n2: int) -> int:
     """Sign of a^(1/n1) - b^(1/n2), decided by cross-powering (exact)."""
-    _require_int(a=a, n1=n1, b=b, n2=n2)
+    require_int(a=a, n1=n1, b=b, n2=n2)
     if a < 0 or b < 0 or n1 < 1 or n2 < 1:
         raise ContractError("cross_compare needs nonnegative bases, positive roots")
     left, right = a**n2, b**n1
@@ -218,7 +239,7 @@ def cross_compare(a: int, n1: int, b: int, n2: int) -> int:
 def root_decimal(a: int, n: int, places: int, mode: str) -> str:
     """a^(1/n) as a decimal string with the given places, rounded
     down ("floor") or up ("ceil")."""
-    _require_int(a=a, n=n, places=places)
+    require_int(a=a, n=n, places=places)
     if mode not in ("floor", "ceil"):
         raise ContractError(f"mode must be floor or ceil, got {mode!r}")
     if places < 0:
@@ -235,7 +256,7 @@ def root_decimal(a: int, n: int, places: int, mode: str) -> str:
 def mu_window(record: ExtremalRecord, places: int = 3) -> MuWindow:
     """Two-sided growth-constant bracket from one extremal record:
     value^(1/n) <= mu_k <= (n*value)^(1/n), valid for k >= 2, n >= 3."""
-    _require_int(k=record.k, n=record.n, value=record.value)
+    require_int(k=record.k, n=record.n, value=record.value)
     if record.k < 2 or record.n < 3:
         raise ContractError("window bracketing needs k >= 2 and n >= 3")
     lower = (record.value, record.n)
@@ -301,7 +322,7 @@ def check_submultiplicativity(
 ) -> SubmultReport:
     """Exact instance check of the table inequality
     value(k, m*n) <= C(m*n + m - 1, m - 1) * value(k, n)^m."""
-    _require_int(m=m, n=n)
+    require_int(m=m, n=n)
     if m < 1 or n < 1:
         raise ContractError("need m >= 1 and n >= 1")
     lhs = extremal_value(k, m * n, budgets=budgets, use_registry=False).value

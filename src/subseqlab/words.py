@@ -32,8 +32,8 @@ class Word:
     alphabet_size: int
 
     def __post_init__(self) -> None:
-        if self.alphabet_size < 1:
-            raise ContractError(f"alphabet_size must be >= 1, got {self.alphabet_size}")
+        if not isinstance(self.alphabet_size, int) or self.alphabet_size < 1:
+            raise ContractError(f"alphabet_size must be an int >= 1, got {self.alphabet_size!r}")
         if self.symbols:
             if not all(map(isinstance, self.symbols, repeat(int))):
                 bad = next(s for s in self.symbols if not isinstance(s, int))

@@ -1,0 +1,13 @@
+"""Inputs for the hypothesis contract tests: any call into the public API
+may raise only the documented error types, whatever it is fed."""
+
+from hypothesis import strategies as st
+
+from subseqlab.errors import BudgetError, ContractError, NotApplicable, WordRangeError
+
+DOCUMENTED_ERRORS = (ContractError, WordRangeError, BudgetError, NotApplicable)
+JUNK = st.sampled_from([None, 2.0, 1.5, float("nan"), "3", (2,), True])
+
+
+def int_or_junk(lo, hi):
+    return st.one_of(st.integers(lo, hi), JUNK)

@@ -6,6 +6,7 @@ import random
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subseqlab import certify
 from subseqlab.certify import (
@@ -26,6 +27,7 @@ from subseqlab.errors import ContractError, NotApplicable
 from subseqlab.lcs import check_triple_product
 from subseqlab.words import Word, concat, from_ids, is_subsequence, power, word
 
+from contract_inputs import DOCUMENTED_ERRORS, int_or_junk
 from oracles import count_by_plain_dp
 
 
@@ -267,6 +269,18 @@ def test_chained_certificate_rejects_a_finding_its_blocks_do_not_support():
         chained_certificate(bd, (inflated,))
 
 
+def test_chained_certificate_rejects_triples_outside_the_decomposition():
+    w = power(word("abc"), 6)
+    family = disjoint_triples(decompose(w, 6), 2).triples
+    with pytest.raises(ContractError, match="not increasing in 1..2"):
+        chained_certificate(decompose(w, 2), family)
+    t = family[0]
+    for blocks in ((0, 1, 2), (-1, 1, 2), (2, 1, 3), (1, 2, 7)):
+        bad = TripleFinding(*blocks, t.common_symbols, t.lcs_first_middle, t.lcs_first_last, t.lcs_middle_last)
+        with pytest.raises(ContractError, match="not increasing in 1..6"):
+            chained_certificate(decompose(w, 6), (bad,))
+
+
 def test_chained_certificate_empty_falls_back_to_best_pair():
     w = power(word("abcde"), 2)
     cert = chained_certificate(decompose(w, 2), ())
@@ -446,3 +460,56 @@ def test_public_certificates_pinned_outputs():
             except NotApplicable as exc:
                 records.append(("NA", str(exc)))
     assert _digest(records) == "6a2ee6b382f86a031469213d47b1fa95efa83bb0aaa66e83d9fba8f281f879b9"
+
+
+# ---------------------------------------------------------------------------
+# contracts
+
+def test_non_int_arguments_are_contract_errors():
+    w = word("abcabcabc")
+    bd = decompose(w, 3)
+    for bad in (1.5, 2.0, None, "1"):
+        for call in (
+            lambda: certify_word(w, bad),
+            lambda: decompose(w, bad),
+            lambda: recommended_parameters(bad),
+            lambda: disjoint_triples(bd, bad),
+            lambda: lcs_pair_certificate(bd, bad, 2),
+            lambda: lcs_pair_certificate(bd, 1, bad),
+        ):
+            with pytest.raises(ContractError, match="must be an int"):
+                call()
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_certify_api_raises_only_documented_errors(data):
+    draw = data.draw
+    k = draw(st.integers(1, 5))
+    if draw(st.booleans()):  # permutation blocks, so the triple routes run
+        blocks = draw(st.lists(st.permutations(range(k)), max_size=6))
+        syms = tuple(s for block in blocks for s in block)
+    else:
+        syms = tuple(draw(st.lists(st.integers(0, k - 1), max_size=24)))
+    w = Word(syms, k)
+
+    def bd():
+        return decompose(w, draw(int_or_junk(-1, 8)))
+
+    def triples(b):
+        found = disjoint_triples(b, draw(int_or_junk(-1, 3))).triples
+        return found[::-1] if draw(st.booleans()) else found
+
+    calls = [
+        lambda: certify_word(w, draw(int_or_junk(-1, 26))),
+        lambda: recommended_parameters(draw(int_or_junk(-2, 12))),
+        lambda: duplicate_letter_certificate(bd()),
+        lambda: best_triple(bd()),
+        lambda: lcs_pair_certificate(bd(), draw(int_or_junk(-1, 6)), draw(int_or_junk(-1, 6))),
+        lambda: chained_certificate(bd(), triples(bd())),
+    ]
+    for call in calls:
+        try:
+            call()
+        except DOCUMENTED_ERRORS:
+            pass

@@ -1,5 +1,6 @@
 """Frontend tests: run main() in-process and inspect artifacts."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -161,6 +162,36 @@ def test_table_json_and_csv_mirror(tmp_path, capsys):
     mirror = (tmp_path / "table.csv").read_text().strip().split("\n")
     assert mirror[0] == "n,value,witness,method"
     assert len(mirror) == 7
+
+
+# sha256 of the table artifact and its CSV mirror, recorded with the scan
+# that cut a subtree only once a node reached the best count itself; the
+# product cuts since then must leave every byte in place
+_TABLE_DIGESTS = {
+    (2, 14): (
+        "a09679a89e041e53ac44ee7e032327e8873adf5677f7e6bb78be9202f4d19133",
+        "22d0781a39a8501a34807b512ab27f82a341d64228124edc5183d13fdb1409e5",
+    ),
+    (3, 8): (
+        "cd5e4598c289a9e9c5c834ed7a3381ed539ec00ebc7139717db223589ec8ac2f",
+        "52e65430a1fea065786aee931399dce852c1d24f166cd0e63fd31b8c03159d70",
+    ),
+    (4, 6): (
+        "e18ed24e9d93eab9077c093a04d439c6dad93d75b1b1c51241190619dae37825",
+        "79351b3ecf5d25ac940ec46731f0de20800ed8adc30efd1d2ee80df9293e44f7",
+    ),
+}
+
+
+def test_table_artifacts_pinned(tmp_path, capsys):
+    for (k, n_max), (json_digest, csv_digest) in _TABLE_DIGESTS.items():
+        out_path = tmp_path / f"table{k}.json"
+        argv = ["table", "--k", str(k), "--n-max", str(n_max), "--out", str(out_path)]
+        assert main(argv) == EXIT_OK
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == json_digest, (k, n_max)
+        csv_bytes = out_path.with_suffix(".csv").read_bytes()
+        assert hashlib.sha256(csv_bytes).hexdigest() == csv_digest, (k, n_max)
+    capsys.readouterr()
 
 
 def test_mu_window_schema(capsys):

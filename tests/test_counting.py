@@ -23,6 +23,7 @@ from subseqlab.counting import (
 from subseqlab.errors import ContractError
 from subseqlab.words import Word, concat, from_ids, power, relabel, reverse, word
 
+from contract_inputs import DOCUMENTED_ERRORS, int_or_junk
 from oracles import (
     brute_max_over_patterns,
     brute_most_common,
@@ -391,3 +392,53 @@ def test_single_letter_maximum_is_pigeonhole_bound():
         assert value == freq
         assert value >= -(-n // k)  # ceil(n / k)
         assert w.symbols.count(witness.symbols[0]) == value
+
+
+# ---------------------------------------------------------------------------
+# contracts
+
+def _draw_word(draw, max_len):
+    """A legal word (possibly empty, k = 1 included), or one whose
+    alphabet size or an extra symbol is junk or out of range."""
+    k = draw(st.integers(1, 4))
+    syms = tuple(draw(st.lists(st.integers(0, k - 1), max_size=max_len)))
+    if draw(st.booleans()):
+        return Word(syms, k)
+    return Word((*syms, draw(int_or_junk(-1, 5))), draw(int_or_junk(-1, 5)))
+
+
+def test_non_int_arguments_are_contract_errors():
+    v, w = word("ab"), word("abab")
+    for bad in (1.5, 2.0, "1"):
+        with pytest.raises(ContractError, match="length must be an int"):
+            max_occurrences_of_length(w, bad)
+        with pytest.raises(ContractError, match="cap must be an int"):
+            enumerate_embeddings(v, w, cap=bad)
+    with pytest.raises(ContractError, match="length must be an int"):
+        max_occurrences_of_length(w, None)
+    assert len(enumerate_embeddings(v, w, cap=None)) == 3  # None means no cap
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_counting_api_raises_only_documented_errors(data):
+    draw = data.draw
+    positions = st.lists(st.integers(-2, 14), max_size=6).map(tuple)
+    calls = [
+        lambda: count_occurrences(_draw_word(draw, 5), _draw_word(draw, 12)),
+        lambda: enumerate_embeddings(
+            _draw_word(draw, 4), _draw_word(draw, 12), draw(st.one_of(st.none(), int_or_junk(-1, 5)))
+        ),
+        lambda: validate_embedding(
+            _draw_word(draw, 5), _draw_word(draw, 12), EmbeddingMap(draw(positions), draw(int_or_junk(-1, 6)))
+        ),
+        lambda: max_occurrences(_draw_word(draw, 12)),
+        lambda: max_occurrences_of_length(_draw_word(draw, 12), draw(int_or_junk(-1, 14))),
+        lambda: occurrence_profile(_draw_word(draw, 9)),
+        lambda: sum_over_lengths(_draw_word(draw, 9)),
+    ]
+    for call in calls:
+        try:
+            call()
+        except DOCUMENTED_ERRORS:
+            pass

@@ -2,13 +2,14 @@ import json
 import random
 from importlib import resources
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from subseqlab import extremal as extremal_module
 from subseqlab.counting import max_occurrences, sum_over_lengths
-from subseqlab.errors import BudgetError, ContractError, NotApplicable, WordRangeError
+from subseqlab.errors import BudgetError, ContractError
 from subseqlab.extremal import (
     ExtremalRecord,
     best_window,
@@ -24,10 +25,8 @@ from subseqlab.extremal import (
 )
 from subseqlab.words import Word, from_ids, word
 
+from contract_inputs import DOCUMENTED_ERRORS, JUNK, int_or_junk
 from oracles import brute_max_over_patterns, canonical_representatives
-
-_DOCUMENTED_ERRORS = (ContractError, WordRangeError, BudgetError, NotApplicable)
-
 
 # frozen by the exhaustive search and spot-checked against the
 # double brute force below
@@ -148,14 +147,34 @@ def test_scan_searches_get_exact_capacities_and_a_floor_below_the_threshold(monk
 
 
 def test_scan_node_searches_pinned(monkeypatch):
-    # (searches, aborted) of the pruned walk: the parent prune, the
-    # abort test and the seed threshold each change these counts
+    # (searches, aborted) of the pruned walk: the depth-scaled threshold,
+    # the product cut, the abort test and the seed threshold each change
+    # these counts
     seed12 = extremal_value(2, 12, use_registry=False).minimizer
     seed6 = extremal_value(3, 6, use_registry=False).minimizer
-    assert _traced_scan(monkeypatch, 2, 13, None) == (5605, 2768)
-    assert _traced_scan(monkeypatch, 2, 13, seed12) == (4642, 2317)
-    assert _traced_scan(monkeypatch, 3, 7, None) == (217, 132)
-    assert _traced_scan(monkeypatch, 3, 7, seed6) == (178, 112)
+    assert _traced_scan(monkeypatch, 2, 13, None) == (3467, 1051)
+    assert _traced_scan(monkeypatch, 2, 13, seed12) == (2603, 835)
+    assert _traced_scan(monkeypatch, 3, 7, None) == (86, 21)
+    assert _traced_scan(monkeypatch, 3, 7, seed6) == (66, 23)
+
+
+def test_scan_cuts_rest_on_product_bounds_the_oracle_confirms():
+    # the product cut: M(w) >= M(w[:j]) * C(c, c // 2) for every split j,
+    # c the top letter count of w[j:], on every word of the sweep
+    for k, n_top in ((2, 10), (3, 6)):
+        top = {(): 1}
+        for n in range(1, n_top + 1):
+            for syms in product(range(k), repeat=n):
+                top[syms] = brute_max_over_patterns(syms, k)
+                for j in range(n + 1):
+                    c = max(syms[j:].count(s) for s in range(k))
+                    assert top[syms] >= top[syms[:j]] * comb(c, c // 2), (syms, j)
+    # the depth-scaled threshold: L(r) = C(c, c // 2), c = ceil(r / k),
+    # is at most the smallest top count of any length-r word
+    for k, table in ((2, TABLE_K2), (3, TABLE_K3)):
+        for r, value in enumerate(table, start=1):
+            c = -(-r // k)
+            assert comb(c, c // 2) <= value, (k, r)
 
 
 def test_budget_errors_name_the_limit():
@@ -324,32 +343,25 @@ def test_non_int_arguments_are_contract_errors():
             call()
 
 
-_JUNK = st.sampled_from([None, 2.0, 1.5, float("nan"), "3", (2,), True])
-
-
-def _int_or_junk(lo, hi):
-    return st.one_of(st.integers(lo, hi), _JUNK)
-
-
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_extremal_api_raises_only_documented_errors(data):
     draw = data.draw
-    k = draw(_int_or_junk(-1, 4))
-    n = draw(_int_or_junk(-1, 8))
+    k = draw(int_or_junk(-1, 4))
+    n = draw(int_or_junk(-1, 8))
     budgets = draw(
         st.one_of(
             st.none(),
-            st.dictionaries(st.integers(-1, 5), _int_or_junk(-1, 8), max_size=3),
-            _JUNK,
+            st.dictionaries(st.integers(-1, 5), int_or_junk(-1, 8), max_size=3),
+            JUNK,
         )
     )
     use_registry = draw(st.booleans())
-    places = draw(_int_or_junk(-1, 5))
-    small = _int_or_junk(-5, 10**6)
-    root = _int_or_junk(-2, 6)
+    places = draw(int_or_junk(-1, 5))
+    small = int_or_junk(-5, 10**6)
+    root = int_or_junk(-2, 6)
     record = ExtremalRecord(
-        draw(_int_or_junk(0, 4)), draw(_int_or_junk(0, 12)), draw(small), None, "exhaustive"
+        draw(int_or_junk(0, 4)), draw(int_or_junk(0, 12)), draw(small), None, "exhaustive"
     )
     calls = [
         lambda: extremal_value(k, n, budgets=budgets, use_registry=use_registry),
@@ -359,10 +371,10 @@ def test_extremal_api_raises_only_documented_errors(data):
         lambda: iroot(draw(small), draw(root)),
         lambda: root_decimal(draw(small), draw(root), places, draw(st.sampled_from(["floor", "ceil", "up"]))),
         lambda: cross_compare(draw(small), draw(root), draw(small), draw(root)),
-        lambda: check_submultiplicativity(k, draw(_int_or_junk(-1, 3)), draw(_int_or_junk(-1, 3)), budgets),
+        lambda: check_submultiplicativity(k, draw(int_or_junk(-1, 3)), draw(int_or_junk(-1, 3)), budgets),
     ]
     for call in calls:
         try:
             call()
-        except _DOCUMENTED_ERRORS:
+        except DOCUMENTED_ERRORS:
             pass

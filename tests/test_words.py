@@ -74,6 +74,14 @@ def test_symbol_out_of_range_rejected():
     assert Word((0, 2**70), 2**71).symbols == (0, 2**70)
 
 
+def test_alphabet_size_must_be_an_int():
+    for bad in (2.5, 2.0, "a", None, float("nan")):
+        with pytest.raises(ContractError, match="alphabet_size must be an int"):
+            Word((0, 1, 1), bad)
+        with pytest.raises(ContractError, match="alphabet_size must be an int"):
+            Word((), bad)
+
+
 def test_subword_examples():
     w = word("abracadabra")
     assert to_text(subword(w, Interval(0, 3))) == "abra"
