@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import mul
 
-from .errors import BudgetError, ContractError
+from .errors import BudgetError, ContractError, require_int, require_int_tuple
 from .lcs import lcs2, lcs3, multi_lcs
 from .words import Word
 
@@ -51,13 +52,16 @@ def base_sign_vectors() -> tuple[SignVector, ...]:
 def sign_vector_at(i: int, vectors: tuple[SignVector, ...] | None = None) -> SignVector:
     """Periodic block index (1-based) -> sign vector; i=8 maps to the
     eighth vector, i=9 back to the first."""
+    require_int(i=i)
     if i < 1:
         raise ContractError(f"block index must be >= 1, got {i}")
-    vs = _BASE_SIGNS if vectors is None else tuple(vectors)
+    vs = _BASE_SIGNS if vectors is None else _sign_family(vectors)
     return vs[(i - 1) % len(vs)]
 
 
 def parse_signs(text: str) -> SignVector:
+    if not isinstance(text, str):
+        raise ContractError(f"sign text must be a str, got {text!r}")
     out = []
     for ch in text:
         if ch == "+":
@@ -70,12 +74,26 @@ def parse_signs(text: str) -> SignVector:
 
 
 def signs_to_text(u: SignVector) -> str:
+    _check_sign_vector(u)
     return "".join("+" if s > 0 else "-" for s in u)
 
 
 def _check_sign_vector(u: SignVector) -> None:
-    if not u or any(s not in (1, -1) for s in u):
+    if not isinstance(u, tuple) or not u or not all(map((1, -1).__contains__, u)):
         raise ContractError("a sign vector is a nonempty tuple over {+1, -1}")
+
+
+def _sign_family(vectors) -> tuple[SignVector, ...]:
+    """A nonempty family of sign vectors as a tuple of tuples."""
+    try:
+        vs = tuple(map(tuple, vectors))
+    except TypeError:
+        raise ContractError(f"expected a family of sign vectors, got {vectors!r}") from None
+    if not vs:
+        raise ContractError("need a nonempty family of sign vectors")
+    for v in vs:
+        _check_sign_vector(v)
+    return vs
 
 
 class TupleAlphabet:
@@ -86,6 +104,7 @@ class TupleAlphabet:
     """
 
     def __init__(self, t: int, r: int = 8):
+        require_int(t=t, r=r)
         if t < 1 or r < 1:
             raise ContractError(f"need t >= 1 and r >= 1, got t={t}, r={r}")
         self.t = t
@@ -93,6 +112,7 @@ class TupleAlphabet:
         self.size = t**r
 
     def coords(self, symbol: int) -> tuple[int, ...]:
+        require_int(symbol=symbol)
         if not 0 <= symbol < self.size:
             raise ContractError(f"symbol {symbol} outside [0, {self.size})")
         out = []
@@ -102,6 +122,7 @@ class TupleAlphabet:
         return tuple(reversed(out))
 
     def id_of(self, coords: tuple[int, ...]) -> int:
+        require_int_tuple(coords=coords)
         if len(coords) != self.r:
             raise ContractError(f"expected {self.r} coordinates, got {len(coords)}")
         out = 0
@@ -113,6 +134,7 @@ class TupleAlphabet:
 
     def prefix_class(self, symbol: int, x: int) -> int:
         """Packed value of the first x coordinates (0 <= x <= r)."""
+        require_int(symbol=symbol, x=x)
         if not 0 <= x <= self.r:
             raise ContractError(f"prefix length {x} outside [0, {self.r}]")
         return symbol // self.t ** (self.r - x)
@@ -121,11 +143,13 @@ class TupleAlphabet:
 def signed_key(u: SignVector, coords: tuple[int, ...]) -> tuple[int, ...]:
     """Coordinatewise product; lexicographic comparison of these keys
     defines the signed order."""
+    _check_sign_vector(u)
+    require_int_tuple(coords=coords)
     if len(u) != len(coords):
         raise ContractError(
             f"sign vector has {len(u)} coordinates, symbol has {len(coords)}"
         )
-    return tuple(s * c for s, c in zip(u, coords))
+    return tuple(map(mul, u, coords))
 
 
 def build_permutation(
@@ -133,6 +157,7 @@ def build_permutation(
 ) -> Word:
     """The permutation word listing all of [t]^r in signed-lex order."""
     _check_sign_vector(u)
+    require_int(t=t, max_symbols=max_symbols)
     if t < 2:
         raise ContractError(f"need t >= 2, got {t}")
     alphabet = TupleAlphabet(t, len(u))
@@ -141,22 +166,22 @@ def build_permutation(
             f"permutation over [{t}]^{len(u)} has {alphabet.size} symbols, "
             f"over the budget of {max_symbols}"
         )
-    order = sorted(range(alphabet.size), key=lambda s: signed_key(u, alphabet.coords(s)))
+    # signed_key without its checks, once per symbol
+    order = sorted(range(alphabet.size), key=lambda s: tuple(map(mul, u, alphabet.coords(s))))
     return Word(tuple(order), alphabet.size)
 
 
 def agreement_set(vectors) -> frozenset[int]:
     """1-based coordinates where every vector in the family agrees."""
-    vs = list(vectors)
-    if not vs:
-        raise ContractError("agreement set of an empty family is undefined")
-    length = len(vs[0])
-    if any(len(v) != length for v in vs):
+    vs = _sign_family(vectors)
+    if any(len(v) != len(vs[0]) for v in vs):
         raise ContractError("sign vectors must share one length")
+    return _agreement(vs)
+
+
+def _agreement(vs: tuple[SignVector, ...]) -> frozenset[int]:
     first = vs[0]
-    return frozenset(
-        j + 1 for j in range(length) if all(v[j] == first[j] for v in vs)
-    )
+    return frozenset(j + 1 for j in range(len(first)) if all(v[j] == first[j] for v in vs))
 
 
 @dataclass(frozen=True)
@@ -209,11 +234,9 @@ def verify_sign_properties(vectors) -> PropertyReport:
     one period of start indices covers every instance; value-based
     facts quantify over distinct vectors of the family.
     """
-    vs = tuple(tuple(v) for v in vectors)
+    vs = _sign_family(vectors)
     if len(vs) != 8 or any(len(v) != 8 for v in vs):
         raise ContractError("expected eight sign vectors of length 8")
-    for v in vs:
-        _check_sign_vector(v)
 
     def at(i):  # 1-based periodic
         return vs[(i - 1) % 8]
@@ -222,7 +245,7 @@ def verify_sign_properties(vectors) -> PropertyReport:
         _sweep(
             "adjacent-pairs-agree-le2",
             2,
-            ((i, len(agreement_set([at(i), at(i + 1)]))) for i in range(1, 9)),
+            ((i, len(_agreement((at(i), at(i + 1))))) for i in range(1, 9)),
         ),
         _sweep(
             "distinct-pairs-agree-le4",
@@ -236,13 +259,13 @@ def verify_sign_properties(vectors) -> PropertyReport:
         _sweep(
             "consecutive-triples-agree-nowhere",
             0,
-            ((i, len(agreement_set([at(i), at(i + 1), at(i + 2)]))) for i in range(1, 9)),
+            ((i, len(_agreement((at(i), at(i + 1), at(i + 2))))) for i in range(1, 9)),
         ),
         _sweep(
             "adjacent-plus-outsider-agree-le1",
             1,
             (
-                ((i, j), len(agreement_set([at(i), at(i + 1), vs[j]])))
+                ((i, j), len(_agreement((at(i), at(i + 1), vs[j]))))
                 for i in range(1, 9)
                 for j in range(8)
                 if vs[j] != at(i) and vs[j] != at(i + 1)
@@ -252,7 +275,7 @@ def verify_sign_properties(vectors) -> PropertyReport:
             "distinct-triples-agree-le2",
             2,
             (
-                ((a, b, c), len(agreement_set([vs[a], vs[b], vs[c]])))
+                ((a, b, c), len(_agreement((vs[a], vs[b], vs[c]))))
                 for a, b, c in combinations(range(8), 3)
                 if vs[a] != vs[b] and vs[a] != vs[c] and vs[b] != vs[c]
             ),
@@ -293,7 +316,7 @@ def verify_sign_properties(vectors) -> PropertyReport:
 def single_sign_mutations(vectors):
     """All 64 families obtained by flipping exactly one sign; yields
     ((vector index, coordinate), mutated family), both 0-based."""
-    vs = [tuple(v) for v in vectors]
+    vs = list(_sign_family(vectors))
     for vi in range(len(vs)):
         for ci in range(len(vs[vi])):
             mutated = list(vs)
@@ -313,6 +336,7 @@ class ConstructionWord:
 
     def block(self, i: int) -> Word:
         """1-based block; equals the signed-lex permutation of its index."""
+        require_int(i=i)
         if not 1 <= i <= self.block_count:
             raise ContractError(f"block {i} outside [1, {self.block_count}]")
         lo = (i - 1) * self.block_length
@@ -352,6 +376,7 @@ def build_construction_word(
 ) -> ConstructionWord:
     """Concatenate `blocks` signed-lex permutations of [t]^8, cycling
     through the eight base sign vectors with period 8."""
+    require_int(t=t, blocks=blocks, max_symbols=max_symbols)
     if blocks < 1:
         raise ContractError(f"need at least one block, got {blocks}")
     if t < 2:
@@ -388,9 +413,7 @@ def verify_lemma_intermediate(r: int, t: int, family) -> IntermediateReport:
     """For signed-lex permutations of [t]^r agreeing exactly on the
     coordinate set J, the joint LCS must equal t^|J|.  Computed by the
     independent product-space DP, not the permutation fast path."""
-    vs = [tuple(v) for v in family]
-    if not vs:
-        raise ContractError("need a nonempty family of sign vectors")
+    vs = _sign_family(family)
     if any(len(v) != r for v in vs):
         raise ContractError(f"every sign vector must have length {r}")
     unique = []
@@ -411,7 +434,7 @@ def verify_permutation_properties(t: int, vectors=None) -> PropertyReport:
     triple properties are all reported as unchecked, with its message
     as the note, rather than guessed.
     """
-    vs = tuple(tuple(v) for v in (vectors if vectors is not None else _BASE_SIGNS))
+    vs = _BASE_SIGNS if vectors is None else _sign_family(vectors)
     if len(vs) != 8 or any(len(v) != 8 for v in vs):
         raise ContractError("expected eight sign vectors of length 8")
     alphabet = TupleAlphabet(t, 8)

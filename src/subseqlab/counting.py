@@ -22,16 +22,24 @@ state linearly and monotonically, which yields two sound prunings:
   so precomputed suffix capacities give an upper bound for cutoff.
 
 One routine, ``_branch_and_bound``, runs this search on any suffix
-``w[start:]``, optionally from a *floor*: a count some pattern is known
-to reach.  The capacities are that search run from right to left,
-``start = n-1, ..., 1``, each using the capacities already found and
-floored at the last one, since ``w[start+1:]`` is a factor of
-``w[start:]``.  The most-common search is the ``start = 0`` call, which
-returns the witness and can abort once a count reaches a threshold.
-The extremal scan passes capacities it already knows, with the floor
-``capacities[1]``, and gets no witness.
-``max_occurrences_of_length`` keeps its own search, since its bound
-depends on how many symbols remain to be placed.
+``w[start:]`` as one explicit-stack loop.  Its step is indexed by
+position: appending ``s`` reads the parent's state only at the
+boundaries just before each ``s``, whose sum is the child's count and
+whose products with the capacities there its bound; the child's full
+state is built only if it survives the bound.  The capacities are that
+search run from right to left, ``start = n-1, ..., 1``, each using the
+capacities already found and *floored* at the last one, M(w[start+1:]).
+Counts grow one letter at a time, occ(v, a.u) = occ(v, u) + [v starts
+with a] * occ(v[1:], u), so a pattern not starting with ``a = w[start]``
+counts no more than that floor, and a floored search tries only ``a``
+at the root.  The most-common search is the ``start = 0`` call, which
+returns the witness and can abort once a count reaches a threshold.  It
+starts just below capacities[1] <= M(w) (and below the threshold, and
+at least 1), since any start below M(w) keeps the lex-min witness.  The
+extremal scan passes capacities it already knows, with the floor
+``capacities[1]``, and gets no witness.  ``max_occurrences_of_length``
+runs the same step with its own bound, which depends on how many
+symbols remain to be placed.
 
 Witness tie-breaks are always "lexicographically smallest pattern
 among the maximisers", which the DFS order delivers for free.
@@ -41,10 +49,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, compress, repeat
 from math import comb
-from operator import lt
+from operator import ge, lt, mul
 
-from .errors import ContractError, require_int
+from .errors import ContractError, require_int, require_int_tuple
 from .words import Word
 
 _DOMINANCE_STORE_CAP = 512  # per-depth cap on states kept for dominance tests
@@ -88,6 +97,8 @@ class EmbeddingMap:
     source_length: int
 
     def __post_init__(self) -> None:
+        require_int_tuple(positions=self.positions)
+        require_int(source_length=self.source_length)
         if len(self.positions) != self.source_length:
             raise ContractError("positions/source_length mismatch")
         if not all(map(lt, self.positions, self.positions[1:])):
@@ -190,31 +201,21 @@ def enumerate_embeddings(v: Word, w: Word, cap: int | None = None) -> EmbeddingE
 # branch-and-bound maximisers
 
 
-def _extend_counts(c: list[int], syms: tuple[int, ...], base: int, symbol: int) -> list[int]:
-    # the state after appending symbol to the pattern; c[d] refers to
-    # the boundary after syms[base + d - 1]
-    out = [0] * len(c)
-    acc = 0
-    for d in range(1, len(c)):
-        if syms[base + d - 1] == symbol:
-            acc += c[d - 1]
-        out[d] = acc
-    return out
+def _step_tables(syms: tuple[int, ...], start: int, k: int):
+    """Position index of syms[start:] for the count-vector step.
 
-
-def _dominated(stored: list[list[int]], cand: list[int]) -> bool:
-    last = cand[-1]
-    for s in stored:
-        if s[-1] < last:
-            continue  # fails on its last entry: no need to compare the rest
-        ok = True
-        for a, b in zip(s, cand):
-            if a < b:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    Appending s to a pattern with count vector c gives nc[d] = sum of
+    c[b] over the b < d with syms[start + b] == s: those b are
+    ``before[s]``, and ``rank[s][d]`` counts the ones below d.  So a
+    child's values ``vals = c at before[s]`` give its count sum(vals),
+    and its full vector is the prefix sums of vals read at rank[s].
+    """
+    tail = syms[start:]
+    before: list[list[int]] = [[] for _ in range(k)]
+    for b, s in enumerate(tail):
+        before[s].append(b)
+    rank = [[0, *accumulate(map(s.__eq__, tail))] for s in range(k)]
+    return before, rank
 
 
 def _branch_and_bound(
@@ -224,60 +225,66 @@ def _branch_and_bound(
     capacities: list[int],
     abort_at: int | None = None,
     floor: int | None = None,
+    low: int = 1,
 ) -> tuple[int, tuple[int, ...] | None, bool]:
     """Most frequent pattern inside syms[start:], given capacities[j] for j > start.
 
     Returns (value, lex-min witness, aborted).  With ``abort_at`` set
     the search stops at the first count >= abort_at; the witness is
-    then None and the value is that count.  With ``floor`` set (a count
-    some pattern reaches, below abort_at) the running maximum starts
-    there and the witness is None.
+    then None and the value is that count.  With ``floor`` set, it must
+    be M(syms[start + 1:]), below abort_at: the running maximum starts
+    there, the witness is None, and only patterns starting with
+    syms[start] are tried, since any other pattern counts the same in
+    syms[start + 1:].  Without a floor the running maximum starts at
+    ``low``, which keeps the lex-min witness if low < M(syms[start:])
+    (or low = 1) and the abort value if low < abort_at.
     """
     length = len(syms) - start
-    caps = capacities[start:]
-    best = 1 if floor is None else floor
-    best_witness: tuple[int, ...] = ()  # the empty pattern
+    before, rank = _step_tables(syms, start, k)
+    capat = [[capacities[start + b + 1] for b in bs] for bs in before]
+    best = low if floor is None else floor
+    best_path: list[int] = []  # nxt[:depth + 1] at the best count; [] is the empty pattern
+    # by_depth[d]: states kept for dominance tests of (d + 1)-symbol patterns
     by_depth: list[list[list[int]]] = [[] for _ in range(length + 1)]
-    prefix: list[int] = []
-    aborted = False
-
-    def rec(c: list[int], depth: int) -> None:
-        nonlocal best, best_witness, aborted
-        for symbol in range(k):
-            nc = _extend_counts(c, syms, start, symbol)
-            v = nc[-1]
-            if v > best:
-                best = v
-                best_witness = (*prefix, symbol)
-                if abort_at is not None and v >= abort_at:
-                    aborted = True
-                    return
-            # capacity bound over all nonempty continuations (and stopping here)
-            bound = 0
-            prev = 0
-            for d in range(1, length + 1):
-                cd = nc[d]
-                if cd != prev:
-                    bound += (cd - prev) * caps[d]
-                    prev = cd
-            if bound <= best:
-                continue
-            store = by_depth[depth + 1]
-            if _dominated(store, nc):
-                continue
+    # explicit-stack DFS: the pattern is nxt[:depth + 1] less one, nxt[d]
+    # the next symbol to try at depth d and stop[d] the end of its range;
+    # states[d] is the count vector of the pattern's first d symbols
+    states = [[1] * (length + 1)] * (length + 1)
+    nxt = [0] * (length + 1)
+    stop = [k] * (length + 1)
+    if floor is not None:
+        nxt[0], stop[0] = syms[start], syms[start] + 1
+    depth = 0
+    while depth >= 0:
+        s = nxt[depth]
+        if s == stop[depth]:
+            depth -= 1
+            continue
+        nxt[depth] = s + 1
+        c = states[depth]
+        vals = list(map(c.__getitem__, before[s]))
+        v = sum(vals)
+        if v > best:
+            best = v
+            best_path = nxt[: depth + 1]
+            if abort_at is not None and v >= abort_at:
+                return best, None, True
+        # capacity bound over all nonempty continuations (and stopping here)
+        if sum(map(mul, vals, capat[s])) <= best:
+            continue
+        nc = list(map([0, *accumulate(vals)].__getitem__, rank[s]))
+        # pointwise dominance by a stored state, final count compared first
+        store = by_depth[depth]
+        for t in store:
+            if t[-1] >= v and all(map(ge, t, nc)):
+                break
+        else:
             if len(store) < _DOMINANCE_STORE_CAP:
                 store.append(nc)
-            prefix.append(symbol)
-            rec(nc, depth + 1)
-            prefix.pop()
-            if aborted:
-                return
-
-    if length > 0:
-        rec([1] * (length + 1), 0)
-    if aborted or floor is not None:
-        return best, None, aborted
-    return best, best_witness, False
+            depth += 1
+            states[depth] = nc
+            nxt[depth] = 0
+    return best, None if floor is not None else tuple(t - 1 for t in best_path), False
 
 
 def _suffix_capacities(w: Word) -> list[int]:
@@ -314,7 +321,13 @@ def _search_most_common(
     if abort_at is not None and abort_at <= floor:
         return floor, None, True
     if capacities is None:
-        return _branch_and_bound(w.symbols, w.alphabet_size, 0, _suffix_capacities(w), abort_at)
+        capacities = _suffix_capacities(w)
+        # M(w) >= capacities[1], so starting below it (or below abort_at)
+        # keeps the lex-min witness and the abort value
+        low = capacities[1] if abort_at is None else min(capacities[1], abort_at)
+        return _branch_and_bound(
+            w.symbols, w.alphabet_size, 0, capacities, abort_at, low=max(1, low - 1)
+        )
     return _branch_and_bound(w.symbols, w.alphabet_size, 0, capacities, abort_at, floor)
 
 
@@ -341,49 +354,50 @@ def max_occurrences_of_length(w: Word, length: int) -> tuple[int, Word]:
         return 1, Word((), k)
     if length > n:
         return 0, Word((0,) * length, k)
-    syms = w.symbols
+    before, rank = _step_tables(w.symbols, 0, k)
+    tails = [[n - 1 - b for b in bs] for bs in before]  # symbols after each boundary
     best = 0
-    best_witness = (0,) * length
-    by_depth: list[list[list[int]]] = [[] for _ in range(length + 1)]
-    # explicit-stack DFS: states[d] is the count vector of prefix[:d]
-    # (set before it is read), nxt[d] the next symbol to try at depth d
-    prefix = [0] * length
+    best_path = [1] * length  # nxt at the best count, (0,) * length until one is found
+    by_depth: list[list[list[int]]] = [[] for _ in range(length)]
+    # explicit-stack DFS as in _branch_and_bound (states[d] is set
+    # before it is read)
     states = [[1] * (n + 1)] * length
     nxt = [0] * length
     depth = 0
     while depth >= 0:
-        symbol = nxt[depth]
-        if symbol == k:
+        s = nxt[depth]
+        if s == k:
             depth -= 1
             continue
-        nxt[depth] = symbol + 1
-        prefix[depth] = symbol
-        nc = _extend_counts(states[depth], syms, 0, symbol)
+        nxt[depth] = s + 1
+        c = states[depth]
         remaining = length - depth - 1
         if remaining == 0:
-            v = nc[-1]
+            v = sum(map(c.__getitem__, before[s]))
             if v > best:
                 best = v
-                best_witness = tuple(prefix)
+                best_path = nxt[:]
             continue
-        # binomial capacity: a pattern of r symbols fits into a
-        # window of length L at most C(L, r) ways
-        bound = 0
-        prev = 0
-        for d in range(1, n + 1):
-            cd = nc[d]
-            if cd != prev:
-                bound += (cd - prev) * comb(n - d, remaining)
-                prev = cd
-        if bound > best:
-            store = by_depth[depth + 1]
-            if not _dominated(store, nc):
-                if len(store) < _DOMINANCE_STORE_CAP:
-                    store.append(nc)
-                depth += 1
-                states[depth] = nc
-                nxt[depth] = 0
-    return best, Word(best_witness, k)
+        vals = list(map(c.__getitem__, before[s]))
+        # binomial capacity: a pattern of r symbols fits into a window of
+        # length L at most C(L, r) ways; zero values are skipped, since
+        # C(L, r) of a long window costs more than the rest of the step
+        live = compress(tails[s], vals)
+        if sum(map(mul, filter(None, vals), map(comb, live, repeat(remaining)))) <= best:
+            continue
+        nc = list(map([0, *accumulate(vals)].__getitem__, rank[s]))
+        v = nc[-1]
+        store = by_depth[depth]
+        for t in store:
+            if t[-1] >= v and all(map(ge, t, nc)):
+                break
+        else:
+            if len(store) < _DOMINANCE_STORE_CAP:
+                store.append(nc)
+            depth += 1
+            states[depth] = nc
+            nxt[depth] = 0
+    return best, Word(tuple(t - 1 for t in best_path), k)
 
 
 def occurrence_profile(w: Word) -> list[tuple[int, Word]]:

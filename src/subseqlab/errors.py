@@ -6,6 +6,8 @@ and "this operation does not apply here" signals that callers may want
 to catch as control flow (e.g. a certificate rule with nothing to do).
 """
 
+from itertools import repeat
+
 
 class WordRangeError(IndexError):
     """An index or interval falls outside the word it refers to."""
@@ -36,3 +38,10 @@ def require_int(**values) -> None:
     for name, value in values.items():
         if not isinstance(value, int):
             raise ContractError(f"{name} must be an int, got {value!r}")
+
+
+def require_int_tuple(**values) -> None:
+    """Raise ContractError naming the first argument that is not a tuple of ints."""
+    for name, value in values.items():
+        if not isinstance(value, tuple) or not all(map(isinstance, value, repeat(int))):
+            raise ContractError(f"{name} must be a tuple of ints, got {value!r}")

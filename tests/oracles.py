@@ -84,6 +84,101 @@ def brute_max_over_patterns(w_syms, k):
     return best
 
 
+# ---------------------------------------------------------------------------
+# the recursive branch-and-bound that the package's explicit-stack kernel
+# replaced: same bounds and dominance, every root symbol tried, the running
+# maximum started at 1 or at the floor
+
+
+def extend_counts(c, syms, base, symbol):
+    """The prefix-count state after appending symbol to the pattern;
+    c[d] refers to the boundary after syms[base + d - 1]."""
+    out = [0] * len(c)
+    acc = 0
+    for d in range(1, len(c)):
+        if syms[base + d - 1] == symbol:
+            acc += c[d - 1]
+        out[d] = acc
+    return out
+
+
+def dominated(stored, cand):
+    """Whether some stored state is pointwise >= cand."""
+    last = cand[-1]
+    for s in stored:
+        if s[-1] < last:
+            continue
+        if all(a >= b for a, b in zip(s, cand)):
+            return True
+    return False
+
+
+def branch_and_bound(syms, k, start, capacities, abort_at=None, floor=None):
+    """(value, lex-min witness, aborted) of the most frequent pattern in
+    syms[start:], one recursion level per pattern symbol."""
+    length = len(syms) - start
+    caps = capacities[start:]
+    best = 1 if floor is None else floor
+    best_witness = ()
+    by_depth = [[] for _ in range(length + 1)]
+    prefix = []
+    aborted = False
+
+    def rec(c, depth):
+        nonlocal best, best_witness, aborted
+        for symbol in range(k):
+            nc = extend_counts(c, syms, start, symbol)
+            v = nc[-1]
+            if v > best:
+                best = v
+                best_witness = (*prefix, symbol)
+                if abort_at is not None and v >= abort_at:
+                    aborted = True
+                    return
+            bound = sum((nc[d] - nc[d - 1]) * caps[d] for d in range(1, length + 1))
+            if bound <= best:
+                continue
+            store = by_depth[depth + 1]
+            if dominated(store, nc):
+                continue
+            if len(store) < 512:
+                store.append(nc)
+            prefix.append(symbol)
+            rec(nc, depth + 1)
+            prefix.pop()
+            if aborted:
+                return
+
+    if length > 0:
+        rec([1] * (length + 1), 0)
+    if aborted or floor is not None:
+        return best, None, aborted
+    return best, best_witness, False
+
+
+def suffix_capacities(syms, k):
+    """capacities[j] = M(syms[j:]), right to left, each floored at the next."""
+    capacities = [1] * (len(syms) + 1)
+    for start in range(len(syms) - 1, 0, -1):
+        capacities[start] = branch_and_bound(
+            syms, k, start, capacities, floor=capacities[start + 1]
+        )[0]
+    return capacities
+
+
+def search_most_common(syms, k, abort_at=None, capacities=None):
+    """The most-common search over the recursive kernel: (value, witness,
+    aborted), floored at capacities[1] when capacities are supplied."""
+    if not syms:
+        return 1, (), False
+    floor = 1 if capacities is None else capacities[1]
+    if abort_at is not None and abort_at <= floor:
+        return floor, None, True
+    if capacities is None:
+        return branch_and_bound(syms, k, 0, suffix_capacities(syms, k), abort_at)
+    return branch_and_bound(syms, k, 0, capacities, abort_at, floor)
+
+
 def orbit_of(syms, k):
     """All words reachable by relabelling symbols and/or reversing."""
     out = set()

@@ -3,6 +3,7 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import subseqlab.lcs as lcs_module
 from subseqlab.construction import (
@@ -27,6 +28,8 @@ from subseqlab.construction import (
 from subseqlab.errors import BudgetError, ContractError
 from subseqlab.lcs import is_permutation_word, lcs2
 from subseqlab.words import Word, reverse
+
+from contract_inputs import DOCUMENTED_ERRORS, JUNK, int_or_junk
 
 
 # ---------------------------------------------------------------------------
@@ -370,3 +373,63 @@ def test_block_properties_budget_skips_triples(monkeypatch):
     assert all(r.checked for r in report.results if r.name not in triples)
     # unchecked results do not poison the verdict
     assert report.ok
+
+
+# ---------------------------------------------------------------------------
+# contracts
+
+
+def _draw_family(draw):
+    """Sign vectors of length 0..3 over {+1, -1}, or with junk entries,
+    or junk in place of a vector or of the whole family."""
+    entry = st.sampled_from((1, -1)) if draw(st.booleans()) else int_or_junk(-2, 2)
+    vector = st.one_of(st.lists(entry, max_size=3).map(tuple), JUNK)
+    return draw(st.one_of(st.lists(vector, max_size=9), JUNK))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_construction_api_raises_only_documented_errors(data):
+    draw = data.draw
+    t, r = draw(int_or_junk(-1, 3)), draw(int_or_junk(-1, 3))
+    family = _draw_family(draw)
+    vector = family
+    if isinstance(family, list):  # one of its vectors, or junk
+        vector = draw(st.one_of(st.sampled_from(family or [()]), JUNK))
+    coords = draw(st.one_of(st.lists(int_or_junk(-1, 4), max_size=4).map(tuple), JUNK))
+
+    def alphabet_calls():
+        alphabet = TupleAlphabet(t, r)
+        alphabet.coords(draw(int_or_junk(-2, 90)))
+        alphabet.id_of(coords)
+        alphabet.prefix_class(draw(int_or_junk(-2, 90)), draw(int_or_junk(-1, 4)))
+
+    def word_calls():
+        cw = build_construction_word(t, draw(int_or_junk(-1, 3)), draw(int_or_junk(0, 900)))
+        if draw(st.booleans()):  # one symbol repeated in the last block
+            syms = (*cw.word.symbols[:-1], cw.word.symbols[-2])
+            broken = Word(syms, cw.block_length)
+            cw = ConstructionWord(cw.t, 8, cw.block_count, cw.block_length, broken)
+        cw.block(draw(int_or_junk(-1, 4)))
+        cw.block_offsets
+
+    calls = [
+        alphabet_calls,
+        word_calls,
+        lambda: sign_vector_at(draw(int_or_junk(-1, 20)), draw(st.sampled_from((None, family)))),
+        lambda: parse_signs(draw(st.one_of(st.text("+-x", max_size=9), JUNK))),
+        lambda: signs_to_text(vector),
+        lambda: signed_key(vector, coords),
+        lambda: build_permutation(vector, t, draw(int_or_junk(0, 600))),
+        lambda: agreement_set(family),
+        lambda: list(single_sign_mutations(family)),
+        lambda: verify_sign_properties(family),
+        lambda: verify_lemma_intermediate(r, draw(int_or_junk(-1, 2)), family),
+        # t <= 1 or a junk family fails before any block is built
+        lambda: verify_permutation_properties(draw(int_or_junk(-1, 1)), family),
+    ]
+    for call in calls:
+        try:
+            call()
+        except DOCUMENTED_ERRORS:
+            pass

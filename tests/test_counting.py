@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from subseqlab.counting import (
     EmbeddingMap,
-    _dominated,
-    _extend_counts,
+    _branch_and_bound,
     _search_most_common,
     _suffix_capacities,
     count_occurrences,
@@ -23,13 +22,16 @@ from subseqlab.counting import (
 from subseqlab.errors import ContractError
 from subseqlab.words import Word, concat, from_ids, power, relabel, reverse, word
 
-from contract_inputs import DOCUMENTED_ERRORS, int_or_junk
+from contract_inputs import DOCUMENTED_ERRORS, JUNK, int_or_junk
+import oracles
 from oracles import (
     brute_max_over_patterns,
     brute_most_common,
     brute_most_common_of_length,
     brute_profile,
     count_by_combinations,
+    dominated,
+    extend_counts,
 )
 
 
@@ -176,7 +178,7 @@ def test_state_extension_matches_prefix_counts():
         v = rand_word(rng, k, rng.randrange(1, 5))
         state = [1] * (len(w) + 1)  # the empty prefix
         for s in v.symbols:
-            state = _extend_counts(state, w.symbols, 0, s)
+            state = extend_counts(state, w.symbols, 0, s)
         for j in range(len(w) + 1):
             prefix_w = Word(w.symbols[:j], k)
             assert state[j] == count_occurrences(v, prefix_w)
@@ -195,13 +197,13 @@ def test_state_dominance_is_preserved_by_extension():
         high = [c + rng.randrange(0, 3) for c in low]
         for j in range(1, n + 1):
             high[j] = max(high[j], high[j - 1])
-        assert _dominated([high], low)
-        assert _dominated([low], high) == (low == high)
+        assert dominated([high], low)
+        assert dominated([low], high) == (low == high)
         for _ in range(rng.randrange(1, 5)):
             sym = rng.randrange(2)
-            low = _extend_counts(low, w.symbols, 0, sym)
-            high = _extend_counts(high, w.symbols, 0, sym)
-            assert _dominated([high], low)
+            low = extend_counts(low, w.symbols, 0, sym)
+            high = extend_counts(high, w.symbols, 0, sym)
+            assert dominated([high], low)
         assert high[-1] >= low[-1]
 
 
@@ -269,6 +271,65 @@ def test_search_with_supplied_capacities_is_exact():
                         assert abort_at <= value <= brute[syms]
                     else:
                         assert value == brute[syms]
+
+
+def test_search_matches_recursive_reference():
+    # the explicit-stack kernel against the recursive one it replaced, on
+    # seeded words up to n = 26: the same (value, witness, aborted) for
+    # every mix of abort_at, supplied exact capacities and floor, and the
+    # same suffix capacities
+    rng = random.Random(20261019)
+    for _ in range(60):
+        k = rng.choice([2, 3, 4])
+        n = rng.randrange(1, 27)
+        syms = tuple(rng.randrange(k) for _ in range(n))
+        w = Word(syms, k)
+        caps = oracles.suffix_capacities(syms, k)
+        assert _suffix_capacities(w) == caps
+        top = oracles.search_most_common(syms, k)[0]
+        aborts = {2, caps[1], caps[1] + 1, top, top + 1, rng.randint(caps[1], top + 1)}
+        for abort_at in (None, *sorted(aborts)):
+            for supplied in (None, caps):
+                assert _search_most_common(w, abort_at, supplied) == oracles.search_most_common(
+                    syms, k, abort_at, supplied
+                )
+            start = rng.randrange(n)
+            for floor in (None, caps[start + 1]):
+                if floor is not None and abort_at is not None and abort_at <= floor:
+                    continue  # a floor lies below abort_at
+                assert _branch_and_bound(syms, k, start, caps, abort_at, floor) == (
+                    oracles.branch_and_bound(syms, k, start, caps, abort_at, floor)
+                )
+
+
+def test_search_long_pattern_does_not_recurse():
+    # the maximiser of a^2100 is a^1050, 1050 pattern symbols deep
+    n = 2100
+    caps = [comb(n - j, (n - j) // 2) for j in range(n + 1)]
+    value, witness, aborted = _search_most_common(Word((0,) * n, 1), None, caps)
+    assert (value, witness, aborted) == (comb(n, n // 2), None, False)
+
+
+def test_max_occurrences_and_profile_pinned():
+    # (value, witness) of seeded words, recorded with the recursive search
+    # the explicit-stack kernel replaced
+    def seeded_words(seed, count, n_max):
+        rng = random.Random(seed)
+        for _ in range(count):
+            k = rng.choice([2, 3, 4])
+            n = rng.randrange(0, n_max + 1)
+            yield Word(tuple(rng.randrange(k) for _ in range(n)), k)
+
+    h = hashlib.sha256()
+    for w in seeded_words(20261019, 320, 26):
+        value, witness = max_occurrences(w)
+        h.update(repr((w.alphabet_size, w.symbols, value, witness.symbols)).encode())
+    assert h.hexdigest() == "7211db15bcb3651db6e9878e0bab919fad5c79dedd9bd169ba5e152a7b3a8e69"
+    h = hashlib.sha256()
+    for w in seeded_words(20261020, 320, 16):
+        profile = [(v, x.symbols) for v, x in occurrence_profile(w)]
+        h.update(repr((w.alphabet_size, w.symbols, profile)).encode())
+    assert h.hexdigest() == "75555b2e46ae67f072250ca8c5ffd434ae4a53c096be809d9f5f02bf69b60270"
 
 
 def test_fixed_length_examples():
@@ -409,6 +470,12 @@ def _draw_word(draw, max_len):
 
 def test_non_int_arguments_are_contract_errors():
     v, w = word("ab"), word("abab")
+    for positions in ((0, 1.5), (0, "1"), (None,), [0, 1], None):
+        with pytest.raises(ContractError, match="^positions must be a tuple of ints"):
+            EmbeddingMap(positions, 2)
+    for length in (2.0, None, "2"):
+        with pytest.raises(ContractError, match="^source_length must be an int"):
+            EmbeddingMap((0, 1), length)
     for bad in (1.5, 2.0, "1"):
         with pytest.raises(ContractError, match="length must be an int"):
             max_occurrences_of_length(w, bad)
@@ -423,7 +490,7 @@ def test_non_int_arguments_are_contract_errors():
 @settings(max_examples=300, deadline=None)
 def test_counting_api_raises_only_documented_errors(data):
     draw = data.draw
-    positions = st.lists(st.integers(-2, 14), max_size=6).map(tuple)
+    positions = st.one_of(st.lists(int_or_junk(-2, 14), max_size=6).map(tuple), JUNK)
     calls = [
         lambda: count_occurrences(_draw_word(draw, 5), _draw_word(draw, 12)),
         lambda: enumerate_embeddings(
