@@ -334,6 +334,11 @@ class ConstructionWord:
     block_length: int
     word: Word
 
+    def __post_init__(self) -> None:
+        require_int(t=self.t, r=self.r, block_count=self.block_count, block_length=self.block_length)
+        if not isinstance(self.word, Word):
+            raise ContractError(f"word must be a Word, got {self.word!r}")
+
     def block(self, i: int) -> Word:
         """1-based block; equals the signed-lex permutation of its index."""
         require_int(i=i)

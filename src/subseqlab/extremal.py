@@ -238,16 +238,19 @@ def cross_compare(a: int, n1: int, b: int, n2: int) -> int:
 
 def root_decimal(a: int, n: int, places: int, mode: str) -> str:
     """a^(1/n) as a decimal string with the given places, rounded
-    down ("floor") or up ("ceil")."""
+    down ("floor") or up ("ceil").  Python prints ints of at most 4300
+    digits, so this allows 1000 places and 3900 digits in all."""
     require_int(a=a, n=n, places=places)
     if mode not in ("floor", "ceil"):
         raise ContractError(f"mode must be floor or ceil, got {mode!r}")
-    if places < 0:
-        raise ContractError("places must be >= 0")
+    if not 0 <= places <= 1000:
+        raise ContractError(f"places must be in [0, 1000], got {places}")
     scaled = a * 10 ** (places * n)
     r = iroot(scaled, n)
     if mode == "ceil" and r**n != scaled:
         r += 1
+    if r.bit_length() > 13000:
+        raise ContractError(f"the root to {places} places needs more than 3900 digits")
     if places == 0:
         return str(r)
     return f"{r // 10**places}.{str(r % 10**places).zfill(places)}"

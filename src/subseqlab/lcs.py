@@ -23,17 +23,21 @@ random 32768-symbol permutations (one 2-vCPU x86 host, Python 3.11) the
 kernel took 0.42 s and 153 MB of traced allocations, the patience sweep
 0.05 s and 6 MB; t=4 block pairs would not fit the budget at all.
 
-Anything else runs a DP: ``lcs2`` the quadratic suffix table, ``lcs3``
-the cubic one under ``LCS3_CELL_BUDGET``, and ``multi_lcs`` (length
-only, any number of words) the product-space table under
-``MULTI_LCS_STATE_BUDGET``.  Both witness DPs share one lex-min
-reconstruction.
+Anything else runs a DP with no Python step per table cell: ``lcs2``
+bit-parallel rows (Allison & Dix 1986, Hyyro 2004), one n1-bit int per
+suffix of the second word (n1*n2/8 bytes); ``lcs3`` one threshold list
+per suffix pair of the two shorter words, each the ``map(max, ...)`` of
+its neighbours, under ``LCS3_CELL_BUDGET`` (never more entries than
+cells).  Both feed suffix-LCS lengths to one lex-min reconstruction.
+``multi_lcs`` (length only, any number of words) is the product-space
+table under ``MULTI_LCS_STATE_BUDGET``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import neg
 
 from .errors import BudgetError, ContractError
 from .words import Word
@@ -67,7 +71,7 @@ def lcs2(w1: Word, w2: Word) -> tuple[int, Word]:
     """Exact LCS length and its lexicographically smallest witness.
 
     Permutation inputs take the increasing-subsequence route; anything
-    else runs the quadratic DP.  Both routes produce identical output.
+    else runs the bit-parallel DP.  Both routes produce identical output.
     """
     _check_alphabets([w1, w2])
     if is_permutation_word(w1) and is_permutation_word(w2):
@@ -77,20 +81,25 @@ def lcs2(w1: Word, w2: Word) -> tuple[int, Word]:
 
 def _dp_lcs2(w1: Word, w2: Word) -> tuple[int, Word]:
     s1, s2 = w1.symbols, w2.symbols
-    n1, n2 = len(s1), len(s2)
-    # suffix-LCS table: L[i][j] = LCS(s1[i:], s2[j:])
-    L = [[0] * (n2 + 1) for _ in range(n1 + 1)]
-    for i in range(n1 - 1, -1, -1):
-        row, below = L[i], L[i + 1]
-        c1 = s1[i]
-        for j in range(n2 - 1, -1, -1):
-            if c1 == s2[j]:
-                row[j] = below[j + 1] + 1
-            else:
-                a, b = below[j], row[j + 1]
-                row[j] = a if a >= b else b
-    witness = _lex_min_witness((s1, s2), lambda i, j: L[i][j])
-    return L[0][0], Word(witness, w1.alphabet_size)
+    n1 = len(s1)
+    # Bit n1-1-i stands for s1[i], so the low p bits stand for s1[n1-p:].
+    # rows[j] is V once s2[j:] is read right to left, and
+    # LCS(s1[n1-p:], s2[j:]) is p minus its one bits among the low p.
+    match: dict[int, int] = {}
+    for i, c in enumerate(s1):
+        match[c] = match.get(c, 0) | 1 << (n1 - 1 - i)
+    full = v = (1 << n1) - 1
+    rows = [v] * (len(s2) + 1)
+    for j in range(len(s2) - 1, -1, -1):
+        u = v & match.get(s2[j], 0)
+        v = rows[j] = ((v + u) | (v - u)) & full
+    pops = [r.bit_count() for r in rows]
+
+    def suffix_lcs(i: int, j: int) -> int:
+        p = n1 - i
+        return p - pops[j] + (rows[j] >> p).bit_count()
+
+    return suffix_lcs(0, 0), Word(_lex_min_witness((s1, s2), suffix_lcs), w1.alphabet_size)
 
 
 def _occurrence_lists(s: tuple[int, ...]) -> dict[int, list[int]]:
@@ -175,7 +184,7 @@ def lcs3(w1: Word, w2: Word, w3: Word, max_cells: int = LCS3_CELL_BUDGET) -> tup
     """Exact three-way LCS with witness.
 
     Permutation triples go through the chain reduction; the general
-    case is the cubic DP, guarded by a cell budget.
+    case is the threshold-list DP, guarded by a cell budget.
     """
     _check_alphabets([w1, w2, w3])
     ws = [w1, w2, w3]
@@ -191,33 +200,37 @@ def lcs3(w1: Word, w2: Word, w3: Word, max_cells: int = LCS3_CELL_BUDGET) -> tup
 
 
 def _dp_lcs3(w1: Word, w2: Word, w3: Word) -> tuple[int, Word]:
-    s1, s2, s3 = w1.symbols, w2.symbols, w3.symbols
-    n1, n2, n3 = len(s1), len(s2), len(s3)
-    d2, d3 = n2 + 1, n3 + 1
-    L = [0] * ((n1 + 1) * d2 * d3)
-    for i in range(n1 - 1, -1, -1):
-        c1 = s1[i]
-        for j in range(n2 - 1, -1, -1):
-            match2 = c1 == s2[j]
-            base = (i * d2 + j) * d3
-            base_i = ((i + 1) * d2 + j) * d3
-            base_j = (i * d2 + j + 1) * d3
-            base_ij = ((i + 1) * d2 + j + 1) * d3
-            for l in range(n3 - 1, -1, -1):
-                best = L[base_i + l]
-                b = L[base_j + l]
-                if b > best:
-                    best = b
-                b = L[base + l + 1]
-                if b > best:
-                    best = b
-                if match2 and c1 == s3[l]:
-                    b = 1 + L[base_ij + l + 1]
-                    if b > best:
-                        best = b
-                L[base + l] = best
-    witness = _lex_min_witness((s1, s2, s3), lambda i, j, l: L[(i * d2 + j) * d3 + l])
-    return L[0], Word(witness, w1.alphabet_size)
+    # the lex-min LCS does not depend on the order of the words, so the
+    # longest one is s3, the dimension the lists cover
+    s1, s2, s3 = sorted((w1.symbols, w2.symbols, w3.symbols), key=len)
+    n3 = len(s3)
+    prev = {}  # prev[c][y]: the last position before y of c in s3, -1 if none
+    for c in set(s1):
+        P = prev[c] = [-1]
+        for y, d in enumerate(s3):
+            P.append(y if d == c else P[-1])
+    # T[i][j][v-1]: the last l with LCS(s1[i:], s2[j:], s3[l:]) >= v
+    below: list[list[int]] = [[]] * (len(s2) + 1)
+    T = [below]
+    for c in reversed(s1):
+        get, head = prev[c].__getitem__, prev[c][n3]
+        row = below[:]
+        t = row[-1]
+        for j in range(len(s2) - 1, -1, -1):
+            a = below[j]
+            t = [*map(max, a, t), *a[len(t):], *t[len(a):]]
+            if head >= 0 and s2[j] == c:
+                # at most one entry past t, a -1 when no c is left for it
+                a = [head, *map(get, below[j + 1])]
+                t = [*map(max, t, a), *t[len(a):], *a[len(t):]]
+                if t[-1] < 0:
+                    t.pop()
+            row[j] = t
+        T.append(row)
+        below = row
+    T.reverse()
+    witness = _lex_min_witness((s1, s2, s3), lambda i, j, l: bisect_right(T[i][j], -l, key=neg))
+    return len(T[0][0]), Word(witness, w1.alphabet_size)
 
 
 def permutation_chain_lcs(ws: list[Word]) -> tuple[int, Word]:

@@ -318,3 +318,102 @@ def quadratic_chain_lcs(all_syms):
         cur = pick[0]
         out.append(pick[1])
     return best, tuple(out)
+
+
+def lex_min_lcs_witness(seqs, suffix_lcs):
+    """Lexicographically smallest longest common subsequence of ``seqs``
+    given a full suffix-LCS table ``suffix_lcs(*starts)``: at each step,
+    the smallest symbol whose earliest occurrences after the current
+    starts still allow a full-length completion."""
+    from bisect import bisect_left
+
+    occs = []
+    for s in seqs:
+        occ = {}
+        for p, c in enumerate(s):
+            occ.setdefault(c, []).append(p)
+        occs.append(occ)
+    shared = sorted(set(occs[0]).intersection(*occs[1:]))
+    out = []
+    starts = [0] * len(seqs)
+    r = suffix_lcs(*starts)
+    while r > 0:
+        for sym in shared:
+            nxt = []
+            for occ, start in zip(occs, starts):
+                ps = occ[sym]
+                t = bisect_left(ps, start)
+                if t == len(ps):
+                    break
+                nxt.append(ps[t] + 1)
+            else:
+                if 1 + suffix_lcs(*nxt) == r:
+                    out.append(sym)
+                    starts = nxt
+                    r -= 1
+                    break
+    return tuple(out)
+
+
+def dp_lcs2(s1, s2):
+    """(length, lex-min witness) of two words by the quadratic table of
+    suffix LCS lengths, one Python step per cell."""
+    n1, n2 = len(s1), len(s2)
+    # suffix-LCS table: L[i][j] = LCS(s1[i:], s2[j:])
+    L = [[0] * (n2 + 1) for _ in range(n1 + 1)]
+    for i in range(n1 - 1, -1, -1):
+        row, below = L[i], L[i + 1]
+        c1 = s1[i]
+        for j in range(n2 - 1, -1, -1):
+            if c1 == s2[j]:
+                row[j] = below[j + 1] + 1
+            else:
+                a, b = below[j], row[j + 1]
+                row[j] = a if a >= b else b
+    witness = lex_min_lcs_witness((s1, s2), lambda i, j: L[i][j])
+    return L[0][0], witness
+
+
+def dp_lcs3(s1, s2, s3):
+    """(length, lex-min witness) of three words by the cubic table of
+    suffix LCS lengths, one Python step per cell."""
+    n1, n2, n3 = len(s1), len(s2), len(s3)
+    d2, d3 = n2 + 1, n3 + 1
+    L = [0] * ((n1 + 1) * d2 * d3)
+    for i in range(n1 - 1, -1, -1):
+        c1 = s1[i]
+        for j in range(n2 - 1, -1, -1):
+            match2 = c1 == s2[j]
+            base = (i * d2 + j) * d3
+            base_i = ((i + 1) * d2 + j) * d3
+            base_j = (i * d2 + j + 1) * d3
+            base_ij = ((i + 1) * d2 + j + 1) * d3
+            for l in range(n3 - 1, -1, -1):
+                best = L[base_i + l]
+                b = L[base_j + l]
+                if b > best:
+                    best = b
+                b = L[base + l + 1]
+                if b > best:
+                    best = b
+                if match2 and c1 == s3[l]:
+                    b = 1 + L[base_ij + l + 1]
+                    if b > best:
+                        best = b
+                L[base + l] = best
+    witness = lex_min_lcs_witness((s1, s2, s3), lambda i, j, l: L[(i * d2 + j) * d3 + l])
+    return L[0], witness
+
+
+def bit_lcs_length(a, b):
+    """LCS length by the bit-parallel row recurrence (Allison-Dix, Hyyro):
+    bit i of V stands for a[i], b is read left to right, and the length
+    is the number of zero bits left in the low |a| bits."""
+    match = {}
+    for i, s in enumerate(a):
+        match[s] = match.get(s, 0) | (1 << i)
+    full = v = (1 << len(a)) - 1
+    for s in b:
+        u = v & match.get(s, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(a) - bin(v).count("1")

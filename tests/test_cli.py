@@ -1,13 +1,17 @@
 """Frontend tests: run main() in-process and inspect artifacts."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import subseqlab
 import subseqlab.lcs as lcs_module
@@ -379,3 +383,105 @@ def test_wall_time_never_in_artifact(tmp_path, capsys):
     main(["mu", "--k", "2", "--n", "5", "--out", str(out_path)])
     capsys.readouterr()
     assert "wall_time" not in out_path.read_text()
+
+
+# ---------------------------------------------------------------------------
+# exit codes on random argument lists
+
+
+_NUMBER = st.one_of(
+    st.integers(-2, 7).map(str),
+    st.sampled_from(["", "x", "1.5", "nan", "-", "007", "1e3", "\u0663"]),
+)
+_SMALL = st.one_of(st.integers(-1, 3).map(str), st.sampled_from(["", "x", "2.0"]))
+_TEXT = st.text("abz,019- ", max_size=8)
+# a words file as bytes, or a path that is missing or is a directory
+_WORDS_FILE = st.one_of(
+    st.tuples(_NUMBER, st.lists(_TEXT, max_size=4)).map(
+        lambda kw: "\n".join([f"alphabet k={kw[0]}", *kw[1]]).encode()
+    ),
+    st.text(max_size=20).map(str.encode),
+    st.binary(max_size=20),
+    st.sampled_from(["{tmp}/missing.words", "{tmp}"]),
+)
+
+
+def _formats(*valid):
+    return st.sampled_from([*valid, "xml"])
+
+
+# per subcommand, every option with a strategy for its value (None: a flag);
+# sizes stay small so that every valid call finishes quickly
+_OPTIONS = {
+    "count": {"--v": _TEXT, "--w": _TEXT, "--k": _NUMBER, "--format": _formats("text", "json")},
+    "most-common": {
+        "--w": _TEXT,
+        "--k": _NUMBER,
+        "--length": _NUMBER,
+        "--format": _formats("json", "text"),
+    },
+    "profile": {"--w": _TEXT, "--k": _NUMBER, "--format": _formats("json", "csv")},
+    "table": {"--k": _NUMBER, "--n-max": _NUMBER, "--format": _formats("json", "csv")},
+    "mu": {
+        "--k": _NUMBER,
+        "--n": _NUMBER,
+        "--places": st.one_of(_NUMBER, st.sampled_from(["1000", "1001", "99999"])),
+        "--format": _formats("json"),
+    },
+    "lcs": {"--inputs": _WORDS_FILE},
+    "construct": {"--t": _SMALL, "--blocks": _SMALL},
+    "verify-construction": {  # permutations at t=3 take seconds
+        "--t": st.sampled_from(["-1", "0", "1", "2", "x"]),
+        "--level": st.sampled_from(["signs", "lemma", "permutations", "all"]),
+    },
+    "shape": {
+        "--t": _SMALL,
+        "--blocks": _SMALL,
+        "--samples": _SMALL,
+        "--seed": _NUMBER,
+        "--embed-cap": _SMALL,
+    },
+    "certify": {"--input": _WORDS_FILE, "--chunk": _NUMBER},
+    # a valid verify-all run takes about a second; its seed is always bad
+    "verify-all": {"--quick": None, "--seed": st.sampled_from(["", "x", "1.5"])},
+}
+
+
+@st.composite
+def _argument_lists(draw):
+    """A subcommand with each of its options present nine times in ten;
+    bytes stand for a words file, "{tmp}" for a temporary directory."""
+    sub = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [sub]
+    for option, values in _OPTIONS[sub].items():
+        if draw(st.integers(0, 9)):
+            argv.append(option)
+            if values is not None:
+                argv.append(draw(values))
+    if sub not in ("verify-construction", "verify-all") and draw(st.booleans()):
+        argv += ["--out", draw(st.sampled_from(["{tmp}/out.json", "{tmp}"]))]
+    if not draw(st.integers(0, 9)):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "x", "-k"])))
+    return argv
+
+
+@given(_argument_lists())
+@example(["mu", "--k", "2", "--n", "5", "--places", "99999"])
+@settings(max_examples=250, deadline=None)
+def test_cli_exit_codes_on_random_arguments(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        args = []
+        for i, token in enumerate(argv):
+            if isinstance(token, bytes):
+                path = os.path.join(tmp, f"{i}.words")
+                Path(path).write_bytes(token)
+                token = path
+            args.append(token.replace("{tmp}", tmp))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(args)
+            except SystemExit as exc:  # argparse: usage error or --help
+                code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

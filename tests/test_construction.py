@@ -241,6 +241,11 @@ def test_construction_word_contracts():
         build_construction_word(1, 2)
     with pytest.raises(BudgetError):
         build_construction_word(4, 100)
+    w = build_construction_word(2, 3).word
+    with pytest.raises(ContractError, match="^block_count must be an int, got '3'$"):
+        ConstructionWord(2, 8, "3", 256, w)
+    with pytest.raises(ContractError, match="^word must be a Word"):
+        ConstructionWord(2, 8, 3, 256, w.symbols)
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +418,23 @@ def test_construction_api_raises_only_documented_errors(data):
         cw.block(draw(int_or_junk(-1, 4)))
         cw.block_offsets
 
+    def junk_word_calls():
+        length = draw(int_or_junk(-1, 4))
+        syms = draw(st.lists(st.integers(0, 3), max_size=12).map(tuple))
+        cw = ConstructionWord(
+            t,
+            r,
+            draw(int_or_junk(-1, 4)),
+            length,
+            draw(st.one_of(st.just(Word(syms, 4)), st.just(syms), JUNK)),
+        )
+        cw.block(draw(int_or_junk(-1, 4)))
+        cw.block_offsets
+
     calls = [
         alphabet_calls,
         word_calls,
+        junk_word_calls,
         lambda: sign_vector_at(draw(int_or_junk(-1, 20)), draw(st.sampled_from((None, family)))),
         lambda: parse_signs(draw(st.one_of(st.text("+-x", max_size=9), JUNK))),
         lambda: signs_to_text(vector),

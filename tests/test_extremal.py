@@ -223,6 +223,12 @@ def test_root_decimal_rounding_directions():
     assert root_decimal(10, 1, 0, "floor") == "10"
     with pytest.raises(ContractError):
         root_decimal(2, 2, 3, "nearest")
+    # past Python's 4300-digit int printing limit
+    assert len(root_decimal(2**40, 40, 1000, "ceil")) == 1002
+    with pytest.raises(ContractError, match=r"^places must be in \[0, 1000\], got 1001$"):
+        root_decimal(2, 2, 1001, "floor")
+    with pytest.raises(ContractError, match="more than 3900 digits"):
+        root_decimal(10**5000, 1, 0, "floor")
 
 
 def test_cross_compare_examples():

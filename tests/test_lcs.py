@@ -1,4 +1,6 @@
+import hashlib
 import random
+import tracemalloc
 from unittest.mock import patch
 
 import pytest
@@ -23,7 +25,15 @@ from subseqlab.lcs import (
 )
 from subseqlab.words import Word, reverse, word
 
-from oracles import brute_lcs, lis_by_patience, quadratic_chain_lcs
+from oracles import (
+    bit_lcs_length,
+    brute_lcs,
+    dp_lcs2,
+    dp_lcs3,
+    lis_by_patience,
+    quadratic_chain_lcs,
+    subsequence_by_two_pointer,
+)
 
 
 def _perm_word(rng, length, alphabet_size=None):
@@ -93,10 +103,115 @@ def test_permutation_route_matches_dp_route():
         assert is_permutation_word(a) and is_permutation_word(b)
         result = _perm_lcs2(a, b)
         assert result == _dp_lcs2(a, b)
+        assert (result[0], result[1].symbols) == dp_lcs2(a.symbols, b.symbols)
         assert result == permutation_chain_lcs([a, b])
         assert (result[0], result[1].symbols) == quadratic_chain_lcs([a.symbols, b.symbols])
         # public entry dispatches to the fast route for these inputs
         assert lcs2(a, b) == result
+
+
+def _rand_syms(rng, k, n):
+    return tuple(rng.randrange(k) for _ in range(n))
+
+
+def _dp_route_inputs(rng, u):
+    """u symbol tuples over one alphabet of 1-6 letters: random, with
+    empty words, with disjoint supports, or with very unequal lengths."""
+    k = rng.randrange(1, 7)
+    kind = rng.choice(["random", "empty", "disjoint", "unequal"])
+    if kind == "disjoint" and k >= u:
+        cut = k // u
+        words = [
+            tuple(rng.randrange(i * cut, (i + 1) * cut) for _ in range(rng.randrange(1, 9)))
+            for i in range(u)
+        ]
+    elif kind == "unequal":
+        lengths = [rng.randrange(0, 4) for _ in range(u - 1)] + [rng.randrange(30, 70)]
+        rng.shuffle(lengths)
+        words = [_rand_syms(rng, k, n) for n in lengths]
+    else:
+        words = [_rand_syms(rng, k, rng.randrange(0, 13)) for _ in range(u)]
+        if kind == "empty":
+            words[rng.randrange(u)] = ()
+    return k, words
+
+
+def test_dp_routes_match_oracles():
+    # (length, witness) of the bit-parallel pair kernel and the
+    # threshold-list triple kernel against the per-cell table DPs
+    rng = random.Random(20261022)
+    for _ in range(1500):
+        k, (a, b) = _dp_route_inputs(rng, 2)
+        expected = dp_lcs2(a, b)
+        length, witness = _dp_lcs2(Word(a, k), Word(b, k))
+        assert (length, witness.symbols) == expected, (a, b)
+        assert lcs2(Word(a, k), Word(b, k)) == (length, witness)
+        k, ws = _dp_route_inputs(rng, 3)
+        expected = dp_lcs3(*ws)
+        length, witness = _dp_lcs3(*(Word(s, k) for s in ws))
+        assert (length, witness.symbols) == expected, ws
+        assert lcs3(*(Word(s, k) for s in ws)) == (length, witness)
+
+
+def test_dp_triple_kernel_with_a_permutation_word():
+    # s3 a permutation (of all or part of the alphabet) while the others
+    # repeat symbols, in every order of the three words
+    rng = random.Random(20261023)
+    for _ in range(300):
+        k = rng.randrange(2, 9)
+        perm = tuple(rng.sample(range(k), rng.randrange(1, k + 1)))
+        ws = [_rand_syms(rng, k, rng.randrange(k + 1, 14)) for _ in range(2)]
+        for order in ((0, 1, 2), (2, 0, 1), (1, 2, 0)):
+            trip = [(*ws, perm)[i] for i in order]
+            length, witness = lcs3(*(Word(s, k) for s in trip))
+            assert (length, witness.symbols) == dp_lcs3(*trip), trip
+
+
+def test_dp_pair_kernel_on_multiword_ints():
+    # pairs of 65, 200 and 1000+ symbols: the row ints span several
+    # machine words
+    rng = random.Random(20261024)
+    for n1, n2, k in ((65, 64, 2), (64, 65, 3), (200, 130, 2), (200, 200, 5), (1030, 1001, 4)):
+        a, b = _rand_syms(rng, k, n1), _rand_syms(rng, k, n2)
+        length, witness = lcs2(Word(a, k), Word(b, k))
+        assert (length, witness.symbols) == dp_lcs2(a, b)
+
+
+def test_lcs_dp_routes_pinned():
+    # (length, witness) of seeded non-permutation inputs at the request
+    # sizes of the benchmark's query stream, recorded with the per-cell
+    # table DPs the kernels replaced
+    rng = random.Random(20261021)
+    h = hashlib.sha256()
+    for t in range(300):
+        if t % 5 < 3:
+            k = rng.choice([2, 4, 8])
+            ws = [Word(_rand_syms(rng, k, rng.randint(40, 150)), k) for _ in range(2)]
+            length, witness = lcs2(*ws)
+        else:
+            k = rng.choice([2, 3, 4])
+            ws = [Word(_rand_syms(rng, k, rng.randint(10, 30)), k) for _ in range(3)]
+            length, witness = lcs3(*ws)
+        assert not all(map(is_permutation_word, ws))
+        h.update(repr((k, [w.symbols for w in ws], length, witness.symbols)).encode())
+    assert h.hexdigest() == "ea9d79717fff8dde33571d2d60f14552a3d9393e1bde85dfe91413cf6463fe89"
+
+
+def test_long_binary_pair_in_little_memory():
+    # a per-cell table would hold 16M ints here; the kernel's rows take
+    # 4001 ints of 4000 bits, about 2 MB
+    rng = random.Random(4000)
+    a, b = (Word(_rand_syms(rng, 2, 4000), 2) for _ in range(2))
+    tracemalloc.start()
+    try:
+        length, witness = lcs2(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert length == bit_lcs_length(a.symbols, b.symbols) == len(witness)
+    assert subsequence_by_two_pointer(witness.symbols, a.symbols)
+    assert subsequence_by_two_pointer(witness.symbols, b.symbols)
 
 
 def test_lcs_with_identity_is_lis():
@@ -151,8 +266,9 @@ def test_three_way_permutation_route_matches_dp_route():
         n = rng.randrange(0, 9)
         k = max(n + rng.randrange(0, 3), 1)
         ws = [_perm_word(rng, rng.randrange(0, n + 1) if n else 0, k) for _ in range(3)]
-        assert permutation_chain_lcs(ws) == _dp_lcs3(*ws)
-        assert lcs3(*ws) == _dp_lcs3(*ws)
+        length, witness = lcs3(*ws)
+        assert _dp_lcs3(*ws) == permutation_chain_lcs(ws) == (length, witness)
+        assert (length, witness.symbols) == dp_lcs3(*(w.symbols for w in ws))
 
 
 def test_three_way_budget():
@@ -249,7 +365,8 @@ def test_chain_kernel_budget(monkeypatch):
     # pairs keep their own route, which needs no masks
     assert lcs2(*ws[:2])[0] == 1
     monkeypatch.setattr(lcs_module, "CHAIN_MASK_BIT_BUDGET", 36)
-    assert lcs3(*ws) == _dp_lcs3(*ws)
+    length, witness = lcs3(*ws)
+    assert (length, witness.symbols) == dp_lcs3(*(w.symbols for w in ws))
 
 
 _DOCUMENTED_ERRORS = (ContractError, WordRangeError, BudgetError, NotApplicable)
