@@ -26,20 +26,34 @@ One routine, ``_branch_and_bound``, runs this search on any suffix
 position: appending ``s`` reads the parent's state only at the
 boundaries just before each ``s``, whose sum is the child's count and
 whose products with the capacities there its bound; the child's full
-state is built only if it survives the bound.  The capacities are that
-search run from right to left, ``start = n-1, ..., 1``, each using the
-capacities already found and *floored* at the last one, M(w[start+1:]).
-Counts grow one letter at a time, occ(v, a.u) = occ(v, u) + [v starts
-with a] * occ(v[1:], u), so a pattern not starting with ``a = w[start]``
+state is built only if it survives the bound.  Capacities come from
+right to left.  For the shorter half of the suffixes, ``start > n//2``,
+they are exact: that search run on ``w[start:]``, using the capacities
+already found and *floored* at the last one, M(w[start+1:]).  Counts
+grow one letter at a time, occ(v, a.u) = occ(v, u) + [v starts with
+a] * occ(v[1:], u), so a pattern not starting with ``a = w[start]``
 counts no more than that floor, and a floored search tries only ``a``
-at the root.  The most-common search is the ``start = 0`` call, which
+at the root.  The same identity bounds the longer suffixes in O(1)
+each: M(a.u) is at most the sum of the capacities just after each
+``a`` of a.u.  A search reads the capacity of w[j:] only below a
+prefix that fits into w[:j], so those loose values weaken just the top
+of its tree.  The most-common search is the ``start = 0`` call, which
 returns the witness and can abort once a count reaches a threshold.  It
-starts just below capacities[1] <= M(w) (and below the threshold, and
-at least 1), since any start below M(w) keeps the lex-min witness.  The
-extremal scan passes capacities it already knows, with the floor
-``capacities[1]``, and gets no witness.  ``max_occurrences_of_length``
-runs the same step with its own bound, which depends on how many
-symbols remain to be placed.
+starts just below the exact M(w[n//2+1:]) <= M(w) (and below the
+threshold, and at least 1), since any start below M(w) keeps the
+lex-min witness and the first count to reach the threshold.  The
+extremal scan passes exact capacities it already knows, with the floor
+``capacities[1]``, and gets no witness.
+
+The fixed-length maximisers are one more explicit-stack DFS with the
+same step and dominance test, which keeps the top count and the lex-min
+witness of every target length at once: ``occurrence_profile`` targets
+every length, ``max_occurrences_of_length`` one.  Its bound is binomial,
+r more symbols fit into the t after a boundary at most C(t, r) ways, and
+a node is expanded while that bound beats the best count of some target
+length it can still reach.  The public maximisers run on the word
+relabelled to its support, keeping symbol order, so their work does not
+grow with unused symbols of the alphabet.
 
 Witness tie-breaks are always "lexicographically smallest pattern
 among the maximisers", which the DFS order delivers for free.
@@ -49,14 +63,15 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, compress, repeat
+from itertools import accumulate
 from math import comb
 from operator import ge, lt, mul
 
-from .errors import ContractError, require_int, require_int_tuple
+from .errors import BudgetError, ContractError, require_int, require_int_tuple
 from .words import Word
 
 _DOMINANCE_STORE_CAP = 512  # per-depth cap on states kept for dominance tests
+FIXED_LENGTH_WITNESS_BUDGET = 10**6  # symbols in the 0^length witness of a length above |w|
 
 
 def _check_shared_alphabet(v: Word, w: Word) -> None:
@@ -287,20 +302,34 @@ def _branch_and_bound(
     return best, None if floor is not None else tuple(t - 1 for t in best_path), False
 
 
-def _suffix_capacities(w: Word) -> list[int]:
-    """capacities[j] = max over all patterns of their count inside w[j:].
+def _suffix_capacities(w: Word) -> tuple[list[int], int]:
+    """Upper bounds capacities[j] >= M(w[j:]), and the floor M(w[h + 1:]), h = |w| // 2.
 
-    Filled from right to left, each suffix searched with the capacities
-    of the shorter ones and floored at the next one's.
+    capacities[j] is exact for j > h: filled from right to left, each
+    suffix searched with the capacities of the shorter ones and floored
+    at the next one's.  For 1 <= j <= h it is the one-letter bound, the
+    sum of capacities[p + 1] over the p >= j with w[p] == a = w[j]: a
+    pattern a.u counts occ(u, w[p + 1:]) summed over those p, and the
+    term p = j covers the patterns not starting with a, which count the
+    same in w[j + 1:].  A search reads capacities[j] only below a pattern
+    prefix that fits into w[:j], so loose values weaken only the top of
+    its tree, where each exact one would cost about a whole search.
     """
     syms = w.symbols
-    k = w.alphabet_size
-    capacities = [1] * (len(w) + 1)
-    for start in range(len(w) - 1, 0, -1):
-        capacities[start] = _branch_and_bound(
-            syms, k, start, capacities, floor=capacities[start + 1]
-        )[0]
-    return capacities
+    n = len(w)
+    half = n // 2
+    capacities = [1] * (n + 1)
+    sums = [0] * w.alphabet_size  # sums[a]: capacities[p + 1] over a-positions p >= start
+    for start in range(n - 1, 0, -1):
+        a = syms[start]
+        sums[a] += capacities[start + 1]
+        if start > half:
+            capacities[start] = _branch_and_bound(
+                syms, w.alphabet_size, start, capacities, floor=capacities[start + 1]
+            )[0]
+        else:
+            capacities[start] = sums[a]
+    return capacities, capacities[half + 1]
 
 
 def _search_most_common(
@@ -321,14 +350,33 @@ def _search_most_common(
     if abort_at is not None and abort_at <= floor:
         return floor, None, True
     if capacities is None:
-        capacities = _suffix_capacities(w)
-        # M(w) >= capacities[1], so starting below it (or below abort_at)
-        # keeps the lex-min witness and the abort value
-        low = capacities[1] if abort_at is None else min(capacities[1], abort_at)
+        capacities, floor = _suffix_capacities(w)
+        # M(w) >= floor, so starting below it (or below abort_at) keeps
+        # the lex-min witness and the abort value
+        low = floor if abort_at is None else min(floor, abort_at)
         return _branch_and_bound(
             w.symbols, w.alphabet_size, 0, capacities, abort_at, low=max(1, low - 1)
         )
     return _branch_and_bound(w.symbols, w.alphabet_size, 0, capacities, abort_at, floor)
+
+
+def _on_support(w: Word) -> tuple[Word, list[int]]:
+    """w relabelled to its sorted support, and the symbol of each new label.
+
+    A symbol absent from w is in no pattern of positive count, and the
+    relabelling keeps symbol order, so it keeps every lex-min witness
+    while the searches do work linear in the support, not the alphabet.
+    """
+    support = sorted(set(w.symbols))
+    if len(support) == w.alphabet_size:
+        return w, support
+    code = {s: i for i, s in enumerate(support)}
+    return Word(tuple(map(code.__getitem__, w.symbols)), max(1, len(support))), support
+
+
+def _in_alphabet(symbols: tuple[int, ...], support: list[int], w: Word) -> Word:
+    """A witness found on _on_support(w), in w's own alphabet."""
+    return Word(tuple(map(support.__getitem__, symbols)), w.alphabet_size)
 
 
 def max_occurrences(w: Word) -> tuple[int, Word]:
@@ -338,31 +386,41 @@ def max_occurrences(w: Word) -> tuple[int, Word]:
     maximisers (which is the empty pattern whenever no pattern occurs
     more than once).
     """
-    value, witness, _ = _search_most_common(w)
+    u, support = _on_support(w)
+    value, witness, _ = _search_most_common(u)
     assert witness is not None
-    return value, Word(witness, w.alphabet_size)
+    return value, _in_alphabet(witness, support, w)
 
 
-def max_occurrences_of_length(w: Word, length: int) -> tuple[int, Word]:
-    """Most frequent pattern of exactly the given length: (count, witness)."""
-    require_int(length=length)
-    if length < 0:
-        raise ContractError(f"length must be >= 0, got {length}")
-    n = len(w)
-    k = w.alphabet_size
-    if length == 0:
-        return 1, Word((), k)
-    if length > n:
-        return 0, Word((0,) * length, k)
-    before, rank = _step_tables(w.symbols, 0, k)
+def _top_counts_by_length(
+    syms: tuple[int, ...], k: int, lo: int, hi: int
+) -> list[tuple[int, tuple[int, ...]]]:
+    """(top count, lex-min witness) of each pattern length lo..hi.
+
+    One explicit-stack DFS as in _branch_and_bound, for 1 <= lo <= hi
+    <= len(syms).  A node of length L is expanded while, for some
+    remaining length r, its binomial bound beats the best count of
+    length L + r so far: r more symbols fit into the t symbols after a
+    boundary at most C(t, r) ways.  Dominance
+    holds for every extension length, and preorder with a strict > keeps
+    the lex-min witness of each length.
+    """
+    n = len(syms)
+    before, rank = _step_tables(syms, 0, k)
     tails = [[n - 1 - b for b in bs] for bs in before]  # symbols after each boundary
-    best = 0
-    best_path = [1] * length  # nxt at the best count, (0,) * length until one is found
-    by_depth: list[list[list[int]]] = [[] for _ in range(length)]
-    # explicit-stack DFS as in _branch_and_bound (states[d] is set
-    # before it is read)
-    states = [[1] * (n + 1)] * length
-    nxt = [0] * length
+    # cols[r][s][i] = C(tails[s][i], r), built on first use.  Column r is
+    # read only at depths d >= lo - 1 - r, where the boundaries b < d
+    # (tails above n - lo + r) count zero, so those entries are stored
+    # as 0; the C(t, r) = 0 for t < r end each list
+    cols: list[list[list[int]] | None] = [None] * hi
+    best = [0] * (hi + 1)
+    paths: list[list[int]] = [[]] * (hi + 1)  # nxt[:L] at best[L]
+    by_depth: list[list[list[int]]] = [[] for _ in range(hi)]
+    # states[d] is set before it is read
+    states = [[1] * (n + 1)] * hi
+    nxt = [0] * hi
+    # extension lengths r that reach a target length from depth d + 1
+    spans = [range(max(1, lo - d - 1), hi - d) for d in range(hi)]
     depth = 0
     while depth >= 0:
         s = nxt[depth]
@@ -371,19 +429,25 @@ def max_occurrences_of_length(w: Word, length: int) -> tuple[int, Word]:
             continue
         nxt[depth] = s + 1
         c = states[depth]
-        remaining = length - depth - 1
-        if remaining == 0:
-            v = sum(map(c.__getitem__, before[s]))
-            if v > best:
-                best = v
-                best_path = nxt[:]
-            continue
+        size = depth + 1  # symbols in the child's pattern
         vals = list(map(c.__getitem__, before[s]))
-        # binomial capacity: a pattern of r symbols fits into a window of
-        # length L at most C(L, r) ways; zero values are skipped, since
-        # C(L, r) of a long window costs more than the rest of the step
-        live = compress(tails[s], vals)
-        if sum(map(mul, filter(None, vals), map(comb, live, repeat(remaining)))) <= best:
+        if size >= lo:
+            v = sum(vals)
+            if v > best[size]:
+                best[size] = v
+                paths[size] = nxt[:size]
+            if size == hi:
+                continue
+        for r in spans[depth]:
+            col = cols[r]
+            if col is None:
+                top = n - lo + r
+                col = cols[r] = [
+                    [comb(t, r) if t <= top else 0 for t in ts if t >= r] for ts in tails
+                ]
+            if sum(map(mul, vals, col[s])) > best[size + r]:
+                break
+        else:
             continue
         nc = list(map([0, *accumulate(vals)].__getitem__, rank[s]))
         v = nc[-1]
@@ -397,12 +461,42 @@ def max_occurrences_of_length(w: Word, length: int) -> tuple[int, Word]:
             depth += 1
             states[depth] = nc
             nxt[depth] = 0
-    return best, Word(tuple(t - 1 for t in best_path), k)
+    return [(best[size], tuple(t - 1 for t in paths[size])) for size in range(lo, hi + 1)]
+
+
+def max_occurrences_of_length(w: Word, length: int) -> tuple[int, Word]:
+    """Most frequent pattern of exactly the given length: (count, witness).
+
+    A length above |w| has count 0 and witness 0^length, which is
+    refused with BudgetError above FIXED_LENGTH_WITNESS_BUDGET symbols.
+    """
+    require_int(length=length)
+    if length < 0:
+        raise ContractError(f"length must be >= 0, got {length}")
+    k = w.alphabet_size
+    if length == 0:
+        return 1, Word((), k)
+    if length > len(w):
+        if length > FIXED_LENGTH_WITNESS_BUDGET:
+            raise BudgetError(
+                f"witness 0^{length} is over the budget of {FIXED_LENGTH_WITNESS_BUDGET} symbols"
+            )
+        return 0, Word((0,) * length, k)
+    u, support = _on_support(w)
+    [(value, witness)] = _top_counts_by_length(u.symbols, u.alphabet_size, length, length)
+    return value, _in_alphabet(witness, support, w)
 
 
 def occurrence_profile(w: Word) -> list[tuple[int, Word]]:
     """(count, witness) of the most frequent pattern for every length 0..|w|."""
-    return [max_occurrences_of_length(w, length) for length in range(len(w) + 1)]
+    profile = [(1, Word((), w.alphabet_size))]
+    if len(w) == 0:
+        return profile
+    u, support = _on_support(w)
+    return profile + [
+        (value, _in_alphabet(witness, support, w))
+        for value, witness in _top_counts_by_length(u.symbols, u.alphabet_size, 1, len(w))
+    ]
 
 
 def sum_over_lengths(w: Word) -> int:

@@ -8,7 +8,9 @@ evidence, not tautology.
 """
 
 from collections import Counter
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, compress, permutations, product, repeat
+from math import comb
+from operator import ge, mul
 
 
 def count_by_combinations(v_syms, w_syms):
@@ -177,6 +179,68 @@ def search_most_common(syms, k, abort_at=None, capacities=None):
     if capacities is None:
         return branch_and_bound(syms, k, 0, suffix_capacities(syms, k), abort_at)
     return branch_and_bound(syms, k, 0, capacities, abort_at, floor)
+
+
+# ---------------------------------------------------------------------------
+# the one-length search that the package's all-lengths kernel replaced
+
+
+def fixed_length_search(syms, k, length):
+    """(count, witness) of the most frequent length-length pattern by the
+    one-length explicit-stack search the package's all-lengths kernel
+    replaced: the binomial bound of the symbols still to place, and
+    dominance with the final count compared first."""
+    n = len(syms)
+    if length == 0:
+        return 1, ()
+    if length > n:
+        return 0, (0,) * length
+    before = [[] for _ in range(k)]
+    for b, s in enumerate(syms):
+        before[s].append(b)
+    rank = [[0, *accumulate(map(s.__eq__, syms))] for s in range(k)]
+    tails = [[n - 1 - b for b in bs] for bs in before]  # symbols after each boundary
+    best = 0
+    best_path = [1] * length  # nxt at the best count, (0,) * length until one is found
+    by_depth = [[] for _ in range(length)]
+    # explicit-stack DFS (states[d] is set before it is read)
+    states = [[1] * (n + 1)] * length
+    nxt = [0] * length
+    depth = 0
+    while depth >= 0:
+        s = nxt[depth]
+        if s == k:
+            depth -= 1
+            continue
+        nxt[depth] = s + 1
+        c = states[depth]
+        remaining = length - depth - 1
+        if remaining == 0:
+            v = sum(map(c.__getitem__, before[s]))
+            if v > best:
+                best = v
+                best_path = nxt[:]
+            continue
+        vals = list(map(c.__getitem__, before[s]))
+        # binomial capacity: a pattern of r symbols fits into a window of
+        # length L at most C(L, r) ways; zero values are skipped, since
+        # C(L, r) of a long window costs more than the rest of the step
+        live = compress(tails[s], vals)
+        if sum(map(mul, filter(None, vals), map(comb, live, repeat(remaining)))) <= best:
+            continue
+        nc = list(map([0, *accumulate(vals)].__getitem__, rank[s]))
+        v = nc[-1]
+        store = by_depth[depth]
+        for t in store:
+            if t[-1] >= v and all(map(ge, t, nc)):
+                break
+        else:
+            if len(store) < 512:
+                store.append(nc)
+            depth += 1
+            states[depth] = nc
+            nxt[depth] = 0
+    return best, tuple(t - 1 for t in best_path)
 
 
 def orbit_of(syms, k):

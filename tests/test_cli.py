@@ -149,6 +149,21 @@ def test_profile_json(capsys):
     assert no_floats(payload)
 
 
+def test_most_common_and_profile_on_a_huge_alphabet(capsys):
+    code, out, _ = run(["most-common", "--w", "abab", "--k", "100000000"], capsys)
+    assert code == EXIT_OK
+    assert (json.loads(out)["value"], json.loads(out)["witness"]) == ("3", "0,1")
+    code, out, _ = run(["profile", "--w", "abab", "--k", "100000000", "--format", "csv"], capsys)
+    assert code == EXIT_OK
+    assert out == "length,value,witness\n0,1,\n1,2,0\n2,3,0,1\n3,1,0,0,1\n4,1,0,1,0,1\n"
+
+
+def test_most_common_length_over_budget_exits_2(capsys):
+    code, out, err = run(["most-common", "--w", "ab", "--length", str(2**63)], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "over the budget of 1000000 symbols" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # table / mu
 

@@ -2,11 +2,13 @@ import hashlib
 import random
 from itertools import product
 from math import comb
+from operator import ge
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from subseqlab.counting import (
+    FIXED_LENGTH_WITNESS_BUDGET,
     EmbeddingMap,
     _branch_and_bound,
     _search_most_common,
@@ -19,7 +21,7 @@ from subseqlab.counting import (
     sum_over_lengths,
     validate_embedding,
 )
-from subseqlab.errors import ContractError
+from subseqlab.errors import BudgetError, ContractError
 from subseqlab.words import Word, concat, from_ids, power, relabel, reverse, word
 
 from contract_inputs import DOCUMENTED_ERRORS, JUNK, int_or_junk
@@ -214,6 +216,9 @@ def test_state_dominance_is_preserved_by_extension():
 def test_most_common_examples():
     assert max_occurrences(word("abab")) == (3, word("ab"))
     assert max_occurrences(word("aaaa")) == (6, word("aa", 1))
+    # M(w) = 2 is already the floor M(w[3:]): the witness search must
+    # start below it to find the witness
+    assert max_occurrences(word("abdcc")) == (2, word("abc", 4))
     count, witness = max_occurrences(word("ab"))
     assert count == 1 and len(witness) == 0
 
@@ -250,8 +255,9 @@ def test_search_with_supplied_capacities_is_exact():
     # the extremal scan's call: exact suffix capacities supplied, the
     # search floored at capacities[1]; an abort happens exactly when the
     # true value reaches abort_at, otherwise the value is exact, and no
-    # witness comes back either way.  The floored capacity computation
-    # of a plain search must give the same exact capacities.
+    # witness comes back either way.  The capacities a plain search
+    # computes for itself are exact for j > n // 2 and upper bounds
+    # below, and its floor is M(w[n // 2 + 1:]).
     for k, n_top in ((2, 10), (3, 6)):
         brute = {}
         for n in range(n_top + 1):
@@ -260,7 +266,11 @@ def test_search_with_supplied_capacities_is_exact():
                 if n == 0:
                     continue
                 capacities = [0] + [brute[syms[j:]] for j in range(1, n + 1)]
-                assert _suffix_capacities(Word(syms, k))[1:] == capacities[1:]
+                own, floor = _suffix_capacities(Word(syms, k))
+                half = n // 2
+                assert own[half + 1 :] == capacities[half + 1 :]
+                assert all(map(ge, own[1:], capacities[1:]))
+                assert floor == brute[syms[half + 1 :]]
                 for abort_at in (None, 2, 3, 5, 9):
                     value, witness, aborted = _search_most_common(
                         Word(syms, k), abort_at, capacities
@@ -276,8 +286,8 @@ def test_search_with_supplied_capacities_is_exact():
 def test_search_matches_recursive_reference():
     # the explicit-stack kernel against the recursive one it replaced, on
     # seeded words up to n = 26: the same (value, witness, aborted) for
-    # every mix of abort_at, supplied exact capacities and floor, and the
-    # same suffix capacities
+    # every mix of abort_at, supplied exact capacities and floor, and
+    # suffix capacities exact for j > n // 2 and upper bounds below
     rng = random.Random(20261019)
     for _ in range(60):
         k = rng.choice([2, 3, 4])
@@ -285,7 +295,9 @@ def test_search_matches_recursive_reference():
         syms = tuple(rng.randrange(k) for _ in range(n))
         w = Word(syms, k)
         caps = oracles.suffix_capacities(syms, k)
-        assert _suffix_capacities(w) == caps
+        own, floor = _suffix_capacities(w)
+        assert own[n // 2 + 1 :] == caps[n // 2 + 1 :] and floor == caps[n // 2 + 1]
+        assert all(map(ge, own, caps))
         top = oracles.search_most_common(syms, k)[0]
         aborts = {2, caps[1], caps[1] + 1, top, top + 1, rng.randint(caps[1], top + 1)}
         for abort_at in (None, *sorted(aborts)):
@@ -300,6 +312,25 @@ def test_search_matches_recursive_reference():
                 assert _branch_and_bound(syms, k, start, caps, abort_at, floor) == (
                     oracles.branch_and_bound(syms, k, start, caps, abort_at, floor)
                 )
+
+
+def test_suffix_capacities_exact_on_the_shorter_half():
+    # every k=2 word of n <= 12 and k=3 word of n <= 8: capacities[j]
+    # equals M(w[j:]) for j > n // 2 and bounds it from above below that,
+    # and the floor is the brute-force M(w[n // 2 + 1:]).  M of every
+    # suffix comes from the recursive reference, one floored search per
+    # word on the already known M of its own suffixes.
+    for k, n_top in ((2, 12), (3, 8)):
+        top = {(): 1}
+        for n in range(1, n_top + 1):
+            for syms in product(range(k), repeat=n):
+                exact = [0] + [top[syms[j:]] for j in range(1, n + 1)]
+                top[syms] = oracles.branch_and_bound(syms, k, 0, exact, floor=exact[1])[0]
+                own, floor = _suffix_capacities(Word(syms, k))
+                half = n // 2
+                assert own[half + 1 :] == exact[half + 1 :]
+                assert all(map(ge, own[1:], exact[1:]))
+                assert floor == brute_max_over_patterns(syms[half + 1 :], k)
 
 
 def test_search_long_pattern_does_not_recurse():
@@ -392,6 +423,72 @@ def test_profile_matches_brute_force():
         assert [c for c, _ in occurrence_profile(w)] == brute_profile(w.symbols, k)
 
 
+def _length_kernel_inputs():
+    rng = random.Random(20261021)
+    for _ in range(160):
+        k = rng.choice([1, 2, 3, 4])
+        n = rng.randrange(0, 17)
+        yield Word(tuple(rng.randrange(k) for _ in range(n)), k)
+    for n in (1, 7, 16):
+        yield Word((0,) * n, 1)
+        yield Word((2,) * n, 3)
+    for n in (1, 4, 8):
+        yield power(word("ab"), n)
+    # supports disjoint from each other and from the low symbols
+    yield Word((4, 1, 4, 4, 1, 1, 4, 1, 4), 6)
+    yield Word((5, 3, 3, 5, 3, 5, 5, 3, 3, 5, 3, 5), 6)
+    yield Word((0, 2, 0, 2, 2, 0, 2, 0, 0, 2), 6)
+
+
+def test_length_kernel_matches_one_length_oracle():
+    # the all-lengths kernel, through both public entries, against the
+    # one-length search it replaced: value and witness at every length
+    for w in _length_kernel_inputs():
+        expected = [
+            oracles.fixed_length_search(w.symbols, w.alphabet_size, length)
+            for length in range(len(w) + 2)
+        ]
+        profile = [(v, x.symbols) for v, x in occurrence_profile(w)]
+        assert profile == expected[:-1]
+        for length, row in enumerate(expected):
+            value, witness = max_occurrences_of_length(w, length)
+            assert (value, witness.symbols) == row
+            assert witness.alphabet_size == w.alphabet_size
+        assert sum_over_lengths(w) == sum(v for v, _ in profile)
+
+
+def test_searches_run_on_the_support_only():
+    # a huge alphabet costs nothing: the searches see the support only,
+    # and witnesses come back in the word's alphabet, as on the same
+    # word over {0, 1} with its symbols renamed in order
+    k = 10**9
+    small = (0, 1, 1, 0, 1, 0, 0)
+    top = brute_most_common(small, 2)
+    for support in ((0, 1), (3, 900000000)):
+        w = Word(tuple(map(support.__getitem__, small)), k)
+
+        def lifted(value, x):
+            return value, Word(tuple(map(support.__getitem__, x)), k)
+
+        assert max_occurrences(w) == lifted(*top)
+        profile = [lifted(*oracles.fixed_length_search(small, 2, n)) for n in range(len(small) + 1)]
+        assert occurrence_profile(w) == profile
+        for length, row in enumerate(profile):
+            assert max_occurrences_of_length(w, length) == row
+        assert max_occurrences_of_length(w, 8) == (0, Word((0,) * 8, k))
+    assert max_occurrences(Word((), k)) == (1, Word((), k))
+    assert occurrence_profile(Word((), k)) == [(1, Word((), k))]
+
+
+def test_length_above_the_word_is_budgeted():
+    w = word("ab")
+    value, witness = max_occurrences_of_length(w, FIXED_LENGTH_WITNESS_BUDGET)
+    assert value == 0 and witness == Word((0,) * FIXED_LENGTH_WITNESS_BUDGET, 2)
+    for length in (FIXED_LENGTH_WITNESS_BUDGET + 1, 10**9, 2**63):
+        with pytest.raises(BudgetError, match=f"over the budget of {FIXED_LENGTH_WITNESS_BUDGET} symbols"):
+            max_occurrences_of_length(w, length)
+
+
 # ---------------------------------------------------------------------------
 # structural facts the rest of the package leans on
 
@@ -458,14 +555,15 @@ def test_single_letter_maximum_is_pigeonhole_bound():
 # ---------------------------------------------------------------------------
 # contracts
 
-def _draw_word(draw, max_len):
-    """A legal word (possibly empty, k = 1 included), or one whose
-    alphabet size or an extra symbol is junk or out of range."""
+@st.composite
+def _words(draw, max_len):
+    """Fields of a legal word (possibly empty, k = 1 included), or of one
+    whose alphabet size or an extra symbol is junk or out of range."""
     k = draw(st.integers(1, 4))
     syms = tuple(draw(st.lists(st.integers(0, k - 1), max_size=max_len)))
     if draw(st.booleans()):
-        return Word(syms, k)
-    return Word((*syms, draw(int_or_junk(-1, 5))), draw(int_or_junk(-1, 5)))
+        return syms, k
+    return (*syms, draw(int_or_junk(-1, 5))), draw(int_or_junk(-1, 5))
 
 
 def test_non_int_arguments_are_contract_errors():
@@ -486,23 +584,30 @@ def test_non_int_arguments_are_contract_errors():
     assert len(enumerate_embeddings(v, w, cap=None)) == 3  # None means no cap
 
 
-@given(st.data())
+@given(
+    v=_words(5),
+    w=_words(12),
+    short=_words(9),
+    cap=st.one_of(st.none(), int_or_junk(-1, 5)),
+    positions=st.one_of(st.lists(int_or_junk(-2, 14), max_size=6).map(tuple), JUNK),
+    source_length=int_or_junk(-1, 6),
+    length=int_or_junk(-1, 14),
+)
+@example(
+    v=((), 2), w=((0, 1), 2), short=((), 2), cap=None, positions=(), source_length=0, length=2**63
+)
 @settings(max_examples=300, deadline=None)
-def test_counting_api_raises_only_documented_errors(data):
-    draw = data.draw
-    positions = st.one_of(st.lists(int_or_junk(-2, 14), max_size=6).map(tuple), JUNK)
+def test_counting_api_raises_only_documented_errors(
+    v, w, short, cap, positions, source_length, length
+):
     calls = [
-        lambda: count_occurrences(_draw_word(draw, 5), _draw_word(draw, 12)),
-        lambda: enumerate_embeddings(
-            _draw_word(draw, 4), _draw_word(draw, 12), draw(st.one_of(st.none(), int_or_junk(-1, 5)))
-        ),
-        lambda: validate_embedding(
-            _draw_word(draw, 5), _draw_word(draw, 12), EmbeddingMap(draw(positions), draw(int_or_junk(-1, 6)))
-        ),
-        lambda: max_occurrences(_draw_word(draw, 12)),
-        lambda: max_occurrences_of_length(_draw_word(draw, 12), draw(int_or_junk(-1, 14))),
-        lambda: occurrence_profile(_draw_word(draw, 9)),
-        lambda: sum_over_lengths(_draw_word(draw, 9)),
+        lambda: count_occurrences(Word(*v), Word(*w)),
+        lambda: enumerate_embeddings(Word(*v), Word(*w), cap),
+        lambda: validate_embedding(Word(*v), Word(*w), EmbeddingMap(positions, source_length)),
+        lambda: max_occurrences(Word(*w)),
+        lambda: max_occurrences_of_length(Word(*w), length),
+        lambda: occurrence_profile(Word(*short)),
+        lambda: sum_over_lengths(Word(*short)),
     ]
     for call in calls:
         try:
