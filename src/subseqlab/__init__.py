@@ -19,7 +19,6 @@ from .certify import (
     disjoint_triples,
     duplicate_letter_certificate,
     lcs_pair_certificate,
-    recommended_parameters,
 )
 from .construction import (
     ConstructionWord,
@@ -28,9 +27,6 @@ from .construction import (
     base_sign_vectors,
     build_construction_word,
     build_permutation,
-    parse_signs,
-    sign_vector_at,
-    signed_key,
     signs_to_text,
     single_sign_mutations,
     verify_lemma_intermediate,
@@ -73,8 +69,6 @@ from .lcs import (
 from .shapes import (
     ShapeSuiteReport,
     decompose_shape,
-    e_set,
-    e_subsample,
     embedding_profile,
     run_break_bound_suite,
     run_claim_suite,
@@ -83,16 +77,10 @@ from .shapes import (
 from .words import (
     Interval,
     Word,
-    canonical_key,
     concat,
-    dump_words,
     from_ids,
-    is_subsequence,
     load_words,
-    normalize,
     power,
-    relabel,
-    reverse,
     subword,
     to_text,
     word,

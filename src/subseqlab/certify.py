@@ -74,17 +74,6 @@ def decompose(w: Word, blocks: int) -> BlockDecomposition:
     return BlockDecomposition(w, length, parts, flags, len(w) - blocks * length)
 
 
-def recommended_parameters(r: int) -> tuple[int, int]:
-    """(block count, block length) on the schedule that makes the
-    asymptotic bound work: alphabet size 2^r - (2^r mod r^2), split
-    into 2r^2 + 5r blocks of that size divided by r^2."""
-    require_int(r=r)
-    if r < 1:
-        raise ContractError(f"parameter must be >= 1, got {r}")
-    k = 2**r - (2**r % (r * r))
-    return 2 * r * r + 5 * r, k // (r * r)
-
-
 # ---------------------------------------------------------------------------
 # certificates
 

@@ -14,6 +14,8 @@ plain integers.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import random
@@ -61,7 +63,6 @@ EXIT_OK, EXIT_VIOLATION, EXIT_USAGE = 0, 1, 2
 
 @dataclass
 class RunConfig:
-    subcommand: str
     budgets: dict
     seed: int | None
     out: str | None
@@ -94,6 +95,17 @@ def _write_json(cfg: RunConfig, payload: dict) -> None:
     _write(cfg, json.dumps(payload, indent=2) + "\n")
 
 
+def _csv_text(header: tuple[str, ...], rows: list[dict]) -> str:
+    """The header's fields of each row as CSV.  A witness over an
+    alphabet above 26 holds commas, so fields are quoted where needed;
+    None is an empty field."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([r[key] for key in header] for r in rows)
+    return buf.getvalue()
+
+
 def _shared_alphabet(texts: list[str], k: int | None) -> list[Word]:
     """Parse words onto one alphabet: the declared k, or the smallest
     alphabet every word fits in."""
@@ -109,7 +121,7 @@ def _shared_alphabet(texts: list[str], k: int | None) -> list[Word]:
 
 
 def _cmd_count(args) -> int:
-    cfg = RunConfig("count", {}, None, args.out, args.format)
+    cfg = RunConfig({}, None, args.out, args.format)
     v, w = _shared_alphabet([args.v, args.w], args.k)
     value = count_occurrences(v, w)
     if cfg.format == "json":
@@ -120,7 +132,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_most_common(args) -> int:
-    cfg = RunConfig("most-common", {}, None, args.out, args.format)
+    cfg = RunConfig({}, None, args.out, args.format)
     (w,) = _shared_alphabet([args.w], args.k)
     if args.length is None:
         value, witness = max_occurrences(w)
@@ -140,24 +152,21 @@ def _cmd_most_common(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    cfg = RunConfig("profile", {}, None, args.out, args.format)
+    cfg = RunConfig({}, None, args.out, args.format)
     (w,) = _shared_alphabet([args.w], args.k)
     rows = [
         {"length": length, "value": str(value), "witness": to_text(witness)}
         for length, (value, witness) in enumerate(occurrence_profile(w))
     ]
     if cfg.format == "csv":
-        lines = ["length,value,witness"] + [
-            f"{r['length']},{r['value']},{r['witness']}" for r in rows
-        ]
-        _write(cfg, "\n".join(lines) + "\n")
+        _write(cfg, _csv_text(("length", "value", "witness"), rows))
     else:
         _write_json(cfg, {"word": to_text(w), "rows": rows, "meta": _metadata(cfg)})
     return EXIT_OK
 
 
 def _cmd_table(args) -> int:
-    cfg = RunConfig("table", {"n_max": args.n_max}, None, args.out, args.format)
+    cfg = RunConfig({"n_max": args.n_max}, None, args.out, args.format)
     records = extremal_table(args.k, args.n_max)
     rows = [
         {
@@ -168,10 +177,7 @@ def _cmd_table(args) -> int:
         }
         for r in records
     ]
-    csv_lines = ["n,value,witness,method"] + [
-        f"{r['n']},{r['value']},{r['witness'] or ''},{r['method']}" for r in rows
-    ]
-    csv_text = "\n".join(csv_lines) + "\n"
+    csv_text = _csv_text(("n", "value", "witness", "method"), rows)
     if cfg.format == "csv":
         _write(cfg, csv_text)
     else:
@@ -184,7 +190,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_mu(args) -> int:
-    cfg = RunConfig("mu", {"places": args.places}, None, args.out, args.format)
+    cfg = RunConfig({"places": args.places}, None, args.out, args.format)
     record = extremal_value(args.k, args.n)
     window = mu_window(record, places=args.places)
     payload = {
@@ -209,7 +215,7 @@ def _cmd_mu(args) -> int:
 
 
 def _cmd_lcs(args) -> int:
-    cfg = RunConfig("lcs", {}, None, args.out, args.format)
+    cfg = RunConfig({}, None, args.out, args.format)
     words = load_words(args.inputs)
     if not words:
         raise ContractError(f"{args.inputs}: no words to compare")
@@ -245,9 +251,7 @@ def _cmd_lcs(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    cfg = RunConfig(
-        "construct", {"blocks": args.blocks}, None, args.out, args.format
-    )
+    cfg = RunConfig({"blocks": args.blocks}, None, args.out, args.format)
     cw = build_construction_word(args.t, args.blocks)
     content = f"alphabet k={cw.word.alphabet_size}\n{to_text(cw.word)}\n"
     if args.out:
@@ -298,9 +302,7 @@ def _all_sign_tuples(r: int):
 
 
 def _cmd_verify_construction(args) -> int:
-    cfg = RunConfig(
-        "verify-construction", {"t": args.t}, None, args.out, args.format
-    )
+    cfg = RunConfig({"t": args.t}, None, args.out, args.format)
     if args.level == "lemma":
         if args.t > 4:
             raise ContractError("lemma sweep is budgeted to t <= 4")
@@ -330,11 +332,7 @@ def _cmd_verify_construction(args) -> int:
 
 def _cmd_shape(args) -> int:
     cfg = RunConfig(
-        "shape",
-        {"samples": args.samples, "embed_cap": args.embed_cap},
-        args.seed,
-        args.out,
-        args.format,
+        {"samples": args.samples, "embed_cap": args.embed_cap}, args.seed, args.out, args.format
     )
     report = run_claim_suite(
         args.t, args.blocks, args.samples, args.seed, embed_cap=args.embed_cap
@@ -356,7 +354,7 @@ def _cmd_shape(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    cfg = RunConfig("certify", {"chunk": args.chunk}, None, args.out, args.format)
+    cfg = RunConfig({"chunk": args.chunk}, None, args.out, args.format)
     words = load_words(args.input)
     if len(words) != 1:
         raise ContractError(f"{args.input}: expected exactly one word, found {len(words)}")

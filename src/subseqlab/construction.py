@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import combinations
 from operator import mul
 
-from .errors import BudgetError, ContractError, require_int, require_int_tuple
+from .errors import BudgetError, ContractError, require_int
 from .lcs import lcs2, lcs3, multi_lcs
 from .words import Word
 
@@ -47,30 +47,6 @@ _BASE_SIGNS: tuple[SignVector, ...] = (
 def base_sign_vectors() -> tuple[SignVector, ...]:
     """The eight length-8 sign vectors driving the block construction."""
     return _BASE_SIGNS
-
-
-def sign_vector_at(i: int, vectors: tuple[SignVector, ...] | None = None) -> SignVector:
-    """Periodic block index (1-based) -> sign vector; i=8 maps to the
-    eighth vector, i=9 back to the first."""
-    require_int(i=i)
-    if i < 1:
-        raise ContractError(f"block index must be >= 1, got {i}")
-    vs = _BASE_SIGNS if vectors is None else _sign_family(vectors)
-    return vs[(i - 1) % len(vs)]
-
-
-def parse_signs(text: str) -> SignVector:
-    if not isinstance(text, str):
-        raise ContractError(f"sign text must be a str, got {text!r}")
-    out = []
-    for ch in text:
-        if ch == "+":
-            out.append(+1)
-        elif ch == "-":
-            out.append(-1)
-        else:
-            raise ContractError(f"sign vectors use only '+' and '-', got {ch!r}")
-    return tuple(out)
 
 
 def signs_to_text(u: SignVector) -> str:
@@ -121,35 +97,12 @@ class TupleAlphabet:
             out.append(digit + 1)
         return tuple(reversed(out))
 
-    def id_of(self, coords: tuple[int, ...]) -> int:
-        require_int_tuple(coords=coords)
-        if len(coords) != self.r:
-            raise ContractError(f"expected {self.r} coordinates, got {len(coords)}")
-        out = 0
-        for c in coords:
-            if not 1 <= c <= self.t:
-                raise ContractError(f"coordinate {c} outside [1, {self.t}]")
-            out = out * self.t + (c - 1)
-        return out
-
     def prefix_class(self, symbol: int, x: int) -> int:
         """Packed value of the first x coordinates (0 <= x <= r)."""
         require_int(symbol=symbol, x=x)
         if not 0 <= x <= self.r:
             raise ContractError(f"prefix length {x} outside [0, {self.r}]")
         return symbol // self.t ** (self.r - x)
-
-
-def signed_key(u: SignVector, coords: tuple[int, ...]) -> tuple[int, ...]:
-    """Coordinatewise product; lexicographic comparison of these keys
-    defines the signed order."""
-    _check_sign_vector(u)
-    require_int_tuple(coords=coords)
-    if len(u) != len(coords):
-        raise ContractError(
-            f"sign vector has {len(u)} coordinates, symbol has {len(coords)}"
-        )
-    return tuple(map(mul, u, coords))
 
 
 def build_permutation(
@@ -166,7 +119,8 @@ def build_permutation(
             f"permutation over [{t}]^{len(u)} has {alphabet.size} symbols, "
             f"over the budget of {max_symbols}"
         )
-    # signed_key without its checks, once per symbol
+    # a symbol's key is its coordinate tuple times u, coordinatewise;
+    # ascending keys are the signed-lex order
     order = sorted(range(alphabet.size), key=lambda s: tuple(map(mul, u, alphabet.coords(s))))
     return Word(tuple(order), alphabet.size)
 
@@ -376,24 +330,23 @@ class ConstructionWord:
         return TupleAlphabet(self.t, self.r)
 
 
-def build_construction_word(
-    t: int, blocks: int, max_symbols: int = CONSTRUCTION_BUDGET
-) -> ConstructionWord:
+def build_construction_word(t: int, blocks: int) -> ConstructionWord:
     """Concatenate `blocks` signed-lex permutations of [t]^8, cycling
-    through the eight base sign vectors with period 8."""
-    require_int(t=t, blocks=blocks, max_symbols=max_symbols)
+    through the eight base sign vectors with period 8; the word may have
+    at most ``CONSTRUCTION_BUDGET`` symbols."""
+    require_int(t=t, blocks=blocks)
     if blocks < 1:
         raise ContractError(f"need at least one block, got {blocks}")
     if t < 2:
         raise ContractError(f"need t >= 2, got {t}")
     block_length = t**8
     total = blocks * block_length
-    if total > max_symbols:
+    if total > CONSTRUCTION_BUDGET:
         raise BudgetError(
             f"construction word would have {total} symbols, "
-            f"over the budget of {max_symbols}"
+            f"over the budget of {CONSTRUCTION_BUDGET} (CONSTRUCTION_BUDGET)"
         )
-    perms = [build_permutation(u, t, max_symbols) for u in _BASE_SIGNS]
+    perms = [build_permutation(u, t, CONSTRUCTION_BUDGET) for u in _BASE_SIGNS]
     syms: list[int] = []
     for i in range(1, blocks + 1):
         syms.extend(perms[(i - 1) % 8].symbols)

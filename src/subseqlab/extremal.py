@@ -296,12 +296,15 @@ def best_window(records: list[ExtremalRecord], places: int = 3) -> MuWindow:
 
 
 def mu_upper_from_profile(w: Word) -> tuple[int, int]:
-    """Upper bound mu_k <= S^(1/n), with S the sum of w's per-length maxima.
+    """Upper bound mu_k <= S^(1/n) as the exact pair (S, n), with n = |w|
+    and S = ``sum_over_lengths(w)``, the sum of w's per-length maxima.
 
-    Any single word gives such a bound: long extremal words are
-    dominated by counts inside high powers of w, and each power
-    contributes at most one pattern segment per length class.
-    Returned as the exact pair (S, n).
+    An embedding of a pattern v into w^m splits v into m consecutive
+    pieces v_1 .. v_m, one per copy of w, so occ(v, w^m) is the sum over
+    those splits of prod_i occ(v_i, w).  Each factor is at most the
+    maximum at length |v_i|, and expanding S^m covers every split, so
+    occ(v, w^m) <= S^m.  Hence value(k, nm) <= M(w^m) <= S^m for every
+    m, and mu_k <= S^(1/n).
     """
     if len(w) < 1:
         raise ContractError("profile bound needs a nonempty word")

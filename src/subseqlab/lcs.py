@@ -30,7 +30,8 @@ per suffix pair of the two shorter words, each the ``map(max, ...)`` of
 its neighbours, under ``LCS3_CELL_BUDGET`` (never more entries than
 cells).  Both feed suffix-LCS lengths to one lex-min reconstruction.
 ``multi_lcs`` (length only, any number of words) is the product-space
-table under ``MULTI_LCS_STATE_BUDGET``.
+table under ``MULTI_LCS_STATE_BUDGET``.  The three budgets are module
+constants, not parameters, and each BudgetError names the one it hit.
 """
 
 from __future__ import annotations
@@ -180,21 +181,21 @@ def _perm_lcs2(w1: Word, w2: Word) -> tuple[int, Word]:
 # three and more words
 
 
-def lcs3(w1: Word, w2: Word, w3: Word, max_cells: int = LCS3_CELL_BUDGET) -> tuple[int, Word]:
+def lcs3(w1: Word, w2: Word, w3: Word) -> tuple[int, Word]:
     """Exact three-way LCS with witness.
 
     Permutation triples go through the chain reduction; the general
-    case is the threshold-list DP, guarded by a cell budget.
+    case is the threshold-list DP, guarded by ``LCS3_CELL_BUDGET``.
     """
     _check_alphabets([w1, w2, w3])
     ws = [w1, w2, w3]
     if all(is_permutation_word(w) for w in ws):
         return permutation_chain_lcs(ws)
     cells = (len(w1) + 1) * (len(w2) + 1) * (len(w3) + 1)
-    if cells > max_cells:
+    if cells > LCS3_CELL_BUDGET:
         raise BudgetError(
-            f"three-way DP needs {cells} cells, over the budget of {max_cells}; "
-            "shorter inputs or a bigger max_cells required"
+            f"three-way DP needs {cells} cells, over the budget of {LCS3_CELL_BUDGET} "
+            "(LCS3_CELL_BUDGET)"
         )
     return _dp_lcs3(w1, w2, w3)
 
@@ -316,11 +317,11 @@ def permutation_chain_lcs(ws: list[Word]) -> tuple[int, Word]:
     return best, Word(tuple(out), ws[0].alphabet_size)
 
 
-def multi_lcs(ws: list[Word], max_states: int = MULTI_LCS_STATE_BUDGET) -> int:
+def multi_lcs(ws: list[Word]) -> int:
     """Exact LCS length of any number of words by product-space DP.
 
     The state space is the product of the (length+1) index ranges; a
-    BudgetError names the configured cap when it would be exceeded.
+    BudgetError is raised when it would exceed ``MULTI_LCS_STATE_BUDGET``.
     """
     _check_alphabets(ws)
     seqs = [w.symbols for w in ws]
@@ -328,9 +329,10 @@ def multi_lcs(ws: list[Word], max_states: int = MULTI_LCS_STATE_BUDGET) -> int:
     states = 1
     for n in lens:
         states *= n + 1
-    if states > max_states:
+    if states > MULTI_LCS_STATE_BUDGET:
         raise BudgetError(
-            f"product space has {states} states, over the budget of {max_states}"
+            f"product space has {states} states, over the budget of "
+            f"{MULTI_LCS_STATE_BUDGET} (MULTI_LCS_STATE_BUDGET)"
         )
     u = len(seqs)
     strides = [0] * u

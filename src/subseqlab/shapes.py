@@ -277,7 +277,7 @@ ALL_SHAPE_CLAIMS = (
 
 
 # ---------------------------------------------------------------------------
-# prefix-break positions
+# prefix-break counts
 
 
 def _check_alphabet(b: Word, alphabet: TupleAlphabet) -> None:
@@ -285,30 +285,11 @@ def _check_alphabet(b: Word, alphabet: TupleAlphabet) -> None:
         raise ContractError("word alphabet does not match the tuple alphabet")
 
 
-def e_set(b: Word, x: int, alphabet: TupleAlphabet) -> frozenset[int]:
-    """1-based positions z where the first-x-coordinate projection of
-    b changes between z and z+1."""
-    if not 1 <= x <= alphabet.r:
-        raise ContractError(f"projection length {x} outside [1, {alphabet.r}]")
-    _check_alphabet(b, alphabet)
-    div = alphabet.t ** (alphabet.r - x)
-    syms = b.symbols
-    return frozenset(
-        z + 1 for z in range(len(syms) - 1) if syms[z] // div != syms[z + 1] // div
-    )
-
-
-def e_subsample(b: Word, x: int, y: int, alphabet: TupleAlphabet) -> tuple[int, ...]:
-    """Every y-th break position, starting from the smallest."""
-    if y < 1:
-        raise ContractError(f"subsampling step must be >= 1, got {y}")
-    return tuple(sorted(e_set(b, x, alphabet)))[::y]
-
-
 def break_counts(b: Word, alphabet: TupleAlphabet) -> list[int]:
-    """|e_set(b, x)| for every x in 1..r, in one pass: an adjacent pair
-    breaks projection x exactly when its first differing coordinate is
-    <= x."""
+    """The x-prefix break count of b for every x in 1..r: the number of
+    adjacent positions z, z+1 whose first-x-coordinate projections
+    differ.  One pass: an adjacent pair breaks projection x exactly when
+    its first differing coordinate is <= x."""
     _check_alphabet(b, alphabet)
     t, r = alphabet.t, alphabet.r
     per_first_diff = [0] * (r + 1)
@@ -461,11 +442,11 @@ def run_claim_suite(
     patterns: int,
     seed: int,
     embed_cap: int = 150,
-    maximality_spot_checks: int = 1,
 ) -> ShapeSuiteReport:
     """Sample random patterns from a construction word, enumerate up to
     embed_cap embeddings each, and test every profile/shape claim on
-    every embedding.  Deterministic for a fixed seed."""
+    every embedding; reach maximality is spot-checked on each pattern's
+    first embedding.  Deterministic for a fixed seed."""
     cw = build_construction_word(t, blocks)
     alphabet = cw.alphabet
     rng = random.Random(seed)
@@ -486,7 +467,7 @@ def run_claim_suite(
                 [
                     dict(item, sample=sample_index, embedding=e_index)
                     for item in check_profile_invariants(
-                        v, profile, cw, maximality=e_index < maximality_spot_checks
+                        v, profile, cw, maximality=e_index == 0
                     )
                 ],
             )

@@ -3,23 +3,20 @@
 A word is an immutable sequence of symbol ids drawn from ``range(k)``
 for a declared alphabet size ``k``.  Small alphabets (k <= 26) render
 as lowercase letters, larger ones as comma-separated decimal ids, and
-both encodings round-trip through the one-words-per-line file format
-with an ``alphabet k=<int>`` header.
+both encodings round-trip through the one-word-per-line file format
+with an ``alphabet k=<int>`` header that ``load_words`` reads.
 
-Besides construction and slicing, this module owns the symmetry
-machinery: first-occurrence relabelling (a word's "restricted growth"
-normal form), reversal, and the canonical key that is constant on
-orbits of the combined relabel + reverse group action.
+Besides parsing and rendering, the module slices and joins words:
+``subword`` on a closed ``Interval``, ``concat`` and ``power``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
-from .errors import ContractError, WordRangeError
+from .errors import ContractError, WordRangeError, require_int, require_int_tuple
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -57,9 +54,6 @@ class Word:
     def __str__(self) -> str:
         return to_text(self)
 
-    def is_empty(self) -> bool:
-        return not self.symbols
-
 
 @dataclass(frozen=True)
 class Interval:
@@ -69,26 +63,12 @@ class Interval:
     hi: int
 
     def __post_init__(self) -> None:
+        require_int(lo=self.lo, hi=self.hi)
         if self.hi < self.lo - 1:
             raise ContractError(f"interval [{self.lo}, {self.hi}] has hi < lo - 1")
 
     def __len__(self) -> int:
         return self.hi - self.lo + 1
-
-
-@dataclass(frozen=True)
-class CanonicalKey:
-    """Orbit invariant under alphabet relabelling and whole-word reversal.
-
-    Two words get equal keys exactly when one can be turned into the
-    other by renaming letters bijectively and/or reversing.  The
-    ``from_reversed`` flag records which orientation won the tie-break
-    and is deliberately excluded from equality.
-    """
-
-    symbols: tuple[int, ...]
-    alphabet_size: int
-    from_reversed: bool = dataclasses.field(compare=False, default=False)
 
 
 def word(text: str, alphabet_size: int | None = None) -> Word:
@@ -98,6 +78,8 @@ def word(text: str, alphabet_size: int | None = None) -> Word:
     switches to comma-separated decimal parsing.  When ``alphabet_size``
     is omitted it is inferred as one past the largest symbol used.
     """
+    if not isinstance(text, str):
+        raise ContractError(f"word text must be a str, got {text!r}")
     text = text.strip()
     if text == "":
         syms: tuple[int, ...] = ()
@@ -121,7 +103,13 @@ def _parse_int(token: str, what: str) -> int:
 
 
 def from_ids(ids, alphabet_size: int | None = None) -> Word:
-    syms = tuple(int(s) for s in ids)
+    """A word from an iterable of int symbol ids; ``alphabet_size`` is
+    inferred as in ``word`` when omitted."""
+    try:
+        syms = tuple(ids)
+    except TypeError:
+        raise ContractError(f"ids must be an iterable of ints, got {ids!r}") from None
+    require_int_tuple(ids=syms)
     if alphabet_size is None:
         alphabet_size = max(syms, default=0) + 1
     return Word(syms, alphabet_size)
@@ -151,62 +139,14 @@ def concat(w1: Word, w2: Word) -> Word:
 
 def power(w: Word, m: int) -> Word:
     """m-fold repetition of w; m = 0 gives the empty word."""
+    require_int(m=m)
     if m < 0:
         raise ContractError(f"power exponent must be >= 0, got {m}")
     return Word(w.symbols * m, w.alphabet_size)
 
 
-def reverse(w: Word) -> Word:
-    return Word(w.symbols[::-1], w.alphabet_size)
-
-
-def relabel(w: Word, mapping) -> Word:
-    """Apply a symbol bijection given as a sequence: new_id = mapping[old_id]."""
-    mapping = tuple(mapping)
-    if sorted(mapping) != list(range(w.alphabet_size)):
-        raise ContractError("mapping must be a permutation of range(alphabet_size)")
-    return Word(tuple(mapping[s] for s in w.symbols), w.alphabet_size)
-
-
-def normalize(w: Word) -> Word:
-    """First-occurrence normal form: rename letters in order of first appearance.
-
-    The result is the restricted-growth representative of w's class
-    under alphabet relabelling (first symbol becomes 0, each previously
-    unseen symbol takes the next free id).
-    """
-    seen: dict[int, int] = {}
-    return Word(tuple([seen.setdefault(s, len(seen)) for s in w.symbols]), w.alphabet_size)
-
-
-def canonical_key(w: Word) -> CanonicalKey:
-    """Lexicographic minimum over {normalize(w), normalize(reverse(w))}."""
-    fwd = normalize(w).symbols
-    bwd = normalize(reverse(w)).symbols
-    if bwd < fwd:
-        return CanonicalKey(bwd, w.alphabet_size, from_reversed=True)
-    return CanonicalKey(fwd, w.alphabet_size, from_reversed=False)
-
-
-def is_subsequence(v: Word, w: Word) -> bool:
-    """Two-pointer scattered-subsequence test (no counting)."""
-    it = iter(w.symbols)
-    return all(s in it for s in v.symbols)
-
-
 # ---------------------------------------------------------------------------
 # word files: one word per line under an "alphabet k=<int>" header
-
-
-def dump_words(words: list[Word], path: str | Path) -> None:
-    if not words:
-        raise ContractError("refusing to write an empty word file")
-    k = words[0].alphabet_size
-    for w in words:
-        if w.alphabet_size != k:
-            raise ContractError("all words in a file must share one alphabet")
-    lines = [f"alphabet k={k}"] + [to_text(w) for w in words]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_words(path: str | Path) -> list[Word]:

@@ -348,6 +348,16 @@ def profile_by_definitions(v_syms, positions, w_syms, block_count, block_length)
     return tuple(entries), tuple(reaches), tuple(overlaps)
 
 
+def e_set(syms, t, r, x):
+    """1-based positions z where the first-x-coordinate projection of a
+    word over [t]^r (symbols packed with coordinate 1 most significant)
+    changes between z and z+1."""
+    div = t ** (r - x)
+    return frozenset(
+        z + 1 for z in range(len(syms) - 1) if syms[z] // div != syms[z + 1] // div
+    )
+
+
 def quadratic_chain_lcs(all_syms):
     """(length, lex-min witness) common to permutation words, by comparing
     every pair of common-symbol points (positions in each word).

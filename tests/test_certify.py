@@ -19,16 +19,15 @@ from subseqlab.certify import (
     disjoint_triples,
     duplicate_letter_certificate,
     lcs_pair_certificate,
-    recommended_parameters,
 )
 from subseqlab.construction import build_construction_word
 from subseqlab.counting import count_occurrences
 from subseqlab.errors import ContractError, NotApplicable
 from subseqlab.lcs import check_triple_product
-from subseqlab.words import Word, concat, from_ids, is_subsequence, power, word
+from subseqlab.words import Word, concat, from_ids, power, word
 
 from contract_inputs import DOCUMENTED_ERRORS, int_or_junk
-from oracles import count_by_plain_dp
+from oracles import count_by_plain_dp, subsequence_by_two_pointer
 
 
 def rand_word(rng, k, n):
@@ -77,14 +76,6 @@ def test_decompose_contracts():
         decompose(w, 0)
     with pytest.raises(ContractError):
         decompose(w, 4)
-
-
-def test_recommended_parameters():
-    assert recommended_parameters(4) == (52, 1)  # alphabet 16
-    assert recommended_parameters(5) == (75, 1)  # alphabet 25
-    assert recommended_parameters(8) == (168, 4)  # alphabet 256
-    with pytest.raises(ContractError):
-        recommended_parameters(0)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +209,8 @@ def test_splitting_bound_exhaustive_small_patterns():
         first, second = w.symbols[:6], w.symbols[6:]
         for length in range(0, 7):
             for pat in iproduct(range(3), repeat=length):
-                if is_subsequence(Word(pat, 3), Word(first, 3)) and is_subsequence(
-                    Word(pat, 3), Word(second, 3)
+                if subsequence_by_two_pointer(pat, first) and subsequence_by_two_pointer(
+                    pat, second
                 ):
                     assert count_by_plain_dp(pat, w.symbols) >= length + 1
 
@@ -344,7 +335,7 @@ def test_certify_word_soundness_sweep():
             w = perm_block_word(rng, k, rng.randrange(1, 200 // k))
         cert = certify_word(w, chunk=rng.choice((16, 32, 64)))
         assert cert.ok, (trial, k, cert.claimed, cert.verified)
-        assert is_subsequence(cert.witness, w)
+        assert subsequence_by_two_pointer(cert.witness.symbols, w.symbols)
 
 
 def test_certify_construction_word_scaling():
@@ -472,7 +463,6 @@ def test_non_int_arguments_are_contract_errors():
         for call in (
             lambda: certify_word(w, bad),
             lambda: decompose(w, bad),
-            lambda: recommended_parameters(bad),
             lambda: disjoint_triples(bd, bad),
             lambda: lcs_pair_certificate(bd, bad, 2),
             lambda: lcs_pair_certificate(bd, 1, bad),
@@ -502,7 +492,6 @@ def test_certify_api_raises_only_documented_errors(data):
 
     calls = [
         lambda: certify_word(w, draw(int_or_junk(-1, 26))),
-        lambda: recommended_parameters(draw(int_or_junk(-2, 12))),
         lambda: duplicate_letter_certificate(bd()),
         lambda: best_triple(bd()),
         lambda: lcs_pair_certificate(bd(), draw(int_or_junk(-1, 6)), draw(int_or_junk(-1, 6))),

@@ -1,10 +1,12 @@
 import hashlib
 import random
 from itertools import combinations, product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import subseqlab.construction as construction_module
 import subseqlab.lcs as lcs_module
 from subseqlab.construction import (
     ConstructionWord,
@@ -16,9 +18,6 @@ from subseqlab.construction import (
     base_sign_vectors,
     build_construction_word,
     build_permutation,
-    parse_signs,
-    sign_vector_at,
-    signed_key,
     signs_to_text,
     single_sign_mutations,
     verify_lemma_intermediate,
@@ -27,7 +26,7 @@ from subseqlab.construction import (
 )
 from subseqlab.errors import BudgetError, ContractError
 from subseqlab.lcs import is_permutation_word, lcs2
-from subseqlab.words import Word, reverse
+from subseqlab.words import Word
 
 from contract_inputs import DOCUMENTED_ERRORS, JUNK, int_or_junk
 
@@ -43,7 +42,7 @@ def test_alphabet_round_trip():
     for s in range(alph.size):
         c = alph.coords(s)
         assert len(c) == 4 and all(1 <= x <= 3 for x in c)
-        assert alph.id_of(c) == s
+        assert sum((ci - 1) * 3 ** (3 - i) for i, ci in enumerate(c)) == s
         seen.add(c)
     assert len(seen) == 81
 
@@ -53,7 +52,7 @@ def test_alphabet_most_significant_first():
     assert alph.coords(0) == (1, 1, 1)
     assert alph.coords(1) == (1, 1, 2)
     assert alph.coords(4) == (2, 1, 1)
-    assert alph.id_of((2, 2, 2)) == 7
+    assert alph.coords(7) == (2, 2, 2)
 
 
 def test_prefix_class_matches_coords():
@@ -72,10 +71,6 @@ def test_alphabet_contract_errors():
     with pytest.raises(ContractError):
         alph.coords(4)
     with pytest.raises(ContractError):
-        alph.id_of((1, 3))
-    with pytest.raises(ContractError):
-        alph.id_of((1, 1, 1))
-    with pytest.raises(ContractError):
         alph.prefix_class(0, 3)
     with pytest.raises(ContractError):
         TupleAlphabet(0, 2)
@@ -86,18 +81,11 @@ def test_alphabet_contract_errors():
 
 
 def test_sign_parsing_round_trip():
-    u = parse_signs("+-+-")
-    assert u == (1, -1, 1, -1)
-    assert signs_to_text(u) == "+-+-"
+    assert signs_to_text((1, -1, 1, -1)) == "+-+-"
+    for u in base_sign_vectors():
+        assert tuple(1 if c == "+" else -1 for c in signs_to_text(u)) == u
     with pytest.raises(ContractError):
-        parse_signs("+x")
-
-
-def test_signed_key_examples():
-    assert signed_key((1, 1), (1, 2)) == (1, 2)
-    assert signed_key((-1, 1), (2, 1)) == (-2, 1)
-    with pytest.raises(ContractError):
-        signed_key((1, 1), (1, 2, 3))
+        signs_to_text((1, 0))
 
 
 def test_permutation_all_plus_is_ascending():
@@ -115,7 +103,7 @@ def test_permutation_all_minus_reverses():
     for t, r in ((2, 2), (3, 3)):
         plus = build_permutation((1,) * r, t)
         minus = build_permutation((-1,) * r, t)
-        assert minus == reverse(plus)
+        assert minus.symbols == plus.symbols[::-1]
 
 
 def test_permutation_is_permutation():
@@ -170,16 +158,6 @@ def test_base_family_shape():
     assert vs[0] == (1,) * 8
     assert vs[1] == (-1, -1, -1, 1, -1, 1, -1, -1)
     assert all(len(v) == 8 and set(v) <= {1, -1} for v in vs)
-
-
-def test_periodic_indexing():
-    vs = base_sign_vectors()
-    assert sign_vector_at(1) == vs[0]
-    assert sign_vector_at(8) == vs[7]
-    assert sign_vector_at(9) == vs[0]
-    assert sign_vector_at(17) == vs[0]
-    with pytest.raises(ContractError):
-        sign_vector_at(0)
 
 
 def test_agreement_sets():
@@ -401,16 +379,15 @@ def test_construction_api_raises_only_documented_errors(data):
     vector = family
     if isinstance(family, list):  # one of its vectors, or junk
         vector = draw(st.one_of(st.sampled_from(family or [()]), JUNK))
-    coords = draw(st.one_of(st.lists(int_or_junk(-1, 4), max_size=4).map(tuple), JUNK))
 
     def alphabet_calls():
         alphabet = TupleAlphabet(t, r)
         alphabet.coords(draw(int_or_junk(-2, 90)))
-        alphabet.id_of(coords)
         alphabet.prefix_class(draw(int_or_junk(-2, 90)), draw(int_or_junk(-1, 4)))
 
     def word_calls():
-        cw = build_construction_word(t, draw(int_or_junk(-1, 3)), draw(int_or_junk(0, 900)))
+        with patch.object(construction_module, "CONSTRUCTION_BUDGET", draw(st.integers(0, 900))):
+            cw = build_construction_word(t, draw(int_or_junk(-1, 3)))
         if draw(st.booleans()):  # one symbol repeated in the last block
             syms = (*cw.word.symbols[:-1], cw.word.symbols[-2])
             broken = Word(syms, cw.block_length)
@@ -435,10 +412,7 @@ def test_construction_api_raises_only_documented_errors(data):
         alphabet_calls,
         word_calls,
         junk_word_calls,
-        lambda: sign_vector_at(draw(int_or_junk(-1, 20)), draw(st.sampled_from((None, family)))),
-        lambda: parse_signs(draw(st.one_of(st.text("+-x", max_size=9), JUNK))),
         lambda: signs_to_text(vector),
-        lambda: signed_key(vector, coords),
         lambda: build_permutation(vector, t, draw(int_or_junk(0, 600))),
         lambda: agreement_set(family),
         lambda: list(single_sign_mutations(family)),

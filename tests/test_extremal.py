@@ -26,7 +26,12 @@ from subseqlab.extremal import (
 from subseqlab.words import Word, from_ids, word
 
 from contract_inputs import DOCUMENTED_ERRORS, JUNK, int_or_junk
-from oracles import brute_max_over_patterns, canonical_representatives
+from oracles import (
+    brute_max_over_patterns,
+    brute_most_common,
+    canonical_representatives,
+    orbit_of,
+)
 
 # frozen by the exhaustive search and spot-checked against the
 # double brute force below
@@ -67,11 +72,10 @@ def test_monotone_in_n_and_k():
 
 
 def test_canonical_representatives_cover_orbits():
-    # one representative per orbit; count them against the key-based census
-    from subseqlab.words import canonical_key
-
+    # one representative per orbit, the orbit's lexicographic minimum:
+    # count them against the orbit census
     for n in range(0, 9):
-        keys = {canonical_key(Word(w, 2)).symbols for w in product(range(2), repeat=n)}
+        keys = {min(orbit_of(w, 2)) for w in product(range(2), repeat=n)}
         reps = list(canonical_representatives(2, n))
         assert len(reps) == len(set(reps)) == len(keys)
         assert set(reps) == keys
@@ -197,7 +201,6 @@ def test_registry_record_is_external_and_not_recomputed():
         extremal_value(2, 40, use_registry=False)
     data = json.loads(resources.files("subseqlab").joinpath("data/known_values.json").read_text())
     assert [(r["k"], r["n"]) for r in data["extremal_records"]] == [(2, 40)]
-    assert all(b["method"] == "verified-external" for b in data["reference_bounds"])
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +295,18 @@ def test_profile_upper_bound_examples():
     assert mu_upper_from_profile(word("a")) == (2, 1)
     with pytest.raises(ContractError):
         mu_upper_from_profile(word("", 2))
+
+
+def test_profile_bound_holds_on_powers():
+    # occ(v, w^m) <= S(w)^m for every pattern v, so M(w^m) <= S^m: every
+    # word with k <= 3 and |w| <= 4, every m <= 3 (462 cases)
+    for k in (1, 2, 3):
+        for n in range(1, 5):
+            for syms in product(range(k), repeat=n):
+                s, length = mu_upper_from_profile(Word(syms, k))
+                assert length == n
+                for m in (1, 2, 3):
+                    assert brute_most_common(syms * m, k)[0] <= s**m, (syms, m)
 
 
 def test_profile_bound_dominates_generic_upper():

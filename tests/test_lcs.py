@@ -23,7 +23,7 @@ from subseqlab.lcs import (
     CHAIN_MASK_BIT_BUDGET,
     permutation_chain_lcs,
 )
-from subseqlab.words import Word, reverse, word
+from subseqlab.words import Word, word
 
 from oracles import (
     bit_lcs_length,
@@ -239,7 +239,7 @@ def test_reversal_preserves_length():
     for _ in range(100):
         a = Word(tuple(rng.randrange(3) for _ in range(rng.randrange(15))), 3)
         b = Word(tuple(rng.randrange(3) for _ in range(rng.randrange(15))), 3)
-        assert lcs2(a, b)[0] == lcs2(reverse(a), reverse(b))[0]
+        assert lcs2(a, b)[0] == lcs2(Word(a.symbols[::-1], 3), Word(b.symbols[::-1], 3))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +276,8 @@ def test_three_way_budget():
     with pytest.raises(BudgetError, match="budget"):
         lcs3(long, long, long)
     # a raised cap lets the same call through
-    assert lcs3(long, long, long, max_cells=10**7)[0] == 200
+    with patch.object(lcs_module, "LCS3_CELL_BUDGET", 10**7):
+        assert lcs3(long, long, long)[0] == 200
 
 
 def test_chain_route_on_pairs_equals_lcs2():
@@ -388,15 +389,19 @@ def _any_word(draw):
 @settings(max_examples=400, deadline=None)
 def test_lcs_api_raises_only_documented_errors(ws, budget, mask_bits):
     calls = [
-        lambda: multi_lcs(ws, max_states=budget),
+        lambda: multi_lcs(ws),
         lambda: permutation_chain_lcs(ws),
     ]
     if len(ws) >= 2:
         calls.append(lambda: lcs2(ws[0], ws[1]))
     if len(ws) >= 3:
-        calls.append(lambda: lcs3(*ws[:3], max_cells=budget))
+        calls.append(lambda: lcs3(*ws[:3]))
         calls.append(lambda: check_triple_product(*ws[:3]))
-    with patch.object(lcs_module, "CHAIN_MASK_BIT_BUDGET", mask_bits):
+    with (
+        patch.object(lcs_module, "CHAIN_MASK_BIT_BUDGET", mask_bits),
+        patch.object(lcs_module, "MULTI_LCS_STATE_BUDGET", budget),
+        patch.object(lcs_module, "LCS3_CELL_BUDGET", budget),
+    ):
         for call in calls:
             try:
                 call()

@@ -30,17 +30,15 @@ from subseqlab.shapes import (
     classify_overlap,
     break_counts,
     decompose_shape,
-    e_set,
-    e_subsample,
     embedding_profile,
     run_break_bound_suite,
     run_claim_suite,
     sample_pattern,
     shape_of,
 )
-from subseqlab.words import Word, is_subsequence
+from subseqlab.words import Word
 
-from oracles import profile_by_definitions
+from oracles import e_set, profile_by_definitions, subsequence_by_two_pointer
 
 
 @pytest.fixture(scope="module")
@@ -306,15 +304,17 @@ def test_e_set_constant_word():
     alphabet = TupleAlphabet(2, 8)
     b = Word((5, 5, 5, 5), alphabet.size)
     for x in range(1, 9):
-        assert e_set(b, x, alphabet) == frozenset()
+        assert e_set(b.symbols, 2, 8, x) == frozenset()
+    assert break_counts(b, alphabet) == [0] * 8
 
 
 def test_e_set_first_coordinate_alternation():
     alphabet = TupleAlphabet(2, 8)
     lo, hi = 0, alphabet.size // 2  # differ exactly in the first coordinate
     b = Word((lo, hi, lo, hi, lo), alphabet.size)
-    assert e_set(b, 1, alphabet) == frozenset({1, 2, 3, 4})
-    assert e_set(b, 8, alphabet) == frozenset({1, 2, 3, 4})
+    assert e_set(b.symbols, 2, 8, 1) == frozenset({1, 2, 3, 4})
+    assert e_set(b.symbols, 2, 8, 8) == frozenset({1, 2, 3, 4})
+    assert break_counts(b, alphabet) == [4] * 8
 
 
 def test_e_set_depth_sensitivity():
@@ -322,42 +322,9 @@ def test_e_set_depth_sensitivity():
     # consecutive ids differ only in the last coordinate
     b = Word((6, 7, 6), alphabet.size)
     for x in range(1, 8):
-        assert e_set(b, x, alphabet) == frozenset()
-    assert e_set(b, 8, alphabet) == frozenset({1, 2})
-
-
-def test_e_set_contracts():
-    alphabet = TupleAlphabet(2, 8)
-    b = Word((0, 1), alphabet.size)
-    with pytest.raises(ContractError):
-        e_set(b, 0, alphabet)
-    with pytest.raises(ContractError):
-        e_set(b, 9, alphabet)
-    with pytest.raises(ContractError):
-        e_set(Word((0, 1), 7), 1, alphabet)
-
-
-def test_e_subsample_every_other():
-    alphabet = TupleAlphabet(2, 8)
-    lo, hi = 0, alphabet.size // 2
-    b = Word((lo, hi) * 3, alphabet.size)  # breaks at 1..5
-    assert e_subsample(b, 1, 2, alphabet) == (1, 3, 5)
-    assert e_subsample(b, 1, 1, alphabet) == (1, 2, 3, 4, 5)
-    assert e_subsample(b, 1, 10, alphabet) == (1,)
-    with pytest.raises(ContractError):
-        e_subsample(b, 1, 0, alphabet)
-
-
-def test_e_subsample_cardinality():
-    rng = random.Random(77)
-    alphabet = TupleAlphabet(3, 8)
-    for _ in range(30):
-        b = Word(tuple(rng.randrange(alphabet.size) for _ in range(40)), alphabet.size)
-        for x in (1, 4, 8):
-            full = len(e_set(b, x, alphabet))
-            for y in (1, 2, 3, 7):
-                expect = -(-full // y) if full else 0
-                assert len(e_subsample(b, x, y, alphabet)) == expect
+        assert e_set(b.symbols, 2, 8, x) == frozenset()
+    assert e_set(b.symbols, 2, 8, 8) == frozenset({1, 2})
+    assert break_counts(b, alphabet) == [0] * 7 + [2]
 
 
 def test_break_counts_agree_with_e_set():
@@ -368,7 +335,9 @@ def test_break_counts_agree_with_e_set():
             n = rng.randrange(1, 60)
             b = Word(tuple(rng.randrange(alphabet.size) for _ in range(n)), alphabet.size)
             counts = break_counts(b, alphabet)
-            assert counts == [len(e_set(b, x, alphabet)) for x in range(1, 9)]
+            assert counts == [len(e_set(b.symbols, t, 8, x)) for x in range(1, 9)]
+    with pytest.raises(ContractError):
+        break_counts(Word((0, 1), 7), TupleAlphabet(2, 8))
 
 
 def test_break_bound_on_block_subsequences():
@@ -511,7 +480,7 @@ _PINNED_SUITES = (
     ),
     (
         (2, 10, 5, 11),
-        {"maximality_spot_checks": 3},
+        {},
         (390, 6, "0cb3ada51ac5cf51f1abac7884ea8f77d107c9dd08103ef251d5cad608a79209"),
     ),
     (
@@ -557,7 +526,7 @@ def test_sample_pattern_is_subsequence():
     for _ in range(20):
         v = sample_pattern(rng, cw, 0.02)
         assert len(v) >= 1
-        assert is_subsequence(v, cw.word)
+        assert subsequence_by_two_pointer(v.symbols, cw.word.symbols)
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +590,6 @@ def test_shapes_api_raises_only_documented_errors(data):
     b = Word(tuple(draw(st.lists(st.integers(0, 299), max_size=10))), 300)
     if draw(st.booleans()) and 1 <= t and 1 <= r and t**r <= 300:
         b = Word(tuple(s % t**r for s in b.symbols), t**r)
-    x, y = draw(st.integers(-1, 10)), draw(st.integers(-1, 4))
     s = tuple(draw(st.lists(st.sampled_from(SHAPE_CLASSES + (5, -1, 2.5, "8")), max_size=20)))
 
     def profile_calls():
@@ -636,7 +604,6 @@ def test_shapes_api_raises_only_documented_errors(data):
             draw(st.integers(0, 2)),
             draw(st.integers(0, 99)),
             embed_cap=draw(st.integers(-1, 3)),
-            maximality_spot_checks=draw(st.integers(0, 2)),
         )
 
     calls = [profile_calls, lambda: decompose_shape(s), suite_call]
@@ -646,8 +613,6 @@ def test_shapes_api_raises_only_documented_errors(data):
         pass
     else:
         calls += [
-            lambda: e_set(b, x, alphabet),
-            lambda: e_subsample(b, x, y, alphabet),
             lambda: break_counts(b, alphabet),
             lambda: check_break_bound(b, t, alphabet),
         ]

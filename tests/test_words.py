@@ -1,29 +1,20 @@
-import random
-
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from subseqlab.errors import ContractError, WordRangeError
 from subseqlab.words import (
-    CanonicalKey,
     Interval,
     Word,
-    canonical_key,
     concat,
-    dump_words,
     from_ids,
-    is_subsequence,
     load_words,
-    normalize,
     power,
-    relabel,
-    reverse,
     subword,
     to_text,
     word,
 )
 
-from oracles import orbit_of
+from contract_inputs import DOCUMENTED_ERRORS, JUNK, int_or_junk
 
 
 def test_parse_letters():
@@ -110,64 +101,6 @@ def test_concat_and_power():
         power(a, -1)
 
 
-def test_normalize_first_occurrence_form():
-    assert normalize(word("bab")).symbols == (0, 1, 0)
-    assert normalize(word("cab")).symbols == (0, 1, 2)
-    assert normalize(word("")).symbols == ()
-
-
-def test_relabel_requires_bijection():
-    w = word("aab")
-    assert relabel(w, (1, 0)).symbols == (1, 1, 0)
-    with pytest.raises(ContractError):
-        relabel(w, (0, 0))
-
-
-def test_canonical_key_examples():
-    assert canonical_key(word("abab")) == canonical_key(word("baba"))
-    assert canonical_key(word("aab")) == canonical_key(word("bba"))
-    assert canonical_key(word("aab")) == canonical_key(word("baa"))
-    assert canonical_key(word("aab")).symbols == (0, 0, 1)
-
-
-def test_canonical_key_flag_excluded_from_equality():
-    k1 = CanonicalKey((0, 0, 1), 2, from_reversed=False)
-    k2 = CanonicalKey((0, 0, 1), 2, from_reversed=True)
-    assert k1 == k2
-    assert hash(k1) == hash(k2)
-
-
-def test_key_equality_matches_orbit_membership():
-    rng = random.Random(7)
-    for _ in range(300):
-        k = rng.choice([2, 3])
-        n = rng.randrange(0, 8)
-        w1 = tuple(rng.randrange(k) for _ in range(n))
-        w2 = tuple(rng.randrange(k) for _ in range(n))
-        same_key = canonical_key(Word(w1, k)) == canonical_key(Word(w2, k))
-        assert same_key == (w2 in orbit_of(w1, k))
-
-
-def test_orbit_partition_exhaustive_binary():
-    # orbit sizes divide 2 * k! = 4 and the orbits tile the cube
-    from itertools import product as iproduct
-
-    for n in range(0, 11):
-        sizes: dict[tuple, int] = {}
-        for syms in iproduct(range(2), repeat=n):
-            key = canonical_key(Word(syms, 2))
-            sizes[key.symbols] = sizes.get(key.symbols, 0) + 1
-        assert sum(sizes.values()) == 2**n
-        assert all(4 % s == 0 for s in sizes.values())
-
-
-@given(st.lists(st.integers(0, 3), max_size=12))
-def test_key_invariant_under_reverse_and_relabel(ids):
-    w = from_ids(ids, alphabet_size=4)
-    assert canonical_key(reverse(w)) == canonical_key(w)
-    assert canonical_key(relabel(w, (2, 0, 3, 1))) == canonical_key(w)
-
-
 @given(st.integers(1, 40), st.data())
 def test_text_round_trip(k, data):
     ids = data.draw(st.lists(st.integers(0, k - 1), max_size=15))
@@ -178,16 +111,14 @@ def test_text_round_trip(k, data):
 def test_word_file_round_trip(tmp_path):
     ws = [word("ab"), word("ba"), word("", alphabet_size=2)]
     path = tmp_path / "pair.words"
-    dump_words(ws, path)
-    text = path.read_text()
-    assert text.splitlines()[0] == "alphabet k=2"
+    path.write_text("alphabet k=2\n" + "".join(to_text(w) + "\n" for w in ws))
     assert load_words(path) == ws
 
 
 def test_word_file_round_trip_large_alphabet(tmp_path):
     ws = [Word((29, 0, 17), 30), Word((), 30)]
     path = tmp_path / "big.words"
-    dump_words(ws, path)
+    path.write_text("alphabet k=30\n" + "".join(to_text(w) + "\n" for w in ws))
     assert load_words(path) == ws
 
 
@@ -209,11 +140,59 @@ def test_word_file_bad_header_or_encoding(tmp_path):
 
 
 def test_word_file_mixed_alphabets_rejected(tmp_path):
-    with pytest.raises(ContractError):
-        dump_words([word("ab"), word("abc")], tmp_path / "x.words")
+    # one alphabet per file: a word outside the header's alphabet is refused
+    path = tmp_path / "x.words"
+    path.write_text("alphabet k=2\nab\nabc\n")
+    with pytest.raises(ContractError, match="out of range"):
+        load_words(path)
 
 
-def test_is_subsequence():
-    assert is_subsequence(word("ab"), word("axxb", alphabet_size=24))
-    assert not is_subsequence(word("ba"), word("ab"))
-    assert is_subsequence(word(""), word("ab"))
+# ---------------------------------------------------------------------------
+# contracts
+
+
+def test_non_int_arguments_are_contract_errors():
+    w = word("ab")
+    for call in (
+        lambda: from_ids([0, 1.5], 3),  # not truncated to ab
+        lambda: from_ids(["x"]),
+        lambda: from_ids([None]),
+        lambda: from_ids(5),
+        lambda: power(w, 1.5),
+        lambda: power(w, "2"),
+        lambda: Interval("a", 1),
+        lambda: subword(w, Interval(0.5, 1.5)),
+        lambda: word(5),
+    ):
+        with pytest.raises(ContractError):
+            call()
+
+
+@given(
+    text=st.one_of(st.text("ab,0 x", max_size=6), JUNK),
+    ids=st.one_of(st.lists(int_or_junk(-1, 4), max_size=5), JUNK),
+    alphabet_size=st.one_of(st.none(), int_or_junk(-1, 6)),
+    syms=st.lists(st.integers(0, 2), max_size=5),
+    other=st.integers(1, 4),
+    m=int_or_junk(-2, 3),
+    lo=int_or_junk(-2, 6),
+    hi=int_or_junk(-3, 6),
+)
+@example(text=5, ids=["x"], alphabet_size=None, syms=[0, 1], other=3, m="2", lo="a", hi=1)
+@settings(max_examples=300, deadline=None)
+def test_words_api_raises_only_documented_errors(text, ids, alphabet_size, syms, other, m, lo, hi):
+    w = Word(tuple(syms), 3)
+    calls = [
+        lambda: word(text, alphabet_size),
+        lambda: from_ids(ids, alphabet_size),
+        lambda: power(w, m),
+        lambda: Interval(lo, hi),
+        lambda: subword(w, Interval(lo, hi)),
+        lambda: concat(w, Word((), other)),
+        lambda: to_text(w),
+    ]
+    for call in calls:
+        try:
+            call()
+        except DOCUMENTED_ERRORS:
+            pass
