@@ -33,7 +33,7 @@ from itertools import combinations
 from math import prod
 
 from .counting import count_occurrences
-from .errors import ContractError, NotApplicable, require_int
+from .errors import ContractError, NotApplicable, require_int, require_word
 from .lcs import is_permutation_word, lcs2
 from .words import Interval, Word, concat, subword
 
@@ -61,6 +61,7 @@ class BlockDecomposition:
 def decompose(w: Word, blocks: int) -> BlockDecomposition:
     """Split the first blocks*(|w| // blocks) symbols evenly; the
     remainder is reported, not covered."""
+    require_word(w=w)
     require_int(blocks=blocks)
     if blocks < 1:
         raise ContractError(f"block count must be >= 1, got {blocks}")
@@ -68,7 +69,7 @@ def decompose(w: Word, blocks: int) -> BlockDecomposition:
         raise ContractError(f"cannot cut |w|={len(w)} into {blocks} blocks")
     length = len(w) // blocks
     parts = tuple(
-        subword(w, Interval(i * length, (i + 1) * length - 1)) for i in range(blocks)
+        Word(w.symbols[i * length : (i + 1) * length], w.alphabet_size) for i in range(blocks)
     )
     flags = tuple(is_permutation_word(p) for p in parts)
     return BlockDecomposition(w, length, parts, flags, len(w) - blocks * length)
@@ -327,6 +328,7 @@ def certify_word(w: Word, chunk: int) -> Certificate:
     """Cut w into consecutive chunks, claim a bound for each, and
     multiply: the concatenated witness embeds chunk-locally, so counts
     multiply.  Its recount against w is the only one."""
+    require_word(w=w)
     require_int(chunk=chunk)
     if chunk < 1:
         raise ContractError(f"chunk length must be >= 1, got {chunk}")

@@ -67,7 +67,7 @@ from itertools import accumulate
 from math import comb
 from operator import ge, lt, mul
 
-from .errors import BudgetError, ContractError, require_int, require_int_tuple
+from .errors import BudgetError, ContractError, require_int, require_int_tuple, require_word
 from .words import Word
 
 _DOMINANCE_STORE_CAP = 512  # per-depth cap on states kept for dominance tests
@@ -75,6 +75,7 @@ FIXED_LENGTH_WITNESS_BUDGET = 10**6  # symbols in the 0^length witness of a leng
 
 
 def _check_shared_alphabet(v: Word, w: Word) -> None:
+    require_word(v=v, w=w)
     if v.alphabet_size != w.alphabet_size:
         raise ContractError(
             f"alphabet mismatch: {v.alphabet_size} vs {w.alphabet_size}"
@@ -122,6 +123,7 @@ class EmbeddingMap:
 
 def validate_embedding(v: Word, w: Word, f: EmbeddingMap) -> None:
     """Raise ContractError unless f really embeds v into w."""
+    require_word(v=v, w=w)
     if f.source_length != len(v):
         raise ContractError("embedding length does not match pattern length")
     pos = f.positions
@@ -386,6 +388,7 @@ def max_occurrences(w: Word) -> tuple[int, Word]:
     maximisers (which is the empty pattern whenever no pattern occurs
     more than once).
     """
+    require_word(w=w)
     u, support = _on_support(w)
     value, witness, _ = _search_most_common(u)
     assert witness is not None
@@ -470,6 +473,7 @@ def max_occurrences_of_length(w: Word, length: int) -> tuple[int, Word]:
     A length above |w| has count 0 and witness 0^length, which is
     refused with BudgetError above FIXED_LENGTH_WITNESS_BUDGET symbols.
     """
+    require_word(w=w)
     require_int(length=length)
     if length < 0:
         raise ContractError(f"length must be >= 0, got {length}")
@@ -489,6 +493,7 @@ def max_occurrences_of_length(w: Word, length: int) -> tuple[int, Word]:
 
 def occurrence_profile(w: Word) -> list[tuple[int, Word]]:
     """(count, witness) of the most frequent pattern for every length 0..|w|."""
+    require_word(w=w)
     profile = [(1, Word((), w.alphabet_size))]
     if len(w) == 0:
         return profile

@@ -6,6 +6,7 @@ and "this operation does not apply here" signals that callers may want
 to catch as control flow (e.g. a certificate rule with nothing to do).
 """
 
+from functools import cache
 from itertools import repeat
 
 
@@ -38,6 +39,21 @@ def require_int(**values) -> None:
     for name, value in values.items():
         if not isinstance(value, int):
             raise ContractError(f"{name} must be an int, got {value!r}")
+
+
+def require_word(**values) -> None:
+    """Raise ContractError naming the first argument that is not a Word."""
+    word_type = _word_type()
+    for name, value in values.items():
+        if not isinstance(value, word_type):
+            raise ContractError(f"{name} must be a Word, got {value!r}")
+
+
+@cache
+def _word_type() -> type:
+    from .words import Word  # words imports this module
+
+    return Word
 
 
 def require_int_tuple(**values) -> None:

@@ -18,6 +18,15 @@ best, so it is always cut.  A table starts each row at best = U + 1, U
 the smallest top count of the previous row's minimizer extended by one
 symbol.
 
+Relabelling and reversal keep every count, so the scan memoizes searches
+by orbit: the key of x[:d+1] is min(x[:d+1], first-occurrence form of
+x[d::-1]), the value either the exact count from a finished search or
+the lower bound from an aborted one.  A node whose entry is exact, or a
+bound at its threshold, is settled without a search.  One memo serves
+one public call: every row of an ``extremal_table``, both rows of a
+``check_submultiplicativity``, and within a single row the reversal
+twins of the words already searched.
+
 The n-th root of the table value brackets the growth constant:
 
     value^(1/n)  <=  mu_k  <=  (n * value)^(1/n)        (k >= 2, n >= 3)
@@ -40,7 +49,7 @@ from importlib import resources
 from math import comb
 
 from .counting import _search_most_common, sum_over_lengths
-from .errors import BudgetError, ContractError, require_int
+from .errors import BudgetError, ContractError, require_int, require_word
 from .words import Word
 
 DEFAULT_BUDGETS = {2: 16, 3: 9, 4: 6}
@@ -78,7 +87,9 @@ class MuWindow:
             raise ContractError("window lower bound exceeds upper bound")
 
 
-def _min_scan(k: int, n: int, seed: Word | None = None) -> tuple[int, tuple[int, ...]]:
+def _min_scan(
+    k: int, n: int, seed: Word | None, memo: dict[tuple[int, ...], tuple[int, bool]]
+) -> tuple[int, tuple[int, ...]]:
     """(value, lex-first minimizer); ``seed`` is a word of length n - 1
     whose extensions bound the minimum from above.
 
@@ -90,6 +101,13 @@ def _min_scan(k: int, n: int, seed: Word | None = None) -> tuple[int, tuple[int,
     L(n - d - 1)): before its search if vals[j] * half[top letter count
     of y[j:]] does for some j <= d (j = d is the parent), else when its
     search aborts.  At a leaf L(0) = 1, so the threshold is best.
+
+    ``memo`` maps the orbit key min(y, first-occurrence form of rev(y))
+    to (M(y), True) after a finished search and to (a lower bound >= the
+    threshold, False) after an aborted one.  M is constant on the orbit,
+    so a node whose entry is exact, or a bound at its threshold, needs
+    no search: every cut and every vals entry stay as a search would
+    leave them.
     """
     if n == 0:
         return 1, ()
@@ -109,9 +127,14 @@ def _min_scan(k: int, n: int, seed: Word | None = None) -> tuple[int, tuple[int,
         if _product_reaches(x, vals, d, k, half, threshold):
             continue
         rev = tuple(x[d::-1])
-        # capacities[j] = vals[d + 1 - j] is the ancestor rev[j:]; slot 0 is unused
-        value, _, aborted = _search_most_common(Word(rev, k), threshold, vals[d + 1 :: -1])
-        if aborted:
+        code: dict[int, int] = {}
+        key = min(tuple(x[: d + 1]), tuple([code.setdefault(t, len(code)) for t in rev]))
+        value, exact = memo.get(key, (0, False))
+        if not exact and value < threshold:
+            # capacities[j] = vals[d + 1 - j] is the ancestor rev[j:]; slot 0 is unused
+            value, _, aborted = _search_most_common(Word(rev, k), threshold, vals[d + 1 :: -1])
+            memo[key] = (value, not aborted)
+        if value >= threshold:  # an aborted search returns a count >= threshold
             continue
         if d + 1 == n:
             best, best_syms = value, tuple(x)
@@ -161,7 +184,7 @@ def extremal_value(
     Registry hits are returned as-is (method ``verified-external``);
     everything else is searched exhaustively within the per-k budget.
     """
-    return _record(k, n, budgets, use_registry, None)
+    return _record(k, n, budgets, use_registry, None, {})
 
 
 def extremal_table(
@@ -170,17 +193,30 @@ def extremal_table(
     budgets: dict[int, int] | None = None,
     use_registry: bool = False,
 ) -> list[ExtremalRecord]:
-    """Records for n = 1..n_max; each searched row seeds the next one."""
+    """Records for n = 1..n_max; each searched row seeds the next one,
+    and all rows share one orbit memo (see _min_scan)."""
     require_int(n_max=n_max)
     records: list[ExtremalRecord] = []
+    memo: dict = {}
     for n in range(1, n_max + 1):
         seed = records[-1].minimizer if records else None
-        records.append(_record(k, n, budgets, use_registry, seed))
+        records.append(_record(k, n, budgets, use_registry, seed, memo))
     return records
 
 
-def _record(k, n, budgets, use_registry, seed: Word | None) -> ExtremalRecord:
-    """One checked table row; a searched row starts from ``seed`` (see _min_scan)."""
+def _record(k, n, budgets, use_registry, seed: Word | None, memo: dict) -> ExtremalRecord:
+    """One checked table row; a searched row starts from ``seed`` and
+    reads and fills ``memo`` (see _min_scan)."""
+    hit = _checked_row(k, n, budgets, use_registry)
+    if hit is not None:
+        return hit
+    value, syms = _min_scan(k, n, seed, memo)
+    return ExtremalRecord(k, n, value, Word(syms, k), "exhaustive")
+
+
+def _checked_row(k, n, budgets, use_registry) -> ExtremalRecord | None:
+    """The registry record of row (k, n), or None once the row is known
+    to be searchable within its budget."""
     require_int(k=k, n=n)
     if k < 1 or n < 0:
         raise ContractError(f"need k >= 1 and n >= 0, got k={k}, n={n}")
@@ -197,8 +233,7 @@ def _record(k, n, budgets, use_registry, seed: Word | None) -> ExtremalRecord:
             f"extremal search for k={k} is budgeted to n <= {limit} (asked n={n}); "
             "pass budgets={...} to raise the limit explicitly"
         )
-    value, syms = _min_scan(k, n, seed)
-    return ExtremalRecord(k, n, value, Word(syms, k), "exhaustive")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +341,7 @@ def mu_upper_from_profile(w: Word) -> tuple[int, int]:
     occ(v, w^m) <= S^m.  Hence value(k, nm) <= M(w^m) <= S^m for every
     m, and mu_k <= S^(1/n).
     """
+    require_word(w=w)
     if len(w) < 1:
         raise ContractError("profile bound needs a nonempty word")
     return (sum_over_lengths(w), len(w))
@@ -331,8 +367,10 @@ def check_submultiplicativity(
     require_int(m=m, n=n)
     if m < 1 or n < 1:
         raise ContractError("need m >= 1 and n >= 1")
-    lhs = extremal_value(k, m * n, budgets=budgets, use_registry=False).value
-    base = extremal_value(k, n, budgets=budgets, use_registry=False).value
+    _checked_row(k, m * n, budgets, False)  # over budget: fail before any search
+    memo: dict = {}
+    base = _record(k, n, budgets, False, None, memo).value
+    lhs = _record(k, m * n, budgets, False, None, memo).value
     binom = comb(m * n + m - 1, m - 1)
     rhs = binom * base**m
     return SubmultReport(k, m, n, lhs, binom, base, rhs, lhs <= rhs)

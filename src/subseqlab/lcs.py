@@ -38,9 +38,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 from operator import neg
 
-from .errors import BudgetError, ContractError
+from .errors import BudgetError, ContractError, require_word
 from .words import Word
 
 MULTI_LCS_STATE_BUDGET = 10**8
@@ -59,6 +60,8 @@ def support(w: Word) -> frozenset[int]:
 def _check_alphabets(ws: list[Word]) -> None:
     if not ws:
         raise ContractError("need at least one word")
+    if not all(map(isinstance, ws, repeat(Word))):
+        require_word(**{f"word {i + 1}": w for i, w in enumerate(ws)})
     k = ws[0].alphabet_size
     if any(w.alphabet_size != k for w in ws):
         raise ContractError("words must share one alphabet")

@@ -12,11 +12,12 @@ Besides parsing and rendering, the module slices and joins words:
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
-from .errors import ContractError, WordRangeError, require_int, require_int_tuple
+from .errors import ContractError, WordRangeError, require_int, require_int_tuple, require_word
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -117,6 +118,7 @@ def from_ids(ids, alphabet_size: int | None = None) -> Word:
 
 def to_text(w: Word) -> str:
     """Render a word: letters when the alphabet allows, else decimal CSV."""
+    require_word(w=w)
     if w.alphabet_size <= 26:
         return "".join(_LETTERS[s] for s in w.symbols)
     return ",".join(str(s) for s in w.symbols)
@@ -124,12 +126,16 @@ def to_text(w: Word) -> str:
 
 def subword(w: Word, iv: Interval) -> Word:
     """Contiguous (not scattered) subword on the closed interval ``iv``."""
+    require_word(w=w)
+    if not isinstance(iv, Interval):
+        raise ContractError(f"iv must be an Interval, got {iv!r}")
     if iv.lo < 0 or iv.hi >= len(w) or iv.lo > len(w):
         raise WordRangeError(f"interval [{iv.lo}, {iv.hi}] out of range for |w|={len(w)}")
     return Word(w.symbols[iv.lo : iv.hi + 1], w.alphabet_size)
 
 
 def concat(w1: Word, w2: Word) -> Word:
+    require_word(w1=w1, w2=w2)
     if w1.alphabet_size != w2.alphabet_size:
         raise ContractError(
             f"alphabet mismatch: {w1.alphabet_size} vs {w2.alphabet_size}"
@@ -139,6 +145,7 @@ def concat(w1: Word, w2: Word) -> Word:
 
 def power(w: Word, m: int) -> Word:
     """m-fold repetition of w; m = 0 gives the empty word."""
+    require_word(w=w)
     require_int(m=m)
     if m < 0:
         raise ContractError(f"power exponent must be >= 0, got {m}")
@@ -150,6 +157,8 @@ def power(w: Word, m: int) -> Word:
 
 
 def load_words(path: str | Path) -> list[Word]:
+    if not isinstance(path, (str, os.PathLike)):
+        raise ContractError(f"path must be a str or a path, got {path!r}")
     try:
         raw = Path(path).read_text()
     except UnicodeDecodeError as exc:

@@ -7,6 +7,8 @@ from subseqlab.errors import BudgetError, ContractError, NotApplicable, WordRang
 
 DOCUMENTED_ERRORS = (ContractError, WordRangeError, BudgetError, NotApplicable)
 JUNK = st.sampled_from([None, 2.0, 1.5, float("nan"), "3", (2,), True])
+# what a caller might pass where a Word belongs: text, raw symbols, fields
+NOT_A_WORD = st.one_of(JUNK, st.sampled_from(["ab", [0, 1], (0, 1), ((0, 1), 2), 5]))
 
 
 def int_or_junk(lo, hi):

@@ -26,7 +26,7 @@ from subseqlab.errors import ContractError, NotApplicable
 from subseqlab.lcs import check_triple_product
 from subseqlab.words import Word, concat, from_ids, power, word
 
-from contract_inputs import DOCUMENTED_ERRORS, int_or_junk
+from contract_inputs import DOCUMENTED_ERRORS, NOT_A_WORD, int_or_junk
 from oracles import count_by_plain_dp, subsequence_by_two_pointer
 
 
@@ -492,6 +492,8 @@ def test_certify_api_raises_only_documented_errors(data):
 
     calls = [
         lambda: certify_word(w, draw(int_or_junk(-1, 26))),
+        lambda: certify_word(draw(NOT_A_WORD), draw(int_or_junk(-1, 26))),
+        lambda: decompose(draw(NOT_A_WORD), draw(int_or_junk(-1, 8))),
         lambda: duplicate_letter_certificate(bd()),
         lambda: best_triple(bd()),
         lambda: lcs_pair_certificate(bd(), draw(int_or_junk(-1, 6)), draw(int_or_junk(-1, 6))),

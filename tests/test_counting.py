@@ -24,7 +24,7 @@ from subseqlab.counting import (
 from subseqlab.errors import BudgetError, ContractError
 from subseqlab.words import Word, concat, from_ids, power, word
 
-from contract_inputs import DOCUMENTED_ERRORS, JUNK, int_or_junk
+from contract_inputs import DOCUMENTED_ERRORS, JUNK, NOT_A_WORD, int_or_junk
 import oracles
 from oracles import (
     brute_max_over_patterns,
@@ -594,13 +594,21 @@ def test_non_int_arguments_are_contract_errors():
     positions=st.one_of(st.lists(int_or_junk(-2, 14), max_size=6).map(tuple), JUNK),
     source_length=int_or_junk(-1, 6),
     length=int_or_junk(-1, 14),
+    junk=NOT_A_WORD,
 )
 @example(
-    v=((), 2), w=((0, 1), 2), short=((), 2), cap=None, positions=(), source_length=0, length=2**63
+    v=((), 2),
+    w=((0, 1), 2),
+    short=((), 2),
+    cap=None,
+    positions=(),
+    source_length=0,
+    length=2**63,
+    junk="ab",
 )
 @settings(max_examples=300, deadline=None)
 def test_counting_api_raises_only_documented_errors(
-    v, w, short, cap, positions, source_length, length
+    v, w, short, cap, positions, source_length, length, junk
 ):
     calls = [
         lambda: count_occurrences(Word(*v), Word(*w)),
@@ -610,6 +618,14 @@ def test_counting_api_raises_only_documented_errors(
         lambda: max_occurrences_of_length(Word(*w), length),
         lambda: occurrence_profile(Word(*short)),
         lambda: sum_over_lengths(Word(*short)),
+        lambda: count_occurrences(junk, Word(*w)),
+        lambda: count_occurrences(Word(*v), junk),
+        lambda: enumerate_embeddings(junk, Word(*w), cap),
+        lambda: validate_embedding(Word(*v), junk, EmbeddingMap(positions, source_length)),
+        lambda: max_occurrences(junk),
+        lambda: max_occurrences_of_length(junk, length),
+        lambda: occurrence_profile(junk),
+        lambda: sum_over_lengths(junk),
     ]
     for call in calls:
         try:

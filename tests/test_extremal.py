@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from importlib import resources
 from itertools import product
 from math import comb
@@ -25,7 +26,7 @@ from subseqlab.extremal import (
 )
 from subseqlab.words import Word, from_ids, word
 
-from contract_inputs import DOCUMENTED_ERRORS, JUNK, int_or_junk
+from contract_inputs import DOCUMENTED_ERRORS, JUNK, NOT_A_WORD, int_or_junk
 from oracles import (
     brute_max_over_patterns,
     brute_most_common,
@@ -109,13 +110,24 @@ def test_k2_n15_pinned():
     assert rec.minimizer.symbols == (0, 1, 1, 0, 0, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1)
 
 
+class _CountingMemo(dict):
+    """A scan memo that counts the scan's lookups."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
 def _traced_scan(monkeypatch, k, n, seed, exact=False):
-    """Run one scan and return (searches, aborted searches).  Every
-    node search must get a floor below its threshold and, with
+    """Run one scan on a fresh memo and return (searches, aborted
+    searches, memo hits), a hit being a lookup that needed no search.
+    Every node search must get a floor below its threshold and, with
     ``exact``, the oracle's top counts as capacities."""
     search = extremal_module._search_most_common
     brute = {}
-    seen = [0, 0]
+    seen = [0, 0, 0]  # searches, aborted, node searches
 
     def checked(w, abort_at=None, capacities=None):
         syms = w.symbols
@@ -133,14 +145,16 @@ def _traced_scan(monkeypatch, k, n, seed, exact=False):
         result = search(w, abort_at, capacities)
         seen[0] += 1
         seen[1] += result[2]
+        seen[2] += capacities is not None
         return result
 
+    memo = _CountingMemo()
     monkeypatch.setattr(extremal_module, "_search_most_common", checked)
     try:
-        extremal_module._min_scan(k, n, seed)
+        extremal_module._min_scan(k, n, seed, memo)
     finally:
         monkeypatch.undo()
-    return tuple(seen)
+    return seen[0], seen[1], memo.lookups - seen[2]
 
 
 def test_scan_searches_get_exact_capacities_and_a_floor_below_the_threshold(monkeypatch):
@@ -151,15 +165,71 @@ def test_scan_searches_get_exact_capacities_and_a_floor_below_the_threshold(monk
 
 
 def test_scan_node_searches_pinned(monkeypatch):
-    # (searches, aborted) of the pruned walk: the depth-scaled threshold,
-    # the product cut, the abort test and the seed threshold each change
-    # these counts
+    # (searches, aborted, memo hits) of the pruned walk: the
+    # depth-scaled threshold, the product cut, the abort test, the seed
+    # threshold and the orbit memo each change these counts; searches
+    # plus hits is the node count of a scan without the memo
     seed12 = extremal_value(2, 12, use_registry=False).minimizer
     seed6 = extremal_value(3, 6, use_registry=False).minimizer
-    assert _traced_scan(monkeypatch, 2, 13, None) == (3467, 1051)
-    assert _traced_scan(monkeypatch, 2, 13, seed12) == (2603, 835)
-    assert _traced_scan(monkeypatch, 3, 7, None) == (86, 21)
-    assert _traced_scan(monkeypatch, 3, 7, seed6) == (66, 23)
+    assert _traced_scan(monkeypatch, 2, 13, None) == (2332, 724, 1135)
+    assert _traced_scan(monkeypatch, 2, 13, seed12) == (1667, 603, 936)
+    assert _traced_scan(monkeypatch, 3, 7, None) == (81, 21, 5)
+    assert _traced_scan(monkeypatch, 3, 7, seed6) == (62, 23, 4)
+
+
+def _scan_memos(monkeypatch, call):
+    """(n, memo) of each scan that ``call()`` runs, in order."""
+    scan = extremal_module._min_scan
+    scans = []
+
+    def kept(k, n, seed, memo):
+        scans.append((n, memo))
+        return scan(k, n, seed, memo)
+
+    monkeypatch.setattr(extremal_module, "_min_scan", kept)
+    try:
+        call()
+    finally:
+        monkeypatch.undo()
+    return scans
+
+
+def test_scan_memo_entries_match_the_oracle(monkeypatch):
+    # one memo per table; each key is its orbit's lex-least word, each
+    # exact entry is the key's top count, each abort entry a lower bound
+    for k, n_max in ((2, 11), (3, 7)):
+        scans = _scan_memos(monkeypatch, lambda: extremal_table(k, n_max))
+        assert [n for n, _ in scans] == list(range(1, n_max + 1))
+        memo = scans[0][1]
+        assert all(m is memo for _, m in scans)
+        kinds = set()
+        for key, (value, exact) in memo.items():
+            assert key == min(orbit_of(key, k)), key
+            top = brute_max_over_patterns(key, k)
+            assert value == top if exact else value <= top, (key, value, exact)
+            kinds.add(exact)
+        assert kinds == {True, False}
+
+
+def test_scan_memo_stays_within_its_searches_and_memory(monkeypatch):
+    # the memo holds one entry per searched orbit at most, and the whole
+    # (2, 14) table traces under 1 MiB of peak allocation
+    search = extremal_module._search_most_common
+    searches = [0]
+
+    def counted(w, abort_at=None, capacities=None):
+        searches[0] += capacities is not None
+        return search(w, abort_at, capacities)
+
+    monkeypatch.setattr(extremal_module, "_search_most_common", counted)
+    tracemalloc.start()
+    try:
+        scans = _scan_memos(monkeypatch, lambda: extremal_table(2, 14, use_registry=False))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < len(scans[0][1]) <= searches[0]
+    assert peak < 2**20, peak
 
 
 def test_scan_cuts_rest_on_product_bounds_the_oracle_confirms():
@@ -326,7 +396,10 @@ def test_profile_bound_dominates_generic_upper():
         assert cross_compare(s, n, n * rec.value, n) <= 0
 
 
-def test_submultiplicativity_instances():
+def test_submultiplicativity_instances(monkeypatch):
+    # the base row first, then the long row on the same memo
+    scans = _scan_memos(monkeypatch, lambda: check_submultiplicativity(2, 3, 4))
+    assert [n for n, _ in scans] == [4, 12] and scans[0][1] is scans[1][1]
     rep = check_submultiplicativity(2, 2, 3)
     assert (rep.lhs, rep.binom, rep.base, rep.rhs) == (5, 7, 2, 28)
     assert rep.holds
@@ -393,6 +466,7 @@ def test_extremal_api_raises_only_documented_errors(data):
         lambda: root_decimal(draw(small), draw(root), places, draw(st.sampled_from(["floor", "ceil", "up"]))),
         lambda: cross_compare(draw(small), draw(root), draw(small), draw(root)),
         lambda: check_submultiplicativity(k, draw(int_or_junk(-1, 3)), draw(int_or_junk(-1, 3)), budgets),
+        lambda: mu_upper_from_profile(draw(NOT_A_WORD)),
     ]
     for call in calls:
         try:

@@ -25,6 +25,7 @@ from subseqlab.lcs import (
 )
 from subseqlab.words import Word, word
 
+from contract_inputs import NOT_A_WORD
 from oracles import (
     bit_lcs_length,
     brute_lcs,
@@ -385,18 +386,30 @@ def _any_word(draw):
     return Word(tuple(syms), k)
 
 
-@given(st.lists(_any_word(), max_size=4), st.integers(1, 300), st.integers(0, 40))
+@given(
+    st.lists(_any_word(), max_size=4),
+    st.integers(1, 300),
+    st.integers(0, 40),
+    NOT_A_WORD,
+    st.integers(0, 3),
+)
 @settings(max_examples=400, deadline=None)
-def test_lcs_api_raises_only_documented_errors(ws, budget, mask_bits):
+def test_lcs_api_raises_only_documented_errors(ws, budget, mask_bits, junk, slot):
     calls = [
         lambda: multi_lcs(ws),
         lambda: permutation_chain_lcs(ws),
+        lambda: multi_lcs([*ws[:slot], junk, *ws[slot:]]),
+        lambda: permutation_chain_lcs([*ws[:slot], junk, *ws[slot:]]),
     ]
     if len(ws) >= 2:
         calls.append(lambda: lcs2(ws[0], ws[1]))
+        calls.append(lambda: lcs2(junk, ws[1]))
+        calls.append(lambda: lcs2(ws[0], junk))
     if len(ws) >= 3:
         calls.append(lambda: lcs3(*ws[:3]))
         calls.append(lambda: check_triple_product(*ws[:3]))
+        calls.append(lambda: lcs3(ws[0], ws[1], junk))
+        calls.append(lambda: check_triple_product(junk, ws[1], ws[2]))
     with (
         patch.object(lcs_module, "CHAIN_MASK_BIT_BUDGET", mask_bits),
         patch.object(lcs_module, "MULTI_LCS_STATE_BUDGET", budget),

@@ -14,7 +14,7 @@ from subseqlab.words import (
     word,
 )
 
-from contract_inputs import DOCUMENTED_ERRORS, JUNK, int_or_junk
+from contract_inputs import DOCUMENTED_ERRORS, JUNK, NOT_A_WORD, int_or_junk
 
 
 def test_parse_letters():
@@ -168,6 +168,21 @@ def test_non_int_arguments_are_contract_errors():
             call()
 
 
+def test_non_word_arguments_are_contract_errors():
+    w = word("abc")
+    for call in (
+        lambda: to_text(5),
+        lambda: concat(None, w),
+        lambda: concat(w, "abc"),
+        lambda: subword("abc", Interval(0, 1)),
+        lambda: subword(w, (0, 1)),
+        lambda: power((0, 1), 2),
+        lambda: load_words(5),
+    ):
+        with pytest.raises(ContractError, match="must be a"):
+            call()
+
+
 @given(
     text=st.one_of(st.text("ab,0 x", max_size=6), JUNK),
     ids=st.one_of(st.lists(int_or_junk(-1, 4), max_size=5), JUNK),
@@ -177,10 +192,15 @@ def test_non_int_arguments_are_contract_errors():
     m=int_or_junk(-2, 3),
     lo=int_or_junk(-2, 6),
     hi=int_or_junk(-3, 6),
+    junk=NOT_A_WORD,
 )
-@example(text=5, ids=["x"], alphabet_size=None, syms=[0, 1], other=3, m="2", lo="a", hi=1)
+@example(
+    text=5, ids=["x"], alphabet_size=None, syms=[0, 1], other=3, m="2", lo="a", hi=1, junk="ab"
+)
 @settings(max_examples=300, deadline=None)
-def test_words_api_raises_only_documented_errors(text, ids, alphabet_size, syms, other, m, lo, hi):
+def test_words_api_raises_only_documented_errors(
+    text, ids, alphabet_size, syms, other, m, lo, hi, junk
+):
     w = Word(tuple(syms), 3)
     calls = [
         lambda: word(text, alphabet_size),
@@ -190,6 +210,12 @@ def test_words_api_raises_only_documented_errors(text, ids, alphabet_size, syms,
         lambda: subword(w, Interval(lo, hi)),
         lambda: concat(w, Word((), other)),
         lambda: to_text(w),
+        lambda: power(junk, m),
+        lambda: subword(junk, Interval(lo, hi)),
+        lambda: subword(w, junk),
+        lambda: concat(junk, w),
+        lambda: concat(w, junk),
+        lambda: to_text(junk),
     ]
     for call in calls:
         try:
