@@ -1,12 +1,12 @@
 """Certified lower bounds on the top occurrence count of a word.
 
 certify_word() chops the word into chunks, proves a small bound for
-each chunk by one of three routes (repeated letters, permutation-block
-triples, or plain letter frequency), multiplies the bounds together,
-and then -- the important part -- re-counts the produced witness
-pattern from scratch with the exact counting engine.  A certificate is
-only reported sound if the recount is >= the claim.  The claim is
-never trusted on its own arithmetic.
+each chunk by one of three routes (repeated letters, common
+subsequences of permutation blocks, or plain letter frequency),
+multiplies the bounds together, and then -- the important part --
+re-counts the produced witness pattern from scratch with the exact
+counting engine.  A certificate is only reported sound if the recount
+is >= the claim.  The claim is never trusted on its own arithmetic.
 """
 
 import random
@@ -40,7 +40,8 @@ def main():
     show(cert, "\n240 random symbols over 4 letters, chunks of 48")
 
     # the structured block word gives the certifier something to chew on:
-    # every 256-symbol block is a permutation, so the triple route fires
+    # each 1024-symbol chunk is four permutation blocks of length 256, so
+    # the permutation route claims a split-pair bound per chunk
     cw = build_construction_word(2, 16)
     cert = certify_word(cw.word, chunk=1024)
     show(cert, f"\nblock word, {len(cw.word)} symbols, chunks of 1024")

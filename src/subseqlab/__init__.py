@@ -8,18 +8,7 @@ certificates.  All arithmetic is exact (Python integers); floats never
 carry results.
 """
 
-from .certify import (
-    BlockDecomposition,
-    Certificate,
-    TripleFinding,
-    best_triple,
-    certify_word,
-    chained_certificate,
-    decompose,
-    disjoint_triples,
-    duplicate_letter_certificate,
-    lcs_pair_certificate,
-)
+from .certify import Certificate, certify_word
 from .construction import (
     ConstructionWord,
     TupleAlphabet,
@@ -74,16 +63,6 @@ from .shapes import (
     run_claim_suite,
     shape_of,
 )
-from .words import (
-    Interval,
-    Word,
-    concat,
-    from_ids,
-    load_words,
-    power,
-    subword,
-    to_text,
-    word,
-)
+from .words import Word, from_ids, load_words, power, to_text, word
 
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
-Four failure modes recur everywhere, so they get distinct classes:
-out-of-range indices, violated call contracts, blown resource budgets,
-and "this operation does not apply here" signals that callers may want
-to catch as control flow (e.g. a certificate rule with nothing to do).
+Four failure modes get distinct classes: out-of-range indices,
+violated call contracts, blown resource budgets, and "this operation
+does not apply here" signals that callers may want to catch as control
+flow.
 """
 
 from functools import cache
@@ -30,7 +30,9 @@ class NotApplicable(Exception):
     """Signal that an operation has no work to do on this input.
 
     Distinct from ContractError: the input is legal, there is just no
-    result of the requested kind (e.g. no duplicated letter anywhere).
+    result of the requested kind.  No package function raises it at
+    present; it stays one of the four documented error types, which the
+    CLI reports with exit status 2.
     """
 
 

@@ -6,8 +6,7 @@ as lowercase letters, larger ones as comma-separated decimal ids, and
 both encodings round-trip through the one-word-per-line file format
 with an ``alphabet k=<int>`` header that ``load_words`` reads.
 
-Besides parsing and rendering, the module slices and joins words:
-``subword`` on a closed ``Interval``, ``concat`` and ``power``.
+Besides parsing and rendering, the module repeats a word: ``power``.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
-from .errors import ContractError, WordRangeError, require_int, require_int_tuple, require_word
+from .errors import ContractError, require_int, require_int_tuple, require_word
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -54,22 +53,6 @@ class Word:
 
     def __str__(self) -> str:
         return to_text(self)
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed index interval [lo, hi]; hi == lo - 1 encodes the empty interval."""
-
-    lo: int
-    hi: int
-
-    def __post_init__(self) -> None:
-        require_int(lo=self.lo, hi=self.hi)
-        if self.hi < self.lo - 1:
-            raise ContractError(f"interval [{self.lo}, {self.hi}] has hi < lo - 1")
-
-    def __len__(self) -> int:
-        return self.hi - self.lo + 1
 
 
 def word(text: str, alphabet_size: int | None = None) -> Word:
@@ -124,25 +107,6 @@ def to_text(w: Word) -> str:
     return ",".join(str(s) for s in w.symbols)
 
 
-def subword(w: Word, iv: Interval) -> Word:
-    """Contiguous (not scattered) subword on the closed interval ``iv``."""
-    require_word(w=w)
-    if not isinstance(iv, Interval):
-        raise ContractError(f"iv must be an Interval, got {iv!r}")
-    if iv.lo < 0 or iv.hi >= len(w) or iv.lo > len(w):
-        raise WordRangeError(f"interval [{iv.lo}, {iv.hi}] out of range for |w|={len(w)}")
-    return Word(w.symbols[iv.lo : iv.hi + 1], w.alphabet_size)
-
-
-def concat(w1: Word, w2: Word) -> Word:
-    require_word(w1=w1, w2=w2)
-    if w1.alphabet_size != w2.alphabet_size:
-        raise ContractError(
-            f"alphabet mismatch: {w1.alphabet_size} vs {w2.alphabet_size}"
-        )
-    return Word(w1.symbols + w2.symbols, w1.alphabet_size)
-
-
 def power(w: Word, m: int) -> Word:
     """m-fold repetition of w; m = 0 gives the empty word."""
     require_word(w=w)
@@ -163,6 +127,8 @@ def load_words(path: str | Path) -> list[Word]:
         raw = Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise ContractError(f"{path}: not a text file ({exc.reason})") from None
+    except OSError as exc:
+        raise ContractError(f"{path}: cannot read ({exc.strerror or exc})") from None
     lines = raw.split("\n")
     if lines and lines[-1] == "":
         lines.pop()  # trailing newline, not an empty word

@@ -9,22 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subseqlab import certify
-from subseqlab.certify import (
-    BlockDecomposition,
-    TripleFinding,
-    best_triple,
-    certify_word,
-    chained_certificate,
-    decompose,
-    disjoint_triples,
-    duplicate_letter_certificate,
-    lcs_pair_certificate,
-)
+from subseqlab.certify import certify_word
 from subseqlab.construction import build_construction_word
 from subseqlab.counting import count_occurrences
-from subseqlab.errors import ContractError, NotApplicable
-from subseqlab.lcs import check_triple_product
-from subseqlab.words import Word, concat, from_ids, power, word
+from subseqlab.errors import ContractError
+from subseqlab.lcs import check_triple_product, lcs2
+from subseqlab.words import Word, from_ids, power, word
 
 from contract_inputs import DOCUMENTED_ERRORS, NOT_A_WORD, int_or_junk
 from oracles import count_by_plain_dp, subsequence_by_two_pointer
@@ -44,160 +34,18 @@ def perm_block_word(rng, k, blocks):
 
 
 # ---------------------------------------------------------------------------
-# decomposition and parameters
-
-
-def test_decompose_even_split():
-    w = rand_word(random.Random(0), 4, 12)
-    bd = decompose(w, 3)
-    assert bd.block_count == 3
-    assert bd.block_length == 4
-    assert bd.remainder == 0
-    assert concat(concat(bd.blocks[0], bd.blocks[1]), bd.blocks[2]) == w
-
-
-def test_decompose_reports_remainder():
-    w = rand_word(random.Random(1), 4, 13)
-    bd = decompose(w, 3)
-    assert bd.block_length == 4 and bd.remainder == 1
-
-
-def test_decompose_permutation_flags():
-    w = word("aabbac")
-    bd = decompose(w, 2)
-    assert [b.symbols for b in bd.blocks] == [(0, 0, 1), (1, 0, 2)]
-    assert bd.is_permutation == (False, True)
-    assert bd.permutation_indices == (2,)
-
-
-def test_decompose_contracts():
-    w = word("abc")
-    with pytest.raises(ContractError):
-        decompose(w, 0)
-    with pytest.raises(ContractError):
-        decompose(w, 4)
-
-
-# ---------------------------------------------------------------------------
-# duplicate letters
-
-
-def test_duplicate_letter_basic():
-    cert = duplicate_letter_certificate(decompose(word("aabbac"), 2))
-    assert cert.witness == Word((0,), 3)
-    assert cert.claimed == 2
-    assert cert.ok
-    assert [s.rule for s in cert.steps] == ["repeat-letter", "product-across-blocks"]
-
-
-def test_duplicate_letter_two_blocks():
-    cert = duplicate_letter_certificate(decompose(word("aabbab"), 2))
-    assert cert.witness == word("ab")
-    assert cert.claimed == 4
-    assert cert.verified == count_occurrences(word("ab"), word("aabbab")) == 7
-    assert cert.ok
-
-
-def test_duplicate_letter_not_applicable():
-    with pytest.raises(NotApplicable):
-        duplicate_letter_certificate(decompose(word("abccba"), 2))
-
-
-# ---------------------------------------------------------------------------
-# triples
-
-
-def test_best_triple_identical_blocks():
-    w = power(word("abcd"), 3)
-    t = best_triple(decompose(w, 3))
-    assert (t.first, t.middle, t.last) == (1, 2, 3)
-    assert t.common_symbols == 4
-    assert (t.lcs_first_middle, t.lcs_first_last, t.lcs_middle_last) == (4, 4, 4)
-
-
-def test_best_triple_disjoint_supports():
-    syms = list(range(12))
-    w = from_ids(syms, alphabet_size=12)
-    t = best_triple(decompose(w, 3))
-    assert t.common_symbols == 0
-    assert (t.lcs_first_middle, t.lcs_first_last, t.lcs_middle_last) == (0, 0, 0)
-
-
-def test_best_triple_needs_three_permutation_blocks():
-    with pytest.raises(NotApplicable):
-        best_triple(decompose(word("aabbcc"), 3))
-
-
-def test_triple_product_dominates_common_count():
-    rng = random.Random(7)
-    for _ in range(40):
-        w = perm_block_word(rng, 6, 5)
-        bd = decompose(w, 5)
-        t = best_triple(bd)
-        prod = t.lcs_first_middle * t.lcs_first_last * t.lcs_middle_last
-        assert prod >= t.common_symbols
+# the facts the routes rest on
 
 
 def test_triple_product_lemma_via_checker():
-    # same fact, established by the independent permutation-LCS checker
+    # three permutation blocks: the product of their pairwise LCS
+    # lengths covers their common support, by the independent checker
     rng = random.Random(8)
+    k = 6
     for _ in range(20):
-        w = perm_block_word(rng, 6, 3)
-        bd = decompose(w, 3)
-        report = check_triple_product(bd.blocks[0], bd.blocks[1], bd.blocks[2])
-        assert report.holds
-
-
-def test_disjoint_triples_cardinality_and_order():
-    rng = random.Random(9)
-    w = perm_block_word(rng, 6, 6)
-    family = disjoint_triples(decompose(w, 6), 2)
-    assert len(family.triples) == 2 and not family.short
-    used = [i for t in family.triples for i in (t.first, t.middle, t.last)]
-    assert sorted(used) == list(range(1, 7))  # no block reused
-    middles = [t.middle for t in family.triples]
-    assert middles == sorted(middles)
-
-
-def test_disjoint_triples_short_family():
-    rng = random.Random(10)
-    w = perm_block_word(rng, 6, 4)
-    family = disjoint_triples(decompose(w, 4), 2)
-    assert len(family.triples) == 1 and family.short
-
-
-# ---------------------------------------------------------------------------
-# pair and chained certificates
-
-
-def test_pair_certificate_identical_blocks():
-    u = word("abcde")
-    cert = lcs_pair_certificate(decompose(power(u, 2), 2), 1, 2)
-    assert cert.claimed == 6
-    assert cert.witness == u
-    assert cert.ok
-
-
-def test_pair_certificate_reversed_block():
-    cert = lcs_pair_certificate(decompose(word("abccba"), 2), 1, 2)
-    assert cert.claimed == 2
-    assert len(cert.witness) == 1
-    assert cert.ok
-
-
-def test_pair_certificate_disjoint_supports():
-    w = from_ids(range(6), alphabet_size=6)
-    cert = lcs_pair_certificate(decompose(w, 2), 1, 2)
-    assert cert.claimed == 1 and len(cert.witness) == 0
-    assert cert.ok
-
-
-def test_pair_certificate_contract():
-    bd = decompose(word("abab"), 2)
-    with pytest.raises(ContractError):
-        lcs_pair_certificate(bd, 2, 1)
-    with pytest.raises(ContractError):
-        lcs_pair_certificate(bd, 1, 3)
+        w = perm_block_word(rng, k, 3)
+        blocks = [Word(w.symbols[i * k : (i + 1) * k], k) for i in range(3)]
+        assert check_triple_product(*blocks).holds
 
 
 def test_splitting_bound_exhaustive_small_patterns():
@@ -213,74 +61,6 @@ def test_splitting_bound_exhaustive_small_patterns():
                     pat, second
                 ):
                     assert count_by_plain_dp(pat, w.symbols) >= length + 1
-
-
-def test_chained_certificate_single_triple():
-    w = power(word("abcd"), 3)
-    bd = decompose(w, 3)
-    family = disjoint_triples(bd, 1)
-    cert = chained_certificate(bd, family.triples)
-    # all three pair candidates claim 5; recount dwarfs it
-    assert cert.claimed == 5
-    assert cert.ok
-    assert cert.info["inequality_count"] == 3
-    assert cert.info["inequality_product"] == 64
-
-
-def test_chained_certificate_two_triples_product():
-    rng = random.Random(12)
-    w = perm_block_word(rng, 6, 6)
-    bd = decompose(w, 6)
-    family = disjoint_triples(bd, 2)
-    cert = chained_certificate(bd, family.triples)
-    assert cert.ok
-    assert cert.info["inequality_count"] == 5
-    # the product candidate (first-middle of triple 1 times middle-last
-    # of triple 2) is among the evaluated ones, so the claim is at
-    # least as large
-    t1, t2 = family.triples
-    assert cert.claimed >= (t1.lcs_first_middle + 1) * (t2.lcs_middle_last + 1)
-
-
-def test_chained_certificate_rejects_unordered():
-    rng = random.Random(13)
-    w = perm_block_word(rng, 6, 6)
-    bd = decompose(w, 6)
-    family = disjoint_triples(bd, 2)
-    with pytest.raises(ContractError):
-        chained_certificate(bd, tuple(reversed(family.triples)))
-
-
-def test_chained_certificate_rejects_a_finding_its_blocks_do_not_support():
-    w = power(word("abcd"), 3)
-    bd = decompose(w, 3)
-    (t,) = disjoint_triples(bd, 1).triples
-    inflated = TripleFinding(t.first, t.middle, t.last, t.common_symbols, 9, 9, 9)
-    with pytest.raises(ContractError):
-        chained_certificate(bd, (inflated,))
-
-
-def test_chained_certificate_rejects_triples_outside_the_decomposition():
-    w = power(word("abc"), 6)
-    family = disjoint_triples(decompose(w, 6), 2).triples
-    with pytest.raises(ContractError, match="not increasing in 1..2"):
-        chained_certificate(decompose(w, 2), family)
-    t = family[0]
-    for blocks in ((0, 1, 2), (-1, 1, 2), (2, 1, 3), (1, 2, 7)):
-        bad = TripleFinding(*blocks, t.common_symbols, t.lcs_first_middle, t.lcs_first_last, t.lcs_middle_last)
-        with pytest.raises(ContractError, match="not increasing in 1..6"):
-            chained_certificate(decompose(w, 6), (bad,))
-
-
-def test_chained_certificate_empty_falls_back_to_best_pair():
-    w = power(word("abcde"), 2)
-    cert = chained_certificate(decompose(w, 2), ())
-    assert cert.claimed == 6 and cert.ok
-
-
-def test_chained_certificate_fallback_not_applicable():
-    with pytest.raises(NotApplicable):
-        chained_certificate(decompose(word("aabb"), 2), ())
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +128,32 @@ def test_certify_construction_word_scaling():
         claims.append(cert.claimed)
     assert claims == sorted(claims)
     assert claims[-1] > 1
+
+
+def test_permutation_route_runs_each_pair_once(monkeypatch):
+    # P permutation blocks of length k make P // 3 consecutive triples,
+    # and the candidates use each of their 3 pairs; two blocks, one pair
+    calls = []
+
+    def counting(w1, w2):
+        calls.append((w1, w2))
+        return lcs2(w1, w2)
+
+    monkeypatch.setattr(certify, "lcs2", counting)
+    rng = random.Random(18)
+    k = 5
+    for blocks in range(2, 12):
+        w = power(from_ids(range(k), alphabet_size=k), blocks)
+        calls.clear()
+        certify_word(w, chunk=len(w))
+        assert len(calls) == (1 if blocks == 2 else 3 * (blocks // 3))
+        # random permutations and one non-permutation block in the middle
+        syms = list(perm_block_word(rng, k, blocks).symbols)
+        syms[k * (blocks // 2)] = syms[k * (blocks // 2) + 1]
+        calls.clear()
+        certify_word(Word(tuple(syms), k), chunk=len(syms))
+        perms = blocks - 1
+        assert len(calls) == (0 if perms < 2 else 1 if perms == 2 else 3 * (perms // 3))
 
 
 def test_certify_word_recounts_once(monkeypatch):
@@ -429,28 +235,50 @@ def test_certify_word_pinned_block_word():
     )
 
 
-def test_public_certificates_pinned_outputs():
-    rng = random.Random(7)
-    records = []
-    for _ in range(60):
-        k = rng.choice((4, 5, 6))
-        syms = list(perm_block_word(rng, k, rng.randrange(2, 14)).symbols)
-        for _ in range(rng.randrange(0, 3)):
+def _wide_words():
+    rng = random.Random(20261019)
+    out = [(Word((), k), chunk) for k, chunk in ((1, 1), (3, 5), (7, 70))]
+    while len(out) < 1000:
+        k = rng.randrange(1, 8)
+        if len(out) % 3 == 0:
+            out.append((rand_word(rng, k, rng.randrange(0, 160)), rng.randrange(1, 71)))
+            continue
+        # permutation blocks, random or near-powers of one permutation,
+        # with 0-2 symbol mutations; chunks mostly whole blocks, some with
+        # a remainder, so the permutation route sees 0 to 70 blocks
+        blocks = rng.randrange(0, 160 // k + 1)
+        if len(out) % 3 == 1:
+            syms = list(perm_block_word(rng, k, blocks).symbols)
+        else:
+            base = list(range(k))
+            rng.shuffle(base)
+            syms = []
+            for _ in range(blocks):
+                block = base[:]
+                i = rng.randrange(k)
+                block[i], block[i - 1] = block[i - 1], block[i]
+                syms.extend(block)
+        for _ in range(rng.randrange(0, 3) if syms else 0):
             syms[rng.randrange(len(syms))] = rng.randrange(k)
-        bd = decompose(Word(tuple(syms), k), len(syms) // k)
-        for build in (
-            lambda: duplicate_letter_certificate(bd),
-            lambda: lcs_pair_certificate(bd, 1, bd.block_count),
-            lambda: chained_certificate(
-                bd, disjoint_triples(bd, len(bd.permutation_indices) // 3).triples
-            ),
-            lambda: chained_certificate(bd, ()),
-        ):
-            try:
-                records.append(_record(build()))
-            except NotApplicable as exc:
-                records.append(("NA", str(exc)))
-    assert _digest(records) == "6a2ee6b382f86a031469213d47b1fa95efa83bb0aaa66e83d9fba8f281f879b9"
+        extra = rng.choice((0, 0, rng.randrange(k)))
+        chunk = max(1, min(70, k * rng.randrange(1, 70 // k + 1) + extra))
+        out.append((Word(tuple(syms), k), chunk))
+    return out
+
+
+def test_certify_word_pinned_wide():
+    records = [_record(certify_word(w, chunk)) for w, chunk in _wide_words()]
+    rules = {rule for r in records for rule, _, _ in r[3]}
+    assert rules == {
+        "empty-word",
+        "repeat-letter",
+        "product-across-blocks",
+        "letter-frequency",
+        "split-pair",
+        "concat-product",
+        "chunk-product",
+    }
+    assert _digest(records) == "ba75312c8d0693dc259c1799859789b4e6450ecf0df2925cc7a72958b5d65db9"
 
 
 # ---------------------------------------------------------------------------
@@ -458,17 +286,9 @@ def test_public_certificates_pinned_outputs():
 
 def test_non_int_arguments_are_contract_errors():
     w = word("abcabcabc")
-    bd = decompose(w, 3)
     for bad in (1.5, 2.0, None, "1"):
-        for call in (
-            lambda: certify_word(w, bad),
-            lambda: decompose(w, bad),
-            lambda: disjoint_triples(bd, bad),
-            lambda: lcs_pair_certificate(bd, bad, 2),
-            lambda: lcs_pair_certificate(bd, 1, bad),
-        ):
-            with pytest.raises(ContractError, match="must be an int"):
-                call()
+        with pytest.raises(ContractError, match="must be an int"):
+            certify_word(w, bad)
 
 
 @given(st.data())
@@ -476,28 +296,15 @@ def test_non_int_arguments_are_contract_errors():
 def test_certify_api_raises_only_documented_errors(data):
     draw = data.draw
     k = draw(st.integers(1, 5))
-    if draw(st.booleans()):  # permutation blocks, so the triple routes run
+    if draw(st.booleans()):  # permutation blocks, so the permutation route runs
         blocks = draw(st.lists(st.permutations(range(k)), max_size=6))
         syms = tuple(s for block in blocks for s in block)
     else:
         syms = tuple(draw(st.lists(st.integers(0, k - 1), max_size=24)))
     w = Word(syms, k)
-
-    def bd():
-        return decompose(w, draw(int_or_junk(-1, 8)))
-
-    def triples(b):
-        found = disjoint_triples(b, draw(int_or_junk(-1, 3))).triples
-        return found[::-1] if draw(st.booleans()) else found
-
     calls = [
         lambda: certify_word(w, draw(int_or_junk(-1, 26))),
         lambda: certify_word(draw(NOT_A_WORD), draw(int_or_junk(-1, 26))),
-        lambda: decompose(draw(NOT_A_WORD), draw(int_or_junk(-1, 8))),
-        lambda: duplicate_letter_certificate(bd()),
-        lambda: best_triple(bd()),
-        lambda: lcs_pair_certificate(bd(), draw(int_or_junk(-1, 6)), draw(int_or_junk(-1, 6))),
-        lambda: chained_certificate(bd(), triples(bd())),
     ]
     for call in calls:
         try:

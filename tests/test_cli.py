@@ -291,6 +291,7 @@ def test_lcs_over_chain_budget_exits_2(tmp_path, capsys, monkeypatch, text):
 def test_lcs_missing_file(capsys):
     code, _, err = run(["lcs", "--inputs", "/nonexistent.words"], capsys)
     assert code == EXIT_USAGE
+    assert "/nonexistent.words" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

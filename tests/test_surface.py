@@ -1,7 +1,9 @@
 """The package exports only what the package itself, the CLI or a demo
 uses: every name ``subseqlab/__init__.py`` imports must be referenced in
-another module of the package, outside its own definition, or in a demo.
-Code that only tests reach belongs in ``tests/oracles.py``."""
+another module of the package, outside its own definition, or in a demo,
+and every private top-level name must be referenced in the package
+outside its own definition.  Code that only tests reach belongs in
+``tests/oracles.py``."""
 
 import ast
 from pathlib import Path
@@ -9,17 +11,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "subseqlab"
 
-# exported with no caller yet, each for a stated reason:
-ALLOWED_WITHOUT_CALLER = {
-    # the public certificate routes, pinned by digest together with the
-    # info only they compute; whether they stay is an open design item
-    "duplicate_letter_certificate",
-    "lcs_pair_certificate",
-    "chained_certificate",
-    "best_triple",
-    # the profile upper bound on mu_k, which the growth window is to use
-    "mu_upper_from_profile",
-}
+# exported with no caller yet: the profile upper bound on mu_k, which
+# the growth window is to use
+ALLOWED_WITHOUT_CALLER = {"mu_upper_from_profile"}
 
 
 def _exported_names() -> set[str]:
@@ -39,6 +33,8 @@ def _references(tree: ast.Module) -> set[str]:
     for top in tree.body:
         own = getattr(top, "name", None)
         for node in ast.walk(top):
+            if not isinstance(getattr(node, "ctx", None), ast.Load):
+                continue  # an assignment target is a definition, not a use
             if isinstance(node, ast.Name):
                 name = node.id
             elif isinstance(node, ast.Attribute):
@@ -64,3 +60,24 @@ def test_every_export_has_a_package_or_demo_caller():
     # an allowlisted name that gains a caller leaves the allowlist
     assert not ALLOWED_WITHOUT_CALLER & referenced, sorted(ALLOWED_WITHOUT_CALLER & referenced)
     assert ALLOWED_WITHOUT_CALLER <= exported
+
+
+def test_every_private_name_has_a_package_caller():
+    referenced = set()
+    defined = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        referenced |= _references(tree)
+        for top in tree.body:
+            if isinstance(top, ast.Assign):
+                targets = top.targets
+            elif isinstance(top, ast.AnnAssign):
+                targets = [top.target]
+            else:
+                targets = [top]
+            for node in targets:
+                name = getattr(node, "name", None) or getattr(node, "id", None)
+                if name and name.startswith("_") and not name.startswith("__"):
+                    defined[name] = path.name
+    unused = sorted(f"{module}:{name}" for name, module in defined.items() if name not in referenced)
+    assert not unused, f"private names nothing in the package uses: {unused}"

@@ -1,18 +1,8 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from subseqlab.errors import ContractError, WordRangeError
-from subseqlab.words import (
-    Interval,
-    Word,
-    concat,
-    from_ids,
-    load_words,
-    power,
-    subword,
-    to_text,
-    word,
-)
+from subseqlab.errors import ContractError
+from subseqlab.words import Word, from_ids, load_words, power, to_text, word
 
 from contract_inputs import DOCUMENTED_ERRORS, JUNK, NOT_A_WORD, int_or_junk
 
@@ -73,30 +63,11 @@ def test_alphabet_size_must_be_an_int():
             Word((), bad)
 
 
-def test_subword_examples():
-    w = word("abracadabra")
-    assert to_text(subword(w, Interval(0, 3))) == "abra"
-    assert len(subword(w, Interval(2, 1))) == 0
-    assert to_text(subword(w, Interval(4, 6))) == "cad"
-
-
-def test_subword_range_errors():
-    w = word("abc")
-    with pytest.raises(WordRangeError):
-        subword(w, Interval(-1, 1))
-    with pytest.raises(WordRangeError):
-        subword(w, Interval(1, 3))
-    with pytest.raises(ContractError):
-        Interval(3, 1)
-
-
 def test_concat_and_power():
-    a, b = word("ab"), word("ba")
-    assert to_text(concat(a, b)) == "abba"
+    a = word("ab")
     assert to_text(power(a, 3)) == "ababab"
+    assert power(a, 2) == Word(a.symbols + a.symbols, 2)
     assert len(power(a, 0)) == 0
-    with pytest.raises(ContractError):
-        concat(word("ab"), word("abc"))
     with pytest.raises(ContractError):
         power(a, -1)
 
@@ -160,27 +131,25 @@ def test_non_int_arguments_are_contract_errors():
         lambda: from_ids(5),
         lambda: power(w, 1.5),
         lambda: power(w, "2"),
-        lambda: Interval("a", 1),
-        lambda: subword(w, Interval(0.5, 1.5)),
         lambda: word(5),
     ):
         with pytest.raises(ContractError):
             call()
 
 
-def test_non_word_arguments_are_contract_errors():
-    w = word("abc")
+def test_non_word_arguments_are_contract_errors(tmp_path):
     for call in (
         lambda: to_text(5),
-        lambda: concat(None, w),
-        lambda: concat(w, "abc"),
-        lambda: subword("abc", Interval(0, 1)),
-        lambda: subword(w, (0, 1)),
         lambda: power((0, 1), 2),
         lambda: load_words(5),
     ):
         with pytest.raises(ContractError, match="must be a"):
             call()
+    # a path that names no readable file: a missing one or a directory
+    for path in (tmp_path / "missing.words", tmp_path):
+        with pytest.raises(ContractError, match="cannot read") as exc:
+            load_words(path)
+        assert str(path) in str(exc.value)
 
 
 @given(
@@ -188,33 +157,19 @@ def test_non_word_arguments_are_contract_errors():
     ids=st.one_of(st.lists(int_or_junk(-1, 4), max_size=5), JUNK),
     alphabet_size=st.one_of(st.none(), int_or_junk(-1, 6)),
     syms=st.lists(st.integers(0, 2), max_size=5),
-    other=st.integers(1, 4),
     m=int_or_junk(-2, 3),
-    lo=int_or_junk(-2, 6),
-    hi=int_or_junk(-3, 6),
     junk=NOT_A_WORD,
 )
-@example(
-    text=5, ids=["x"], alphabet_size=None, syms=[0, 1], other=3, m="2", lo="a", hi=1, junk="ab"
-)
+@example(text=5, ids=["x"], alphabet_size=None, syms=[0, 1], m="2", junk="ab")
 @settings(max_examples=300, deadline=None)
-def test_words_api_raises_only_documented_errors(
-    text, ids, alphabet_size, syms, other, m, lo, hi, junk
-):
+def test_words_api_raises_only_documented_errors(text, ids, alphabet_size, syms, m, junk):
     w = Word(tuple(syms), 3)
     calls = [
         lambda: word(text, alphabet_size),
         lambda: from_ids(ids, alphabet_size),
         lambda: power(w, m),
-        lambda: Interval(lo, hi),
-        lambda: subword(w, Interval(lo, hi)),
-        lambda: concat(w, Word((), other)),
         lambda: to_text(w),
         lambda: power(junk, m),
-        lambda: subword(junk, Interval(lo, hi)),
-        lambda: subword(w, junk),
-        lambda: concat(junk, w),
-        lambda: concat(w, junk),
         lambda: to_text(junk),
     ]
     for call in calls:
