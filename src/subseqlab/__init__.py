@@ -32,7 +32,7 @@ from .counting import (
     sum_over_lengths,
     validate_embedding,
 )
-from .errors import BudgetError, ContractError, NotApplicable, WordRangeError
+from .errors import BudgetError, ContractError
 from .extremal import (
     ExtremalRecord,
     MuWindow,

@@ -22,7 +22,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from . import __version__
 from .certify import certify_word
@@ -36,7 +36,7 @@ from .construction import (
     verify_sign_properties,
 )
 from .counting import count_occurrences, enumerate_embeddings, max_occurrences, max_occurrences_of_length, occurrence_profile
-from .errors import BudgetError, ContractError, NotApplicable, WordRangeError
+from .errors import BudgetError, ContractError
 from .extremal import (
     best_window,
     check_submultiplicativity,
@@ -277,7 +277,7 @@ def _intermediate_sweep(t: int, max_r: int) -> dict:
     family of sign vectors of length r <= max_r."""
     checked, failures = 0, []
     for r in range(1, max_r + 1):
-        vectors = [tuple(s) for s in _all_sign_tuples(r)]
+        vectors = list(product((1, -1), repeat=r))
         for size in range(1, len(vectors) + 1):
             for family in combinations(vectors, size):
                 report = verify_lemma_intermediate(r, t, list(family))
@@ -292,13 +292,6 @@ def _intermediate_sweep(t: int, max_r: int) -> dict:
         "checked": checked,
         "failures": failures[:5],
     }
-
-
-def _all_sign_tuples(r: int):
-    out = [()]
-    for _ in range(r):
-        out = [s + (sign,) for s in out for sign in (1, -1)]
-    return out
 
 
 def _cmd_verify_construction(args) -> int:
@@ -630,7 +623,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code = args.handler(args)
-    except (ContractError, WordRangeError, BudgetError, NotApplicable, OSError) as exc:
+    except (ContractError, BudgetError, OSError) as exc:
         sys.stderr.write(f"subseqlab {args.subcommand}: {exc}\n")
         return EXIT_USAGE
     finally:

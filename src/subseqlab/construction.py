@@ -12,6 +12,10 @@ combinatorial facts the analysis leans on: agreement patterns among the
 eight sign vectors, the exact LCS value t^|J| for a family of
 signed-lex permutations agreeing on the coordinate set J, and the
 pairwise/triple/prefix-class LCS bounds for the concatenated blocks.
+The sign and block verifiers share one sweep helper over the five
+pair and triple families, which measures each unordered index pair and
+triple of the period once; the block caps are t raised to the sign
+caps, since agreeing exactly on J means a joint LCS of t^|J|.
 Every check returns a report of per-property results rather than
 raising, so callers can surface which instance failed and by how much.
 """
@@ -134,8 +138,7 @@ def agreement_set(vectors) -> frozenset[int]:
 
 
 def _agreement(vs: tuple[SignVector, ...]) -> frozenset[int]:
-    first = vs[0]
-    return frozenset(j + 1 for j in range(len(first)) if all(v[j] == first[j] for v in vs))
+    return frozenset(j for j, col in enumerate(zip(*vs), 1) if col.count(col[0]) == len(vs))
 
 
 @dataclass(frozen=True)
@@ -156,16 +159,6 @@ class PropertyReport:
     def ok(self) -> bool:
         return all(r.ok for r in self.results if r.checked)
 
-    def result(self, name: str) -> PropertyResult:
-        for r in self.results:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
-
-def _agree_count(a: SignVector, b: SignVector) -> int:
-    return sum(1 for x, y in zip(a, b) if x == y)
-
 
 def _sweep(name, cap, instances, exact=False, note="") -> PropertyResult:
     """Check every (label, value) instance: value == cap when ``exact``,
@@ -180,6 +173,56 @@ def _sweep(name, cap, instances, exact=False, note="") -> PropertyResult:
     return PropertyResult(name, not failures, True, worst, tuple(failures[:8]), note)
 
 
+def _family_sweeps(items, names, caps, pair, triple) -> list[PropertyResult]:
+    """The five sweeps both verifiers share over the 8-periodic family
+    ``items``: adjacent pairs, distinct pairs, consecutive triples (exact),
+    an adjacent pair with an outsider, and distinct triples.
+
+    ``pair`` and ``triple`` are symmetric measures, taken once per
+    unordered index pair (28) and index triple (56).  Labels give a
+    periodic start i 1-based and a family index 0-based; the value
+    sweeps (distinct, outsider) skip instances with equal members.
+    When ``triple`` raises BudgetError, the three triple sweeps are
+    reported unchecked, with its message as the note.
+    """
+
+    def measured(measure, size):
+        return {s: measure(*(items[x] for x in s)) for s in combinations(range(8), size)}
+
+    def at(*positions):  # 1-based periodic positions -> sorted indices
+        return tuple(sorted((p - 1) % 8 for p in positions))
+
+    def distinct(*indices):
+        return all(items[a] != items[b] for a, b in combinations(indices, 2))
+
+    pairs = measured(pair, 2)
+    results = [
+        _sweep(names[0], caps[0], ((i, pairs[at(i, i + 1)]) for i in range(1, 9))),
+        _sweep(names[1], caps[1], ((ab, pairs[ab]) for ab in pairs if distinct(*ab))),
+    ]
+    try:
+        triples = measured(triple, 3)
+    except BudgetError as exc:
+        unchecked = [PropertyResult(name, True, False, None, (), str(exc)) for name in names[2:]]
+        return results + unchecked
+    return results + [
+        _sweep(
+            names[2], caps[2], ((i, triples[at(i, i + 1, i + 2)]) for i in range(1, 9)), exact=True
+        ),
+        _sweep(
+            names[3],
+            caps[3],
+            (
+                ((i, j), triples[at(i, i + 1, j + 1)])
+                for i in range(1, 9)
+                for j in range(8)
+                if items[j] != items[(i - 1) % 8] and items[j] != items[i % 8]
+            ),
+        ),
+        _sweep(names[4], caps[4], ((abc, triples[abc]) for abc in triples if distinct(*abc))),
+    ]
+
+
 def verify_sign_properties(vectors) -> PropertyReport:
     """Brute-force check of the eight agreement facts the analysis needs
     from a period-8 family of length-8 sign vectors.
@@ -192,48 +235,26 @@ def verify_sign_properties(vectors) -> PropertyReport:
     if len(vs) != 8 or any(len(v) != 8 for v in vs):
         raise ContractError("expected eight sign vectors of length 8")
 
+    def agree(*family):
+        return len(_agreement(family))
+
     def at(i):  # 1-based periodic
         return vs[(i - 1) % 8]
 
-    results = [
-        _sweep(
+    results = _family_sweeps(
+        vs,
+        (
             "adjacent-pairs-agree-le2",
-            2,
-            ((i, len(_agreement((at(i), at(i + 1))))) for i in range(1, 9)),
-        ),
-        _sweep(
             "distinct-pairs-agree-le4",
-            4,
-            (
-                ((i, j), _agree_count(vs[i], vs[j]))
-                for i, j in combinations(range(8), 2)
-                if vs[i] != vs[j]
-            ),
-        ),
-        _sweep(
             "consecutive-triples-agree-nowhere",
-            0,
-            ((i, len(_agreement((at(i), at(i + 1), at(i + 2))))) for i in range(1, 9)),
-        ),
-        _sweep(
             "adjacent-plus-outsider-agree-le1",
-            1,
-            (
-                ((i, j), len(_agreement((at(i), at(i + 1), vs[j]))))
-                for i in range(1, 9)
-                for j in range(8)
-                if vs[j] != at(i) and vs[j] != at(i + 1)
-            ),
-        ),
-        _sweep(
             "distinct-triples-agree-le2",
-            2,
-            (
-                ((a, b, c), len(_agreement((vs[a], vs[b], vs[c]))))
-                for a, b, c in combinations(range(8), 3)
-                if vs[a] != vs[b] and vs[a] != vs[c] and vs[b] != vs[c]
-            ),
         ),
+        (2, 4, 0, 1, 2),
+        agree,
+        agree,
+    )
+    results += [
         _sweep(
             "last2-blocks-differ-within-gap3",
             1,
@@ -257,11 +278,7 @@ def verify_sign_properties(vectors) -> PropertyReport:
         _sweep(
             "last5-blocks-agree-le3-within-gap7",
             3,
-            (
-                ((i, j), _agree_count(at(i)[3:], at(i + j)[3:]))
-                for i in range(1, 9)
-                for j in range(1, 8)
-            ),
+            (((i, j), agree(at(i)[3:], at(i + j)[3:])) for i in range(1, 9) for j in range(1, 8)),
         ),
     ]
     return PropertyReport(tuple(results))
@@ -292,14 +309,6 @@ class ConstructionWord:
         require_int(t=self.t, r=self.r, block_count=self.block_count, block_length=self.block_length)
         if not isinstance(self.word, Word):
             raise ContractError(f"word must be a Word, got {self.word!r}")
-
-    def block(self, i: int) -> Word:
-        """1-based block; equals the signed-lex permutation of its index."""
-        require_int(i=i)
-        if not 1 <= i <= self.block_count:
-            raise ContractError(f"block {i} outside [1, {self.block_count}]")
-        lo = (i - 1) * self.block_length
-        return Word(self.word.symbols[lo : lo + self.block_length], self.word.alphabet_size)
 
     @cached_property
     def block_offsets(self) -> tuple[tuple[int, ...], ...]:
@@ -385,8 +394,9 @@ def verify_lemma_intermediate(r: int, t: int, family) -> IntermediateReport:
 
 
 def verify_permutation_properties(t: int, vectors=None) -> PropertyReport:
-    """LCS bounds for the signed-lex blocks: adjacent and distinct pairs,
-    consecutive and mixed triples, and the fixed-prefix-class bounds.
+    """LCS bounds for the signed-lex blocks: the five family sweeps of
+    ``verify_sign_properties`` with each cap c raised to t^c, then the
+    fixed-prefix-class bounds.
 
     When ``lcs3`` refuses the blocks with a BudgetError, the three
     triple properties are all reported as unchecked, with its message
@@ -398,94 +408,47 @@ def verify_permutation_properties(t: int, vectors=None) -> PropertyReport:
     alphabet = TupleAlphabet(t, 8)
     perms = [build_permutation(u, t) for u in vs]
 
-    def at(i):  # 1-based periodic
-        return perms[(i - 1) % 8]
-
-    results = [
-        _sweep(
+    results = _family_sweeps(
+        perms,
+        (
             "adjacent-lcs-le-t2",
-            t**2,
-            ((i, lcs2(at(i), at(i + 1))[0]) for i in range(1, 9)),
-        ),
-        _sweep(
             "distinct-pair-lcs-le-t4",
-            t**4,
-            (
-                ((i, j), lcs2(perms[i], perms[j])[0])
-                for i, j in combinations(range(8), 2)
-                if perms[i] != perms[j]
-            ),
-        ),
-    ]
-
-    try:
-        results += [
-            _sweep(
-                "consecutive-triple-lcs-eq-1",
-                1,
-                ((i, lcs3(at(i), at(i + 1), at(i + 2))[0]) for i in range(1, 9)),
-                exact=True,
-            ),
-            _sweep(
-                "adjacent-plus-outsider-lcs-le-t",
-                t,
-                (
-                    ((i, j), lcs3(at(i), at(i + 1), perms[j])[0])
-                    for i in range(1, 9)
-                    for j in range(8)
-                    if perms[j] != at(i) and perms[j] != at(i + 1)
-                ),
-            ),
-            _sweep(
-                "distinct-triple-lcs-le-t2",
-                t**2,
-                (
-                    ((a, b, c), lcs3(perms[a], perms[b], perms[c])[0])
-                    for a, b, c in combinations(range(8), 3)
-                    if perms[a] != perms[b] and perms[a] != perms[c] and perms[b] != perms[c]
-                ),
-            ),
-        ]
-    except BudgetError as exc:
-        for name in (
             "consecutive-triple-lcs-eq-1",
             "adjacent-plus-outsider-lcs-le-t",
             "distinct-triple-lcs-le-t2",
-        ):
-            results.append(PropertyResult(name, True, False, None, (), str(exc)))
-
-    bucket_cache: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-
-    def class_buckets(perm_index: int, prefix_len: int) -> list[tuple[int, ...]]:
-        # one pass per (block, prefix length): symbols grouped by the
-        # packed value of their first prefix_len coordinates
-        key = (perm_index, prefix_len)
-        if key not in bucket_cache:
-            groups: list[list[int]] = [[] for _ in range(t**prefix_len)]
-            for s in perms[perm_index].symbols:
-                groups[alphabet.prefix_class(s, prefix_len)].append(s)
-            bucket_cache[key] = [tuple(g) for g in groups]
-        return bucket_cache[key]
+        ),
+        tuple(t**c for c in (2, 4, 0, 1, 2)),
+        lambda a, b: lcs2(a, b)[0],
+        lambda a, b, c: lcs3(a, b, c)[0],
+    )
 
     def class_sweep(name, prefix_len, gaps, cap):
-        def instances():
-            for i in range(1, 9):
-                for j in gaps:
-                    ia, ib = (i - 1) % 8, (i + j - 1) % 8
-                    if perms[ia] == perms[ib]:
-                        continue
-                    ga = class_buckets(ia, prefix_len)
-                    gb = class_buckets(ib, prefix_len)
-                    worst_cls = 0
-                    for cls in range(t**prefix_len):
-                        ra = Word(ga[cls], alphabet.size)
-                        rb = Word(gb[cls], alphabet.size)
-                        value = lcs2(ra, rb)[0]
-                        if value > worst_cls:
-                            worst_cls = value
-                    yield (i, j), worst_cls
+        # each block's class words, grouped by the packed value of their
+        # first prefix_len coordinates, built once
+        classes = []
+        for perm in perms:
+            groups: list[list[int]] = [[] for _ in range(t**prefix_len)]
+            for s in perm.symbols:
+                groups[alphabet.prefix_class(s, prefix_len)].append(s)
+            classes.append([Word(tuple(g), alphabet.size) for g in groups])
+        worst: dict[frozenset[int], int] = {}  # per unordered block pair
 
-        return _sweep(name, cap, instances())
+        def worst_class(a, b):
+            key = frozenset((a, b))
+            if key not in worst:
+                worst[key] = max(lcs2(x, y)[0] for x, y in zip(classes[a], classes[b]))
+            return worst[key]
+
+        return _sweep(
+            name,
+            cap,
+            (
+                ((i, j), worst_class((i - 1) % 8, (i + j - 1) % 8))
+                for i in range(1, 9)
+                for j in gaps
+                if perms[(i - 1) % 8] != perms[(i + j - 1) % 8]
+            ),
+        )
 
     results.append(class_sweep("fixed-prefix6-lcs-le-t", 6, range(1, 4), t))
     results.append(class_sweep("fixed-prefix5-lcs-le-t2", 5, range(1, 8), t**2))

@@ -1,17 +1,11 @@
 """Exception types shared across the package.
 
-Four failure modes get distinct classes: out-of-range indices,
-violated call contracts, blown resource budgets, and "this operation
-does not apply here" signals that callers may want to catch as control
-flow.
+Two failure modes get distinct classes: violated call contracts and
+blown resource budgets.  The public API raises no other exception type.
 """
 
 from functools import cache
 from itertools import repeat
-
-
-class WordRangeError(IndexError):
-    """An index or interval falls outside the word it refers to."""
 
 
 class ContractError(ValueError):
@@ -23,16 +17,6 @@ class BudgetError(RuntimeError):
 
     The message always names the limit that was hit, so callers can
     re-run with an explicit larger budget if they really mean it.
-    """
-
-
-class NotApplicable(Exception):
-    """Signal that an operation has no work to do on this input.
-
-    Distinct from ContractError: the input is legal, there is just no
-    result of the requested kind.  No package function raises it at
-    present; it stays one of the four documented error types, which the
-    CLI reports with exit status 2.
     """
 
 

@@ -19,7 +19,7 @@ import subseqlab.lcs as lcs_module
 from subseqlab.cli import EXIT_OK, EXIT_USAGE, RunConfig, main
 from subseqlab.construction import build_construction_word
 from subseqlab.errors import ContractError
-from subseqlab.words import load_words, to_text
+from subseqlab.words import Word, load_words, to_text
 
 from oracles import quadratic_chain_lcs
 
@@ -260,7 +260,8 @@ def test_lcs_many_permutation_blocks(tmp_path, capsys, blocks):
     # the product-space DP would need 257^blocks states; the chain kernel
     # answers permutation inputs of any number of words
     cw = build_construction_word(2, blocks)
-    ws = [cw.block(i) for i in range(1, blocks + 1)]
+    L = cw.block_length
+    ws = [Word(cw.word.symbols[i * L : (i + 1) * L], L) for i in range(blocks)]
     path = tmp_path / "blocks.words"
     path.write_text(
         f"alphabet k={cw.word.alphabet_size}\n" + "".join(to_text(w) + "\n" for w in ws)

@@ -171,19 +171,35 @@ def test_agreement_sets():
         agreement_set([(1, 1), (1, 1, 1)])
 
 
+def _by_name(report: PropertyReport) -> dict[str, PropertyResult]:
+    return {r.name: r for r in report.results}
+
+
+def _seeded_sign_families(count=50):
+    """Random period-8 families; every fifth draws its eight vectors
+    from only three, so it repeats vectors."""
+    rng = random.Random(15)
+    for n in range(count):
+        vectors = [tuple(rng.choice((1, -1)) for _ in range(8)) for _ in range(8)]
+        if n % 5 == 0:
+            vectors = [rng.choice(vectors[:3]) for _ in range(8)]
+        yield tuple(vectors)
+
+
 def test_sign_properties_pass_on_base_family():
     report = verify_sign_properties(base_sign_vectors())
     assert report.ok
     assert len(report.results) == 8
     assert all(r.checked for r in report.results)
-    assert report.result("adjacent-pairs-agree-le2").worst == 2
-    assert report.result("consecutive-triples-agree-nowhere").worst == 0
+    results = _by_name(report)
+    assert results["adjacent-pairs-agree-le2"].worst == 2
+    assert results["consecutive-triples-agree-nowhere"].worst == 0
 
 
 def test_sign_properties_fail_on_constant_family():
     report = verify_sign_properties([(1,) * 8] * 8)
     assert not report.ok
-    adjacent = report.result("adjacent-pairs-agree-le2")
+    adjacent = _by_name(report)["adjacent-pairs-agree-le2"]
     assert not adjacent.ok
     assert adjacent.worst == 8
 
@@ -197,6 +213,22 @@ def test_every_single_sign_flip_breaks_something():
         assert not report.ok, f"flip at vector {vi}, coordinate {ci} broke nothing"
 
 
+def test_sign_reports_are_pinned():
+    # every failure label and worst value of the base family, its 64
+    # mutations, the constant family and seeded random families
+    base = base_sign_vectors()
+    families = [
+        base,
+        *(family for _, family in single_sign_mutations(base)),
+        ((1,) * 8,) * 8,
+        *_seeded_sign_families(),
+    ]
+    h = hashlib.sha256()
+    for family in families:
+        h.update(repr(verify_sign_properties(family)).encode())
+    assert h.hexdigest() == "95aace9280611570e3bcf6cc8fa9a7e603c46055ef28fadc00d0bca4d0558a03"
+
+
 # ---------------------------------------------------------------------------
 # the concatenated word
 
@@ -205,11 +237,10 @@ def test_construction_word_basics():
     cw = build_construction_word(2, 9)
     assert cw.block_length == 256
     assert len(cw.word) == 9 * 256
-    assert cw.block(1).symbols == tuple(range(256))
-    assert cw.block(9) == cw.block(1)
-    assert cw.block(2) == build_permutation(base_sign_vectors()[1], 2)
-    with pytest.raises(ContractError):
-        cw.block(10)
+    syms = cw.word.symbols
+    assert syms[:256] == tuple(range(256))
+    assert syms[8 * 256 :] == syms[:256]
+    assert syms[256:512] == build_permutation(base_sign_vectors()[1], 2).symbols
 
 
 def test_construction_word_contracts():
@@ -279,12 +310,12 @@ def test_block_properties_t2():
     report = verify_permutation_properties(2)
     assert report.ok
     assert all(r.checked for r in report.results)
-    assert report.result("adjacent-lcs-le-t2").worst <= 4
-    triple = report.result("consecutive-triple-lcs-eq-1")
-    assert triple.worst == 1
-    assert report.result("fixed-prefix6-lcs-le-t").worst <= 2
-    assert report.result("fixed-prefix5-lcs-le-t2").worst <= 4
-    assert report.result("fixed-prefix3-lcs-le-t3").worst <= 8
+    results = _by_name(report)
+    assert results["adjacent-lcs-le-t2"].worst <= 4
+    assert results["consecutive-triple-lcs-eq-1"].worst == 1
+    assert results["fixed-prefix6-lcs-le-t"].worst <= 2
+    assert results["fixed-prefix5-lcs-le-t2"].worst <= 4
+    assert results["fixed-prefix3-lcs-le-t3"].worst <= 8
 
 
 def test_block_properties_t2_reports_are_pinned():
@@ -312,20 +343,54 @@ def test_block_properties_t2_reports_are_pinned():
     assert h.hexdigest() == "ae78a94fa7f6d66180fcf317047c19d8b81b469ab5d1b2433d626d4295b724bd"
 
 
+def test_block_properties_t2_every_mutation_is_pinned():
+    # all 64 mutations, and a family repeating vectors both adjacently
+    # and at a distance, which the content-equality filters skip
+    b = base_sign_vectors()
+    families = [family for _, family in single_sign_mutations(b)]
+    families.append((b[0], b[1], b[1], b[3], b[0], b[5], b[6], b[3]))
+    h = hashlib.sha256()
+    for family in families:
+        h.update(repr(verify_permutation_properties(2, vectors=family)).encode())
+    assert h.hexdigest() == "3d9e0530f79c555068b116669428d8ba0ac75bfeb56aa5a4ba47f1c14be94465"
+
+
+def test_family_sweeps_measure_each_instance_once(monkeypatch):
+    # 28 pairs and 56 triples; then, per prefix length, one lcs2 per
+    # class of each unordered block pair: 28 + 24*64 + 28*32 + 28*8 = 2684
+    calls = {"lcs2": 0, "lcs3": 0}
+
+    def counted(name):
+        real = getattr(construction_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(construction_module, name, counted(name))
+    assert verify_permutation_properties(2).ok
+    assert calls == {"lcs2": 2684, "lcs3": 56}
+
+
 def test_block_properties_t3():
     # the chain kernel's mask budget admits t=3 blocks (6561 symbols),
     # so all 112 triples are checked
     report = verify_permutation_properties(3)
     assert report.ok
     assert all(r.checked for r in report.results)
-    assert report.result("adjacent-lcs-le-t2").worst == 9
-    assert report.result("distinct-pair-lcs-le-t4").worst == 81
-    assert report.result("consecutive-triple-lcs-eq-1").worst == 1
-    assert report.result("adjacent-plus-outsider-lcs-le-t").worst == 3
-    assert report.result("distinct-triple-lcs-le-t2").worst == 9
-    assert report.result("fixed-prefix6-lcs-le-t").worst == 3
-    assert report.result("fixed-prefix5-lcs-le-t2").worst == 9
-    assert report.result("fixed-prefix3-lcs-le-t3").worst == 27
+    assert {name: r.worst for name, r in _by_name(report).items()} == {
+        "adjacent-lcs-le-t2": 9,
+        "distinct-pair-lcs-le-t4": 81,
+        "consecutive-triple-lcs-eq-1": 1,
+        "adjacent-plus-outsider-lcs-le-t": 3,
+        "distinct-triple-lcs-le-t2": 9,
+        "fixed-prefix6-lcs-le-t": 3,
+        "fixed-prefix5-lcs-le-t2": 9,
+        "fixed-prefix3-lcs-le-t3": 27,
+    }
 
 
 def test_block_properties_detect_bad_family():
@@ -333,7 +398,7 @@ def test_block_properties_detect_bad_family():
     # blowing the adjacent-pair bound sky high
     report = verify_permutation_properties(2, vectors=[(1,) * 8] * 8)
     assert not report.ok
-    assert report.result("adjacent-lcs-le-t2").worst == 256
+    assert _by_name(report)["adjacent-lcs-le-t2"].worst == 256
 
 
 def test_block_properties_budget_skips_triples(monkeypatch):
@@ -346,7 +411,7 @@ def test_block_properties_budget_skips_triples(monkeypatch):
         "distinct-triple-lcs-le-t2",
     )
     for name in triples:
-        triple = report.result(name)
+        triple = _by_name(report)[name]
         assert not triple.checked and triple.worst is None
         assert triple.note == (
             "chain kernel needs 65536 mask bits for 256 common symbols, "
@@ -392,7 +457,6 @@ def test_construction_api_raises_only_documented_errors(data):
             syms = (*cw.word.symbols[:-1], cw.word.symbols[-2])
             broken = Word(syms, cw.block_length)
             cw = ConstructionWord(cw.t, 8, cw.block_count, cw.block_length, broken)
-        cw.block(draw(int_or_junk(-1, 4)))
         cw.block_offsets
 
     def junk_word_calls():
@@ -405,7 +469,6 @@ def test_construction_api_raises_only_documented_errors(data):
             length,
             draw(st.one_of(st.just(Word(syms, 4)), st.just(syms), JUNK)),
         )
-        cw.block(draw(int_or_junk(-1, 4)))
         cw.block_offsets
 
     calls = [

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from subseqlab import shapes as shapes_module
 from subseqlab.construction import ConstructionWord, TupleAlphabet, build_construction_word
 from subseqlab.counting import EmbeddingMap, enumerate_embeddings
-from subseqlab.errors import BudgetError, ContractError, NotApplicable, WordRangeError
+from subseqlab.errors import ContractError
 from subseqlab.shapes import (
     _DENSITY_PALETTE,
     SHAPE_CLASSES,
@@ -38,6 +38,7 @@ from subseqlab.shapes import (
 )
 from subseqlab.words import Word
 
+from contract_inputs import DOCUMENTED_ERRORS
 from oracles import e_set, profile_by_definitions, subsequence_by_two_pointer
 
 
@@ -159,7 +160,7 @@ def test_invariant_checker_flags_corrupted_profile(cw_t2_b3):
 
     # block 1 holds b[5], b[6] in order but b[2] only before them, so
     # the third pattern symbol lands in block 2 and reach[0] is 2
-    b1 = cw.block(1).symbols
+    b1 = cw.word.symbols[: cw.block_length]
     v = Word((b1[5], b1[6], b1[2]), n)
     f = enumerate_embeddings(v, cw.word, cap=1).maps[0]
     p = embedding_profile(v, f, cw)
@@ -532,9 +533,6 @@ def test_sample_pattern_is_subsequence():
 # ---------------------------------------------------------------------------
 # contract: documented errors only, on legal and illegal inputs
 
-_DOCUMENTED_ERRORS = (ContractError, WordRangeError, BudgetError, NotApplicable)
-
-
 @cache
 def _small_word(blocks: int, broken: bool) -> ConstructionWord:
     """A t=2 construction word; ``broken`` repeats a symbol in its last block."""
@@ -619,5 +617,5 @@ def test_shapes_api_raises_only_documented_errors(data):
     for call in calls:
         try:
             call()
-        except _DOCUMENTED_ERRORS:
+        except DOCUMENTED_ERRORS:
             pass

@@ -1,9 +1,10 @@
 """The package exports only what the package itself, the CLI or a demo
 uses: every name ``subseqlab/__init__.py`` imports must be referenced in
 another module of the package, outside its own definition, or in a demo,
-and every private top-level name must be referenced in the package
-outside its own definition.  Code that only tests reach belongs in
-``tests/oracles.py``."""
+every private top-level name must be referenced in the package outside
+its own definition, and every public method or property of a package
+class must be read as an attribute in the package or a demo.  Code that
+only tests reach belongs in ``tests/oracles.py``."""
 
 import ast
 from pathlib import Path
@@ -81,3 +82,28 @@ def test_every_private_name_has_a_package_caller():
                     defined[name] = path.name
     unused = sorted(f"{module}:{name}" for name, module in defined.items() if name not in referenced)
     assert not unused, f"private names nothing in the package uses: {unused}"
+
+
+def test_every_public_class_member_is_read_in_the_package_or_a_demo():
+    # attributes are matched by name alone, whatever object they are read on
+    read = set()
+    members = []
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+        if path.parent != PACKAGE:
+            continue
+        members += [
+            (f"{path.name}:{top.name}.{item.name}", item.name)
+            for top in tree.body
+            if isinstance(top, ast.ClassDef)
+            for item in top.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not item.name.startswith("_")
+        ]
+    unread = sorted(qualified for qualified, name in members if name not in read)
+    assert not unread, f"class members no package code or demo reads: {unread}"
