@@ -101,13 +101,6 @@ class TupleAlphabet:
             out.append(digit + 1)
         return tuple(reversed(out))
 
-    def prefix_class(self, symbol: int, x: int) -> int:
-        """Packed value of the first x coordinates (0 <= x <= r)."""
-        require_int(symbol=symbol, x=x)
-        if not 0 <= x <= self.r:
-            raise ContractError(f"prefix length {x} outside [0, {self.r}]")
-        return symbol // self.t ** (self.r - x)
-
 
 def build_permutation(
     u: SignVector, t: int, max_symbols: int = PERMUTATION_BUDGET
@@ -393,6 +386,18 @@ def verify_lemma_intermediate(r: int, t: int, family) -> IntermediateReport:
     return IntermediateReport(t, r, len(unique), J, t ** len(J), computed)
 
 
+def _prefix_classes(perm: Word, alphabet: TupleAlphabet, prefix_len: int) -> list[Word]:
+    """perm's symbols grouped by the packed value of their first
+    prefix_len coordinates, one subsequence of perm per value in
+    ascending order: with coordinate 1 most significant, that value is
+    the symbol id shifted down by the other r - prefix_len digits."""
+    shift = alphabet.t ** (alphabet.r - prefix_len)
+    groups: list[list[int]] = [[] for _ in range(alphabet.size // shift)]
+    for s in perm.symbols:
+        groups[s // shift].append(s)
+    return [Word(tuple(g), alphabet.size) for g in groups]
+
+
 def verify_permutation_properties(t: int, vectors=None) -> PropertyReport:
     """LCS bounds for the signed-lex blocks: the five family sweeps of
     ``verify_sign_properties`` with each cap c raised to t^c, then the
@@ -423,14 +428,8 @@ def verify_permutation_properties(t: int, vectors=None) -> PropertyReport:
     )
 
     def class_sweep(name, prefix_len, gaps, cap):
-        # each block's class words, grouped by the packed value of their
-        # first prefix_len coordinates, built once
-        classes = []
-        for perm in perms:
-            groups: list[list[int]] = [[] for _ in range(t**prefix_len)]
-            for s in perm.symbols:
-                groups[alphabet.prefix_class(s, prefix_len)].append(s)
-            classes.append([Word(tuple(g), alphabet.size) for g in groups])
+        # each block's class words, built once
+        classes = [_prefix_classes(perm, alphabet, prefix_len) for perm in perms]
         worst: dict[frozenset[int], int] = {}  # per unordered block pair
 
         def worst_class(a, b):

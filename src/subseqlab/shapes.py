@@ -11,9 +11,12 @@ permutation blocks, record for each block i:
   fit runs past the point where the embedding enters block i+1.
 
 Every block is a permutation, so a pattern slice fits inside it exactly
-when the slice's offsets in the block strictly increase.  Profiles and
-their checks read those offsets from ``ConstructionWord.block_offsets``,
-so reach[i] costs O(reach[i] - entry[i] + 1).
+when the slice's offsets in the block strictly increase.  A
+``ReachTable`` reads those offsets from ``ConstructionWord.block_offsets``
+and computes where a slice from a given start stops fitting a given
+block, in O(reach - start + 1), once per (block, start) pair.  Profiles
+take reach from it and their checks test block fit and reach
+maximality against it; the embeddings of one pattern share one table.
 
 Classifying each overlap into six bands (thresholds 1, 10t, 10t^2,
 10t^3, 10t^4 for alphabet [t]^8) gives the embedding's *shape*.  The
@@ -31,6 +34,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import sub
 
 from .construction import (
     ConstructionWord,
@@ -61,41 +65,75 @@ class EmbeddingProfile:
     overlap: tuple[int, ...]
 
 
-def _fit_end(syms, j: int, offsets: tuple[int, ...]) -> int:
-    """First index >= j at which syms[j:] stops fitting in the block
-    whose symbol -> offset index is ``offsets``.  A block is a
-    permutation, so a slice fits in it exactly when its symbols' offsets
-    strictly increase; a symbol outside the block ends the fit."""
-    size = len(offsets)
-    n = len(syms)
-    prev = -1
-    while j < n:
-        s = syms[j]
-        if s >= size or offsets[s] <= prev:
-            break
-        prev = offsets[s]
-        j += 1
-    return j
+class ReachTable(dict):
+    """Where slices of one pattern stop fitting the blocks of one
+    construction word: ``table[i, j]`` is the first index >= j at which
+    v[j:] stops fitting block i (0-based), computed on first read.
+
+    A block is a permutation, so a slice fits in it exactly when its
+    symbols' offsets strictly increase; a symbol outside the block ends
+    the fit.  Both reach and every block-fit verdict read this table,
+    and the embeddings of one pattern share their (block, entry) pairs,
+    so one table per pattern computes each of them once.
+    """
+
+    def __init__(self, v: Word, cw: ConstructionWord):
+        super().__init__()
+        self.symbols = v.symbols
+        self.offsets = cw.block_offsets
+
+    def __missing__(self, key: tuple[int, int]) -> int:
+        i, j = key
+        offsets = self.offsets[i]
+        syms = self.symbols
+        size = len(offsets)
+        n = len(syms)
+        end = j
+        prev = -1
+        while end < n:
+            s = syms[end]
+            if s >= size or offsets[s] <= prev:
+                break
+            prev = offsets[s]
+            end += 1
+        self[key] = end
+        return end
 
 
-def embedding_profile(v: Word, f: EmbeddingMap, cw: ConstructionWord) -> EmbeddingProfile:
-    """Exact profile of one embedding; rejects maps that do not embed v."""
+def _table_of(v: Word, cw: ConstructionWord, reach: ReachTable | None) -> ReachTable:
+    if reach is None:
+        return ReachTable(v, cw)
+    if (
+        not isinstance(reach, ReachTable)
+        or reach.symbols is not v.symbols
+        or reach.offsets is not cw.block_offsets
+    ):
+        raise ContractError("reach must be a ReachTable of this pattern and word")
+    return reach
+
+
+def embedding_profile(
+    v: Word, f: EmbeddingMap, cw: ConstructionWord, reach: ReachTable | None = None
+) -> EmbeddingProfile:
+    """Exact profile of one embedding; rejects maps that do not embed v.
+    Embeddings of one pattern can share ``reach``, a ReachTable of v and
+    cw, instead of each recomputing it."""
     validate_embedding(v, cw.word, f)
-    m = len(v)
+    reach = _table_of(v, cw, reach)
     B = cw.block_count
     L = cw.block_length
     pos = f.positions
     entry = tuple(bisect_left(pos, i * L) + 1 for i in range(B))
-    vsyms = v.symbols
-    reach = tuple(
-        _fit_end(vsyms, entry[i] - 1, offsets) for i, offsets in enumerate(cw.block_offsets)
-    )
-    overlap = tuple(reach[i] - entry[i + 1] for i in range(B - 1))
-    return EmbeddingProfile(m, B, entry, reach, overlap)
+    rea = tuple(reach[i, e - 1] for i, e in enumerate(entry))
+    return EmbeddingProfile(len(v), B, entry, rea, tuple(map(sub, rea, entry[1:])))
 
 
 def check_profile_invariants(
-    v: Word, profile: EmbeddingProfile, cw: ConstructionWord, maximality: bool = False
+    v: Word,
+    profile: EmbeddingProfile,
+    cw: ConstructionWord,
+    maximality: bool = False,
+    reach: ReachTable | None = None,
 ) -> list[dict]:
     """Re-derive the profile's promises from the definitions.
 
@@ -103,8 +141,9 @@ def check_profile_invariants(
     overlap[i] = reach[i] - entry[i+1], and each v<entry..reach> slice
     fits in its block (its offsets in the block strictly increase).
     With ``maximality`` also checks reach cannot be extended by one.
-    Raises ContractError when the profile's block count or tuple
-    lengths do not match ``cw``.
+    Both fit checks read ``reach``, a ReachTable of v and cw (a fresh one
+    when omitted).  Raises ContractError when the profile's block count
+    or tuple lengths do not match ``cw``.
     """
     B = profile.block_count
     m = profile.pattern_length
@@ -122,18 +161,20 @@ def check_profile_invariants(
             violations.append({"kind": "overlap-definition", "block": i + 1})
         if ove[i] < -1:
             violations.append({"kind": "overlap-floor", "block": i + 1})
-    vsyms = v.symbols
-    for i, offsets in enumerate(cw.block_offsets):
-        if rea[i] < ent[i] - 1:
+    reach = _table_of(v, cw, reach)
+    n = len(v)
+    for i in range(B):
+        e, r = ent[i], rea[i]
+        if r < e - 1:
             violations.append({"kind": "reach-floor", "block": i + 1})
-        lo, hi = ent[i] - 1, rea[i] - 1  # 0-based inclusive pattern slice
-        piece = vsyms[lo : hi + 1]
-        if _fit_end(piece, 0, offsets) < len(piece):
+        # the slice v[e-1 : r] fits block i when the table's fit from its
+        # start runs to its stop; with maximality v[e-1 : r+1] must not
+        start, stop, _ = slice(e - 1, r).indices(n)
+        end = reach[i, start]
+        if end < stop:
             violations.append({"kind": "block-fit", "block": i + 1})
-        if maximality and rea[i] < m:
-            extended = vsyms[lo : hi + 2]
-            if _fit_end(extended, 0, offsets) == len(extended):
-                violations.append({"kind": "reach-maximality", "block": i + 1})
+        if maximality and r < m and end >= slice(e - 1, r + 1).indices(n)[1]:
+            violations.append({"kind": "reach-maximality", "block": i + 1})
     return violations
 
 
@@ -250,11 +291,14 @@ def check_single_medium_after_big(s) -> list[dict]:
     return out
 
 
-def check_big_interval_containment(profile: EmbeddingProfile, t: int) -> list[dict]:
-    """After an overlap in the top band, the next seven blocks' pattern
-    intervals stay inside the big block's own interval."""
-    s = shape_of(profile, t)
+def check_big_interval_containment(profile: EmbeddingProfile, s) -> list[dict]:
+    """After an overlap in the top band of the profile's shape s, the
+    next seven blocks' pattern intervals stay inside the big block's own
+    interval."""
+    s = _check_shape(s)
     ent, rea = profile.entry, profile.reach
+    if len(s) >= min(len(ent), len(rea)):
+        raise ContractError(f"a shape of {len(s)} entries does not fit this profile")
     out = []
     for i in claim_window_indices(s):
         if s[i - 1] != 8:
@@ -436,6 +480,112 @@ def sample_pattern(rng: random.Random, cw: ConstructionWord, density: float) -> 
 _DENSITY_PALETTE = (0.003, 0.01, 0.03, 0.08, 0.2)
 
 
+class _ShapeVerdict:
+    """The claims on one shape alone, made once per distinct shape:
+    the category and items of each ALL_SHAPE_CLAIMS checker that flags
+    it, and the shape's decomposition."""
+
+    __slots__ = ("shape", "claims", "decomposition")
+
+    def __init__(self, s: tuple[int, ...]):
+        self.shape = s
+        claims = (
+            (checker.__name__.removeprefix("check_").replace("_", "-"), checker(s))
+            for checker in ALL_SHAPE_CLAIMS
+        )
+        self.claims = tuple((category, items) for category, items in claims if items)
+        self.decomposition = decompose_shape(s)
+
+
+class _SampledPattern:
+    """One sampled pattern of the claim suite: its reach table, and
+    what its per-pattern claims collect over its embeddings."""
+
+    def __init__(self, v: Word, cw: ConstructionWord, add):
+        self.v = v
+        self.cw = cw
+        self.alphabet = cw.alphabet
+        self.reach = ReachTable(v, cw)
+        self.add = add  # ShapeSuiteReport.add
+        self.entries_seen: dict[tuple[int, ...], int] = {}
+        self.next_entry_choices: dict[tuple[int, int, int], set[int]] = {}
+        self.break_items: dict[tuple[int, int], list[dict]] = {}
+
+
+def _tagged(items: list[dict], tag: dict) -> list[dict]:
+    return [dict(item, **tag) for item in items]
+
+
+def _profile_invariant(p: _SampledPattern, tag, profile, verdict) -> None:
+    # reach maximality is spot-checked on each pattern's first embedding
+    maximal = tag["embedding"] == 0
+    items = check_profile_invariants(p.v, profile, p.cw, maximality=maximal, reach=p.reach)
+    p.add("profile-invariant", _tagged(items, tag))
+
+
+def _shape_claims(p: _SampledPattern, tag, profile, verdict) -> None:
+    for category, items in verdict.claims:
+        p.add(category, _tagged(items, tag))
+
+
+def _big_interval_containment(p: _SampledPattern, tag, profile, verdict) -> None:
+    if 8 in verdict.shape:  # the claim starts only at a top-band overlap
+        items = check_big_interval_containment(profile, verdict.shape)
+        p.add("big-interval-containment", _tagged(items, tag))
+
+
+def _break_bound(p: _SampledPattern, tag, profile, verdict) -> None:
+    # per-block slices of the pattern live inside single blocks, so the
+    # prefix-break bound applies to each of them; a slice is checked
+    # once per pattern, its items repeated per block
+    v = p.v
+    for i, key in enumerate(zip(profile.entry, profile.reach)):
+        items = p.break_items.get(key)
+        if items is None:
+            piece = Word(v.symbols[key[0] - 1 : key[1]], v.alphabet_size)
+            items = p.break_items[key] = check_break_bound(piece, p.cw.t, p.alphabet)
+        if items:
+            p.add("break-bound", [dict(item, **tag, block=i + 1) for item in items])
+
+
+def _determination(p: _SampledPattern, tag, profile, verdict) -> None:
+    # the full entry sequence must identify the embedding
+    first = p.entries_seen.setdefault(profile.entry, tag["embedding"])
+    if first != tag["embedding"]:
+        p.add("determination", [{**tag, "duplicate_of": first, "entries": profile.entry}])
+
+
+def _band_zero_pinch(p: _SampledPattern, tag, profile, verdict) -> None:
+    # the zero band pinches the overlap to -1 or 0; the other bands
+    # collect next-entry choices for the per-pattern band bound
+    ent, ove = profile.entry, profile.overlap
+    for i, x in enumerate(verdict.shape):
+        if x:
+            p.next_entry_choices.setdefault((i + 1, ent[i], x), set()).add(ent[i + 1])
+        elif ove[i] not in (-1, 0):
+            p.add("band-zero-pinch", [{**tag, "block": i + 1, "overlap": ove[i]}])
+
+
+def _decomposition(p: _SampledPattern, tag, profile, verdict) -> None:
+    dec = verdict.decomposition
+    if not dec.ok:
+        p.add("decomposition", [dict(dec.failure, **tag)])
+    elif len(verdict.shape) - dec.tail_start + 1 > 8:
+        p.add("decomposition", [{**tag, "tail": dec.tail_start}])
+
+
+# the claim suite's per-embedding claims, in report order
+_EMBEDDING_CLAIMS = (
+    _profile_invariant,
+    _shape_claims,
+    _big_interval_containment,
+    _break_bound,
+    _determination,
+    _band_zero_pinch,
+    _decomposition,
+)
+
+
 def run_claim_suite(
     t: int,
     blocks: int,
@@ -446,109 +596,30 @@ def run_claim_suite(
     """Sample random patterns from a construction word, enumerate up to
     embed_cap embeddings each, and test every profile/shape claim on
     every embedding; reach maximality is spot-checked on each pattern's
-    first embedding.  Deterministic for a fixed seed."""
+    first embedding.  Each pattern's embeddings share one reach table,
+    and the claims on a shape alone are made once per distinct shape,
+    their items repeated for each embedding of that shape.
+    Deterministic for a fixed seed."""
     cw = build_construction_word(t, blocks)
-    alphabet = cw.alphabet
     rng = random.Random(seed)
     report = ShapeSuiteReport(t, blocks, seed)
-    shapes_seen = set()
+    verdicts: dict[tuple[int, ...], _ShapeVerdict] = {}
     for sample_index in range(patterns):
         v = sample_pattern(rng, cw, rng.choice(_DENSITY_PALETTE))
         enum = enumerate_embeddings(v, cw.word, cap=embed_cap)
         report.patterns_checked += 1
-        entries_seen: dict[tuple[int, ...], int] = {}
-        next_entry_choices: dict[tuple[int, int, int], set[int]] = {}
-        break_items: dict[tuple[int, int], list[dict]] = {}
+        p = _SampledPattern(v, cw, report.add)
         for e_index, f in enumerate(enum):
             report.embeddings_checked += 1
-            profile = embedding_profile(v, f, cw)
-            report.add(
-                "profile-invariant",
-                [
-                    dict(item, sample=sample_index, embedding=e_index)
-                    for item in check_profile_invariants(
-                        v, profile, cw, maximality=e_index == 0
-                    )
-                ],
-            )
+            tag = {"sample": sample_index, "embedding": e_index}
+            profile = embedding_profile(v, f, cw, reach=p.reach)
             s = shape_of(profile, t)
-            shapes_seen.add(s)
-            for checker in ALL_SHAPE_CLAIMS:
-                report.add(
-                    checker.__name__.removeprefix("check_").replace("_", "-"),
-                    [dict(item, sample=sample_index, embedding=e_index) for item in checker(s)],
-                )
-            report.add(
-                "big-interval-containment",
-                [
-                    dict(item, sample=sample_index, embedding=e_index)
-                    for item in check_big_interval_containment(profile, t)
-                ],
-            )
-            # per-block slices of the pattern live inside single blocks,
-            # so the prefix-break bound applies to each of them; a slice
-            # is checked once per sample, its items repeated per block
-            for i in range(cw.block_count):
-                lo, hi = profile.entry[i] - 1, profile.reach[i]
-                items = break_items.get((lo, hi))
-                if items is None:
-                    piece = Word(v.symbols[lo:hi], v.alphabet_size)
-                    items = break_items[lo, hi] = check_break_bound(piece, t, alphabet)
-                report.add(
-                    "break-bound",
-                    [
-                        dict(item, sample=sample_index, embedding=e_index, block=i + 1)
-                        for item in items
-                    ],
-                )
-            # the full entry sequence must identify the embedding
-            key = profile.entry
-            if key in entries_seen:
-                report.add(
-                    "determination",
-                    [
-                        {
-                            "sample": sample_index,
-                            "embedding": e_index,
-                            "duplicate_of": entries_seen[key],
-                            "entries": key,
-                        }
-                    ],
-                )
-            else:
-                entries_seen[key] = e_index
-            # band bound on next-entry counts, and the zero-band pinch
-            for i in range(cw.block_count - 1):
-                x = s[i]
-                if x == 0:
-                    if profile.overlap[i] not in (-1, 0):
-                        report.add(
-                            "band-zero-pinch",
-                            [
-                                {
-                                    "sample": sample_index,
-                                    "embedding": e_index,
-                                    "block": i + 1,
-                                    "overlap": profile.overlap[i],
-                                }
-                            ],
-                        )
-                else:
-                    next_entry_choices.setdefault(
-                        (i + 1, profile.entry[i], x), set()
-                    ).add(profile.entry[i + 1])
-            dec = decompose_shape(s)
-            if not dec.ok:
-                report.add(
-                    "decomposition",
-                    [dict(dec.failure, sample=sample_index, embedding=e_index)],
-                )
-            elif len(s) - dec.tail_start + 1 > 8:
-                report.add(
-                    "decomposition",
-                    [{"sample": sample_index, "embedding": e_index, "tail": dec.tail_start}],
-                )
-        for (block, entry_value, x), nxt in next_entry_choices.items():
+            verdict = verdicts.get(s)
+            if verdict is None:
+                verdict = verdicts[s] = _ShapeVerdict(s)
+            for claim in _EMBEDDING_CLAIMS:
+                claim(p, tag, profile, verdict)
+        for (block, entry_value, x), nxt in p.next_entry_choices.items():
             if len(nxt) > 10 * t**x:
                 report.add(
                     "band-next-entry-count",
@@ -563,8 +634,8 @@ def run_claim_suite(
                         }
                     ],
                 )
-    report.distinct_shapes = len(shapes_seen)
-    report.shapes = tuple(sorted(shapes_seen))
+    report.distinct_shapes = len(verdicts)
+    report.shapes = tuple(sorted(verdicts))
     return report
 
 

@@ -7,6 +7,7 @@ element.  None of it shares code with the package, so agreement is
 evidence, not tautology.
 """
 
+from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, combinations, compress, permutations, product, repeat
 from math import comb
@@ -346,6 +347,76 @@ def profile_by_definitions(v_syms, positions, w_syms, block_count, block_length)
         reaches.append(h)
     overlaps = [reaches[i] - entries[i + 1] for i in range(block_count - 1)]
     return tuple(entries), tuple(reaches), tuple(overlaps)
+
+
+def _block_fit_end(syms, j, offsets):
+    """First index >= j at which syms[j:] stops fitting the block whose
+    symbol -> offset map is ``offsets``: offsets must strictly increase,
+    and a symbol outside the block ends the fit."""
+    prev = -1
+    while j < len(syms):
+        s = syms[j]
+        if s not in offsets or offsets[s] <= prev:
+            break
+        prev = offsets[s]
+        j += 1
+    return j
+
+
+def block_offset_maps(w_syms, block_count, block_length):
+    """Per block, its symbol -> offset map."""
+    return [
+        {s: k for k, s in enumerate(w_syms[i * block_length : (i + 1) * block_length])}
+        for i in range(block_count)
+    ]
+
+
+def profile_one_embedding(v_syms, positions, offset_maps, block_length):
+    """(entries, reaches, overlaps) of one embedding into the blocks
+    with ``block_offset_maps`` offset_maps, each block's reach scanned
+    afresh from its entry: the per-embedding profile route that the
+    shared reach table replaced."""
+    B = len(offset_maps)
+    entry = tuple(bisect_left(positions, i * block_length) + 1 for i in range(B))
+    reach = tuple(
+        _block_fit_end(v_syms, entry[i] - 1, offsets) for i, offsets in enumerate(offset_maps)
+    )
+    overlap = tuple(reach[i] - entry[i + 1] for i in range(B - 1))
+    return entry, reach, overlap
+
+
+def profile_invariants_one_embedding(v_syms, profile, offset_maps, maximality=False):
+    """Violations of one profile (an object with pattern_length,
+    block_count, entry, reach, overlap), each block's slice copied and
+    fitted afresh: the per-embedding invariant check that the shared
+    reach table replaced.  Raises ValueError where the package raises
+    ContractError: the profile's block count or tuple lengths do not
+    match the word's."""
+    B = profile.block_count
+    m = profile.pattern_length
+    ent, rea, ove = profile.entry, profile.reach, profile.overlap
+    if B != len(offset_maps) or (len(ent), len(rea), len(ove)) != (B, B, B - 1):
+        raise ValueError("profile does not fit the word")
+    violations = []
+    for i in range(B - 1):
+        if ent[i] > ent[i + 1]:
+            violations.append({"kind": "entry-monotone", "block": i + 1})
+        if ove[i] != rea[i] - ent[i + 1]:
+            violations.append({"kind": "overlap-definition", "block": i + 1})
+        if ove[i] < -1:
+            violations.append({"kind": "overlap-floor", "block": i + 1})
+    for i, offsets in enumerate(offset_maps):
+        if rea[i] < ent[i] - 1:
+            violations.append({"kind": "reach-floor", "block": i + 1})
+        lo, hi = ent[i] - 1, rea[i] - 1  # 0-based inclusive pattern slice
+        piece = v_syms[lo : hi + 1]
+        if _block_fit_end(piece, 0, offsets) < len(piece):
+            violations.append({"kind": "block-fit", "block": i + 1})
+        if maximality and rea[i] < m:
+            extended = v_syms[lo : hi + 2]
+            if _block_fit_end(extended, 0, offsets) == len(extended):
+                violations.append({"kind": "reach-maximality", "block": i + 1})
+    return violations
 
 
 def e_set(syms, t, r, x):

@@ -56,22 +56,28 @@ def test_alphabet_most_significant_first():
 
 
 def test_prefix_class_matches_coords():
+    # the class sweeps' grouping: each class holds, in the block's
+    # order, the symbols whose first x coordinates pack to its index
     alph = TupleAlphabet(3, 4)
-    for s in range(alph.size):
-        c = alph.coords(s)
-        for x in range(5):
-            packed = 0
-            for ci in c[:x]:
-                packed = packed * 3 + (ci - 1)
-            assert alph.prefix_class(s, x) == packed
+    perm = Word(tuple(random.Random(58).sample(range(alph.size), alph.size)), alph.size)
+    for x in range(5):
+        classes = construction_module._prefix_classes(perm, alph, x)
+        assert len(classes) == 3**x
+        for packed, cls in enumerate(classes):
+            want = []
+            for s in perm.symbols:
+                value = 0
+                for ci in alph.coords(s)[:x]:
+                    value = value * 3 + (ci - 1)
+                if value == packed:
+                    want.append(s)
+            assert cls == Word(tuple(want), alph.size)
 
 
 def test_alphabet_contract_errors():
     alph = TupleAlphabet(2, 2)
     with pytest.raises(ContractError):
         alph.coords(4)
-    with pytest.raises(ContractError):
-        alph.prefix_class(0, 3)
     with pytest.raises(ContractError):
         TupleAlphabet(0, 2)
 
@@ -448,7 +454,6 @@ def test_construction_api_raises_only_documented_errors(data):
     def alphabet_calls():
         alphabet = TupleAlphabet(t, r)
         alphabet.coords(draw(int_or_junk(-2, 90)))
-        alphabet.prefix_class(draw(int_or_junk(-2, 90)), draw(int_or_junk(-1, 4)))
 
     def word_calls():
         with patch.object(construction_module, "CONSTRUCTION_BUDGET", draw(st.integers(0, 900))):

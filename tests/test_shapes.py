@@ -18,6 +18,8 @@ from subseqlab.shapes import (
     _DENSITY_PALETTE,
     SHAPE_CLASSES,
     EmbeddingProfile,
+    ReachTable,
+    ShapeDecomposition,
     check_after_jump_decay,
     check_big_interval_containment,
     check_break_bound,
@@ -39,7 +41,14 @@ from subseqlab.shapes import (
 from subseqlab.words import Word
 
 from contract_inputs import DOCUMENTED_ERRORS
-from oracles import e_set, profile_by_definitions, subsequence_by_two_pointer
+from oracles import (
+    block_offset_maps,
+    e_set,
+    profile_by_definitions,
+    profile_invariants_one_embedding,
+    profile_one_embedding,
+    subsequence_by_two_pointer,
+)
 
 
 @pytest.fixture(scope="module")
@@ -287,14 +296,16 @@ def test_big_interval_containment_detects_escape():
     overlap = tuple(reach[i] - entry[i + 1] for i in range(9))
     p = EmbeddingProfile(300, 10, entry, reach, overlap)
     assert shape_of(p, t)[0] == 8
-    found = check_big_interval_containment(p, t)
+    found = check_big_interval_containment(p, shape_of(p, t))
     assert found and found[0]["index"] == 1 and found[0]["offset"] == 1
 
     reach_ok = (200,) + (200,) * 8 + (200,)
     overlap_ok = tuple(reach_ok[i] - entry[i + 1] for i in range(9))
     p_ok = EmbeddingProfile(300, 10, entry, reach_ok, overlap_ok)
     assert shape_of(p_ok, t)[0] == 8
-    assert check_big_interval_containment(p_ok, t) == []
+    assert check_big_interval_containment(p_ok, shape_of(p_ok, t)) == []
+    with pytest.raises(ContractError, match="does not fit this profile"):
+        check_big_interval_containment(p_ok, shape_of(p_ok, t) + (0,))
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +532,118 @@ def test_claim_suite_break_bound_items_keep_their_order(monkeypatch):
         assert hashlib.sha256(repr(key).encode()).hexdigest() == digest, args
 
 
+@cache
+def _pinned_samples():
+    """Every pattern of every pinned suite, drawn as run_claim_suite
+    draws them: (cw, pattern, its enumerated maps, the word's block
+    offset maps) per pattern."""
+    out = []
+    for args, kwargs, (embeddings, _, _) in _PINNED_SUITES:
+        t, blocks, patterns, seed = args
+        cw = build_construction_word(t, blocks)
+        offset_maps = block_offset_maps(cw.word.symbols, cw.block_count, cw.block_length)
+        rng = random.Random(seed)
+        cap = kwargs.get("embed_cap", 150)
+        samples = []
+        for _ in range(patterns):
+            v = sample_pattern(rng, cw, rng.choice(_DENSITY_PALETTE))
+            maps = enumerate_embeddings(v, cw.word, cap=cap).maps
+            samples.append((cw, v, maps, offset_maps))
+        assert sum(len(sample[2]) for sample in samples) == embeddings, args
+        out += samples
+    return out
+
+
+def _one_embedding_route(offset_maps, v, profile, maximality):
+    try:
+        return profile_invariants_one_embedding(v.symbols, profile, offset_maps, maximality)
+    except ValueError:
+        return ContractError
+
+
+def _table_route(cw, v, profile, maximality, reach):
+    try:
+        return check_profile_invariants(v, profile, cw, maximality=maximality, reach=reach)
+    except ContractError:
+        return ContractError
+
+
+def test_reach_table_matches_the_per_embedding_route():
+    # one table per pattern, as the suite shares it, against each
+    # embedding's reach scanned and each slice fitted afresh; junk
+    # profiles read (and fill) the same table
+    rng = random.Random(1601)
+    checked = 0
+    for cw, v, maps, offset_maps in _pinned_samples():
+        reach = ReachTable(v, cw)
+        for f in maps:
+            p = embedding_profile(v, f, cw, reach=reach)
+            expected = profile_one_embedding(v.symbols, f.positions, offset_maps, cw.block_length)
+            assert (p.entry, p.reach, p.overlap) == expected
+            assert embedding_profile(v, f, cw) == p
+            for q in (p, _junk_profile(rng.randint, p), _junk_profile(rng.randint, p)):
+                for maximality in (False, True):
+                    want = _one_embedding_route(offset_maps, v, q, maximality)
+                    assert _table_route(cw, v, q, maximality, reach) == want
+                    assert _table_route(cw, v, q, maximality, None) == want
+            checked += 1
+    assert checked == sum(pinned[0] for _, _, pinned in _PINNED_SUITES)
+
+
+def test_reach_table_of_another_pattern_or_word_is_refused(cw_t2_b3):
+    cw = cw_t2_b3
+    v = Word(cw.word.symbols[:3], cw.word.alphabet_size)
+    f = EmbeddingMap((0, 1, 2), 3)
+    p = embedding_profile(v, f, cw)
+    others = (
+        ReachTable(Word(cw.word.symbols[:2], cw.word.alphabet_size), cw),
+        ReachTable(v, build_construction_word(2, 4)),
+        {},
+    )
+    for other in others:
+        with pytest.raises(ContractError, match="ReachTable of this pattern and word"):
+            embedding_profile(v, f, cw, reach=other)
+        with pytest.raises(ContractError, match="ReachTable of this pattern and word"):
+            check_profile_invariants(v, p, cw, reach=other)
+
+
+def test_claim_suite_shape_items_repeat_per_embedding_in_order(monkeypatch):
+    # flag shapes through one shape checker and through the decomposition
+    # (failures, and long tails), so every embedding of a flagged shape
+    # carries its own items, tagged and keyed in report order
+    real_claims = shapes_module.ALL_SHAPE_CLAIMS
+    real_decompose = shapes_module.decompose_shape
+
+    def check_no_double_big(s):
+        flag = [{"claim": "no-double-big", "index": 0, "window": s[:3]}]
+        return (flag if s.count(1) % 3 == 1 else []) + real_claims[1](s)
+
+    def flagging_decompose(s):
+        if sum(s) % 3 == 0:
+            failure = {"index": 1, "entry": s[:1], "next": s[1:2], "window": s[:9]}
+            return ShapeDecomposition((), 1, failure)
+        if sum(s) % 3 == 1:
+            return ShapeDecomposition((), 1, None)
+        return real_decompose(s)
+
+    flagged = (real_claims[0], check_no_double_big) + real_claims[2:]
+    monkeypatch.setattr(shapes_module, "ALL_SHAPE_CLAIMS", flagged)
+    monkeypatch.setattr(shapes_module, "decompose_shape", flagging_decompose)
+    pinned = (
+        ((2, 12, 20, 7), 1778, "5b65eed419e159853fca200773e1e6df2bc9c46125b6b94182e93f4491e75c23"),
+        ((2, 10, 5, 11), 384, "8f6ad475c5bf47bbde47f253845e7eed90d488bc292fe8521b3b4ea5a5c2e766"),
+        ((2, 16, 6, 3), 914, "3230b08e43b8143a6e3a5548c0387b26c8c2022c20aee4379a0be46ac1ce8a83"),
+    )
+    for args, total, digest in pinned:
+        r = run_claim_suite(*args)
+        assert r.total_violations == total
+        assert list(r.violations) == ["decomposition", "no-double-big"]
+        tails = [item for item in r.violations["decomposition"] if "tail" in item]
+        assert tails and all(list(item) == ["sample", "embedding", "tail"] for item in tails)
+        key = (r.embeddings_checked, sorted(r.violations.items()))
+        assert hashlib.sha256(repr(key).encode()).hexdigest() == digest, args
+
+
 def test_sample_pattern_is_subsequence():
     cw = build_construction_word(2, 3)
     rng = random.Random(1)
@@ -559,21 +682,22 @@ def _pattern_and_map(draw, cw):
     return v, pos
 
 
-def _junk_profile(draw, p):
-    """p, or p with one value moved or one tuple shortened."""
+def _junk_profile(pick, p):
+    """p, or p with one value moved or one tuple shortened; ``pick(lo,
+    hi)`` chooses an int in [lo, hi]."""
     fields = [p.pattern_length, p.block_count, p.entry, p.reach, p.overlap]
-    which = draw(st.integers(0, 5))
+    which = pick(0, 5)
     if which == 5:
         return p
     if which < 2:
-        fields[which] += draw(st.integers(-3, 3))
+        fields[which] += pick(-3, 3)
     else:
         values = list(fields[which])
-        if values and draw(st.booleans()):
+        if values and pick(0, 1):
             values.pop()
         elif values:
-            i = draw(st.integers(0, len(values) - 1))
-            values[i] += draw(st.integers(-600, 600))
+            i = pick(0, len(values) - 1)
+            values[i] += pick(-600, 600)
         fields[which] = tuple(values)
     return EmbeddingProfile(*fields)
 
@@ -592,8 +716,13 @@ def test_shapes_api_raises_only_documented_errors(data):
 
     def profile_calls():
         f = EmbeddingMap(tuple(pos), draw(st.integers(len(pos) - 1, len(pos) + 1)))
-        p = embedding_profile(v, f, cw)
-        check_profile_invariants(v, _junk_profile(draw, p), cw, maximality=draw(st.booleans()))
+        reach = draw(st.sampled_from((None, "own", "other", {})))
+        if reach in ("own", "other"):
+            other = Word(v.symbols[:-1], v.alphabet_size)
+            reach = ReachTable(v if reach == "own" else other, cw)
+        p = embedding_profile(v, f, cw, reach=reach)
+        junk = _junk_profile(lambda lo, hi: draw(st.integers(lo, hi)), p)
+        check_profile_invariants(v, junk, cw, maximality=draw(st.booleans()), reach=reach)
 
     def suite_call():
         run_claim_suite(
