@@ -22,8 +22,8 @@ def main():
     # the same number by brute enumeration -- the two routes never disagree
     maps = enumerate_embeddings(v, w).maps
     print("enumeration finds", len(maps), "index tuples, first three:")
-    for m in maps[:3]:
-        print("   ", m.positions)
+    for positions in maps[:3]:
+        print("   ", positions)
 
     # which pattern is the most frequent one overall?
     target = word("abbaab")

@@ -11,7 +11,6 @@ carry results.
 from .certify import Certificate, certify_word
 from .construction import (
     ConstructionWord,
-    TupleAlphabet,
     agreement_set,
     base_sign_vectors,
     build_construction_word,
@@ -23,7 +22,6 @@ from .construction import (
     verify_sign_properties,
 )
 from .counting import (
-    EmbeddingMap,
     count_occurrences,
     enumerate_embeddings,
     max_occurrences,

@@ -223,14 +223,14 @@ def _cmd_lcs(args) -> int:
     for i, a in enumerate(words):
         pairwise[i][i] = str(len(a))
         for j in range(i + 1, len(words)):
-            length, _ = lcs2(a, words[j])
+            length, wit = lcs2(a, words[j])
             pairwise[i][j] = pairwise[j][i] = str(length)
     witness = None
     if len(words) == 1:
         overall = len(words[0])
         witness = to_text(words[0])
-    elif len(words) == 2:
-        overall, wit = lcs2(words[0], words[1])
+    elif len(words) == 2:  # the pairwise loop's only pair
+        overall = length
         witness = to_text(wit)
     elif len(words) == 3:
         overall, wit = lcs3(words[0], words[1], words[2])

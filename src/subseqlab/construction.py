@@ -1,11 +1,14 @@
-"""Signed-lexicographic permutation words over tuple alphabets.
+"""Signed-lexicographic permutation words over [t]^r.
 
 A length-r vector of signs turns [t]^r into a totally ordered set: flip
 each coordinate marked "-" and compare tuples lexicographically.
 Listing all of [t]^r in that order gives a permutation word; cycling
 through a fixed family of eight sign vectors and concatenating the
 resulting permutations gives long words whose most-common-subsequence
-count stays provably small.
+count stays provably small.  Symbols are plain ints: a tuple packs its
+coordinates as base-t digits, coordinate 1 most significant, so the
+order is listed digit by digit, with no sort and no decoding, and a
+prefix of coordinates is the symbol shifted down by the other digits.
 
 This module builds those objects and brute-force checks the finite
 combinatorial facts the analysis leans on: agreement patterns among the
@@ -25,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from operator import mul
 
 from .errors import BudgetError, ContractError, require_int
 from .lcs import lcs2, lcs3, multi_lcs
@@ -76,50 +78,27 @@ def _sign_family(vectors) -> tuple[SignVector, ...]:
     return vs
 
 
-class TupleAlphabet:
-    """[t]^r packed into integer symbol ids, coordinate 1 most significant.
-
-    id = sum (c_i - 1) * t^(r-i), so the all-plus signed-lex order of
-    tuples coincides with ascending id order.
-    """
-
-    def __init__(self, t: int, r: int = 8):
-        require_int(t=t, r=r)
-        if t < 1 or r < 1:
-            raise ContractError(f"need t >= 1 and r >= 1, got t={t}, r={r}")
-        self.t = t
-        self.r = r
-        self.size = t**r
-
-    def coords(self, symbol: int) -> tuple[int, ...]:
-        require_int(symbol=symbol)
-        if not 0 <= symbol < self.size:
-            raise ContractError(f"symbol {symbol} outside [0, {self.size})")
-        out = []
-        for _ in range(self.r):
-            symbol, digit = divmod(symbol, self.t)
-            out.append(digit + 1)
-        return tuple(reversed(out))
-
-
 def build_permutation(
     u: SignVector, t: int, max_symbols: int = PERMUTATION_BUDGET
 ) -> Word:
-    """The permutation word listing all of [t]^r in signed-lex order."""
+    """The permutation word listing all of [t]^r in signed-lex order,
+    coordinate by coordinate: each id so far is extended by the next
+    coordinate's base-t digits, ascending under + and descending under -."""
     _check_sign_vector(u)
     require_int(t=t, max_symbols=max_symbols)
     if t < 2:
         raise ContractError(f"need t >= 2, got {t}")
-    alphabet = TupleAlphabet(t, len(u))
-    if alphabet.size > max_symbols:
+    size = t ** len(u)
+    if size > max_symbols:
         raise BudgetError(
-            f"permutation over [{t}]^{len(u)} has {alphabet.size} symbols, "
+            f"permutation over [{t}]^{len(u)} has {size} symbols, "
             f"over the budget of {max_symbols}"
         )
-    # a symbol's key is its coordinate tuple times u, coordinatewise;
-    # ascending keys are the signed-lex order
-    order = sorted(range(alphabet.size), key=lambda s: tuple(map(mul, u, alphabet.coords(s))))
-    return Word(tuple(order), alphabet.size)
+    order = [0]
+    for sign in u:
+        digits = range(t) if sign > 0 else range(t - 1, -1, -1)
+        order = [i * t + d for i in order for d in digits]
+    return Word(tuple(order), size)
 
 
 def agreement_set(vectors) -> frozenset[int]:
@@ -293,13 +272,12 @@ def single_sign_mutations(vectors):
 @dataclass(frozen=True)
 class ConstructionWord:
     t: int
-    r: int
     block_count: int
     block_length: int
     word: Word
 
     def __post_init__(self) -> None:
-        require_int(t=self.t, r=self.r, block_count=self.block_count, block_length=self.block_length)
+        require_int(t=self.t, block_count=self.block_count, block_length=self.block_length)
         if not isinstance(self.word, Word):
             raise ContractError(f"word must be a Word, got {self.word!r}")
 
@@ -327,10 +305,6 @@ class ConstructionWord:
             out.append(offsets)
         return tuple(out)
 
-    @property
-    def alphabet(self) -> TupleAlphabet:
-        return TupleAlphabet(self.t, self.r)
-
 
 def build_construction_word(t: int, blocks: int) -> ConstructionWord:
     """Concatenate `blocks` signed-lex permutations of [t]^8, cycling
@@ -352,7 +326,7 @@ def build_construction_word(t: int, blocks: int) -> ConstructionWord:
     syms: list[int] = []
     for i in range(1, blocks + 1):
         syms.extend(perms[(i - 1) % 8].symbols)
-    return ConstructionWord(t, 8, blocks, block_length, Word(tuple(syms), block_length))
+    return ConstructionWord(t, blocks, block_length, Word(tuple(syms), block_length))
 
 
 @dataclass(frozen=True)
@@ -376,26 +350,24 @@ def verify_lemma_intermediate(r: int, t: int, family) -> IntermediateReport:
     vs = _sign_family(family)
     if any(len(v) != r for v in vs):
         raise ContractError(f"every sign vector must have length {r}")
-    unique = []
-    for v in vs:
-        if v not in unique:
-            unique.append(v)
+    unique = list(dict.fromkeys(vs))
     J = agreement_set(unique)
     perms = [build_permutation(u, t) for u in unique]
     computed = multi_lcs(perms)
     return IntermediateReport(t, r, len(unique), J, t ** len(J), computed)
 
 
-def _prefix_classes(perm: Word, alphabet: TupleAlphabet, prefix_len: int) -> list[Word]:
-    """perm's symbols grouped by the packed value of their first
-    prefix_len coordinates, one subsequence of perm per value in
+def _prefix_classes(perm: Word, t: int, prefix_len: int) -> list[Word]:
+    """perm's symbols over [t]^r grouped by the packed value of their
+    first prefix_len coordinates, one subsequence of perm per value in
     ascending order: with coordinate 1 most significant, that value is
     the symbol id shifted down by the other r - prefix_len digits."""
-    shift = alphabet.t ** (alphabet.r - prefix_len)
-    groups: list[list[int]] = [[] for _ in range(alphabet.size // shift)]
+    size = perm.alphabet_size
+    shift = size // t**prefix_len
+    groups: list[list[int]] = [[] for _ in range(t**prefix_len)]
     for s in perm.symbols:
         groups[s // shift].append(s)
-    return [Word(tuple(g), alphabet.size) for g in groups]
+    return [Word(tuple(g), size) for g in groups]
 
 
 def verify_permutation_properties(t: int, vectors=None) -> PropertyReport:
@@ -410,7 +382,6 @@ def verify_permutation_properties(t: int, vectors=None) -> PropertyReport:
     vs = _BASE_SIGNS if vectors is None else _sign_family(vectors)
     if len(vs) != 8 or any(len(v) != 8 for v in vs):
         raise ContractError("expected eight sign vectors of length 8")
-    alphabet = TupleAlphabet(t, 8)
     perms = [build_permutation(u, t) for u in vs]
 
     results = _family_sweeps(
@@ -429,7 +400,7 @@ def verify_permutation_properties(t: int, vectors=None) -> PropertyReport:
 
     def class_sweep(name, prefix_len, gaps, cap):
         # each block's class words, built once
-        classes = [_prefix_classes(perm, alphabet, prefix_len) for perm in perms]
+        classes = [_prefix_classes(perm, t, prefix_len) for perm in perms]
         worst: dict[frozenset[int], int] = {}  # per unordered block pair
 
         def worst_class(a, b):

@@ -1,10 +1,13 @@
 """Counting scattered-subsequence occurrences, and maximising them.
 
 ``count_occurrences(v, w)`` is the number of strictly increasing
-position maps that embed ``v`` into ``w``.  On top of that single DP
-sit the maximisers: the most frequent pattern of a given length, the
-most frequent pattern overall, and the sum of the per-length maxima.
-All counts are plain Python ints, so they are exact at any magnitude.
+position maps that embed ``v`` into ``w``.  An embedding is just its
+tuple of positions: ``enumerate_embeddings`` lists them in lexicographic
+order, and ``validate_embedding`` is the one check of what a tuple must
+be to embed ``v``.  On top of that single DP sit the maximisers: the
+most frequent pattern of a given length, the most frequent pattern
+overall, and the sum of the per-length maxima.  All counts are plain
+Python ints, so they are exact at any magnitude.
 
 The maximisers run a depth-first search over *prefix-count states*:
 the vector ``c`` with ``c[j]`` = number of embeddings of the current
@@ -105,37 +108,24 @@ def count_occurrences(v: Word, w: Word) -> int:
     return c[m]
 
 
-@dataclass(frozen=True)
-class EmbeddingMap:
-    """One occurrence: strictly increasing positions, one per pattern symbol."""
-
-    positions: tuple[int, ...]
-    source_length: int
-
-    def __post_init__(self) -> None:
-        require_int_tuple(positions=self.positions)
-        require_int(source_length=self.source_length)
-        if len(self.positions) != self.source_length:
-            raise ContractError("positions/source_length mismatch")
-        if not all(map(lt, self.positions, self.positions[1:])):
-            raise ContractError("positions must be strictly increasing")
-
-
-def validate_embedding(v: Word, w: Word, f: EmbeddingMap) -> None:
-    """Raise ContractError unless f really embeds v into w."""
+def validate_embedding(v: Word, w: Word, positions: tuple[int, ...]) -> None:
+    """Raise ContractError unless ``positions``, one per symbol of v and
+    strictly increasing, really embed v into w."""
     require_word(v=v, w=w)
-    if f.source_length != len(v):
+    require_int_tuple(positions=positions)
+    if len(positions) != len(v):
         raise ContractError("embedding length does not match pattern length")
-    pos = f.positions
+    if not all(map(lt, positions, positions[1:])):
+        raise ContractError("positions must be strictly increasing")
     # positions increase, so both ends in range puts all of them in range
-    if not pos or (
-        0 <= pos[0]
-        and pos[-1] < len(w)
-        and tuple(map(w.symbols.__getitem__, pos)) == v.symbols
+    if not positions or (
+        0 <= positions[0]
+        and positions[-1] < len(w)
+        and tuple(map(w.symbols.__getitem__, positions)) == v.symbols
     ):
         return
     # rejected: find the first bad position for the message
-    for j, p in zip(v.symbols, pos):
+    for j, p in zip(v.symbols, positions):
         if not (0 <= p < len(w)):
             raise ContractError(f"position {p} out of range")
         if w.symbols[p] != j:
@@ -144,7 +134,9 @@ def validate_embedding(v: Word, w: Word, f: EmbeddingMap) -> None:
 
 @dataclass
 class EmbeddingEnumeration:
-    maps: list[EmbeddingMap]
+    """Embeddings as tuples of positions; ``len()`` is their count."""
+
+    maps: list[tuple[int, ...]]
     truncated: bool
 
     def __iter__(self):
@@ -167,9 +159,9 @@ def enumerate_embeddings(v: Word, w: Word, cap: int | None = None) -> EmbeddingE
             raise ContractError(f"cap must be >= 0, got {cap}")
     m = len(v)
     want = None if cap is None else cap + 1  # one extra to detect truncation
-    out: list[EmbeddingMap] = []
+    out: list[tuple[int, ...]] = []
     if m == 0:
-        out.append(EmbeddingMap((), 0))
+        out.append(())
     else:
         occ: dict[int, list[int]] = {s: [] for s in set(v.symbols)}
         for p, s in enumerate(w.symbols):
@@ -202,7 +194,7 @@ def enumerate_embeddings(v: Word, w: Word, cap: int | None = None) -> EmbeddingE
                 p = cur[i] = positions[t]
                 nxt[i] = t + 1
                 if i + 1 == m:
-                    out.append(EmbeddingMap(tuple(cur), m))
+                    out.append(tuple(cur))
                     if want is not None and len(out) >= want:
                         break
                 else:

@@ -294,6 +294,8 @@ def root_decimal(a: int, n: int, places: int, mode: str) -> str:
 def mu_window(record: ExtremalRecord, places: int = 3) -> MuWindow:
     """Two-sided growth-constant bracket from one extremal record:
     value^(1/n) <= mu_k <= (n*value)^(1/n), valid for k >= 2, n >= 3."""
+    if not isinstance(record, ExtremalRecord):
+        raise ContractError(f"record must be an ExtremalRecord, got {record!r}")
     require_int(k=record.k, n=record.n, value=record.value)
     if record.k < 2 or record.n < 3:
         raise ContractError("window bracketing needs k >= 2 and n >= 3")
@@ -311,6 +313,8 @@ def mu_window(record: ExtremalRecord, places: int = 3) -> MuWindow:
 
 def best_window(records: list[ExtremalRecord], places: int = 3) -> MuWindow:
     """Tightest window combinable from several records of the same k."""
+    if not isinstance(records, (list, tuple)):
+        raise ContractError(f"records must be a list of ExtremalRecords, got {records!r}")
     windows = [mu_window(r, places) for r in records]
     if not windows:
         raise ContractError("need at least one record with n >= 3")

@@ -1,7 +1,8 @@
 """Per-block profiles of embeddings into block-concatenated words.
 
 For an embedding of a pattern v into a word built from B consecutive
-permutation blocks, record for each block i:
+permutation blocks, given as its tuple of positions, record for each
+block i:
 
 - ``entry[i]``: the first pattern index mapped at or beyond block i's
   start (1-based; m+1 when the embedding never reaches block i),
@@ -17,6 +18,8 @@ and computes where a slice from a given start stops fitting a given
 block, in O(reach - start + 1), once per (block, start) pair.  Profiles
 take reach from it and their checks test block fit and reach
 maximality against it; the embeddings of one pattern share one table.
+The claim suite also scans the blocks greedily for each pattern's first
+embedding, so a wrong table cannot vouch for itself.
 
 Classifying each overlap into six bands (thresholds 1, 10t, 10t^2,
 10t^3, 10t^4 for alphabet [t]^8) gives the embedding's *shape*.  The
@@ -25,8 +28,8 @@ facts that make shapes countable: monotonicity and range invariants of
 the profile, forced calm spells after large overlaps, the bound on
 how many next-entry values one band admits, the prefix-break-count
 bound for block subsequences, and the greedy segment decomposition of
-shapes.  Checkers report violations instead of raising, so sweeps can
-aggregate.
+shapes; break counts read r off the alphabet size t^r.  Checkers
+report violations instead of raising, so sweeps can aggregate.
 """
 
 from __future__ import annotations
@@ -34,17 +37,17 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import sub
 
 from .construction import (
     ConstructionWord,
-    TupleAlphabet,
     base_sign_vectors,
     build_construction_word,
     build_permutation,
 )
-from .counting import EmbeddingMap, enumerate_embeddings, validate_embedding
-from .errors import ContractError
+from .counting import enumerate_embeddings, validate_embedding
+from .errors import ContractError, require_int, require_word
 from .words import Word
 
 SHAPE_CLASSES = (0, 1, 2, 3, 4, 8)
@@ -79,6 +82,8 @@ class ReachTable(dict):
 
     def __init__(self, v: Word, cw: ConstructionWord):
         super().__init__()
+        require_word(v=v)
+        _require("cw", cw, ConstructionWord)
         self.symbols = v.symbols
         self.offsets = cw.block_offsets
 
@@ -112,18 +117,24 @@ def _table_of(v: Word, cw: ConstructionWord, reach: ReachTable | None) -> ReachT
     return reach
 
 
+def _require(name: str, value, kind: type) -> None:
+    if not isinstance(value, kind):
+        raise ContractError(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
 def embedding_profile(
-    v: Word, f: EmbeddingMap, cw: ConstructionWord, reach: ReachTable | None = None
+    v: Word, positions: tuple[int, ...], cw: ConstructionWord, reach: ReachTable | None = None
 ) -> EmbeddingProfile:
-    """Exact profile of one embedding; rejects maps that do not embed v.
-    Embeddings of one pattern can share ``reach``, a ReachTable of v and
-    cw, instead of each recomputing it."""
-    validate_embedding(v, cw.word, f)
+    """Exact profile of one embedding, given as its positions in cw's
+    word; rejects positions that do not embed v.  Embeddings of one
+    pattern can share ``reach``, a ReachTable of v and cw, instead of
+    each recomputing it."""
+    _require("cw", cw, ConstructionWord)
+    validate_embedding(v, cw.word, positions)
     reach = _table_of(v, cw, reach)
     B = cw.block_count
     L = cw.block_length
-    pos = f.positions
-    entry = tuple(bisect_left(pos, i * L) + 1 for i in range(B))
+    entry = tuple(bisect_left(positions, i * L) + 1 for i in range(B))
     rea = tuple(reach[i, e - 1] for i, e in enumerate(entry))
     return EmbeddingProfile(len(v), B, entry, rea, tuple(map(sub, rea, entry[1:])))
 
@@ -145,6 +156,9 @@ def check_profile_invariants(
     when omitted).  Raises ContractError when the profile's block count
     or tuple lengths do not match ``cw``.
     """
+    require_word(v=v)
+    _require("profile", profile, EmbeddingProfile)
+    _require("cw", cw, ConstructionWord)
     B = profile.block_count
     m = profile.pattern_length
     ent, rea, ove = profile.entry, profile.reach, profile.overlap
@@ -193,11 +207,16 @@ def classify_overlap(d: int, t: int) -> int:
 
 
 def shape_of(profile: EmbeddingProfile, t: int) -> tuple[int, ...]:
+    _require("profile", profile, EmbeddingProfile)
+    require_int(t=t)
     return tuple(classify_overlap(d, t) for d in profile.overlap)
 
 
 def _check_shape(s) -> tuple[int, ...]:
-    out = tuple(s)
+    try:
+        out = tuple(s)
+    except TypeError:
+        raise ContractError(f"a shape is a sequence of band values, got {s!r}") from None
     bad = [x for x in out if x not in SHAPE_CLASSES]
     if bad:
         raise ContractError(f"shape entries must be in {SHAPE_CLASSES}, got {bad[:3]}")
@@ -295,6 +314,7 @@ def check_big_interval_containment(profile: EmbeddingProfile, s) -> list[dict]:
     """After an overlap in the top band of the profile's shape s, the
     next seven blocks' pattern intervals stay inside the big block's own
     interval."""
+    _require("profile", profile, EmbeddingProfile)
     s = _check_shape(s)
     ent, rea = profile.entry, profile.reach
     if len(s) >= min(len(ent), len(rea)):
@@ -324,46 +344,36 @@ ALL_SHAPE_CLAIMS = (
 # prefix-break counts
 
 
-def _check_alphabet(b: Word, alphabet: TupleAlphabet) -> None:
-    if b.alphabet_size != alphabet.size:
-        raise ContractError("word alphabet does not match the tuple alphabet")
+def break_counts(b: Word, t: int) -> list[int]:
+    """The x-prefix break count of b for every x in 1..r, where b's
+    alphabet is [t]^r: the number of adjacent pairs whose first x
+    coordinates differ.  One pass: a pair that agrees once k base-t
+    digits are dropped first differs at coordinate r + 1 - k."""
+    require_word(b=b)
+    require_int(t=t)
+    r = 1
+    while 2 <= t and t**r < b.alphabet_size:
+        r += 1
+    if t < 2 or t**r != b.alphabet_size:
+        raise ContractError(
+            f"need t >= 2 and an alphabet of size t^r, r >= 1; got t={t}, size {b.alphabet_size}"
+        )
+    first_diffs = [0] * (r + 2)  # index r + 1: an equal pair
+    for a, c in zip(b.symbols, b.symbols[1:]):
+        x = r + 1
+        while a != c:
+            a //= t
+            c //= t
+            x -= 1
+        first_diffs[x] += 1
+    return list(accumulate(first_diffs[1 : r + 1]))
 
 
-def break_counts(b: Word, alphabet: TupleAlphabet) -> list[int]:
-    """The x-prefix break count of b for every x in 1..r: the number of
-    adjacent positions z, z+1 whose first-x-coordinate projections
-    differ.  One pass: an adjacent pair breaks projection x exactly when
-    its first differing coordinate is <= x."""
-    _check_alphabet(b, alphabet)
-    t, r = alphabet.t, alphabet.r
-    per_first_diff = [0] * (r + 1)
-    syms = b.symbols
-    for z in range(len(syms) - 1):
-        a, c = syms[z], syms[z + 1]
-        if a == c:
-            continue
-        # first differing coordinate = r - (number of trailing base-t
-        # digits after the highest differing digit)
-        diff_at = r
-        aa, cc = a, c
-        while aa // t != cc // t:
-            aa //= t
-            cc //= t
-            diff_at -= 1
-        per_first_diff[diff_at] += 1
-    counts = []
-    acc = 0
-    for x in range(1, r + 1):
-        acc += per_first_diff[x]
-        counts.append(acc)
-    return counts
-
-
-def check_break_bound(b: Word, t: int, alphabet: TupleAlphabet) -> list[dict]:
-    """For b a subsequence of a single signed-lex block, the number of
-    x-prefix breaks can be at most t^x."""
+def check_break_bound(b: Word, t: int) -> list[dict]:
+    """For b a subsequence of a single signed-lex block of [t]^r, the
+    number of x-prefix breaks can be at most t^x."""
     out = []
-    for x, count in enumerate(break_counts(b, alphabet), start=1):
+    for x, count in enumerate(break_counts(b, t), start=1):
         if count > t**x:
             out.append({"claim": "break-bound", "x": x, "count": count, "cap": t**x})
     return out
@@ -504,7 +514,6 @@ class _SampledPattern:
     def __init__(self, v: Word, cw: ConstructionWord, add):
         self.v = v
         self.cw = cw
-        self.alphabet = cw.alphabet
         self.reach = ReachTable(v, cw)
         self.add = add  # ShapeSuiteReport.add
         self.entries_seen: dict[tuple[int, ...], int] = {}
@@ -516,10 +525,29 @@ def _tagged(items: list[dict], tag: dict) -> list[dict]:
     return [dict(item, **tag) for item in items]
 
 
+def _scan_reach(v: Word, profile: EmbeddingProfile, cw: ConstructionWord) -> list[dict]:
+    """Block fit and reach maximality of a profile checked by a greedy
+    scan of each block's symbols, a route that reads no ReachTable."""
+    syms = v.symbols
+    L = cw.block_length
+    out = []
+    for i, (e, r) in enumerate(zip(profile.entry, profile.reach)):
+        block = iter(cw.word.symbols[i * L : (i + 1) * L])
+        # each `in` consumes the block up to its match: a greedy fit
+        if not all(s in block for s in syms[e - 1 : r]):
+            out.append({"kind": "block-fit", "block": i + 1})
+        elif r < len(syms) and syms[r] in block:
+            out.append({"kind": "reach-maximality", "block": i + 1})
+    return out
+
+
 def _profile_invariant(p: _SampledPattern, tag, profile, verdict) -> None:
-    # reach maximality is spot-checked on each pattern's first embedding
+    # reach maximality is spot-checked on each pattern's first embedding,
+    # also by a scan, as the table checks read what the reach came from
     maximal = tag["embedding"] == 0
     items = check_profile_invariants(p.v, profile, p.cw, maximality=maximal, reach=p.reach)
+    if maximal:
+        items += _scan_reach(p.v, profile, p.cw)
     p.add("profile-invariant", _tagged(items, tag))
 
 
@@ -543,7 +571,7 @@ def _break_bound(p: _SampledPattern, tag, profile, verdict) -> None:
         items = p.break_items.get(key)
         if items is None:
             piece = Word(v.symbols[key[0] - 1 : key[1]], v.alphabet_size)
-            items = p.break_items[key] = check_break_bound(piece, p.cw.t, p.alphabet)
+            items = p.break_items[key] = check_break_bound(piece, p.cw.t)
         if items:
             p.add("break-bound", [dict(item, **tag, block=i + 1) for item in items])
 
@@ -596,10 +624,12 @@ def run_claim_suite(
     """Sample random patterns from a construction word, enumerate up to
     embed_cap embeddings each, and test every profile/shape claim on
     every embedding; reach maximality is spot-checked on each pattern's
-    first embedding.  Each pattern's embeddings share one reach table,
-    and the claims on a shape alone are made once per distinct shape,
-    their items repeated for each embedding of that shape.
-    Deterministic for a fixed seed."""
+    first embedding, whose block fits are also scanned without the
+    table.  Each pattern's embeddings share one reach table, and the
+    claims on a shape alone are made once per distinct shape, their
+    items repeated for each embedding of that shape.  Deterministic for
+    a fixed seed."""
+    require_int(patterns=patterns, seed=seed)
     cw = build_construction_word(t, blocks)
     rng = random.Random(seed)
     report = ShapeSuiteReport(t, blocks, seed)
@@ -609,10 +639,10 @@ def run_claim_suite(
         enum = enumerate_embeddings(v, cw.word, cap=embed_cap)
         report.patterns_checked += 1
         p = _SampledPattern(v, cw, report.add)
-        for e_index, f in enumerate(enum):
+        for e_index, positions in enumerate(enum):
             report.embeddings_checked += 1
             tag = {"sample": sample_index, "embedding": e_index}
-            profile = embedding_profile(v, f, cw, reach=p.reach)
+            profile = embedding_profile(v, positions, cw, reach=p.reach)
             s = shape_of(profile, t)
             verdict = verdicts.get(s)
             if verdict is None:
@@ -642,7 +672,7 @@ def run_claim_suite(
 def run_break_bound_suite(t: int, samples: int, seed: int) -> ShapeSuiteReport:
     """Random subsequences of single signed-lex blocks against the
     prefix-break cap, all projection lengths."""
-    alphabet = TupleAlphabet(t, 8)
+    require_int(samples=samples, seed=seed)
     perms = [build_permutation(u, t) for u in base_sign_vectors()]
     rng = random.Random(seed)
     report = ShapeSuiteReport(t, 1, seed)
@@ -654,6 +684,6 @@ def run_break_bound_suite(t: int, samples: int, seed: int) -> ShapeSuiteReport:
         report.patterns_checked += 1
         report.add(
             "break-bound",
-            [dict(item, sample=n) for item in check_break_bound(b, t, alphabet)],
+            [dict(item, sample=n) for item in check_break_bound(b, t)],
         )
     return report

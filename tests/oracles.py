@@ -419,13 +419,30 @@ def profile_invariants_one_embedding(v_syms, profile, offset_maps, maximality=Fa
     return violations
 
 
+def coords(symbol, t, r):
+    """The 1-based coordinates of a symbol of [t]^r, whose id is
+    sum (c_i - 1) * t^(r-i): coordinate 1 most significant."""
+    out = []
+    for _ in range(r):
+        symbol, digit = divmod(symbol, t)
+        out.append(digit + 1)
+    return tuple(reversed(out))
+
+
+def signed_lex_by_sort(u, t):
+    """Every symbol of [t]^len(u), sorted by its coordinate tuple times
+    u coordinatewise: the signed-lex order of the sign vector u."""
+    r = len(u)
+    return tuple(sorted(range(t**r), key=lambda s: tuple(map(mul, u, coords(s, t, r)))))
+
+
 def e_set(syms, t, r, x):
     """1-based positions z where the first-x-coordinate projection of a
-    word over [t]^r (symbols packed with coordinate 1 most significant)
-    changes between z and z+1."""
-    div = t ** (r - x)
+    word over [t]^r changes between z and z+1."""
     return frozenset(
-        z + 1 for z in range(len(syms) - 1) if syms[z] // div != syms[z + 1] // div
+        z + 1
+        for z in range(len(syms) - 1)
+        if coords(syms[z], t, r)[:x] != coords(syms[z + 1], t, r)[:x]
     )
 
 

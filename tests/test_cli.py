@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import subseqlab
+import subseqlab.cli as cli_module
 import subseqlab.lcs as lcs_module
 from subseqlab.cli import EXIT_OK, EXIT_USAGE, RunConfig, main
 from subseqlab.construction import build_construction_word
@@ -244,6 +245,20 @@ def test_lcs_three_words(tmp_path, capsys):
     assert payload["pairwise"][0][1] == "3"
     assert payload["witness"] is not None
     assert len(payload["witness"]) == 3
+
+
+def test_lcs_two_words_computes_their_lcs_once(tmp_path, capsys, monkeypatch):
+    # the pairwise loop's witness is the overall one
+    calls = []
+    real = cli_module.lcs2
+    monkeypatch.setattr(cli_module, "lcs2", lambda a, b: calls.append(1) or real(a, b))
+    path = tmp_path / "two.words"
+    path.write_text("alphabet k=26\nabracadabra\nbarbarossa\n")
+    code, out, _ = run(["lcs", "--inputs", str(path)], capsys)
+    payload = json.loads(out)
+    assert code == EXIT_OK and len(calls) == 1
+    assert (payload["lengths"], payload["witness"]) == ("5", "abara")
+    assert payload["pairwise"] == [["11", "5"], ["5", "10"]]
 
 
 def test_lcs_five_words_no_witness(tmp_path, capsys):

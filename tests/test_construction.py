@@ -13,7 +13,6 @@ from subseqlab.construction import (
     IntermediateReport,
     PropertyReport,
     PropertyResult,
-    TupleAlphabet,
     agreement_set,
     base_sign_vectors,
     build_construction_word,
@@ -26,21 +25,22 @@ from subseqlab.construction import (
 )
 from subseqlab.errors import BudgetError, ContractError
 from subseqlab.lcs import is_permutation_word, lcs2
+from subseqlab.shapes import break_counts, check_break_bound
 from subseqlab.words import Word
 
 from contract_inputs import DOCUMENTED_ERRORS, JUNK, int_or_junk
+from oracles import coords, signed_lex_by_sort
 
 
 # ---------------------------------------------------------------------------
-# tuple alphabet packing
+# [t]^r packed into plain int symbols
 
 
 def test_alphabet_round_trip():
-    alph = TupleAlphabet(3, 4)
-    assert alph.size == 81
+    # the oracle decoder the tests read coordinates with
     seen = set()
-    for s in range(alph.size):
-        c = alph.coords(s)
+    for s in range(81):
+        c = coords(s, 3, 4)
         assert len(c) == 4 and all(1 <= x <= 3 for x in c)
         assert sum((ci - 1) * 3 ** (3 - i) for i, ci in enumerate(c)) == s
         seen.add(c)
@@ -48,38 +48,46 @@ def test_alphabet_round_trip():
 
 
 def test_alphabet_most_significant_first():
-    alph = TupleAlphabet(2, 3)
-    assert alph.coords(0) == (1, 1, 1)
-    assert alph.coords(1) == (1, 1, 2)
-    assert alph.coords(4) == (2, 1, 1)
-    assert alph.coords(7) == (2, 2, 2)
+    assert coords(0, 2, 3) == (1, 1, 1)
+    assert coords(1, 2, 3) == (1, 1, 2)
+    assert coords(4, 2, 3) == (2, 1, 1)
+    assert coords(7, 2, 3) == (2, 2, 2)
 
 
 def test_prefix_class_matches_coords():
     # the class sweeps' grouping: each class holds, in the block's
     # order, the symbols whose first x coordinates pack to its index
-    alph = TupleAlphabet(3, 4)
-    perm = Word(tuple(random.Random(58).sample(range(alph.size), alph.size)), alph.size)
+    perm = Word(tuple(random.Random(58).sample(range(81), 81)), 81)
     for x in range(5):
-        classes = construction_module._prefix_classes(perm, alph, x)
+        classes = construction_module._prefix_classes(perm, 3, x)
         assert len(classes) == 3**x
         for packed, cls in enumerate(classes):
             want = []
             for s in perm.symbols:
                 value = 0
-                for ci in alph.coords(s)[:x]:
+                for ci in coords(s, 3, 4)[:x]:
                     value = value * 3 + (ci - 1)
                 if value == packed:
                     want.append(s)
-            assert cls == Word(tuple(want), alph.size)
+            assert cls == Word(tuple(want), 81)
 
 
 def test_alphabet_contract_errors():
-    alph = TupleAlphabet(2, 2)
-    with pytest.raises(ContractError):
-        alph.coords(4)
-    with pytest.raises(ContractError):
-        TupleAlphabet(0, 2)
+    # [t]^r needs t >= 2 and r >= 1, to build a block and to read
+    # break counts off an alphabet size
+    for t in (1, 0, -2):
+        with pytest.raises(ContractError, match="^need t >= 2"):
+            build_permutation((1, -1), t)
+    with pytest.raises(ContractError, match="^a sign vector is a nonempty tuple"):
+        build_permutation((), 2)
+    for size, t in ((7, 2), (1, 2), (12, 2), (9, 2), (8, 3), (8, 1), (8, 0), (1, 1), (4, -2)):
+        message = f"^need t >= 2 and an alphabet of size t\\^r, r >= 1; got t={t}, size {size}$"
+        with pytest.raises(ContractError, match=message):
+            break_counts(Word((0,), size), t)
+        with pytest.raises(ContractError, match=message):
+            check_break_bound(Word((0,), size), t)
+    for size, t, r in ((8, 2, 3), (2, 2, 1), (81, 3, 4), (6, 6, 1)):
+        assert break_counts(Word((0,), size), t) == [0] * r
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +131,36 @@ def test_permutation_is_permutation():
         assert is_permutation_word(p)
 
 
+def test_permutation_matches_the_sort_route():
+    # every sign vector of length r <= 4 at t <= 4, and the base blocks
+    # at t = 2 and 3, against sorting the symbols by signed coordinates
+    cases = [(u, t) for r in range(1, 5) for t in (2, 3, 4) for u in product((1, -1), repeat=r)]
+    cases += [(u, t) for t in (2, 3) for u in base_sign_vectors()]
+    for u, t in cases:
+        p = build_permutation(u, t)
+        assert p == Word(signed_lex_by_sort(u, t), t ** len(u)), (u, t)
+
+
+def test_permutations_are_pinned():
+    # recorded from the sort route before it was replaced
+    h = hashlib.sha256()
+    for r in range(1, 5):
+        for t in range(2, 5):
+            for u in product((1, -1), repeat=r):
+                p = build_permutation(u, t)
+                h.update(repr((u, t, p.alphabet_size, p.symbols)).encode())
+    for t in (2, 3):
+        for u in base_sign_vectors():
+            p = build_permutation(u, t)
+            h.update(repr((u, t, p.alphabet_size, p.symbols)).encode())
+    assert h.hexdigest() == "ac214e79dc1e1f7d6bbe81b459111cf8f4dc68b4c9d4d2f334d228be3a8cffe5"
+
+
 def test_single_flip_inverts_exactly_that_coordinate():
     # flipping sign c swaps the order of exactly those symbol pairs whose
     # first differing coordinate is c
     rng = random.Random(1)
     t, r = 3, 3
-    alph = TupleAlphabet(t, r)
     for _ in range(6):
         u = tuple(rng.choice((1, -1)) for _ in range(r))
         base = build_permutation(u, t)
@@ -138,8 +170,8 @@ def test_single_flip_inverts_exactly_that_coordinate():
             flipped[c] = -flipped[c]
             other = build_permutation(tuple(flipped), t)
             other_pos = {s: i for i, s in enumerate(other.symbols)}
-            for a, b in combinations(range(alph.size), 2):
-                ca, cb = alph.coords(a), alph.coords(b)
+            for a, b in combinations(range(t**r), 2):
+                ca, cb = coords(a, t, r), coords(b, t, r)
                 first_diff = next(i for i in range(r) if ca[i] != cb[i])
                 swapped = (base_pos[a] < base_pos[b]) != (other_pos[a] < other_pos[b])
                 assert swapped == (first_diff == c)
@@ -258,9 +290,9 @@ def test_construction_word_contracts():
         build_construction_word(4, 100)
     w = build_construction_word(2, 3).word
     with pytest.raises(ContractError, match="^block_count must be an int, got '3'$"):
-        ConstructionWord(2, 8, "3", 256, w)
+        ConstructionWord(2, "3", 256, w)
     with pytest.raises(ContractError, match="^word must be a Word"):
-        ConstructionWord(2, 8, 3, 256, w.symbols)
+        ConstructionWord(2, 3, 256, w.symbols)
 
 
 # ---------------------------------------------------------------------------
@@ -451,17 +483,13 @@ def test_construction_api_raises_only_documented_errors(data):
     if isinstance(family, list):  # one of its vectors, or junk
         vector = draw(st.one_of(st.sampled_from(family or [()]), JUNK))
 
-    def alphabet_calls():
-        alphabet = TupleAlphabet(t, r)
-        alphabet.coords(draw(int_or_junk(-2, 90)))
-
     def word_calls():
         with patch.object(construction_module, "CONSTRUCTION_BUDGET", draw(st.integers(0, 900))):
             cw = build_construction_word(t, draw(int_or_junk(-1, 3)))
         if draw(st.booleans()):  # one symbol repeated in the last block
             syms = (*cw.word.symbols[:-1], cw.word.symbols[-2])
             broken = Word(syms, cw.block_length)
-            cw = ConstructionWord(cw.t, 8, cw.block_count, cw.block_length, broken)
+            cw = ConstructionWord(cw.t, cw.block_count, cw.block_length, broken)
         cw.block_offsets
 
     def junk_word_calls():
@@ -469,7 +497,6 @@ def test_construction_api_raises_only_documented_errors(data):
         syms = draw(st.lists(st.integers(0, 3), max_size=12).map(tuple))
         cw = ConstructionWord(
             t,
-            r,
             draw(int_or_junk(-1, 4)),
             length,
             draw(st.one_of(st.just(Word(syms, 4)), st.just(syms), JUNK)),
@@ -477,7 +504,6 @@ def test_construction_api_raises_only_documented_errors(data):
         cw.block_offsets
 
     calls = [
-        alphabet_calls,
         word_calls,
         junk_word_calls,
         lambda: signs_to_text(vector),

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from subseqlab.counting import (
     FIXED_LENGTH_WITNESS_BUDGET,
-    EmbeddingMap,
     _branch_and_bound,
     _search_most_common,
     _suffix_capacities,
@@ -90,13 +89,13 @@ def test_count_binomial_on_constant_words():
 
 def test_enumerate_example():
     res = enumerate_embeddings(word("ab"), word("abab"))
-    assert [e.positions for e in res] == [(0, 1), (0, 3), (2, 3)]
+    assert list(res) == [(0, 1), (0, 3), (2, 3)]
     assert not res.truncated
 
 
 def test_enumerate_empty_pattern():
     res = enumerate_embeddings(word("", 2), word("abab"))
-    assert [e.positions for e in res] == [()]
+    assert list(res) == [()]
 
 
 def test_enumerate_no_occurrence():
@@ -106,7 +105,7 @@ def test_enumerate_no_occurrence():
 
 def test_enumerate_cap_truncation():
     res = enumerate_embeddings(word("ab"), word("abab"), cap=2)
-    assert [e.positions for e in res] == [(0, 1), (0, 3)]
+    assert list(res) == [(0, 1), (0, 3)]
     assert res.truncated
     exact = enumerate_embeddings(word("ab"), word("abab"), cap=3)
     assert not exact.truncated
@@ -120,7 +119,7 @@ def test_enumerate_long_pattern_does_not_recurse():
     v, w = Word((0, 1) * 750, 2), Word((0, 1) * 800, 2)
     res = enumerate_embeddings(v, w, cap=3)
     assert len(res) == 3 and res.truncated
-    assert res.maps[0].positions == tuple(range(1500))
+    assert res.maps[0] == tuple(range(1500))
     for e in res:
         validate_embedding(v, w, e)
 
@@ -139,33 +138,36 @@ def test_enumeration_size_equals_count():
 
 def test_validate_embedding_rejects_junk():
     v, w = word("ab"), word("abab")
-    validate_embedding(v, w, EmbeddingMap((2, 3), 2))
+    validate_embedding(v, w, (2, 3))
     with pytest.raises(ContractError, match="^symbol mismatch at position 1$"):
-        validate_embedding(v, w, EmbeddingMap((1, 2), 2))  # w[1] is 'b'
+        validate_embedding(v, w, (1, 2))  # w[1] is 'b'
     with pytest.raises(ContractError, match="^embedding length does not match pattern length$"):
-        validate_embedding(v, w, EmbeddingMap((0,), 1))
+        validate_embedding(v, w, (0,))
     with pytest.raises(ContractError, match="^position 4 out of range$"):
-        validate_embedding(v, w, EmbeddingMap((0, 4), 2))  # one past the end
+        validate_embedding(v, w, (0, 4))  # one past the end
     with pytest.raises(ContractError, match="^position -1 out of range$"):
-        validate_embedding(v, w, EmbeddingMap((-1, 1), 2))
+        validate_embedding(v, w, (-1, 1))
     # w[-1] would read the matching last 'b': a negative index is refused
     with pytest.raises(ContractError, match="^position -1 out of range$"):
-        validate_embedding(word("ba"), w, EmbeddingMap((-1, 2), 2))
+        validate_embedding(word("ba"), w, (-1, 2))
     # the first bad position is the one named, whatever comes after it
     with pytest.raises(ContractError, match="^symbol mismatch at position 1$"):
-        validate_embedding(v, w, EmbeddingMap((1, 9), 2))
+        validate_embedding(v, w, (1, 9))
 
 
-def test_embedding_map_messages_pinned():
-    assert EmbeddingMap((), 0).positions == ()
-    assert EmbeddingMap((0, 3, 7), 3).positions == (0, 3, 7)
+def test_embedding_messages_pinned():
+    w = word("abababab")
+    validate_embedding(word("", 2), w, ())
+    validate_embedding(word("aba"), w, (0, 3, 6))
     for positions in ((2, 1), (1, 1), (0, 5, 5), (0, 2, 1, 3)):
+        v = Word(tuple(w.symbols[p] for p in positions), 2)
         with pytest.raises(ContractError, match="^positions must be strictly increasing$"):
-            EmbeddingMap(positions, len(positions))
+            validate_embedding(v, w, positions)
     # the length check comes first
+    message = "^embedding length does not match pattern length$"
     for positions, length in (((0, 1), 3), ((2, 1), 3), ((), 1)):
-        with pytest.raises(ContractError, match="^positions/source_length mismatch$"):
-            EmbeddingMap(positions, length)
+        with pytest.raises(ContractError, match=message):
+            validate_embedding(Word((0,) * length, 2), w, positions)
 
 
 # ---------------------------------------------------------------------------
@@ -572,10 +574,7 @@ def test_non_int_arguments_are_contract_errors():
     v, w = word("ab"), word("abab")
     for positions in ((0, 1.5), (0, "1"), (None,), [0, 1], None):
         with pytest.raises(ContractError, match="^positions must be a tuple of ints"):
-            EmbeddingMap(positions, 2)
-    for length in (2.0, None, "2"):
-        with pytest.raises(ContractError, match="^source_length must be an int"):
-            EmbeddingMap((0, 1), length)
+            validate_embedding(v, w, positions)
     for bad in (1.5, 2.0, "1"):
         with pytest.raises(ContractError, match="length must be an int"):
             max_occurrences_of_length(w, bad)
@@ -592,7 +591,6 @@ def test_non_int_arguments_are_contract_errors():
     short=_words(9),
     cap=st.one_of(st.none(), int_or_junk(-1, 5)),
     positions=st.one_of(st.lists(int_or_junk(-2, 14), max_size=6).map(tuple), JUNK),
-    source_length=int_or_junk(-1, 6),
     length=int_or_junk(-1, 14),
     junk=NOT_A_WORD,
 )
@@ -602,18 +600,17 @@ def test_non_int_arguments_are_contract_errors():
     short=((), 2),
     cap=None,
     positions=(),
-    source_length=0,
     length=2**63,
     junk="ab",
 )
 @settings(max_examples=300, deadline=None)
 def test_counting_api_raises_only_documented_errors(
-    v, w, short, cap, positions, source_length, length, junk
+    v, w, short, cap, positions, length, junk
 ):
     calls = [
         lambda: count_occurrences(Word(*v), Word(*w)),
         lambda: enumerate_embeddings(Word(*v), Word(*w), cap),
-        lambda: validate_embedding(Word(*v), Word(*w), EmbeddingMap(positions, source_length)),
+        lambda: validate_embedding(Word(*v), Word(*w), positions),
         lambda: max_occurrences(Word(*w)),
         lambda: max_occurrences_of_length(Word(*w), length),
         lambda: occurrence_profile(Word(*short)),
@@ -621,7 +618,7 @@ def test_counting_api_raises_only_documented_errors(
         lambda: count_occurrences(junk, Word(*w)),
         lambda: count_occurrences(Word(*v), junk),
         lambda: enumerate_embeddings(junk, Word(*w), cap),
-        lambda: validate_embedding(Word(*v), junk, EmbeddingMap(positions, source_length)),
+        lambda: validate_embedding(Word(*v), junk, positions),
         lambda: max_occurrences(junk),
         lambda: max_occurrences_of_length(junk, length),
         lambda: occurrence_profile(junk),

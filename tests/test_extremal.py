@@ -432,6 +432,9 @@ def test_non_int_arguments_are_contract_errors():
         lambda: cross_compare(1e308, 1, 2, 5),
         lambda: mu_window(ExtremalRecord(2, 5, 2.5, None, "exhaustive")),
         lambda: check_submultiplicativity(2, None, 3),
+        lambda: mu_window(None),
+        lambda: best_window([None]),
+        lambda: best_window(None),
     ):
         with pytest.raises(ContractError, match="must be"):
             call()
@@ -457,11 +460,16 @@ def test_extremal_api_raises_only_documented_errors(data):
     record = ExtremalRecord(
         draw(int_or_junk(0, 4)), draw(int_or_junk(0, 12)), draw(small), None, "exhaustive"
     )
+
+    def or_junk(value):
+        return draw(st.one_of(st.just(value), NOT_A_WORD))
+
     calls = [
         lambda: extremal_value(k, n, budgets=budgets, use_registry=use_registry),
         lambda: extremal_table(k, n, budgets=budgets, use_registry=use_registry),
-        lambda: mu_window(record, places),
-        lambda: best_window([record] * draw(st.integers(0, 2)), places),
+        lambda: mu_window(or_junk(record), places),
+        lambda: best_window([or_junk(record)] * draw(st.integers(0, 2)), places),
+        lambda: best_window(draw(NOT_A_WORD), places),
         lambda: iroot(draw(small), draw(root)),
         lambda: root_decimal(draw(small), draw(root), places, draw(st.sampled_from(["floor", "ceil", "up"]))),
         lambda: cross_compare(draw(small), draw(root), draw(small), draw(root)),

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subseqlab import shapes as shapes_module
-from subseqlab.construction import ConstructionWord, TupleAlphabet, build_construction_word
-from subseqlab.counting import EmbeddingMap, enumerate_embeddings
+from subseqlab.construction import ConstructionWord, build_construction_word
+from subseqlab.counting import enumerate_embeddings
 from subseqlab.errors import ContractError
 from subseqlab.shapes import (
     _DENSITY_PALETTE,
@@ -40,7 +40,7 @@ from subseqlab.shapes import (
 )
 from subseqlab.words import Word
 
-from contract_inputs import DOCUMENTED_ERRORS
+from contract_inputs import DOCUMENTED_ERRORS, NOT_A_WORD, int_or_junk
 from oracles import (
     block_offset_maps,
     e_set,
@@ -63,7 +63,7 @@ def cw_t2_b3():
 def test_empty_pattern_profile(cw_t2_b3):
     cw = cw_t2_b3
     v = Word((), cw.word.alphabet_size)
-    p = embedding_profile(v, EmbeddingMap((), 0), cw)
+    p = embedding_profile(v, (), cw)
     assert p.entry == (1, 1, 1)
     assert p.reach == (0, 0, 0)
     assert p.overlap == (-1, -1)
@@ -73,7 +73,7 @@ def test_empty_pattern_profile(cw_t2_b3):
 def test_profile_of_prefix_inside_first_block(cw_t2_b3):
     cw = cw_t2_b3
     v = Word(cw.word.symbols[:4], cw.word.alphabet_size)
-    p = embedding_profile(v, EmbeddingMap((0, 1, 2, 3), 4), cw)
+    p = embedding_profile(v, (0, 1, 2, 3), cw)
     # all four pattern letters sit in block 1; nothing reaches blocks 2, 3
     assert p.entry == (1, 5, 5)
     assert p.reach[0] >= 4
@@ -87,7 +87,7 @@ def test_profile_rejects_non_embedding(cw_t2_b3):
     # positions are fine but symbol 0 of v is wrong on purpose
     v = Word(((syms[0] + 1) % cw.word.alphabet_size, syms[5]), cw.word.alphabet_size)
     with pytest.raises(ContractError):
-        embedding_profile(v, EmbeddingMap((0, 5), 2), cw)
+        embedding_profile(v, (0, 5), cw)
 
 
 def test_profile_matches_definitional_oracle(cw_t2_b3):
@@ -111,7 +111,7 @@ def test_profile_matches_definitional_oracle(cw_t2_b3):
             for f in enumerate_embeddings(v, cw.word, cap=cap):
                 got = embedding_profile(v, f, cw)
                 ent, rea, ove = profile_by_definitions(
-                    v.symbols, f.positions, cw.word.symbols, cw.block_count, cw.block_length
+                    v.symbols, f, cw.word.symbols, cw.block_count, cw.block_length
                 )
                 assert (got.entry, got.reach, got.overlap) == (ent, rea, ove)
                 total += 1
@@ -121,14 +121,14 @@ def test_profile_matches_definitional_oracle(cw_t2_b3):
 def test_block_index_rejects_non_permutation_block(cw_t2_b3):
     syms = list(cw_t2_b3.word.symbols)
     syms[256 + 7] = syms[256 + 3]  # block 2 repeats a symbol
-    bad = ConstructionWord(2, 8, 3, 256, Word(tuple(syms), 256))
+    bad = ConstructionWord(2, 3, 256, Word(tuple(syms), 256))
     with pytest.raises(ContractError, match="block 2 is not a permutation"):
         bad.block_offsets
     v = Word(syms[:2], 256)
     with pytest.raises(ContractError, match="block 2 is not a permutation"):
-        embedding_profile(v, EmbeddingMap((0, 1), 2), bad)
+        embedding_profile(v, (0, 1), bad)
     # a word too short for its declared blocks fails the same way
-    short = ConstructionWord(2, 8, 3, 256, Word(cw_t2_b3.word.symbols[:700], 256))
+    short = ConstructionWord(2, 3, 256, Word(cw_t2_b3.word.symbols[:700], 256))
     with pytest.raises(ContractError, match="block 3 is not a permutation"):
         short.block_offsets
 
@@ -156,7 +156,7 @@ def test_invariant_checker_flags_corrupted_profile(cw_t2_b3):
     cw = cw_t2_b3
     n = cw.word.alphabet_size
     v = Word(cw.word.symbols[:3], n)
-    p = embedding_profile(v, EmbeddingMap((0, 1, 2), 3), cw)
+    p = embedding_profile(v, (0, 1, 2), cw)
     bad = EmbeddingProfile(
         p.pattern_length,
         p.block_count,
@@ -313,43 +313,40 @@ def test_big_interval_containment_detects_escape():
 
 
 def test_e_set_constant_word():
-    alphabet = TupleAlphabet(2, 8)
-    b = Word((5, 5, 5, 5), alphabet.size)
+    b = Word((5, 5, 5, 5), 256)
     for x in range(1, 9):
         assert e_set(b.symbols, 2, 8, x) == frozenset()
-    assert break_counts(b, alphabet) == [0] * 8
+    assert break_counts(b, 2) == [0] * 8
 
 
 def test_e_set_first_coordinate_alternation():
-    alphabet = TupleAlphabet(2, 8)
-    lo, hi = 0, alphabet.size // 2  # differ exactly in the first coordinate
-    b = Word((lo, hi, lo, hi, lo), alphabet.size)
+    lo, hi = 0, 128  # differ exactly in the first coordinate
+    b = Word((lo, hi, lo, hi, lo), 256)
     assert e_set(b.symbols, 2, 8, 1) == frozenset({1, 2, 3, 4})
     assert e_set(b.symbols, 2, 8, 8) == frozenset({1, 2, 3, 4})
-    assert break_counts(b, alphabet) == [4] * 8
+    assert break_counts(b, 2) == [4] * 8
 
 
 def test_e_set_depth_sensitivity():
-    alphabet = TupleAlphabet(2, 8)
     # consecutive ids differ only in the last coordinate
-    b = Word((6, 7, 6), alphabet.size)
+    b = Word((6, 7, 6), 256)
     for x in range(1, 8):
         assert e_set(b.symbols, 2, 8, x) == frozenset()
     assert e_set(b.symbols, 2, 8, 8) == frozenset({1, 2})
-    assert break_counts(b, alphabet) == [0] * 7 + [2]
+    assert break_counts(b, 2) == [0] * 7 + [2]
 
 
 def test_break_counts_agree_with_e_set():
+    # r is read off the alphabet size t^r; e_set decodes coordinates
     rng = random.Random(2601)
-    for t in (2, 3):
-        alphabet = TupleAlphabet(t, 8)
+    for t, r in ((2, 8), (3, 8), (2, 3), (4, 2), (5, 1)):
         for _ in range(25):
             n = rng.randrange(1, 60)
-            b = Word(tuple(rng.randrange(alphabet.size) for _ in range(n)), alphabet.size)
-            counts = break_counts(b, alphabet)
-            assert counts == [len(e_set(b.symbols, t, 8, x)) for x in range(1, 9)]
+            b = Word(tuple(rng.randrange(t**r) for _ in range(n)), t**r)
+            counts = break_counts(b, t)
+            assert counts == [len(e_set(b.symbols, t, r, x)) for x in range(1, r + 1)]
     with pytest.raises(ContractError):
-        break_counts(Word((0, 1), 7), TupleAlphabet(2, 8))
+        break_counts(Word((0, 1), 7), 2)
 
 
 def test_break_bound_on_block_subsequences():
@@ -358,11 +355,10 @@ def test_break_bound_on_block_subsequences():
 
 
 def test_break_bound_flags_non_block_word():
-    alphabet = TupleAlphabet(2, 8)
-    lo, hi = 0, alphabet.size // 2
+    lo, hi = 0, 128
     # 5 first-coordinate breaks: impossible inside one signed-lex block (cap 2)
-    b = Word((lo, hi) * 3, alphabet.size)
-    found = check_break_bound(b, 2, alphabet)
+    b = Word((lo, hi) * 3, 256)
+    found = check_break_bound(b, 2)
     assert found and found[0]["x"] == 1 and found[0]["count"] == 5
 
 
@@ -516,9 +512,9 @@ def test_claim_suite_break_bound_items_keep_their_order(monkeypatch):
     # items whose order per embedding and block is pinned
     real = shapes_module.check_break_bound
 
-    def flagging(b, t, alphabet):
+    def flagging(b, t):
         flag = [{"claim": "break-bound", "x": 1, "count": len(b), "cap": 0}]
-        return (flag if len(b) % 3 == 1 else []) + real(b, t, alphabet)
+        return (flag if len(b) % 3 == 1 else []) + real(b, t)
 
     monkeypatch.setattr(shapes_module, "check_break_bound", flagging)
     pinned = (
@@ -578,7 +574,7 @@ def test_reach_table_matches_the_per_embedding_route():
         reach = ReachTable(v, cw)
         for f in maps:
             p = embedding_profile(v, f, cw, reach=reach)
-            expected = profile_one_embedding(v.symbols, f.positions, offset_maps, cw.block_length)
+            expected = profile_one_embedding(v.symbols, f, offset_maps, cw.block_length)
             assert (p.entry, p.reach, p.overlap) == expected
             assert embedding_profile(v, f, cw) == p
             for q in (p, _junk_profile(rng.randint, p), _junk_profile(rng.randint, p)):
@@ -593,7 +589,7 @@ def test_reach_table_matches_the_per_embedding_route():
 def test_reach_table_of_another_pattern_or_word_is_refused(cw_t2_b3):
     cw = cw_t2_b3
     v = Word(cw.word.symbols[:3], cw.word.alphabet_size)
-    f = EmbeddingMap((0, 1, 2), 3)
+    f = (0, 1, 2)
     p = embedding_profile(v, f, cw)
     others = (
         ReachTable(Word(cw.word.symbols[:2], cw.word.alphabet_size), cw),
@@ -644,6 +640,23 @@ def test_claim_suite_shape_items_repeat_per_embedding_in_order(monkeypatch):
         assert hashlib.sha256(repr(key).encode()).hexdigest() == digest, args
 
 
+def test_claim_suite_catches_a_wrong_reach_table(monkeypatch):
+    # every profile check but the scan reads the table the reach came
+    # from, so a table off by one is caught on each pattern's first
+    # embedding, where the blocks are scanned without it
+    real = ReachTable.__missing__
+    for delta, kind in ((+1, "block-fit"), (-1, "reach-maximality")):
+
+        def shifted(self, key):
+            end = self[key] = min(max(real(self, key) + delta, key[1]), len(self.symbols))
+            return end
+
+        monkeypatch.setattr(ReachTable, "__missing__", shifted)
+        report = run_claim_suite(2, 12, 20, 7)
+        flagged = [item for item in report.violations["profile-invariant"] if item["kind"] == kind]
+        assert flagged and all(item["embedding"] == 0 for item in flagged), delta
+
+
 def test_sample_pattern_is_subsequence():
     cw = build_construction_word(2, 3)
     rng = random.Random(1)
@@ -664,7 +677,7 @@ def _small_word(blocks: int, broken: bool) -> ConstructionWord:
         return cw
     syms = list(cw.word.symbols)
     syms[-1] = syms[-2]
-    return ConstructionWord(2, 8, blocks, 256, Word(tuple(syms), 256))
+    return ConstructionWord(2, blocks, 256, Word(tuple(syms), 256))
 
 
 @st.composite
@@ -713,38 +726,79 @@ def test_shapes_api_raises_only_documented_errors(data):
     if draw(st.booleans()) and 1 <= t and 1 <= r and t**r <= 300:
         b = Word(tuple(s % t**r for s in b.symbols), t**r)
     s = tuple(draw(st.lists(st.sampled_from(SHAPE_CLASSES + (5, -1, 2.5, "8")), max_size=20)))
+    positions = (tuple(pos), tuple(pos[:-1]), (*pos, len(cw.word)), tuple(reversed(pos)))
+
+    def or_junk(value):
+        return draw(st.one_of(st.just(value), NOT_A_WORD))
 
     def profile_calls():
-        f = EmbeddingMap(tuple(pos), draw(st.integers(len(pos) - 1, len(pos) + 1)))
         reach = draw(st.sampled_from((None, "own", "other", {})))
         if reach in ("own", "other"):
             other = Word(v.symbols[:-1], v.alphabet_size)
             reach = ReachTable(v if reach == "own" else other, cw)
-        p = embedding_profile(v, f, cw, reach=reach)
+        f = draw(st.one_of(st.sampled_from(positions), NOT_A_WORD))
+        p = embedding_profile(or_junk(v), f, or_junk(cw), reach=reach)
         junk = _junk_profile(lambda lo, hi: draw(st.integers(lo, hi)), p)
-        check_profile_invariants(v, junk, cw, maximality=draw(st.booleans()), reach=reach)
-
-    def suite_call():
-        run_claim_suite(
-            draw(st.integers(1, 2)),
-            draw(st.integers(0, 2)),
-            draw(st.integers(0, 2)),
-            draw(st.integers(0, 99)),
-            embed_cap=draw(st.integers(-1, 3)),
+        maximality = draw(st.booleans())
+        check_profile_invariants(
+            or_junk(v), or_junk(junk), or_junk(cw), maximality=maximality, reach=reach
         )
 
-    calls = [profile_calls, lambda: decompose_shape(s), suite_call]
-    try:
-        alphabet = TupleAlphabet(t, r)
-    except ContractError:
-        pass
-    else:
-        calls += [
-            lambda: break_counts(b, alphabet),
-            lambda: check_break_bound(b, t, alphabet),
-        ]
+    def suite_calls():
+        run_claim_suite(
+            draw(int_or_junk(1, 2)),
+            draw(int_or_junk(0, 2)),
+            draw(int_or_junk(0, 2)),
+            or_junk(draw(st.integers(0, 99))),
+            embed_cap=draw(int_or_junk(-1, 3)),
+        )
+        run_break_bound_suite(
+            draw(int_or_junk(1, 2)), draw(int_or_junk(0, 2)), or_junk(draw(st.integers(0, 99)))
+        )
+
+    overlap = tuple(draw(st.lists(st.integers(-1, 20000), max_size=6)))
+    B = len(overlap) + 1
+    known = EmbeddingProfile(9, B, (1,) * B, (0,) * B, overlap)
+    calls = [
+        profile_calls,
+        suite_calls,
+        lambda: decompose_shape(or_junk(s)),
+        lambda: shape_of(or_junk(known), draw(int_or_junk(0, 3))),
+        lambda: check_big_interval_containment(or_junk(known), or_junk(s)),
+        lambda: break_counts(or_junk(b), draw(int_or_junk(0, 3))),
+        lambda: check_break_bound(or_junk(b), draw(int_or_junk(0, 3))),
+    ]
     for call in calls:
         try:
             call()
         except DOCUMENTED_ERRORS:
             pass
+
+
+def test_junk_arguments_are_contract_errors(cw_t2_b3):
+    cw = cw_t2_b3
+    v = Word(cw.word.symbols[:3], cw.word.alphabet_size)
+    p = embedding_profile(v, (0, 1, 2), cw)
+    calls = (
+        lambda: decompose_shape(None),
+        lambda: decompose_shape(5),
+        lambda: shape_of(None, 2),
+        lambda: shape_of(p, "2"),
+        lambda: check_big_interval_containment(None, (0, 0)),
+        lambda: run_claim_suite(2, 2, "1", 1),
+        lambda: run_claim_suite(2, 2, 1, None),  # no seed: not deterministic
+        lambda: run_break_bound_suite(2, "3", 1),
+        lambda: run_break_bound_suite(2, 3, [1]),
+        lambda: embedding_profile(v, (0, 1, 2), "cw"),
+        lambda: embedding_profile(v, None, cw),
+        lambda: check_profile_invariants(v, p, "cw"),
+        lambda: check_profile_invariants(v, None, cw),
+        lambda: check_profile_invariants(None, p, cw),
+        lambda: ReachTable(None, cw),
+        lambda: ReachTable(v, "cw"),
+        lambda: break_counts(None, 2),
+        lambda: break_counts(Word((0,), 8), "2"),
+    )
+    for call in calls:
+        with pytest.raises(ContractError):
+            call()
