@@ -24,12 +24,14 @@ state linearly and monotonically, which yields two sound prunings:
   ``sum_j (c[j]-c[j-1]) * (best count achievable inside w[j:])``,
   so precomputed suffix capacities give an upper bound for cutoff.
 
-One routine, ``_branch_and_bound``, runs this search on any suffix
-``w[start:]`` as one explicit-stack loop.  Its step is indexed by
+One routine, ``_branch_and_bound``, runs this search on any infix
+``w[start:end]`` as one explicit-stack loop.  Its step is indexed by
 position: appending ``s`` reads the parent's state only at the
 boundaries just before each ``s``, whose sum is the child's count and
 whose products with the capacities there its bound; the child's full
-state is built only if it survives the bound.  Capacities come from
+state is built only if it survives the bound.  One position index per
+word holds every symbol's positions and running counts, and each
+search reads its infix's step tables off it.  Capacities come from
 right to left.  For the shorter half of the suffixes, ``start > n//2``,
 they are exact: that search run on ``w[start:]``, using the capacities
 already found and *floored* at the last one, M(w[start+1:]).  Counts
@@ -41,12 +43,19 @@ each: M(a.u) is at most the sum of the capacities just after each
 ``a`` of a.u.  A search reads the capacity of w[j:] only below a
 prefix that fits into w[:j], so those loose values weaken just the top
 of its tree.  The most-common search is the ``start = 0`` call, which
-returns the witness and can abort once a count reaches a threshold.  It
-starts just below the exact M(w[n//2+1:]) <= M(w) (and below the
-threshold, and at least 1), since any start below M(w) keeps the
-lex-min witness and the first count to reach the threshold.  The
-extremal scan passes exact capacities it already knows, with the floor
-``capacities[1]``, and gets no witness.
+returns the witness and can abort once a count reaches a threshold.
+By supermultiplicativity, M(x.y) >= M(x) * M(y), so with w = x.y cut
+after position n//2 it starts just below H, the count in w of the
+lex-min witnesses of x and y joined: H is a real pattern's count, so
+H <= M(w), and H >= M(x) * M(y) >= M(y), the exact floor
+M(w[n//2+1:]) the capacities end with.  The witness of y is one search
+of that suffix on its exact capacities, the witness of x this same
+search on the prefix, recursively, on the same position index; prefixes
+of at most ``_PLAIN_START`` symbols start at their floor.  The start is
+also below the threshold, and at least 1, since any start below M(w)
+keeps the lex-min witness and the first count to reach the threshold.
+The extremal scan passes exact capacities it already knows, with the
+floor ``capacities[1]``, and gets no witness.
 
 The fixed-length maximisers are one more explicit-stack DFS with the
 same step and dominance test, which keeps the top count and the lex-min
@@ -74,6 +83,7 @@ from .errors import BudgetError, ContractError, require_int, require_int_tuple, 
 from .words import Word
 
 _DOMINANCE_STORE_CAP = 512  # per-depth cap on states kept for dominance tests
+_PLAIN_START = 16  # longest prefix whose most-common search starts at its floor
 FIXED_LENGTH_WITNESS_BUDGET = 10**6  # symbols in the 0^length witness of a length above |w|
 
 
@@ -92,17 +102,22 @@ def count_occurrences(v: Word, w: Word) -> int:
     occurs exactly once in every word.
     """
     _check_shared_alphabet(v, w)
+    return _count(v.symbols, w.symbols)
+
+
+def _count(v: tuple[int, ...], w: tuple[int, ...]) -> int:
+    """count_occurrences on symbol tuples."""
     m = len(v)
     c = [0] * (m + 1)
     c[0] = 1
     # touch only the v-positions matching each w-symbol, high to low
     by_sym: dict[int, list[int]] = {}
-    for j, s in enumerate(v.symbols, start=1):
+    for j, s in enumerate(v, start=1):
         by_sym.setdefault(s, []).append(j)
     for positions in by_sym.values():
         positions.reverse()
     empty: tuple[int, ...] = ()
-    for s in w.symbols:
+    for s in w:
         for j in by_sym.get(s, empty):
             c[j] += c[j - 1]
     return c[m]
@@ -210,20 +225,33 @@ def enumerate_embeddings(v: Word, w: Word, cap: int | None = None) -> EmbeddingE
 # branch-and-bound maximisers
 
 
-def _step_tables(syms: tuple[int, ...], start: int, k: int):
-    """Position index of syms[start:] for the count-vector step.
+def _position_index(syms: tuple[int, ...], k: int):
+    """Where each symbol of syms sits: ``before[s]`` lists the positions
+    of s and ``rank[s][j]`` counts the s among syms[:j].  One index per
+    word serves every infix a search runs on (see _step_tables)."""
+    before: list[list[int]] = [[] for _ in range(k)]
+    for p, s in enumerate(syms):
+        before[s].append(p)
+    rank = [[0, *accumulate(map(s.__eq__, syms))] for s in range(k)]
+    return before, rank
+
+
+def _step_tables(index, start: int, end: int):
+    """The count-vector step on syms[start:end], read off syms' _position_index.
 
     Appending s to a pattern with count vector c gives nc[d] = sum of
     c[b] over the b < d with syms[start + b] == s: those b are
     ``before[s]``, and ``rank[s][d]`` counts the ones below d.  So a
     child's values ``vals = c at before[s]`` give its count sum(vals),
     and its full vector is the prefix sums of vals read at rank[s].
+    Both are the word's lists cut to the infix and shifted to it.
     """
-    tail = syms[start:]
-    before: list[list[int]] = [[] for _ in range(k)]
-    for b, s in enumerate(tail):
-        before[s].append(b)
-    rank = [[0, *accumulate(map(s.__eq__, tail))] for s in range(k)]
+    before: list[list[int]] = []
+    rank: list[list[int]] = []
+    for bs, rs in zip(*index):
+        r0 = rs[start]
+        before.append([p - start for p in bs[r0 : rs[end]]])
+        rank.append([r - r0 for r in rs[start : end + 1]])
     return before, rank
 
 
@@ -235,6 +263,7 @@ def _branch_and_bound(
     abort_at: int | None = None,
     floor: int | None = None,
     low: int = 1,
+    tables=None,
 ) -> tuple[int, tuple[int, ...] | None, bool]:
     """Most frequent pattern inside syms[start:], given capacities[j] for j > start.
 
@@ -246,10 +275,12 @@ def _branch_and_bound(
     syms[start] are tried, since any other pattern counts the same in
     syms[start + 1:].  Without a floor the running maximum starts at
     ``low``, which keeps the lex-min witness if low < M(syms[start:])
-    (or low = 1) and the abort value if low < abort_at.
+    (or low = 1) and the abort value if low < abort_at.  ``tables`` are
+    the _step_tables of syms[start:end], end = |syms| when not given;
+    the search then runs inside syms[start:end].
     """
-    length = len(syms) - start
-    before, rank = _step_tables(syms, start, k)
+    before, rank = _position_index(syms[start:], k) if tables is None else tables
+    length = len(rank[0]) - 1
     capat = [[capacities[start + b + 1] for b in bs] for bs in before]
     best = low if floor is None else floor
     best_path: list[int] = []  # nxt[:depth + 1] at the best count; [] is the empty pattern
@@ -296,34 +327,75 @@ def _branch_and_bound(
     return best, None if floor is not None else tuple(t - 1 for t in best_path), False
 
 
-def _suffix_capacities(w: Word) -> tuple[list[int], int]:
-    """Upper bounds capacities[j] >= M(w[j:]), and the floor M(w[h + 1:]), h = |w| // 2.
+def _suffix_capacities(w: Word, end: int | None = None, index=None) -> tuple[list[int], int]:
+    """Upper bounds capacities[j] >= M(u[j:]), and the floor M(u[h + 1:]), h = |u| // 2.
 
-    capacities[j] is exact for j > h: filled from right to left, each
-    suffix searched with the capacities of the shorter ones and floored
-    at the next one's.  For 1 <= j <= h it is the one-letter bound, the
-    sum of capacities[p + 1] over the p >= j with w[p] == a = w[j]: a
-    pattern a.u counts occ(u, w[p + 1:]) summed over those p, and the
-    term p = j covers the patterns not starting with a, which count the
-    same in w[j + 1:].  A search reads capacities[j] only below a pattern
-    prefix that fits into w[:j], so loose values weaken only the top of
-    its tree, where each exact one would cost about a whole search.
+    u is the prefix w[:end], all of w by default, and ``index`` is w's
+    _position_index (built when not given).  capacities[j] is exact for
+    j > h: filled from right to left, each suffix searched with the
+    capacities of the shorter ones and floored at the next one's.  For
+    1 <= j <= h it is the one-letter bound, the sum of capacities[p + 1]
+    over the p >= j with u[p] == a = u[j]: a pattern a.x counts
+    occ(x, u[p + 1:]) summed over those p, and the term p = j covers the
+    patterns not starting with a, which count the same in u[j + 1:].  A
+    search reads capacities[j] only below a pattern prefix that fits into
+    u[:j], so loose values weaken only the top of its tree, where each
+    exact one would cost about a whole search.
     """
     syms = w.symbols
-    n = len(w)
+    k = w.alphabet_size
+    n = len(syms) if end is None else end
+    if index is None:
+        index = _position_index(syms, k)
     half = n // 2
     capacities = [1] * (n + 1)
-    sums = [0] * w.alphabet_size  # sums[a]: capacities[p + 1] over a-positions p >= start
+    sums = [0] * k  # sums[a]: capacities[p + 1] over a-positions p >= start
     for start in range(n - 1, 0, -1):
         a = syms[start]
         sums[a] += capacities[start + 1]
         if start > half:
             capacities[start] = _branch_and_bound(
-                syms, w.alphabet_size, start, capacities, floor=capacities[start + 1]
+                syms,
+                k,
+                start,
+                capacities,
+                floor=capacities[start + 1],
+                tables=_step_tables(index, start, n),
             )[0]
         else:
             capacities[start] = sums[a]
     return capacities, capacities[half + 1]
+
+
+def _most_common(
+    w: Word, end: int, index, abort_at: int | None = None
+) -> tuple[int, tuple[int, ...] | None, bool]:
+    """Search of the prefix u = w[:end], end >= 1, on w's _position_index.
+
+    Split u = x.y with x = u[:h + 1], y = u[h + 1:], h = end // 2.  The
+    running maximum starts just below H, the count in u of
+    witness(x).witness(y): a real pattern's count, so H <= M(u), and
+    H >= M(x) * M(y) >= M(y), the floor _suffix_capacities returns.
+    witness(y) is one search of the suffix on its exact capacities,
+    witness(x) this search on the shorter prefix.  A prefix of at most
+    _PLAIN_START symbols starts at the floor instead.
+    """
+    syms, k = w.symbols, w.alphabet_size
+    capacities, low = _suffix_capacities(w, end, index)
+    if end > _PLAIN_START:
+        h = end // 2
+        right = _branch_and_bound(
+            syms, k, h + 1, capacities, low=max(1, low - 1), tables=_step_tables(index, h + 1, end)
+        )[1]
+        left = _most_common(w, h + 1, index)[1]
+        low = _count(left + right, syms[:end])
+    # any start below M(u), and below abort_at, keeps the lex-min
+    # witness and the abort value
+    if abort_at is not None:
+        low = min(low, abort_at)
+    return _branch_and_bound(
+        syms, k, 0, capacities, abort_at, low=max(1, low - 1), tables=_step_tables(index, 0, end)
+    )
 
 
 def _search_most_common(
@@ -334,9 +406,11 @@ def _search_most_common(
     Returns (value, witness symbols, aborted).  With ``abort_at`` set
     the search stops as soon as it proves value >= abort_at (witness
     is then None and the returned value is just the proof threshold).
-    A caller that knows the exact top counts of the suffixes w[j:],
-    j >= 1, passes them as ``capacities``; the search then starts from
-    the floor capacities[1] and returns no witness.
+    Without ``capacities`` it is _most_common on all of w, which starts
+    at the count of the two halves' witnesses joined.  A caller that
+    knows the exact top counts of the suffixes w[j:], j >= 1, passes them
+    as ``capacities``; the search then starts from the floor
+    capacities[1] and returns no witness.
     """
     if len(w) == 0:
         return 1, (), False
@@ -344,13 +418,7 @@ def _search_most_common(
     if abort_at is not None and abort_at <= floor:
         return floor, None, True
     if capacities is None:
-        capacities, floor = _suffix_capacities(w)
-        # M(w) >= floor, so starting below it (or below abort_at) keeps
-        # the lex-min witness and the abort value
-        low = floor if abort_at is None else min(floor, abort_at)
-        return _branch_and_bound(
-            w.symbols, w.alphabet_size, 0, capacities, abort_at, low=max(1, low - 1)
-        )
+        return _most_common(w, len(w), _position_index(w.symbols, w.alphabet_size), abort_at)
     return _branch_and_bound(w.symbols, w.alphabet_size, 0, capacities, abort_at, floor)
 
 
@@ -401,7 +469,7 @@ def _top_counts_by_length(
     the lex-min witness of each length.
     """
     n = len(syms)
-    before, rank = _step_tables(syms, 0, k)
+    before, rank = _position_index(syms, k)
     tails = [[n - 1 - b for b in bs] for bs in before]  # symbols after each boundary
     # cols[r][s][i] = C(tails[s][i], r), built on first use.  Column r is
     # read only at depths d >= lo - 1 - r, where the boundaries b < d

@@ -159,57 +159,66 @@ def check_profile_invariants(
     require_word(v=v)
     _require("profile", profile, EmbeddingProfile)
     _require("cw", cw, ConstructionWord)
-    B = profile.block_count
-    m = profile.pattern_length
-    ent, rea, ove = profile.entry, profile.reach, profile.overlap
-    if B != cw.block_count or (len(ent), len(rea), len(ove)) != (B, B, B - 1):
-        raise ContractError(
-            f"profile of {B} blocks with {len(ent)}/{len(rea)}/{len(ove)} "
-            f"entry/reach/overlap values does not fit a {cw.block_count}-block word"
-        )
-    violations = []
-    for i in range(B - 1):
-        if ent[i] > ent[i + 1]:
-            violations.append({"kind": "entry-monotone", "block": i + 1})
-        if ove[i] != rea[i] - ent[i + 1]:
-            violations.append({"kind": "overlap-definition", "block": i + 1})
-        if ove[i] < -1:
-            violations.append({"kind": "overlap-floor", "block": i + 1})
-    reach = _table_of(v, cw, reach)
-    n = len(v)
-    for i in range(B):
-        e, r = ent[i], rea[i]
-        if r < e - 1:
-            violations.append({"kind": "reach-floor", "block": i + 1})
-        # the slice v[e-1 : r] fits block i when the table's fit from its
-        # start runs to its stop; with maximality v[e-1 : r+1] must not
-        start, stop, _ = slice(e - 1, r).indices(n)
-        end = reach[i, start]
-        if end < stop:
-            violations.append({"kind": "block-fit", "block": i + 1})
-        if maximality and r < m and end >= slice(e - 1, r + 1).indices(n)[1]:
-            violations.append({"kind": "reach-maximality", "block": i + 1})
-    return violations
+    try:
+        B = profile.block_count
+        m = profile.pattern_length
+        ent, rea, ove = profile.entry, profile.reach, profile.overlap
+        if B != cw.block_count or (len(ent), len(rea), len(ove)) != (B, B, B - 1):
+            raise ContractError(
+                f"profile of {B} blocks with {len(ent)}/{len(rea)}/{len(ove)} "
+                f"entry/reach/overlap values does not fit a {cw.block_count}-block word"
+            )
+        violations = []
+        for i in range(B - 1):
+            if ent[i] > ent[i + 1]:
+                violations.append({"kind": "entry-monotone", "block": i + 1})
+            if ove[i] != rea[i] - ent[i + 1]:
+                violations.append({"kind": "overlap-definition", "block": i + 1})
+            if ove[i] < -1:
+                violations.append({"kind": "overlap-floor", "block": i + 1})
+        reach = _table_of(v, cw, reach)
+        n = len(v)
+        for i in range(B):
+            e, r = ent[i], rea[i]
+            if r < e - 1:
+                violations.append({"kind": "reach-floor", "block": i + 1})
+            # the slice v[e-1 : r] fits block i when the table's fit from its
+            # start runs to its stop; with maximality v[e-1 : r+1] must not
+            start, stop, _ = slice(e - 1, r).indices(n)
+            end = reach[i, start]
+            if end < stop:
+                violations.append({"kind": "block-fit", "block": i + 1})
+            if maximality and r < m and end >= slice(e - 1, r + 1).indices(n)[1]:
+                violations.append({"kind": "reach-maximality", "block": i + 1})
+        return violations
+    except TypeError:
+        raise ContractError(f"profile entries must be ints, got {profile!r}") from None
 
 
 def classify_overlap(d: int, t: int) -> int:
-    if d >= 10 * t**4:
-        return 8
-    if d >= 10 * t**3:
-        return 4
-    if d >= 10 * t**2:
-        return 3
-    if d >= 10 * t:
-        return 2
-    if d >= 1:
-        return 1
-    return 0
+    try:
+        if d >= 10 * t**4:
+            return 8
+        if d >= 10 * t**3:
+            return 4
+        if d >= 10 * t**2:
+            return 3
+        if d >= 10 * t:
+            return 2
+        if d >= 1:
+            return 1
+        return 0
+    except TypeError:
+        raise ContractError(f"overlap and t must be ints, got {d!r} and {t!r}") from None
 
 
 def shape_of(profile: EmbeddingProfile, t: int) -> tuple[int, ...]:
     _require("profile", profile, EmbeddingProfile)
     require_int(t=t)
-    return tuple(classify_overlap(d, t) for d in profile.overlap)
+    try:
+        return tuple(classify_overlap(d, t) for d in profile.overlap)
+    except TypeError:
+        raise ContractError(f"overlap must be a tuple of ints, got {profile.overlap!r}") from None
 
 
 def _check_shape(s) -> tuple[int, ...]:
@@ -316,19 +325,22 @@ def check_big_interval_containment(profile: EmbeddingProfile, s) -> list[dict]:
     interval."""
     _require("profile", profile, EmbeddingProfile)
     s = _check_shape(s)
-    ent, rea = profile.entry, profile.reach
-    if len(s) >= min(len(ent), len(rea)):
-        raise ContractError(f"a shape of {len(s)} entries does not fit this profile")
-    out = []
-    for i in claim_window_indices(s):
-        if s[i - 1] != 8:
-            continue
-        for j in range(1, 8):
-            if ent[i + j - 1] < ent[i - 1] or rea[i + j - 1] > rea[i - 1]:
-                out.append(
-                    {"claim": "big-interval-containment", "index": i, "offset": j}
-                )
-    return out
+    try:
+        ent, rea = profile.entry, profile.reach
+        if len(s) >= min(len(ent), len(rea)):
+            raise ContractError(f"a shape of {len(s)} entries does not fit this profile")
+        out = []
+        for i in claim_window_indices(s):
+            if s[i - 1] != 8:
+                continue
+            for j in range(1, 8):
+                if ent[i + j - 1] < ent[i - 1] or rea[i + j - 1] > rea[i - 1]:
+                    out.append(
+                        {"claim": "big-interval-containment", "index": i, "offset": j}
+                    )
+        return out
+    except TypeError:
+        raise ContractError(f"profile entries must be ints, got {profile!r}") from None
 
 
 ALL_SHAPE_CLAIMS = (
@@ -630,6 +642,8 @@ def run_claim_suite(
     items repeated for each embedding of that shape.  Deterministic for
     a fixed seed."""
     require_int(patterns=patterns, seed=seed)
+    if patterns < 0:
+        raise ContractError(f"patterns must be >= 0, got {patterns}")
     cw = build_construction_word(t, blocks)
     rng = random.Random(seed)
     report = ShapeSuiteReport(t, blocks, seed)
@@ -673,6 +687,8 @@ def run_break_bound_suite(t: int, samples: int, seed: int) -> ShapeSuiteReport:
     """Random subsequences of single signed-lex blocks against the
     prefix-break cap, all projection lengths."""
     require_int(samples=samples, seed=seed)
+    if samples < 0:
+        raise ContractError(f"samples must be >= 0, got {samples}")
     perms = [build_permutation(u, t) for u in base_sign_vectors()]
     rng = random.Random(seed)
     report = ShapeSuiteReport(t, 1, seed)

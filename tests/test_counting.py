@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from itertools import product
 from math import comb
 from operator import ge
@@ -7,6 +8,7 @@ from operator import ge
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from subseqlab import counting as counting_module
 from subseqlab.counting import (
     FIXED_LENGTH_WITNESS_BUDGET,
     _branch_and_bound,
@@ -341,6 +343,82 @@ def test_search_long_pattern_does_not_recurse():
     caps = [comb(n - j, (n - j) // 2) for j in range(n + 1)]
     value, witness, aborted = _search_most_common(Word((0,) * n, 1), None, caps)
     assert (value, witness, aborted) == (comb(n, n // 2), None, False)
+
+
+def _start_words(seed):
+    """Seeded words for the search start: random over k = 1..5, periodic,
+    periodic with a few letters changed, and unary."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        k = rng.randint(1, 5)
+        yield tuple(rng.randrange(k) for _ in range(rng.randint(1, 30))), k
+    for mutate in (False, True):
+        for _ in range(20):
+            k = rng.randint(2, 4)
+            base = [rng.randrange(k) for _ in range(rng.randint(1, 6))]
+            syms = [base[i % len(base)] for i in range(rng.randint(3, 30))]
+            for _ in range(rng.randint(1, 3) if mutate else 0):
+                syms[rng.randrange(len(syms))] = rng.randrange(k)
+            yield tuple(syms), k
+    for n in (1, 2, 3, 9, 17, 30):
+        yield (0,) * n, 1
+    yield (0, 1, 3, 2, 2), 4  # abdcc: floor = H = M(w)
+    yield (0, 1, 0), 2  # aba: floor = H < M(w)
+
+
+def test_search_start_matches_the_oracle(monkeypatch):
+    # the search starts just below H, the count of the halves' witnesses
+    # joined, with floor = M(w[h + 1:]) <= H <= M(w), h = n // 2; value,
+    # lex-min witness and abort value stay the recursive oracle's, at the
+    # package's plain-start length and with every word of 3 or more
+    # symbols on the H start, including H above the floor and H = M(w)
+    starts = []
+    kernel = counting_module._branch_and_bound
+
+    def spy(syms, k, start, capacities, abort_at=None, floor=None, low=1, tables=None):
+        if start == 0:
+            starts.append(low)
+        return kernel(syms, k, start, capacities, abort_at, floor, low, tables)
+
+    monkeypatch.setattr(counting_module, "_branch_and_bound", spy)
+    edges = set()
+    for syms, k in _start_words(20261019):
+        n = len(syms)
+        half = n // 2
+        top = oracles.search_most_common(syms, k)[0]
+        floor = brute_max_over_patterns(syms[half + 1 :], k)
+        left = oracles.search_most_common(syms[: half + 1], k)[1]
+        right = oracles.search_most_common(syms[half + 1 :], k)[1]
+        H = oracles.count_by_plain_dp(left + right, syms)
+        assert floor <= H <= top
+        if n > 2:
+            edges.add((floor < H, H == top))
+        aborts = (None, *sorted({2, floor, floor + 1, H, H + 1, top, top + 1}))
+        expected = [oracles.search_most_common(syms, k, a) for a in aborts]
+        for plain in (counting_module._PLAIN_START, 2):
+            monkeypatch.setattr(counting_module, "_PLAIN_START", plain)
+            assert [_search_most_common(Word(syms, k), a) for a in aborts] == expected
+            # the word's own search is the last one to run on w[0:]
+            starts.clear()
+            _search_most_common(Word(syms, k))
+            assert starts[-1] == max(1, (H if n > plain else floor) - 1)
+    assert edges == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_search_peak_memory_is_bounded():
+    # tracemalloc peaks of max_occurrences (Python 3.11) when the search
+    # started just below M(w[n // 2 + 1:]): a^160 555,152 bytes, (ab)^50
+    # 1,618,600.  Started below H they are 559,304 (both starts are tight
+    # there, and the half searches add a little) and 172,580.  The bound
+    # is the earlier figure plus 5 %.
+    for w, recorded in ((Word((0,) * 160, 1), 555_152), (Word((0, 1) * 50, 2), 1_618_600)):
+        tracemalloc.start()
+        try:
+            max_occurrences(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= recorded * 1.05, (w, peak)
 
 
 def test_max_occurrences_and_profile_pinned():

@@ -5,6 +5,7 @@ and the documented-errors contract."""
 
 import hashlib
 import random
+from dataclasses import replace
 from functools import cache
 
 import pytest
@@ -40,7 +41,7 @@ from subseqlab.shapes import (
 )
 from subseqlab.words import Word
 
-from contract_inputs import DOCUMENTED_ERRORS, NOT_A_WORD, int_or_junk
+from contract_inputs import DOCUMENTED_ERRORS, JUNK, NOT_A_WORD, int_or_junk
 from oracles import (
     block_offset_maps,
     e_set,
@@ -740,6 +741,14 @@ def test_shapes_api_raises_only_documented_errors(data):
         p = embedding_profile(or_junk(v), f, or_junk(cw), reach=reach)
         junk = _junk_profile(lambda lo, hi: draw(st.integers(lo, hi)), p)
         maximality = draw(st.booleans())
+        if draw(st.booleans()):
+            field = draw(st.sampled_from(("pattern_length", "block_count", "entry", "reach")))
+            value = getattr(junk, field)
+            if isinstance(value, tuple) and value:
+                value = (*value[:-1], draw(JUNK))
+            else:
+                value = draw(JUNK)
+            junk = replace(junk, **{field: value})
         check_profile_invariants(
             or_junk(v), or_junk(junk), or_junk(cw), maximality=maximality, reach=reach
         )
@@ -748,17 +757,18 @@ def test_shapes_api_raises_only_documented_errors(data):
         run_claim_suite(
             draw(int_or_junk(1, 2)),
             draw(int_or_junk(0, 2)),
-            draw(int_or_junk(0, 2)),
+            draw(int_or_junk(-2, 2)),
             or_junk(draw(st.integers(0, 99))),
             embed_cap=draw(int_or_junk(-1, 3)),
         )
         run_break_bound_suite(
-            draw(int_or_junk(1, 2)), draw(int_or_junk(0, 2)), or_junk(draw(st.integers(0, 99)))
+            draw(int_or_junk(1, 2)), draw(int_or_junk(-2, 2)), or_junk(draw(st.integers(0, 99)))
         )
 
-    overlap = tuple(draw(st.lists(st.integers(-1, 20000), max_size=6)))
+    overlap = tuple(draw(st.lists(int_or_junk(-1, 20000), max_size=6)))
     B = len(overlap) + 1
-    known = EmbeddingProfile(9, B, (1,) * B, (0,) * B, overlap)
+    entry = tuple(draw(st.lists(int_or_junk(1, 9), min_size=B, max_size=B)))
+    known = EmbeddingProfile(9, B, entry, (0,) * B, overlap)
     calls = [
         profile_calls,
         suite_calls,
@@ -798,7 +808,30 @@ def test_junk_arguments_are_contract_errors(cw_t2_b3):
         lambda: ReachTable(v, "cw"),
         lambda: break_counts(None, 2),
         lambda: break_counts(Word((0,), 8), "2"),
+        # non-int profile entries and band arguments
+        lambda: classify_overlap(3, "2"),
+        lambda: classify_overlap(None, 2),
+        lambda: shape_of(EmbeddingProfile(1, 2, (1, 1), (0, 0), ("x",)), 2),
+        lambda: shape_of(replace(p, overlap=None), 2),
+        lambda: check_profile_invariants(v, replace(p, entry=(p.entry[0], "x", *p.entry[2:])), cw),
+        lambda: check_profile_invariants(v, replace(p, reach=(*p.reach[:-1], 1.5)), cw),
+        lambda: check_profile_invariants(v, replace(p, block_count="3"), cw),
+        lambda: check_profile_invariants(v, replace(p, pattern_length=None), cw, maximality=True),
+        lambda: check_big_interval_containment(replace(p, entry=None), (0,)),
+        lambda: check_big_interval_containment(
+            EmbeddingProfile(9, 11, (1, "x") + (1,) * 9, (0,) * 11, (0,) * 10), (8,) + (0,) * 9
+        ),
     )
     for call in calls:
         with pytest.raises(ContractError):
             call()
+
+
+def test_negative_suite_sizes_are_contract_errors():
+    # zero patterns or samples is an empty report; a negative count is refused
+    assert run_claim_suite(2, 2, 0, 1).patterns_checked == 0
+    assert run_break_bound_suite(2, 0, 1).patterns_checked == 0
+    with pytest.raises(ContractError, match="patterns must be >= 0, got -3"):
+        run_claim_suite(2, 2, -3, 1)
+    with pytest.raises(ContractError, match="samples must be >= 0, got -1"):
+        run_break_bound_suite(2, -1, 1)
