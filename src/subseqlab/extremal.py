@@ -42,10 +42,8 @@ never feed them back into oracle comparisons.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cache, cmp_to_key
-from importlib import resources
 from math import comb
 
 from .counting import _search_most_common, sum_over_lengths
@@ -146,19 +144,29 @@ def _min_scan(
 
 
 def _product_reaches(x, vals, d, k, half, threshold) -> bool:
-    """Whether vals[j] * half[top letter count of x[j : d + 1]] >= threshold for a j <= d."""
+    """Whether vals[j] * half[top letter count of x[j : d + 1]] >= threshold for a j <= d.
+
+    x[:j] is a factor of x[:j + 1], so vals[j] never grows as j falls,
+    and the product can first reach the threshold only at a j where the
+    top letter count grows."""
     counts = [0] * k
     top = 0
     for j in range(d, -1, -1):
-        counts[x[j]] += 1
-        top = max(top, counts[x[j]])
-        if vals[j] * half[top] >= threshold:
-            return True
+        s = x[j]
+        counts[s] += 1
+        if counts[s] > top:
+            top = counts[s]
+            if vals[j] * half[top] >= threshold:
+                return True
     return False
 
 
 @cache
 def _known_records() -> tuple[ExtremalRecord, ...]:
+    # imported here: only a registry lookup reads JSON or package data
+    import json
+    from importlib import resources
+
     raw = resources.files(__package__).joinpath("data/known_values.json").read_text()
     return tuple(
         ExtremalRecord(r["k"], r["n"], int(r["value"]), None, r["method"])
@@ -195,7 +203,7 @@ def extremal_table(
 ) -> list[ExtremalRecord]:
     """Records for n = 1..n_max; each searched row seeds the next one,
     and all rows share one orbit memo (see _min_scan)."""
-    require_int(n_max=n_max)
+    _check_request(k, n_max, budgets, "n_max")
     records: list[ExtremalRecord] = []
     memo: dict = {}
     for n in range(1, n_max + 1):
@@ -217,16 +225,10 @@ def _record(k, n, budgets, use_registry, seed: Word | None, memo: dict) -> Extre
 def _checked_row(k, n, budgets, use_registry) -> ExtremalRecord | None:
     """The registry record of row (k, n), or None once the row is known
     to be searchable within its budget."""
-    require_int(k=k, n=n)
-    if k < 1 or n < 0:
-        raise ContractError(f"need k >= 1 and n >= 0, got k={k}, n={n}")
+    limits = _check_request(k, n, budgets, "n")
     hit = known_record(k, n) if use_registry else None
     if hit is not None:
         return hit
-    if not isinstance(budgets, (dict, type(None))):
-        raise ContractError(f"budgets must be a dict, got {budgets!r}")
-    limits = {**DEFAULT_BUDGETS, **(budgets or {})}
-    require_int(**{f"budgets[{key!r}]": limit for key, limit in limits.items()})
     limit = limits.get(k, 0)
     if n > limit:
         raise BudgetError(
@@ -234,6 +236,19 @@ def _checked_row(k, n, budgets, use_registry) -> ExtremalRecord | None:
             "pass budgets={...} to raise the limit explicitly"
         )
     return None
+
+
+def _check_request(k, n, budgets, name: str) -> dict[int, int]:
+    """The per-k length budgets, once k >= 1, the length ``name`` = n >= 0
+    and ``budgets`` (a dict of int limits, or None) are checked."""
+    require_int(k=k, **{name: n})
+    if k < 1 or n < 0:
+        raise ContractError(f"need k >= 1 and {name} >= 0, got k={k}, {name}={n}")
+    if not isinstance(budgets, (dict, type(None))):
+        raise ContractError(f"budgets must be a dict, got {budgets!r}")
+    limits = {**DEFAULT_BUDGETS, **(budgets or {})}
+    require_int(**{f"budgets[{key!r}]": limit for key, limit in limits.items()})
+    return limits
 
 
 # ---------------------------------------------------------------------------

@@ -421,6 +421,23 @@ def test_search_peak_memory_is_bounded():
         assert peak <= recorded * 1.05, (w, peak)
 
 
+def test_fixed_length_peak_memory_is_bounded():
+    # tracemalloc peaks of the fixed-length kernel (Python 3.11) on (ab)^40,
+    # recorded when the test was written; the bound is that figure plus 5 %
+    w = Word((0, 1) * 40, 2)
+    for call, recorded in (
+        (lambda: max_occurrences_of_length(w, 60), 1_482_192),
+        (lambda: occurrence_profile(w), 2_109_200),
+    ):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= recorded * 1.05, (call, peak)
+
+
 def test_max_occurrences_and_profile_pinned():
     # (value, witness) of seeded words, recorded with the recursive search
     # the explicit-stack kernel replaced

@@ -440,6 +440,19 @@ def test_non_int_arguments_are_contract_errors():
             call()
 
 
+def test_table_checks_its_arguments_before_any_row():
+    # an empty table (n_max = 0) still refuses a bad k, n_max or budgets
+    with pytest.raises(ContractError, match=r"^need k >= 1 and n_max >= 0, got k=2, n_max=-3$"):
+        extremal_table(2, -3)
+    with pytest.raises(ContractError, match=r"^need k >= 1 and n_max >= 0, got k=-1, n_max=0$"):
+        extremal_table(-1, 0)
+    with pytest.raises(ContractError, match=r"^budgets must be a dict, got 'x'$"):
+        extremal_table(2, 0, budgets="x")
+    with pytest.raises(ContractError, match="must be"):
+        extremal_table(2, 0, budgets={2: "x"})
+    assert extremal_table(2, 0) == []
+
+
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_extremal_api_raises_only_documented_errors(data):

@@ -1,13 +1,21 @@
 """The package exports only what the package itself, the CLI or a demo
-uses: every name ``subseqlab/__init__.py`` imports must be referenced in
+uses: every name in the ``_EXPORTS`` table of ``subseqlab/__init__.py``
+must be its module's object of that name and must be referenced in
 another module of the package, outside its own definition, or in a demo,
 every private top-level name must be referenced in the package outside
 its own definition, and every public method or property of a package
 class must be read as an attribute in the package or a demo.  Code that
-only tests reach belongs in ``tests/oracles.py``."""
+only tests reach belongs in ``tests/oracles.py``.  ``import subseqlab``
+loads no engine module; a name loads its own module and what that imports."""
 
 import ast
+import os
+import subprocess
+import sys
+from importlib import import_module
 from pathlib import Path
+
+import subseqlab
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "subseqlab"
@@ -17,14 +25,17 @@ PACKAGE = ROOT / "src" / "subseqlab"
 ALLOWED_WITHOUT_CALLER = {"mu_upper_from_profile"}
 
 
-def _exported_names() -> set[str]:
+def _export_table() -> dict[str, str]:
+    """``_EXPORTS`` of ``__init__.py``, read from its source: exported
+    name -> defining module."""
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return {
-        alias.asname or alias.name
+    [table] = [
+        ast.literal_eval(node.value)
         for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["_EXPORTS"]
+    ]
+    return table
 
 
 def _references(tree: ast.Module) -> set[str]:
@@ -48,7 +59,7 @@ def _references(tree: ast.Module) -> set[str]:
 
 
 def test_every_export_has_a_package_or_demo_caller():
-    exported = _exported_names()
+    exported = set(_export_table())
     referenced = set()
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
@@ -107,3 +118,52 @@ def test_every_public_class_member_is_read_in_the_package_or_a_demo():
         ]
     unread = sorted(qualified for qualified, name in members if name not in read)
     assert not unread, f"class members no package code or demo reads: {unread}"
+
+
+def test_exports_resolve_to_their_modules_and_are_listed():
+    table = _export_table()
+    assert table == subseqlab._EXPORTS
+    for name, module in table.items():
+        defined = getattr(import_module(f"subseqlab.{module}"), name)
+        assert getattr(subseqlab, name) is defined, name
+    assert subseqlab.__all__ == sorted(table)
+    assert subseqlab.__version__ == "0.1.0"
+
+
+def _loaded_after(statement: str) -> list[str]:
+    """The ``subseqlab`` submodules, ``json`` and ``importlib.resources``
+    that a fresh interpreter has loaded after running ``statement``."""
+    probe = (
+        f"{statement}\n"
+        "import sys\n"
+        "watched = ('json', 'importlib.resources')\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('subseqlab.') or m in watched)))\n"
+    )
+    # -S: no site packages, so nothing but the statement imports modules
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
+
+
+def test_import_loads_only_the_engines_a_caller_uses():
+    # dir() lists every export before any of them was looked up
+    assert _loaded_after(
+        "import subseqlab\n"
+        "assert set(subseqlab.__all__) <= set(dir(subseqlab))"
+    ) == []
+    assert _loaded_after("from subseqlab import counting, extremal") == [
+        "subseqlab.counting",
+        "subseqlab.errors",
+        "subseqlab.extremal",
+        "subseqlab.words",
+    ]
+    # the registry reads its JSON only when asked, and still finds the
+    # record; a looked-up name is kept in the package's namespace
+    loaded = _loaded_after(
+        "import subseqlab\n"
+        "from subseqlab import ExtremalRecord, known_record\n"
+        "assert known_record(2, 40) == ExtremalRecord(2, 40, 5500610, None, 'verified-external')\n"
+        "assert 'known_record' in vars(subseqlab)"
+    )
+    assert {"json", "importlib.resources"} <= set(loaded)
