@@ -9,6 +9,10 @@ usage error (including budget refusals).
 Count-like results are emitted as decimal strings in JSON — they grow
 past every float; structural numbers (sizes, indices, seeds) stay
 plain integers.
+
+Each command imports the engines it runs inside its handler, so
+``subseqlab count`` loads no LCS, construction, shape or certificate
+code; ``verify-all`` runs, and so loads, all of them.
 """
 
 from __future__ import annotations
@@ -25,36 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from . import __version__
-from .certify import certify_word
-from .construction import (
-    base_sign_vectors,
-    build_construction_word,
-    signs_to_text,
-    single_sign_mutations,
-    verify_lemma_intermediate,
-    verify_permutation_properties,
-    verify_sign_properties,
-)
-from .counting import count_occurrences, enumerate_embeddings, max_occurrences, max_occurrences_of_length, occurrence_profile
 from .errors import BudgetError, ContractError
-from .extremal import (
-    best_window,
-    check_submultiplicativity,
-    cross_compare,
-    extremal_table,
-    extremal_value,
-    known_record,
-    mu_window,
-)
-from .lcs import (
-    check_triple_product,
-    is_permutation_word,
-    lcs2,
-    lcs3,
-    multi_lcs,
-    permutation_chain_lcs,
-)
-from .shapes import run_break_bound_suite, run_claim_suite
 from .words import Word, from_ids, load_words, to_text, word
 
 SCHEMA_VERSION = 1
@@ -121,6 +96,8 @@ def _shared_alphabet(texts: list[str], k: int | None) -> list[Word]:
 
 
 def _cmd_count(args) -> int:
+    from .counting import count_occurrences
+
     cfg = RunConfig({}, None, args.out, args.format)
     v, w = _shared_alphabet([args.v, args.w], args.k)
     value = count_occurrences(v, w)
@@ -132,6 +109,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_most_common(args) -> int:
+    from .counting import max_occurrences, max_occurrences_of_length
+
     cfg = RunConfig({}, None, args.out, args.format)
     (w,) = _shared_alphabet([args.w], args.k)
     if args.length is None:
@@ -152,6 +131,8 @@ def _cmd_most_common(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    from .counting import occurrence_profile
+
     cfg = RunConfig({}, None, args.out, args.format)
     (w,) = _shared_alphabet([args.w], args.k)
     rows = [
@@ -166,6 +147,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from .extremal import extremal_table
+
     cfg = RunConfig({"n_max": args.n_max}, None, args.out, args.format)
     records = extremal_table(args.k, args.n_max)
     rows = [
@@ -190,6 +173,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_mu(args) -> int:
+    from .extremal import extremal_value, mu_window
+
     cfg = RunConfig({"places": args.places}, None, args.out, args.format)
     record = extremal_value(args.k, args.n)
     window = mu_window(record, places=args.places)
@@ -215,6 +200,8 @@ def _cmd_mu(args) -> int:
 
 
 def _cmd_lcs(args) -> int:
+    from .lcs import is_permutation_word, lcs2, lcs3, multi_lcs, permutation_chain_lcs
+
     cfg = RunConfig({}, None, args.out, args.format)
     words = load_words(args.inputs)
     if not words:
@@ -251,6 +238,8 @@ def _cmd_lcs(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from .construction import build_construction_word
+
     cfg = RunConfig({"blocks": args.blocks}, None, args.out, args.format)
     cw = build_construction_word(args.t, args.blocks)
     content = f"alphabet k={cw.word.alphabet_size}\n{to_text(cw.word)}\n"
@@ -275,6 +264,8 @@ def _cmd_construct(args) -> int:
 def _intermediate_sweep(t: int, max_r: int) -> dict:
     """Exhaustive product-of-common-prefix check over every nonempty
     family of sign vectors of length r <= max_r."""
+    from .construction import signs_to_text, verify_lemma_intermediate
+
     checked, failures = 0, []
     for r in range(1, max_r + 1):
         vectors = list(product((1, -1), repeat=r))
@@ -295,6 +286,8 @@ def _intermediate_sweep(t: int, max_r: int) -> dict:
 
 
 def _cmd_verify_construction(args) -> int:
+    from .construction import base_sign_vectors, verify_permutation_properties, verify_sign_properties
+
     cfg = RunConfig({"t": args.t}, None, args.out, args.format)
     if args.level == "lemma":
         if args.t > 4:
@@ -324,6 +317,8 @@ def _cmd_verify_construction(args) -> int:
 
 
 def _cmd_shape(args) -> int:
+    from .shapes import run_claim_suite
+
     cfg = RunConfig(
         {"samples": args.samples, "embed_cap": args.embed_cap}, args.seed, args.out, args.format
     )
@@ -347,6 +342,8 @@ def _cmd_shape(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from .certify import certify_word
+
     cfg = RunConfig({"chunk": args.chunk}, None, args.out, args.format)
     words = load_words(args.input)
     if len(words) != 1:
@@ -381,11 +378,15 @@ def _jsonable(value):
 
 
 def _va_intro_count() -> tuple[bool, str]:
+    from .counting import count_occurrences
+
     got = count_occurrences(word("abra"), word("abracadabra"))
     return got == 9, f"count=9, got {got}"
 
 
 def _va_dp_vs_enumeration(rng: random.Random, trials: int) -> tuple[bool, str]:
+    from .counting import count_occurrences, enumerate_embeddings
+
     for _ in range(trials):
         k = rng.randrange(1, 4)
         w = from_ids((rng.randrange(k) for _ in range(rng.randrange(0, 9))), alphabet_size=k)
@@ -396,6 +397,8 @@ def _va_dp_vs_enumeration(rng: random.Random, trials: int) -> tuple[bool, str]:
 
 
 def _va_extremal_consistency(n_max: int) -> tuple[bool, str]:
+    from .extremal import best_window, cross_compare, extremal_table
+
     records = [r for r in extremal_table(2, n_max) if r.n >= 3]
     for a in records:
         for b in records:
@@ -412,16 +415,22 @@ def _va_extremal_consistency(n_max: int) -> tuple[bool, str]:
 
 
 def _va_submult_instance() -> tuple[bool, str]:
+    from .extremal import check_submultiplicativity
+
     report = check_submultiplicativity(2, 2, 3)
     return report.holds, f"{report.lhs} <= {report.rhs}"
 
 
 def _va_signs() -> tuple[bool, str]:
+    from .construction import base_sign_vectors, verify_sign_properties
+
     report = verify_sign_properties(base_sign_vectors())
     return report.ok, "8 base vectors, 8 properties"
 
 
 def _va_sign_mutations() -> tuple[bool, str]:
+    from .construction import base_sign_vectors, single_sign_mutations, verify_sign_properties
+
     unbroken = [
         f"v{vi}c{ci}"
         for (vi, ci), family in single_sign_mutations(base_sign_vectors())
@@ -439,6 +448,8 @@ def _va_lemma(t_max: int) -> tuple[bool, str]:
 
 
 def _va_triple_floor(rng: random.Random, trials: int) -> tuple[bool, str]:
+    from .lcs import check_triple_product
+
     base = list(range(4))
     for p1 in permutations(base):
         for p2 in permutations(base):
@@ -461,22 +472,30 @@ def _va_triple_floor(rng: random.Random, trials: int) -> tuple[bool, str]:
 
 
 def _va_block_properties(t: int) -> tuple[bool, str]:
+    from .construction import verify_permutation_properties
+
     report = verify_permutation_properties(t)
     return report.ok, f"t={t}"
 
 
 def _va_shapes(seed: int, blocks: int, patterns: int) -> tuple[bool, str]:
+    from .shapes import run_claim_suite
+
     report = run_claim_suite(2, blocks, patterns, seed)
     ok = report.ok
     return ok, f"{report.embeddings_checked} embeddings, {report.distinct_shapes} shapes"
 
 
 def _va_break_bound(seed: int, samples: int) -> tuple[bool, str]:
+    from .shapes import run_break_bound_suite
+
     report = run_break_bound_suite(2, samples, seed)
     return report.ok, f"{samples} block subsequences"
 
 
 def _va_certify(rng: random.Random, trials: int) -> tuple[bool, str]:
+    from .certify import certify_word
+
     for trial in range(trials):
         k = rng.choice((4, 6))
         n = rng.randrange(1, 120)
@@ -488,6 +507,8 @@ def _va_certify(rng: random.Random, trials: int) -> tuple[bool, str]:
 
 
 def _va_registry() -> tuple[bool, str]:
+    from .extremal import known_record, mu_window
+
     record = known_record(2, 40)
     if record is None or record.value != 5500610:
         return False, "M reference record missing or wrong"

@@ -54,8 +54,9 @@ search on the prefix, recursively, on the same position index; prefixes
 of at most ``_PLAIN_START`` symbols start at their floor.  The start is
 also below the threshold, and at least 1, since any start below M(w)
 keeps the lex-min witness and the first count to reach the threshold.
-The extremal scan passes exact capacities it already knows, with the
-floor ``capacities[1]``, and gets no witness.
+The extremal scan runs this floored search on words whose exact suffix
+capacities it already knows, but on its own packed-integer copy of the
+step (``extremal._node_search``); its seed searches come here.
 
 The fixed-length maximisers are one more explicit-stack DFS with the
 same step and dominance test, which keeps the top count and the lex-min
@@ -399,27 +400,21 @@ def _most_common(
 
 
 def _search_most_common(
-    w: Word, abort_at: int | None = None, capacities: list[int] | None = None
+    w: Word, abort_at: int | None = None
 ) -> tuple[int, tuple[int, ...] | None, bool]:
     """Core search for max_occurrences.
 
     Returns (value, witness symbols, aborted).  With ``abort_at`` set
     the search stops as soon as it proves value >= abort_at (witness
     is then None and the returned value is just the proof threshold).
-    Without ``capacities`` it is _most_common on all of w, which starts
-    at the count of the two halves' witnesses joined.  A caller that
-    knows the exact top counts of the suffixes w[j:], j >= 1, passes them
-    as ``capacities``; the search then starts from the floor
-    capacities[1] and returns no witness.
+    It is _most_common on all of w, which starts at the count of the two
+    halves' witnesses joined.
     """
     if len(w) == 0:
         return 1, (), False
-    floor = 1 if capacities is None else capacities[1]
-    if abort_at is not None and abort_at <= floor:
-        return floor, None, True
-    if capacities is None:
-        return _most_common(w, len(w), _position_index(w.symbols, w.alphabet_size), abort_at)
-    return _branch_and_bound(w.symbols, w.alphabet_size, 0, capacities, abort_at, floor)
+    if abort_at is not None and abort_at <= 1:
+        return 1, None, True
+    return _most_common(w, len(w), _position_index(w.symbols, w.alphabet_size), abort_at)
 
 
 def _on_support(w: Word) -> tuple[Word, list[int]]:

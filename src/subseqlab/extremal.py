@@ -18,6 +18,17 @@ best, so it is always cut.  A table starts each row at best = U + 1, U
 the smallest top count of the previous row's minimizer extended by one
 symbol.
 
+A node search is the floored, aborting branch-and-bound of ``counting``
+run on packed integers (see _node_search): a count vector over rev(x) is
+one int of W-bit fields, W = n + n.bit_length(), so a step is one mask,
+two multiplications and a shift, and a pointwise dominance test one
+subtraction against each field's guard bit.  Counts of a length-L word
+stay below 2^L and each field of a capacity product below L * 2^(L-1),
+so every field stays below 2^(W-1).  The stack keeps the search's
+inputs per depth: a child's symbol masks are its parent's shifted up one
+field, with field 0 set for the new symbol, and its packed capacities
+are its parent's with the parent's exact count in one more field.
+
 Relabelling and reversal keep every count, so the scan memoizes searches
 by orbit: the key of x[:d+1] is min(x[:d+1], first-occurrence form of
 x[d::-1]), the value either the exact count from a finished search or
@@ -46,7 +57,7 @@ from dataclasses import dataclass
 from functools import cache, cmp_to_key
 from math import comb
 
-from .counting import _search_most_common, sum_over_lengths
+from .counting import _DOMINANCE_STORE_CAP, _search_most_common, sum_over_lengths
 from .errors import BudgetError, ContractError, require_int, require_word
 from .words import Word
 
@@ -116,6 +127,13 @@ def _min_scan(
     half = [comb(c, c // 2) for c in range(n + 1)]
     x = [0] * n
     vals = [1] * (n + 1)  # vals[d]: exact top count of x[:d]
+    # the _node_search inputs of x[:d], kept per depth: masks[d][t] has
+    # field b set where rev(x[:d])[b] == t, and packed[d] holds vals[i]
+    # in field i + 1 for i < d
+    width = n + n.bit_length()
+    field = (1 << width) - 1
+    masks = [[0] * k] * (n + 1)
+    packed = [0] * (n + 1)
     # pending nodes (d, x[d], distinct symbols in x[:d]), popped in lex order
     stack = [(0, 0, 0)]
     while stack:
@@ -124,13 +142,15 @@ def _min_scan(
         threshold = -(-best // half[-(-(n - d - 1) // k)])
         if _product_reaches(x, vals, d, k, half, threshold):
             continue
-        rev = tuple(x[d::-1])
+        # rev(x[:d + 1]) is s before rev(x[:d]): every field moves up one
+        masks[d + 1] = m = [t << width for t in masks[d]]
+        m[s] |= field
+        packed[d + 1] = caps = packed[d] | vals[d] << (d + 1) * width
         code: dict[int, int] = {}
-        key = min(tuple(x[: d + 1]), tuple([code.setdefault(t, len(code)) for t in rev]))
+        key = min(tuple(x[: d + 1]), tuple([code.setdefault(t, len(code)) for t in x[d::-1]]))
         value, exact = memo.get(key, (0, False))
         if not exact and value < threshold:
-            # capacities[j] = vals[d + 1 - j] is the ancestor rev[j:]; slot 0 is unused
-            value, _, aborted = _search_most_common(Word(rev, k), threshold, vals[d + 1 :: -1])
+            value, aborted = _node_search(m, s, caps, d + 1, width, threshold)
             memo[key] = (value, not aborted)
         if value >= threshold:  # an aborted search returns a count >= threshold
             continue
@@ -141,6 +161,82 @@ def _min_scan(
         used = max(used, s + 1)
         stack += [(d + 1, t, used) for t in reversed(range(min(used + 1, k)))]
     return best, best_syms
+
+
+def _node_search(
+    masks: list[int], root: int, caps: int, length: int, width: int, abort_at: int
+) -> tuple[int, bool]:
+    """(value, aborted) of the floored, aborting most-common search of a
+    scan node's reversed prefix u, |u| = ``length``, on packed integers.
+
+    It is counting._branch_and_bound(u, k, 0, capacities, abort_at,
+    floor=capacities[1]) step for step: the same DFS order from the root
+    symbol u[0] = ``root``, the same capacity bound, and the same
+    dominance store per depth, capped at _DOMINANCE_STORE_CAP.  Only the
+    state changes.  A count vector c[0..L], L = length, is one int whose
+    field i, bits [i*W, (i+1)*W) for W = ``width``, holds c[i];
+    ``masks[t]`` has every bit of field b set where u[b] == t, and field
+    f of ``caps`` holds M(u[L - f + 1:]) for f = 1..L, so the floor
+    M(u[1:]) is its field L.  Appending t to c is:
+
+    * cm = c & masks[t]: the c[b] with u[b] == t;
+    * p = cm * ONES, ONES a 1 in every field: field i of p is the sum of
+      cm[b] over b <= i, so field L is the child's count and
+      (p << W) & FULL its vector;
+    * field L of cm * caps is the capacity bound, sum of cm[b] * M(u[b + 1:]);
+    * a stored vector t dominates nc when ((t | G) - nc) & G == G, G the
+      top bit of every field: a field borrows its guard bit exactly when
+      t's entry is below nc's.
+
+    The fields read are exact, and the guard test sound, while every
+    field stays below 2^(W-1).  An entry of a count vector is at most
+    2^L - 1, so W >= L + 1 keeps it there.  Field i <= L of cm * caps
+    sums, over b < i, cm[b] <= 2^b times a top count of i - b - 1
+    symbols, at most 2^(i-b-1): i terms of at most 2^(i-1), so below
+    L * 2^(L-1) < 2^(L - 1 + L.bit_length()).  Fields above L only carry
+    upwards.  So W = n + n.bit_length() serves every node of a length-n
+    scan.  Needs floor < abort_at, which the scan's cut ensures.
+    """
+    lw = length * width
+    field = (1 << width) - 1
+    full = (1 << lw + width) - 1
+    ones = full // field
+    guards = ones << width - 1
+    best = caps >> lw
+    # by_depth[d]: guarded states kept for dominance tests of (d + 1)-symbol patterns
+    by_depth: list[list[int]] = [[] for _ in range(length + 1)]
+    states = [ones] * (length + 1)
+    nxt = [0] * (length + 1)
+    stop = [len(masks)] * (length + 1)
+    nxt[0], stop[0] = root, root + 1
+    depth = 0
+    while depth >= 0:
+        s = nxt[depth]
+        if s == stop[depth]:
+            depth -= 1
+            continue
+        nxt[depth] = s + 1
+        cm = states[depth] & masks[s]
+        p = cm * ones
+        v = p >> lw & field
+        if v > best:
+            best = v
+            if v >= abort_at:
+                return best, True
+        if (cm * caps) >> lw & field <= best:
+            continue
+        nc = (p << width) & full
+        store = by_depth[depth]
+        for t in store:
+            if (t - nc) & guards == guards:
+                break
+        else:
+            if len(store) < _DOMINANCE_STORE_CAP:
+                store.append(nc | guards)
+            depth += 1
+            states[depth] = nc
+            nxt[depth] = 0
+    return best, False
 
 
 def _product_reaches(x, vals, d, k, half, threshold) -> bool:

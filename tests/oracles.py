@@ -169,17 +169,14 @@ def suffix_capacities(syms, k):
     return capacities
 
 
-def search_most_common(syms, k, abort_at=None, capacities=None):
+def search_most_common(syms, k, abort_at=None):
     """The most-common search over the recursive kernel: (value, witness,
-    aborted), floored at capacities[1] when capacities are supplied."""
+    aborted)."""
     if not syms:
         return 1, (), False
-    floor = 1 if capacities is None else capacities[1]
-    if abort_at is not None and abort_at <= floor:
-        return floor, None, True
-    if capacities is None:
-        return branch_and_bound(syms, k, 0, suffix_capacities(syms, k), abort_at)
-    return branch_and_bound(syms, k, 0, capacities, abort_at, floor)
+    if abort_at is not None and abort_at <= 1:
+        return 1, None, True
+    return branch_and_bound(syms, k, 0, suffix_capacities(syms, k), abort_at)
 
 
 # ---------------------------------------------------------------------------

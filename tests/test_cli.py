@@ -15,7 +15,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import subseqlab
-import subseqlab.cli as cli_module
 import subseqlab.lcs as lcs_module
 from subseqlab.cli import EXIT_OK, EXIT_USAGE, RunConfig, main
 from subseqlab.construction import build_construction_word
@@ -95,6 +94,28 @@ def test_malformed_words_exit_2_without_traceback(tmp_path, argv, header, line):
     assert proc.returncode == EXIT_USAGE
     assert "Traceback" not in proc.stderr
     assert "not an integer" in proc.stderr
+
+
+def test_count_loads_only_the_counting_engine():
+    # each command imports its own engines: a count in a fresh
+    # interpreter loads no LCS, construction, shape or certificate code
+    probe = (
+        "import sys\n"
+        "from subseqlab.cli import main\n"
+        "code = main(['count', '--v', 'ab', '--w', 'aabb'])\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('subseqlab.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(subseqlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    *_, last = proc.stdout.splitlines()
+    assert last.split() == [
+        "0",
+        "subseqlab.cli",
+        "subseqlab.counting",
+        "subseqlab.errors",
+        "subseqlab.words",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +271,8 @@ def test_lcs_three_words(tmp_path, capsys):
 def test_lcs_two_words_computes_their_lcs_once(tmp_path, capsys, monkeypatch):
     # the pairwise loop's witness is the overall one
     calls = []
-    real = cli_module.lcs2
-    monkeypatch.setattr(cli_module, "lcs2", lambda a, b: calls.append(1) or real(a, b))
+    real = lcs_module.lcs2
+    monkeypatch.setattr(lcs_module, "lcs2", lambda a, b: calls.append(1) or real(a, b))
     path = tmp_path / "two.words"
     path.write_text("alphabet k=26\nabracadabra\nbarbarossa\n")
     code, out, _ = run(["lcs", "--inputs", str(path)], capsys)

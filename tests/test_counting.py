@@ -256,8 +256,8 @@ def test_search_abort_contract_exhaustive():
 
 
 def test_search_with_supplied_capacities_is_exact():
-    # the extremal scan's call: exact suffix capacities supplied, the
-    # search floored at capacities[1]; an abort happens exactly when the
+    # exact suffix capacities supplied, the search floored at
+    # capacities[1] below abort_at; an abort happens exactly when the
     # true value reaches abort_at, otherwise the value is exact, and no
     # witness comes back either way.  The capacities a plain search
     # computes for itself are exact for j > n // 2 and upper bounds
@@ -276,8 +276,10 @@ def test_search_with_supplied_capacities_is_exact():
                 assert all(map(ge, own[1:], capacities[1:]))
                 assert floor == brute[syms[half + 1 :]]
                 for abort_at in (None, 2, 3, 5, 9):
-                    value, witness, aborted = _search_most_common(
-                        Word(syms, k), abort_at, capacities
+                    if abort_at is not None and abort_at <= capacities[1]:
+                        continue  # a floor lies below abort_at
+                    value, witness, aborted = _branch_and_bound(
+                        syms, k, 0, capacities, abort_at, floor=capacities[1]
                     )
                     assert witness is None
                     assert aborted == (abort_at is not None and brute[syms] >= abort_at)
@@ -290,8 +292,8 @@ def test_search_with_supplied_capacities_is_exact():
 def test_search_matches_recursive_reference():
     # the explicit-stack kernel against the recursive one it replaced, on
     # seeded words up to n = 26: the same (value, witness, aborted) for
-    # every mix of abort_at, supplied exact capacities and floor, and
-    # suffix capacities exact for j > n // 2 and upper bounds below
+    # every mix of abort_at, exact capacities and floor, and suffix
+    # capacities exact for j > n // 2 and upper bounds below
     rng = random.Random(20261019)
     for _ in range(60):
         k = rng.choice([2, 3, 4])
@@ -305,9 +307,12 @@ def test_search_matches_recursive_reference():
         top = oracles.search_most_common(syms, k)[0]
         aborts = {2, caps[1], caps[1] + 1, top, top + 1, rng.randint(caps[1], top + 1)}
         for abort_at in (None, *sorted(aborts)):
-            for supplied in (None, caps):
-                assert _search_most_common(w, abort_at, supplied) == oracles.search_most_common(
-                    syms, k, abort_at, supplied
+            assert _search_most_common(w, abort_at) == oracles.search_most_common(
+                syms, k, abort_at
+            )
+            if abort_at is None or caps[1] < abort_at:  # a floor lies below abort_at
+                assert _branch_and_bound(syms, k, 0, caps, abort_at, floor=caps[1]) == (
+                    oracles.branch_and_bound(syms, k, 0, caps, abort_at, caps[1])
                 )
             start = rng.randrange(n)
             for floor in (None, caps[start + 1]):
@@ -341,7 +346,7 @@ def test_search_long_pattern_does_not_recurse():
     # the maximiser of a^2100 is a^1050, 1050 pattern symbols deep
     n = 2100
     caps = [comb(n - j, (n - j) // 2) for j in range(n + 1)]
-    value, witness, aborted = _search_most_common(Word((0,) * n, 1), None, caps)
+    value, witness, aborted = _branch_and_bound((0,) * n, 1, 0, caps, floor=caps[1])
     assert (value, witness, aborted) == (comb(n, n // 2), None, False)
 
 

@@ -27,6 +27,7 @@ from subseqlab.extremal import (
 from subseqlab.words import Word, from_ids, word
 
 from contract_inputs import DOCUMENTED_ERRORS, JUNK, NOT_A_WORD, int_or_junk
+import oracles
 from oracles import (
     brute_max_over_patterns,
     brute_most_common,
@@ -120,40 +121,65 @@ class _CountingMemo(dict):
         return super().get(key, default)
 
 
+def _unpacked(masks, caps, length, width):
+    """The reversed prefix and the capacities [_, M(u[1:]), .., M(u[L:])]
+    that a node search's packed inputs hold, L = ``length``; every field
+    of ``masks`` is all ones or empty, and each position is one symbol's."""
+    field = (1 << width) - 1
+    syms = []
+    for b in range(length):
+        fields = [m >> b * width & field for m in masks]
+        assert sorted(fields) == [0] * (len(masks) - 1) + [field]
+        syms.append(fields.index(field))
+    assert sum(masks) < 1 << length * width
+    assert caps & field == 0 and caps < 1 << (length + 1) * width
+    capacities = [0] + [caps >> (length + 1 - j) * width & field for j in range(1, length + 1)]
+    return tuple(syms), capacities
+
+
 def _traced_scan(monkeypatch, k, n, seed, exact=False):
     """Run one scan on a fresh memo and return (searches, aborted
-    searches, memo hits), a hit being a lookup that needed no search.
-    Every node search must get a floor below its threshold and, with
-    ``exact``, the oracle's top counts as capacities."""
-    search = extremal_module._search_most_common
+    searches, memo hits), searches being node and seed searches and a
+    hit a lookup that needed no search.  Every node search must get a
+    floor below its threshold and, with ``exact``, the oracle's top
+    counts as capacities."""
+    node_search = extremal_module._node_search
+    seed_search = extremal_module._search_most_common
     brute = {}
     seen = [0, 0, 0]  # searches, aborted, node searches
 
-    def checked(w, abort_at=None, capacities=None):
-        syms = w.symbols
-        if capacities is None:  # a seed search: a one-symbol extension of the seed
-            assert abort_at is None and syms[:-1] == seed.symbols
-        else:
-            # exact ancestor capacities, and a floor below the threshold
-            assert capacities[len(syms)] == 1
-            for j in range(1, len(syms) if exact else 1):
-                suffix = syms[j:]
-                if suffix not in brute:
-                    brute[suffix] = brute_max_over_patterns(suffix, k)
-                assert capacities[j] == brute[suffix]
-            assert abort_at is None or capacities[1] < abort_at
-        result = search(w, abort_at, capacities)
+    def seeded(w, abort_at=None):
+        # a one-symbol extension of the seed, searched in full
+        assert abort_at is None and w.symbols[:-1] == seed.symbols
+        result = seed_search(w)
         seen[0] += 1
-        seen[1] += result[2]
-        seen[2] += capacities is not None
+        return result
+
+    def checked(masks, root, caps, length, width, abort_at):
+        assert len(masks) == k and width == n + n.bit_length()
+        syms, capacities = _unpacked(masks, caps, length, width)
+        # exact ancestor capacities, and a floor below the threshold
+        assert syms[0] == root and capacities[length] == 1
+        for j in range(1, length if exact else 1):
+            suffix = syms[j:]
+            if suffix not in brute:
+                brute[suffix] = brute_max_over_patterns(suffix, k)
+            assert capacities[j] == brute[suffix]
+        assert capacities[1] < abort_at
+        result = node_search(masks, root, caps, length, width, abort_at)
+        seen[0] += 1
+        seen[1] += result[1]
+        seen[2] += 1
         return result
 
     memo = _CountingMemo()
-    monkeypatch.setattr(extremal_module, "_search_most_common", checked)
+    monkeypatch.setattr(extremal_module, "_node_search", checked)
+    monkeypatch.setattr(extremal_module, "_search_most_common", seeded)
     try:
         extremal_module._min_scan(k, n, seed, memo)
     finally:
         monkeypatch.undo()
+    assert seen[2] > 0
     return seen[0], seen[1], memo.lookups - seen[2]
 
 
@@ -214,14 +240,14 @@ def test_scan_memo_entries_match_the_oracle(monkeypatch):
 def test_scan_memo_stays_within_its_searches_and_memory(monkeypatch):
     # the memo holds one entry per searched orbit at most, and the whole
     # (2, 14) table traces under 1 MiB of peak allocation
-    search = extremal_module._search_most_common
+    node_search = extremal_module._node_search
     searches = [0]
 
-    def counted(w, abort_at=None, capacities=None):
-        searches[0] += capacities is not None
-        return search(w, abort_at, capacities)
+    def counted(*args):
+        searches[0] += 1
+        return node_search(*args)
 
-    monkeypatch.setattr(extremal_module, "_search_most_common", counted)
+    monkeypatch.setattr(extremal_module, "_node_search", counted)
     tracemalloc.start()
     try:
         scans = _scan_memos(monkeypatch, lambda: extremal_table(2, 14, use_registry=False))
@@ -230,6 +256,48 @@ def test_scan_memo_stays_within_its_searches_and_memory(monkeypatch):
         tracemalloc.stop()
     assert 0 < len(scans[0][1]) <= searches[0]
     assert peak < 2**20, peak
+
+
+def test_node_search_matches_the_recursive_reference():
+    # the packed kernel against oracles.branch_and_bound floored at the
+    # exact M(u[1:]), on every k=2 word u of n <= 10, k=3 word of n <= 6
+    # and k=1 word of n <= 12, at the field width of a length-n scan: the
+    # same value, abort flag and abort value for every abort_at above the
+    # floor: 2, 3, 5, 9, the floor plus one, and the top count and one
+    # more.  The kernel always has a threshold; 2^n, above every count,
+    # stands for none.
+    cases = 0
+    for k, n_top in ((2, 10), (3, 6), (1, 12)):
+        top = {(): 1}
+        for n in range(1, n_top + 1):
+            width = n + n.bit_length()
+            field = (1 << width) - 1
+            for syms in product(range(k), repeat=n):
+                top[syms] = brute_max_over_patterns(syms, k)
+                caps = [0] + [top[syms[j:]] for j in range(1, n + 1)]
+                masks = [
+                    sum(field << b * width for b, s in enumerate(syms) if s == t) for t in range(k)
+                ]
+                packed = sum(caps[j] << (n + 1 - j) * width for j in range(1, n + 1))
+                aborts = {2, 3, 5, 9, caps[1] + 1, top[syms], top[syms] + 1}
+                for abort_at in (None, *sorted(aborts)):
+                    if abort_at is not None and abort_at <= caps[1]:
+                        continue  # a floor lies below abort_at
+                    value, _, aborted = oracles.branch_and_bound(syms, k, 0, caps, abort_at, caps[1])
+                    got = extremal_module._node_search(
+                        masks, syms[0], packed, n, width, 2**n if abort_at is None else abort_at
+                    )
+                    assert got == (value, aborted), (syms, abort_at)
+                    assert aborted or value == top[syms]
+                    cases += 1
+    assert cases == 12844
+
+
+def test_unary_table_reaches_the_widest_fields():
+    # a^n counts C(n, n // 2): the largest counts, and the widest packed
+    # fields, of any row up to n = 60
+    rows = extremal_table(1, 60, budgets={1: 60})
+    assert [r.value for r in rows] == [comb(n, n // 2) for n in range(1, 61)]
 
 
 def test_scan_cuts_rest_on_product_bounds_the_oracle_confirms():
