@@ -25,7 +25,8 @@ state linearly and monotonically, which yields two sound prunings:
   so precomputed suffix capacities give an upper bound for cutoff.
 
 One routine, ``_branch_and_bound``, runs this search on any infix
-``w[start:end]`` as one explicit-stack loop.  Its step is indexed by
+``w[start:end]`` as one explicit-stack loop, on the step tables its
+caller reads off the word's position index.  Its step is indexed by
 position: appending ``s`` reads the parent's state only at the
 boundaries just before each ``s``, whose sum is the child's count and
 whose products with the capacities there its bound; the child's full
@@ -43,20 +44,19 @@ each: M(a.u) is at most the sum of the capacities just after each
 ``a`` of a.u.  A search reads the capacity of w[j:] only below a
 prefix that fits into w[:j], so those loose values weaken just the top
 of its tree.  The most-common search is the ``start = 0`` call, which
-returns the witness and can abort once a count reaches a threshold.
-By supermultiplicativity, M(x.y) >= M(x) * M(y), so with w = x.y cut
-after position n//2 it starts just below H, the count in w of the
-lex-min witnesses of x and y joined: H is a real pattern's count, so
+also returns the lex-min witness.  By supermultiplicativity, M(x.y) >=
+M(x) * M(y), so with w = x.y cut after position n//2 it starts just
+below H, the count in w of the lex-min witnesses of x and y joined: H is a real pattern's count, so
 H <= M(w), and H >= M(x) * M(y) >= M(y), the exact floor
 M(w[n//2+1:]) the capacities end with.  The witness of y is one search
 of that suffix on its exact capacities, the witness of x this same
 search on the prefix, recursively, on the same position index; prefixes
-of at most ``_PLAIN_START`` symbols start at their floor.  The start is
-also below the threshold, and at least 1, since any start below M(w)
-keeps the lex-min witness and the first count to reach the threshold.
-The extremal scan runs this floored search on words whose exact suffix
-capacities it already knows, but on its own packed-integer copy of the
-step (``extremal._node_search``); its seed searches come here.
+of at most ``_PLAIN_START`` symbols start at their floor.  Any start
+below M(w), and at least 1, keeps the lex-min witness.  Every search
+here runs to the end.  The extremal scan's node searches, which know
+their exact suffix capacities and stop once a count reaches the scan's
+threshold, run on packed integers in ``extremal._node_search``; only
+its seed searches come here.
 
 The fixed-length maximisers are one more explicit-stack DFS with the
 same step and dominance test, which keeps the top count and the lex-min
@@ -261,26 +261,21 @@ def _branch_and_bound(
     k: int,
     start: int,
     capacities: list[int],
-    abort_at: int | None = None,
+    tables,
     floor: int | None = None,
     low: int = 1,
-    tables=None,
-) -> tuple[int, tuple[int, ...] | None, bool]:
-    """Most frequent pattern inside syms[start:], given capacities[j] for j > start.
+) -> tuple[int, tuple[int, ...] | None]:
+    """Most frequent pattern inside u = syms[start:end], given capacities[j] for j > start.
 
-    Returns (value, lex-min witness, aborted).  With ``abort_at`` set
-    the search stops at the first count >= abort_at; the witness is
-    then None and the value is that count.  With ``floor`` set, it must
-    be M(syms[start + 1:]), below abort_at: the running maximum starts
-    there, the witness is None, and only patterns starting with
-    syms[start] are tried, since any other pattern counts the same in
-    syms[start + 1:].  Without a floor the running maximum starts at
-    ``low``, which keeps the lex-min witness if low < M(syms[start:])
-    (or low = 1) and the abort value if low < abort_at.  ``tables`` are
-    the _step_tables of syms[start:end], end = |syms| when not given;
-    the search then runs inside syms[start:end].
+    ``tables`` are the _step_tables of u.  Returns (value, lex-min
+    witness).  With ``floor`` set, it must be M(syms[start + 1:end]):
+    the running maximum starts there, the witness is None, and only
+    patterns starting with syms[start] are tried, since any other
+    pattern counts the same in syms[start + 1:end].  Without a floor the
+    running maximum starts at ``low``, which keeps the lex-min witness
+    if low < M(u) or low = 1.
     """
-    before, rank = _position_index(syms[start:], k) if tables is None else tables
+    before, rank = tables
     length = len(rank[0]) - 1
     capat = [[capacities[start + b + 1] for b in bs] for bs in before]
     best = low if floor is None else floor
@@ -308,8 +303,6 @@ def _branch_and_bound(
         if v > best:
             best = v
             best_path = nxt[: depth + 1]
-            if abort_at is not None and v >= abort_at:
-                return best, None, True
         # capacity bound over all nonempty continuations (and stopping here)
         if sum(map(mul, vals, capat[s])) <= best:
             continue
@@ -325,33 +318,29 @@ def _branch_and_bound(
             depth += 1
             states[depth] = nc
             nxt[depth] = 0
-    return best, None if floor is not None else tuple(t - 1 for t in best_path), False
+    return best, None if floor is not None else tuple(t - 1 for t in best_path)
 
 
-def _suffix_capacities(w: Word, end: int | None = None, index=None) -> tuple[list[int], int]:
+def _suffix_capacities(w: Word, end: int, index) -> tuple[list[int], int]:
     """Upper bounds capacities[j] >= M(u[j:]), and the floor M(u[h + 1:]), h = |u| // 2.
 
-    u is the prefix w[:end], all of w by default, and ``index`` is w's
-    _position_index (built when not given).  capacities[j] is exact for
-    j > h: filled from right to left, each suffix searched with the
-    capacities of the shorter ones and floored at the next one's.  For
-    1 <= j <= h it is the one-letter bound, the sum of capacities[p + 1]
-    over the p >= j with u[p] == a = u[j]: a pattern a.x counts
-    occ(x, u[p + 1:]) summed over those p, and the term p = j covers the
-    patterns not starting with a, which count the same in u[j + 1:].  A
-    search reads capacities[j] only below a pattern prefix that fits into
-    u[:j], so loose values weaken only the top of its tree, where each
-    exact one would cost about a whole search.
+    u is the prefix w[:end] and ``index`` is w's _position_index.
+    capacities[j] is exact for j > h: filled from right to left, each
+    suffix searched with the capacities of the shorter ones and floored
+    at the next one's.  For 1 <= j <= h it is the one-letter bound, the
+    sum of capacities[p + 1] over the p >= j with u[p] == a = u[j]: a
+    pattern a.x counts occ(x, u[p + 1:]) summed over those p, and the
+    term p = j covers the patterns not starting with a, which count the
+    same in u[j + 1:].  A search reads capacities[j] only below a pattern
+    prefix that fits into u[:j], so loose values weaken only the top of
+    its tree, where each exact one would cost about a whole search.
     """
     syms = w.symbols
     k = w.alphabet_size
-    n = len(syms) if end is None else end
-    if index is None:
-        index = _position_index(syms, k)
-    half = n // 2
-    capacities = [1] * (n + 1)
+    half = end // 2
+    capacities = [1] * (end + 1)
     sums = [0] * k  # sums[a]: capacities[p + 1] over a-positions p >= start
-    for start in range(n - 1, 0, -1):
+    for start in range(end - 1, 0, -1):
         a = syms[start]
         sums[a] += capacities[start + 1]
         if start > half:
@@ -360,17 +349,15 @@ def _suffix_capacities(w: Word, end: int | None = None, index=None) -> tuple[lis
                 k,
                 start,
                 capacities,
+                _step_tables(index, start, end),
                 floor=capacities[start + 1],
-                tables=_step_tables(index, start, n),
             )[0]
         else:
             capacities[start] = sums[a]
     return capacities, capacities[half + 1]
 
 
-def _most_common(
-    w: Word, end: int, index, abort_at: int | None = None
-) -> tuple[int, tuple[int, ...] | None, bool]:
+def _most_common(w: Word, end: int, index) -> tuple[int, tuple[int, ...] | None]:
     """Search of the prefix u = w[:end], end >= 1, on w's _position_index.
 
     Split u = x.y with x = u[:h + 1], y = u[h + 1:], h = end // 2.  The
@@ -386,35 +373,27 @@ def _most_common(
     if end > _PLAIN_START:
         h = end // 2
         right = _branch_and_bound(
-            syms, k, h + 1, capacities, low=max(1, low - 1), tables=_step_tables(index, h + 1, end)
+            syms, k, h + 1, capacities, _step_tables(index, h + 1, end), low=max(1, low - 1)
         )[1]
         left = _most_common(w, h + 1, index)[1]
         low = _count(left + right, syms[:end])
-    # any start below M(u), and below abort_at, keeps the lex-min
-    # witness and the abort value
-    if abort_at is not None:
-        low = min(low, abort_at)
-    return _branch_and_bound(
-        syms, k, 0, capacities, abort_at, low=max(1, low - 1), tables=_step_tables(index, 0, end)
-    )
+    # any start below M(u) keeps the lex-min witness
+    tables = _step_tables(index, 0, end)
+    return _branch_and_bound(syms, k, 0, capacities, tables, low=max(1, low - 1))
 
 
-def _search_most_common(
-    w: Word, abort_at: int | None = None
-) -> tuple[int, tuple[int, ...] | None, bool]:
-    """Core search for max_occurrences.
+def _search_most_common(w: Word) -> tuple[int, tuple[int, ...] | None, bool]:
+    """Core search for max_occurrences and the extremal seed searches.
 
-    Returns (value, witness symbols, aborted).  With ``abort_at`` set
-    the search stops as soon as it proves value >= abort_at (witness
-    is then None and the returned value is just the proof threshold).
-    It is _most_common on all of w, which starts at the count of the two
-    halves' witnesses joined.
+    Returns (value, witness symbols, False): _most_common on all of w,
+    which starts at the count of the two halves' witnesses joined and
+    never aborts.  The constant third element is the "aborted" flag that
+    perfbench/layers.py reads from this name and from its extremal
+    binding; it stays until library counters replace those bindings.
     """
     if len(w) == 0:
         return 1, (), False
-    if abort_at is not None and abort_at <= 1:
-        return 1, None, True
-    return _most_common(w, len(w), _position_index(w.symbols, w.alphabet_size), abort_at)
+    return (*_most_common(w, len(w), _position_index(w.symbols, w.alphabet_size)), False)
 
 
 def _on_support(w: Word) -> tuple[Word, list[int]]:

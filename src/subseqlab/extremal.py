@@ -18,10 +18,11 @@ best, so it is always cut.  A table starts each row at best = U + 1, U
 the smallest top count of the previous row's minimizer extended by one
 symbol.
 
-A node search is the floored, aborting branch-and-bound of ``counting``
-run on packed integers (see _node_search): a count vector over rev(x) is
-one int of W-bit fields, W = n + n.bit_length(), so a step is one mask,
-two multiplications and a shift, and a pointwise dominance test one
+A node search is the branch-and-bound step of ``counting``, floored at
+the parent's count and stopped at the node's threshold, run on packed
+integers (see _node_search): a count vector over rev(x) is one int of
+W-bit fields, W = n + n.bit_length(), so a step is one mask, two
+multiplications and a shift, and a pointwise dominance test one
 subtraction against each field's guard bit.  Counts of a length-L word
 stay below 2^L and each field of a capacity product below L * 2^(L-1),
 so every field stays below 2^(W-1).  The stack keeps the search's
@@ -169,15 +170,20 @@ def _node_search(
     """(value, aborted) of the floored, aborting most-common search of a
     scan node's reversed prefix u, |u| = ``length``, on packed integers.
 
-    It is counting._branch_and_bound(u, k, 0, capacities, abort_at,
-    floor=capacities[1]) step for step: the same DFS order from the root
-    symbol u[0] = ``root``, the same capacity bound, and the same
-    dominance store per depth, capped at _DOMINANCE_STORE_CAP.  Only the
-    state changes.  A count vector c[0..L], L = length, is one int whose
-    field i, bits [i*W, (i+1)*W) for W = ``width``, holds c[i];
-    ``masks[t]`` has every bit of field b set where u[b] == t, and field
-    f of ``caps`` holds M(u[L - f + 1:]) for f = 1..L, so the floor
-    M(u[1:]) is its field L.  Appending t to c is:
+    It is the package's one search that stops early: at the first count
+    >= ``abort_at``, which it returns with aborted True; otherwise the
+    value is M(u).  Its reference is the recursive
+    tests/oracles.branch_and_bound(u, k, 0, capacities, abort_at,
+    floor=capacities[1]), which it follows step for step: the same DFS
+    order from the root symbol u[0] = ``root``, the same capacity bound,
+    and the same dominance store per depth, capped at
+    _DOMINANCE_STORE_CAP.  The step and the bound are those of
+    counting._branch_and_bound, on another state.  A count vector
+    c[0..L], L = length, is one int whose field i, bits [i*W, (i+1)*W)
+    for W = ``width``, holds c[i]; ``masks[t]`` has every bit of field b
+    set where u[b] == t, and field f of ``caps`` holds M(u[L - f + 1:])
+    for f = 1..L, so the floor M(u[1:]) is its field L.  Appending t to
+    c is:
 
     * cm = c & masks[t]: the c[b] with u[b] == t;
     * p = cm * ONES, ONES a 1 in every field: field i of p is the sum of

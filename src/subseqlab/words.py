@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
-from .errors import ContractError, require_int, require_int_tuple, require_word
+from .errors import BudgetError, ContractError, require_int, require_int_tuple, require_word
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
+POWER_SYMBOL_BUDGET = 10**6  # symbols in the word power() builds
 
 
 @dataclass(frozen=True)
@@ -108,12 +109,23 @@ def to_text(w: Word) -> str:
 
 
 def power(w: Word, m: int) -> Word:
-    """m-fold repetition of w; m = 0 gives the empty word."""
+    """m-fold repetition of w; m = 0 or the empty w gives the empty word.
+
+    A power of more than POWER_SYMBOL_BUDGET symbols is refused with
+    BudgetError.
+    """
     require_word(w=w)
     require_int(m=m)
     if m < 0:
         raise ContractError(f"power exponent must be >= 0, got {m}")
-    return Word(w.symbols * m, w.alphabet_size)
+    size = len(w) * m
+    if size > POWER_SYMBOL_BUDGET:
+        raise BudgetError(
+            f"power of {size} symbols is over the budget of {POWER_SYMBOL_BUDGET} symbols"
+        )
+    # the empty word repeats to the empty word for any m, even one too
+    # large for a tuple repeat
+    return Word(w.symbols * m if size else (), w.alphabet_size)
 
 
 # ---------------------------------------------------------------------------

@@ -169,14 +169,12 @@ def suffix_capacities(syms, k):
     return capacities
 
 
-def search_most_common(syms, k, abort_at=None):
+def search_most_common(syms, k):
     """The most-common search over the recursive kernel: (value, witness,
-    aborted)."""
+    False)."""
     if not syms:
         return 1, (), False
-    if abort_at is not None and abort_at <= 1:
-        return 1, None, True
-    return branch_and_bound(syms, k, 0, suffix_capacities(syms, k), abort_at)
+    return branch_and_bound(syms, k, 0, suffix_capacities(syms, k))
 
 
 # ---------------------------------------------------------------------------

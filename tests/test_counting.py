@@ -12,7 +12,9 @@ from subseqlab import counting as counting_module
 from subseqlab.counting import (
     FIXED_LENGTH_WITNESS_BUDGET,
     _branch_and_bound,
+    _position_index,
     _search_most_common,
+    _step_tables,
     _suffix_capacities,
     count_occurrences,
     enumerate_embeddings,
@@ -238,30 +240,22 @@ def test_most_common_matches_brute_force():
         assert count_occurrences(witness, w) == value
 
 
-def test_search_abort_contract_exhaustive():
-    # every k=2 word of n <= 10 and k=3 word of n <= 6: an abort happens
-    # exactly when the true value reaches abort_at; otherwise value and
-    # lex-min witness are the brute-force ones
+def test_search_exhaustive_matches_brute_force():
+    # every k=2 word of n <= 10 and k=3 word of n <= 6: value and lex-min
+    # witness are the brute-force ones, and the search never aborts (the
+    # one search that stops early, the extremal scan's, has its abort
+    # contract checked on the same words in test_extremal)
     for k, n_top in ((2, 10), (3, 6)):
         for n in range(n_top + 1):
             for syms in product(range(k), repeat=n):
-                b_value, b_witness = brute_most_common(syms, k)
-                for abort_at in (None, 2, 3, 5, 9):
-                    value, witness, aborted = _search_most_common(Word(syms, k), abort_at)
-                    assert aborted == (abort_at is not None and b_value >= abort_at)
-                    if aborted:
-                        assert witness is None and abort_at <= value <= b_value
-                    else:
-                        assert (value, witness) == (b_value, b_witness)
+                assert _search_most_common(Word(syms, k)) == (*brute_most_common(syms, k), False)
 
 
 def test_search_with_supplied_capacities_is_exact():
     # exact suffix capacities supplied, the search floored at
-    # capacities[1] below abort_at; an abort happens exactly when the
-    # true value reaches abort_at, otherwise the value is exact, and no
-    # witness comes back either way.  The capacities a plain search
-    # computes for itself are exact for j > n // 2 and upper bounds
-    # below, and its floor is M(w[n // 2 + 1:]).
+    # capacities[1]: the value is exact and no witness comes back.  The
+    # capacities a plain search computes for itself are exact for
+    # j > n // 2 and upper bounds below, and its floor is M(w[n // 2 + 1:]).
     for k, n_top in ((2, 10), (3, 6)):
         brute = {}
         for n in range(n_top + 1):
@@ -269,57 +263,41 @@ def test_search_with_supplied_capacities_is_exact():
                 brute[syms] = brute_max_over_patterns(syms, k)
                 if n == 0:
                     continue
+                index = _position_index(syms, k)
                 capacities = [0] + [brute[syms[j:]] for j in range(1, n + 1)]
-                own, floor = _suffix_capacities(Word(syms, k))
+                own, floor = _suffix_capacities(Word(syms, k), n, index)
                 half = n // 2
                 assert own[half + 1 :] == capacities[half + 1 :]
                 assert all(map(ge, own[1:], capacities[1:]))
                 assert floor == brute[syms[half + 1 :]]
-                for abort_at in (None, 2, 3, 5, 9):
-                    if abort_at is not None and abort_at <= capacities[1]:
-                        continue  # a floor lies below abort_at
-                    value, witness, aborted = _branch_and_bound(
-                        syms, k, 0, capacities, abort_at, floor=capacities[1]
-                    )
-                    assert witness is None
-                    assert aborted == (abort_at is not None and brute[syms] >= abort_at)
-                    if aborted:
-                        assert abort_at <= value <= brute[syms]
-                    else:
-                        assert value == brute[syms]
+                tables = _step_tables(index, 0, n)
+                result = _branch_and_bound(syms, k, 0, capacities, tables, floor=capacities[1])
+                assert result == (brute[syms], None)
 
 
 def test_search_matches_recursive_reference():
     # the explicit-stack kernel against the recursive one it replaced, on
-    # seeded words up to n = 26: the same (value, witness, aborted) for
-    # every mix of abort_at, exact capacities and floor, and suffix
-    # capacities exact for j > n // 2 and upper bounds below
+    # seeded words up to n = 26: the same value and witness from the
+    # search, and from the kernel at every start, with and without the
+    # exact floor; suffix capacities exact for j > n // 2 and upper
+    # bounds below
     rng = random.Random(20261019)
     for _ in range(60):
         k = rng.choice([2, 3, 4])
         n = rng.randrange(1, 27)
         syms = tuple(rng.randrange(k) for _ in range(n))
         w = Word(syms, k)
+        index = _position_index(syms, k)
         caps = oracles.suffix_capacities(syms, k)
-        own, floor = _suffix_capacities(w)
+        own, floor = _suffix_capacities(w, n, index)
         assert own[n // 2 + 1 :] == caps[n // 2 + 1 :] and floor == caps[n // 2 + 1]
         assert all(map(ge, own, caps))
-        top = oracles.search_most_common(syms, k)[0]
-        aborts = {2, caps[1], caps[1] + 1, top, top + 1, rng.randint(caps[1], top + 1)}
-        for abort_at in (None, *sorted(aborts)):
-            assert _search_most_common(w, abort_at) == oracles.search_most_common(
-                syms, k, abort_at
-            )
-            if abort_at is None or caps[1] < abort_at:  # a floor lies below abort_at
-                assert _branch_and_bound(syms, k, 0, caps, abort_at, floor=caps[1]) == (
-                    oracles.branch_and_bound(syms, k, 0, caps, abort_at, caps[1])
-                )
-            start = rng.randrange(n)
+        assert _search_most_common(w) == oracles.search_most_common(syms, k)
+        for start in range(n):
+            tables = _step_tables(index, start, n)
             for floor in (None, caps[start + 1]):
-                if floor is not None and abort_at is not None and abort_at <= floor:
-                    continue  # a floor lies below abort_at
-                assert _branch_and_bound(syms, k, start, caps, abort_at, floor) == (
-                    oracles.branch_and_bound(syms, k, start, caps, abort_at, floor)
+                assert _branch_and_bound(syms, k, start, caps, tables, floor) == (
+                    oracles.branch_and_bound(syms, k, start, caps, floor=floor)[:2]
                 )
 
 
@@ -335,7 +313,7 @@ def test_suffix_capacities_exact_on_the_shorter_half():
             for syms in product(range(k), repeat=n):
                 exact = [0] + [top[syms[j:]] for j in range(1, n + 1)]
                 top[syms] = oracles.branch_and_bound(syms, k, 0, exact, floor=exact[1])[0]
-                own, floor = _suffix_capacities(Word(syms, k))
+                own, floor = _suffix_capacities(Word(syms, k), n, _position_index(syms, k))
                 half = n // 2
                 assert own[half + 1 :] == exact[half + 1 :]
                 assert all(map(ge, own[1:], exact[1:]))
@@ -345,9 +323,10 @@ def test_suffix_capacities_exact_on_the_shorter_half():
 def test_search_long_pattern_does_not_recurse():
     # the maximiser of a^2100 is a^1050, 1050 pattern symbols deep
     n = 2100
+    syms = (0,) * n
     caps = [comb(n - j, (n - j) // 2) for j in range(n + 1)]
-    value, witness, aborted = _branch_and_bound((0,) * n, 1, 0, caps, floor=caps[1])
-    assert (value, witness, aborted) == (comb(n, n // 2), None, False)
+    tables = _step_tables(_position_index(syms, 1), 0, n)
+    assert _branch_and_bound(syms, 1, 0, caps, tables, floor=caps[1]) == (comb(n, n // 2), None)
 
 
 def _start_words(seed):
@@ -373,24 +352,25 @@ def _start_words(seed):
 
 def test_search_start_matches_the_oracle(monkeypatch):
     # the search starts just below H, the count of the halves' witnesses
-    # joined, with floor = M(w[h + 1:]) <= H <= M(w), h = n // 2; value,
-    # lex-min witness and abort value stay the recursive oracle's, at the
-    # package's plain-start length and with every word of 3 or more
-    # symbols on the H start, including H above the floor and H = M(w)
+    # joined, with floor = M(w[h + 1:]) <= H <= M(w), h = n // 2; value
+    # and lex-min witness stay the recursive oracle's, at the package's
+    # plain-start length and with every word of 3 or more symbols on the
+    # H start, including H above the floor and H = M(w)
     starts = []
     kernel = counting_module._branch_and_bound
 
-    def spy(syms, k, start, capacities, abort_at=None, floor=None, low=1, tables=None):
+    def spy(syms, k, start, capacities, tables, floor=None, low=1):
         if start == 0:
             starts.append(low)
-        return kernel(syms, k, start, capacities, abort_at, floor, low, tables)
+        return kernel(syms, k, start, capacities, tables, floor, low)
 
     monkeypatch.setattr(counting_module, "_branch_and_bound", spy)
     edges = set()
     for syms, k in _start_words(20261019):
         n = len(syms)
         half = n // 2
-        top = oracles.search_most_common(syms, k)[0]
+        expected = oracles.search_most_common(syms, k)
+        top = expected[0]
         floor = brute_max_over_patterns(syms[half + 1 :], k)
         left = oracles.search_most_common(syms[: half + 1], k)[1]
         right = oracles.search_most_common(syms[half + 1 :], k)[1]
@@ -398,14 +378,11 @@ def test_search_start_matches_the_oracle(monkeypatch):
         assert floor <= H <= top
         if n > 2:
             edges.add((floor < H, H == top))
-        aborts = (None, *sorted({2, floor, floor + 1, H, H + 1, top, top + 1}))
-        expected = [oracles.search_most_common(syms, k, a) for a in aborts]
         for plain in (counting_module._PLAIN_START, 2):
             monkeypatch.setattr(counting_module, "_PLAIN_START", plain)
-            assert [_search_most_common(Word(syms, k), a) for a in aborts] == expected
-            # the word's own search is the last one to run on w[0:]
             starts.clear()
-            _search_most_common(Word(syms, k))
+            assert _search_most_common(Word(syms, k)) == expected
+            # the word's own search is the last one to run on w[0:]
             assert starts[-1] == max(1, (H if n > plain else floor) - 1)
     assert edges == {(False, False), (False, True), (True, False), (True, True)}
 

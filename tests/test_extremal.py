@@ -148,9 +148,9 @@ def _traced_scan(monkeypatch, k, n, seed, exact=False):
     brute = {}
     seen = [0, 0, 0]  # searches, aborted, node searches
 
-    def seeded(w, abort_at=None):
+    def seeded(w):
         # a one-symbol extension of the seed, searched in full
-        assert abort_at is None and w.symbols[:-1] == seed.symbols
+        assert w.symbols[:-1] == seed.symbols
         result = seed_search(w)
         seen[0] += 1
         return result
@@ -265,7 +265,9 @@ def test_node_search_matches_the_recursive_reference():
     # same value, abort flag and abort value for every abort_at above the
     # floor: 2, 3, 5, 9, the floor plus one, and the top count and one
     # more.  The kernel always has a threshold; 2^n, above every count,
-    # stands for none.
+    # stands for none.  Against brute force, the package's one aborting
+    # search aborts exactly when M(u) reaches its threshold, and then
+    # returns a count from the threshold up to M(u); else it returns M(u).
     cases = 0
     for k, n_top in ((2, 10), (3, 6), (1, 12)):
         top = {(): 1}
@@ -288,7 +290,12 @@ def test_node_search_matches_the_recursive_reference():
                         masks, syms[0], packed, n, width, 2**n if abort_at is None else abort_at
                     )
                     assert got == (value, aborted), (syms, abort_at)
-                    assert aborted or value == top[syms]
+                    threshold = 2**n if abort_at is None else abort_at
+                    assert aborted == (top[syms] >= threshold), (syms, abort_at)
+                    if aborted:
+                        assert threshold <= value <= top[syms], (syms, abort_at)
+                    else:
+                        assert value == top[syms], (syms, abort_at)
                     cases += 1
     assert cases == 12844
 

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from subseqlab.errors import ContractError
-from subseqlab.words import Word, from_ids, load_words, power, to_text, word
+from subseqlab.errors import BudgetError, ContractError
+from subseqlab.words import POWER_SYMBOL_BUDGET, Word, from_ids, load_words, power, to_text, word
 
 from contract_inputs import DOCUMENTED_ERRORS, JUNK, NOT_A_WORD, int_or_junk
 
@@ -70,6 +70,19 @@ def test_concat_and_power():
     assert len(power(a, 0)) == 0
     with pytest.raises(ContractError):
         power(a, -1)
+
+
+def test_power_is_budgeted():
+    # a power longer than the budget is refused before it is built; the
+    # empty word and m = 0 never are, whatever the other operand
+    a, empty = word("ab"), word("", 2)
+    assert len(power(a, POWER_SYMBOL_BUDGET // 2)) == POWER_SYMBOL_BUDGET
+    for w, m in ((a, POWER_SYMBOL_BUDGET // 2 + 1), (a, 10**30), (word("a"), 2**62)):
+        with pytest.raises(BudgetError, match=f"over the budget of {POWER_SYMBOL_BUDGET} symbols"):
+            power(w, m)
+    for m in (0, 1, 2**62, 10**30):
+        assert power(empty, m) == empty
+    assert power(Word((0,) * 10, 1), 0) == Word((), 1)
 
 
 @given(st.integers(1, 40), st.data())
