@@ -32,26 +32,30 @@ boundaries just before each ``s``, whose sum is the child's count and
 whose products with the capacities there its bound; the child's full
 state is built only if it survives the bound.  One position index per
 word holds every symbol's positions and running counts, and each
-search reads its infix's step tables off it.  Capacities come from
-right to left.  For the shorter half of the suffixes, ``start > n//2``,
-they are exact: that search run on ``w[start:]``, using the capacities
-already found and *floored* at the last one, M(w[start+1:]).  Counts
+search reads its infix's step tables off it.  A search starts its
+running maximum at a given count and returns the lex-min pattern of
+the top count if that beats the start, else the empty pattern.  Counts
 grow one letter at a time, occ(v, a.u) = occ(v, u) + [v starts with
 a] * occ(v[1:], u), so a pattern not starting with ``a = w[start]``
-counts no more than that floor, and a floored search tries only ``a``
-at the root.  The same identity bounds the longer suffixes in O(1)
-each: M(a.u) is at most the sum of the capacities just after each
-``a`` of a.u.  A search reads the capacity of w[j:] only below a
-prefix that fits into w[:j], so those loose values weaken just the top
-of its tree.  The most-common search is the ``start = 0`` call, which
-also returns the lex-min witness.  By supermultiplicativity, M(x.y) >=
-M(x) * M(y), so with w = x.y cut after position n//2 it starts just
-below H, the count in w of the lex-min witnesses of x and y joined: H is a real pattern's count, so
-H <= M(w), and H >= M(x) * M(y) >= M(y), the exact floor
-M(w[n//2+1:]) the capacities end with.  The witness of y is one search
-of that suffix on its exact capacities, the witness of x this same
+counts no more than M(w[start+1:]), and a search whose start is at
+least the capacity of that suffix tries only ``a`` at the root.
+Capacities come from right to left.  For the shorter half of the
+suffixes, ``start > n//2``, they are exact: that search run on
+``w[start:]``, using the capacities already found and started at the
+last one, M(w[start+1:]).  The last of these searches to beat its start
+finds a top pattern of y = w[n//2+1:]: the lex-min one of the shortest
+suffix of y whose top count is M(y).  The same identity bounds the
+longer suffixes in O(1) each: M(a.u) is at most the sum of the
+capacities just after each ``a`` of a.u.  A search reads the capacity
+of w[j:] only below a prefix that fits into w[:j], so those loose
+values weaken just the top of its tree.  The most-common search is the
+``start = 0`` call.  By supermultiplicativity, M(x.y) >= M(x) * M(y),
+so with w = x.y it starts just below H, the count in w of the lex-min
+witness of x joined with that top pattern of y: H is a real pattern's
+count, so H <= M(w), and H >= M(x) * M(y) >= M(y), the exact
+M(w[n//2+1:]) the capacities end with.  The witness of x is this same
 search on the prefix, recursively, on the same position index; prefixes
-of at most ``_PLAIN_START`` symbols start at their floor.  Any start
+of at most ``_PLAIN_START`` symbols start just below M(y).  Any start
 below M(w), and at least 1, keeps the lex-min witness.  Every search
 here runs to the end.  The extremal scan's node searches, which know
 their exact suffix capacities and stop once a count reaches the scan's
@@ -84,7 +88,7 @@ from .errors import BudgetError, ContractError, require_int, require_int_tuple, 
 from .words import Word
 
 _DOMINANCE_STORE_CAP = 512  # per-depth cap on states kept for dominance tests
-_PLAIN_START = 16  # longest prefix whose most-common search starts at its floor
+_PLAIN_START = 16  # longest prefix whose most-common search starts below M(y), not H
 FIXED_LENGTH_WITNESS_BUDGET = 10**6  # symbols in the 0^length witness of a length above |w|
 
 
@@ -257,28 +261,20 @@ def _step_tables(index, start: int, end: int):
 
 
 def _branch_and_bound(
-    syms: tuple[int, ...],
-    k: int,
-    start: int,
-    capacities: list[int],
-    tables,
-    floor: int | None = None,
-    low: int = 1,
-) -> tuple[int, tuple[int, ...] | None]:
+    syms: tuple[int, ...], k: int, start: int, capacities: list[int], tables, low: int
+) -> tuple[int, tuple[int, ...]]:
     """Most frequent pattern inside u = syms[start:end], given capacities[j] for j > start.
 
-    ``tables`` are the _step_tables of u.  Returns (value, lex-min
-    witness).  With ``floor`` set, it must be M(syms[start + 1:end]):
-    the running maximum starts there, the witness is None, and only
-    patterns starting with syms[start] are tried, since any other
-    pattern counts the same in syms[start + 1:end].  Without a floor the
-    running maximum starts at ``low``, which keeps the lex-min witness
-    if low < M(u) or low = 1.
+    ``tables`` are the _step_tables of u.  The running maximum starts at
+    ``low``; returns (value, pattern), the pattern the lex-min one of
+    count value if value > low, else ().  Only syms[start] is tried at
+    the root when capacities[start + 1] <= low: any other pattern counts
+    the same in syms[start + 1:end], so at most that capacity.
     """
     before, rank = tables
     length = len(rank[0]) - 1
     capat = [[capacities[start + b + 1] for b in bs] for bs in before]
-    best = low if floor is None else floor
+    best = low
     best_path: list[int] = []  # nxt[:depth + 1] at the best count; [] is the empty pattern
     # by_depth[d]: states kept for dominance tests of (d + 1)-symbol patterns
     by_depth: list[list[list[int]]] = [[] for _ in range(length + 1)]
@@ -288,7 +284,7 @@ def _branch_and_bound(
     states = [[1] * (length + 1)] * (length + 1)
     nxt = [0] * (length + 1)
     stop = [k] * (length + 1)
-    if floor is not None:
+    if capacities[start + 1] <= low:
         nxt[0], stop[0] = syms[start], syms[start] + 1
     depth = 0
     while depth >= 0:
@@ -318,78 +314,74 @@ def _branch_and_bound(
             depth += 1
             states[depth] = nc
             nxt[depth] = 0
-    return best, None if floor is not None else tuple(t - 1 for t in best_path)
+    return best, tuple(t - 1 for t in best_path)
 
 
-def _suffix_capacities(w: Word, end: int, index) -> tuple[list[int], int]:
-    """Upper bounds capacities[j] >= M(u[j:]), and the floor M(u[h + 1:]), h = |u| // 2.
+def _suffix_capacities(w: Word, end: int, index) -> tuple[list[int], tuple[int, ...]]:
+    """Upper bounds capacities[j] >= M(u[j:]), and a top pattern of y = u[h + 1:], h = |u| // 2.
 
     u is the prefix w[:end] and ``index`` is w's _position_index.
     capacities[j] is exact for j > h: filled from right to left, each
-    suffix searched with the capacities of the shorter ones and floored
-    at the next one's.  For 1 <= j <= h it is the one-letter bound, the
-    sum of capacities[p + 1] over the p >= j with u[p] == a = u[j]: a
-    pattern a.x counts occ(x, u[p + 1:]) summed over those p, and the
-    term p = j covers the patterns not starting with a, which count the
-    same in u[j + 1:].  A search reads capacities[j] only below a pattern
-    prefix that fits into u[:j], so loose values weaken only the top of
-    its tree, where each exact one would cost about a whole search.
+    suffix searched with the capacities of the shorter ones and started
+    at the next one's.  The last of these searches to beat its start
+    found the lex-min top pattern of the shortest suffix of y whose top
+    count is M(y), which counts M(y) in y too; it is () if M(y) = 1.
+    For 1 <= j <= h capacities[j] is the one-letter bound, the sum of
+    capacities[p + 1] over the p >= j with u[p] == a = u[j]: a pattern
+    a.x counts occ(x, u[p + 1:]) summed over those p, and the term p = j
+    covers the patterns not starting with a, which count the same in
+    u[j + 1:].  A search reads capacities[j] only below a pattern prefix
+    that fits into u[:j], so loose values weaken only the top of its
+    tree, where each exact one would cost about a whole search.
     """
     syms = w.symbols
     k = w.alphabet_size
     half = end // 2
     capacities = [1] * (end + 1)
+    top: tuple[int, ...] = ()
     sums = [0] * k  # sums[a]: capacities[p + 1] over a-positions p >= start
     for start in range(end - 1, 0, -1):
         a = syms[start]
         sums[a] += capacities[start + 1]
         if start > half:
-            capacities[start] = _branch_and_bound(
-                syms,
-                k,
-                start,
-                capacities,
-                _step_tables(index, start, end),
-                floor=capacities[start + 1],
-            )[0]
+            tables = _step_tables(index, start, end)
+            capacities[start], pattern = _branch_and_bound(
+                syms, k, start, capacities, tables, capacities[start + 1]
+            )
+            top = pattern or top
         else:
             capacities[start] = sums[a]
-    return capacities, capacities[half + 1]
+    return capacities, top
 
 
-def _most_common(w: Word, end: int, index) -> tuple[int, tuple[int, ...] | None]:
+def _most_common(w: Word, end: int, index) -> tuple[int, tuple[int, ...]]:
     """Search of the prefix u = w[:end], end >= 1, on w's _position_index.
 
     Split u = x.y with x = u[:h + 1], y = u[h + 1:], h = end // 2.  The
-    running maximum starts just below H, the count in u of
-    witness(x).witness(y): a real pattern's count, so H <= M(u), and
-    H >= M(x) * M(y) >= M(y), the floor _suffix_capacities returns.
-    witness(y) is one search of the suffix on its exact capacities,
-    witness(x) this search on the shorter prefix.  A prefix of at most
-    _PLAIN_START symbols starts at the floor instead.
+    running maximum starts just below H, the count in u of witness(x)
+    joined with the top pattern of y that _suffix_capacities returns: a
+    real pattern's count, so H <= M(u), and H >= M(x) * M(y) >= M(y) =
+    capacities[h + 1].  witness(x) is this search on the shorter prefix.
+    A prefix of at most _PLAIN_START symbols starts just below M(y).
     """
     syms, k = w.symbols, w.alphabet_size
-    capacities, low = _suffix_capacities(w, end, index)
+    capacities, right = _suffix_capacities(w, end, index)
+    low = capacities[end // 2 + 1]
     if end > _PLAIN_START:
-        h = end // 2
-        right = _branch_and_bound(
-            syms, k, h + 1, capacities, _step_tables(index, h + 1, end), low=max(1, low - 1)
-        )[1]
-        left = _most_common(w, h + 1, index)[1]
-        low = _count(left + right, syms[:end])
+        low = _count(_most_common(w, end // 2 + 1, index)[1] + right, syms[:end])
     # any start below M(u) keeps the lex-min witness
     tables = _step_tables(index, 0, end)
-    return _branch_and_bound(syms, k, 0, capacities, tables, low=max(1, low - 1))
+    return _branch_and_bound(syms, k, 0, capacities, tables, max(1, low - 1))
 
 
-def _search_most_common(w: Word) -> tuple[int, tuple[int, ...] | None, bool]:
+def _search_most_common(w: Word) -> tuple[int, tuple[int, ...], bool]:
     """Core search for max_occurrences and the extremal seed searches.
 
     Returns (value, witness symbols, False): _most_common on all of w,
-    which starts at the count of the two halves' witnesses joined and
-    never aborts.  The constant third element is the "aborted" flag that
-    perfbench/layers.py reads from this name and from its extremal
-    binding; it stays until library counters replace those bindings.
+    which never aborts.  The constant third element is the "aborted"
+    flag that perfbench/layers.py reads from this name and from its
+    extremal binding; it stays until library counters replace those
+    bindings.
     """
     if len(w) == 0:
         return 1, (), False
@@ -425,7 +417,6 @@ def max_occurrences(w: Word) -> tuple[int, Word]:
     require_word(w=w)
     u, support = _on_support(w)
     value, witness, _ = _search_most_common(u)
-    assert witness is not None
     return value, _in_alphabet(witness, support, w)
 
 

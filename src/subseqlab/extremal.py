@@ -174,11 +174,11 @@ def _node_search(
     >= ``abort_at``, which it returns with aborted True; otherwise the
     value is M(u).  Its reference is the recursive
     tests/oracles.branch_and_bound(u, k, 0, capacities, abort_at,
-    floor=capacities[1]), which it follows step for step: the same DFS
-    order from the root symbol u[0] = ``root``, the same capacity bound,
-    and the same dominance store per depth, capped at
-    _DOMINANCE_STORE_CAP.  The step and the bound are those of
-    counting._branch_and_bound, on another state.  A count vector
+    floor=capacities[1]), which also tries roots other than u[0] =
+    ``root``, whose patterns count at most the floor; from u[0] on it
+    has the same DFS order, capacity bound and dominance store per
+    depth, capped at _DOMINANCE_STORE_CAP.  The step and bound are
+    those of counting._branch_and_bound, on another state.  A count vector
     c[0..L], L = length, is one int whose field i, bits [i*W, (i+1)*W)
     for W = ``width``, holds c[i]; ``masks[t]`` has every bit of field b
     set where u[b] == t, and field f of ``caps`` holds M(u[L - f + 1:])

@@ -32,6 +32,9 @@ class Word:
     def __post_init__(self) -> None:
         if not isinstance(self.alphabet_size, int) or self.alphabet_size < 1:
             raise ContractError(f"alphabet_size must be an int >= 1, got {self.alphabet_size!r}")
+        # a list would make an unhashable word unequal to its tuple twin
+        if not isinstance(self.symbols, tuple):
+            raise ContractError(f"symbols must be a tuple, got {type(self.symbols).__name__}")
         if self.symbols:
             if not all(map(isinstance, self.symbols, repeat(int))):
                 bad = next(s for s in self.symbols if not isinstance(s, int))
@@ -94,6 +97,8 @@ def from_ids(ids, alphabet_size: int | None = None) -> Word:
         syms = tuple(ids)
     except TypeError:
         raise ContractError(f"ids must be an iterable of ints, got {ids!r}") from None
+    except (OverflowError, MemoryError):
+        raise ContractError("ids has too many symbols to hold in memory") from None
     require_int_tuple(ids=syms)
     if alphabet_size is None:
         alphabet_size = max(syms, default=0) + 1

@@ -117,8 +117,11 @@ def dominated(stored, cand):
 
 
 def branch_and_bound(syms, k, start, capacities, abort_at=None, floor=None):
-    """(value, lex-min witness, aborted) of the most frequent pattern in
-    syms[start:], one recursion level per pattern symbol."""
+    """(value, witness, aborted) of the most frequent pattern in
+    syms[start:], one recursion level per pattern symbol.  The witness
+    is the DFS-first pattern of count value, the lex-min one, if value
+    is above the start (the floor, or 1 without one), else (); None if
+    the search aborted."""
     length = len(syms) - start
     caps = capacities[start:]
     best = 1 if floor is None else floor
@@ -154,8 +157,8 @@ def branch_and_bound(syms, k, start, capacities, abort_at=None, floor=None):
 
     if length > 0:
         rec([1] * (length + 1), 0)
-    if aborted or floor is not None:
-        return best, None, aborted
+    if aborted:
+        return best, None, True
     return best, best_witness, False
 
 

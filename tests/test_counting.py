@@ -252,34 +252,39 @@ def test_search_exhaustive_matches_brute_force():
 
 
 def test_search_with_supplied_capacities_is_exact():
-    # exact suffix capacities supplied, the search floored at
-    # capacities[1]: the value is exact and no witness comes back.  The
-    # capacities a plain search computes for itself are exact for
-    # j > n // 2 and upper bounds below, and its floor is M(w[n // 2 + 1:]).
+    # exact suffix capacities supplied, the search started at the floor
+    # capacities[1]: the value is exact, and the witness is the lex-min
+    # one when M(w) beats the floor, else ().  The capacities a plain
+    # search computes for itself are exact for j > n // 2 and upper
+    # bounds below.
     for k, n_top in ((2, 10), (3, 6)):
         brute = {}
         for n in range(n_top + 1):
             for syms in product(range(k), repeat=n):
-                brute[syms] = brute_max_over_patterns(syms, k)
+                brute[syms] = brute_most_common(syms, k)
                 if n == 0:
                     continue
                 index = _position_index(syms, k)
-                capacities = [0] + [brute[syms[j:]] for j in range(1, n + 1)]
-                own, floor = _suffix_capacities(Word(syms, k), n, index)
+                capacities = [0] + [brute[syms[j:]][0] for j in range(1, n + 1)]
+                own = _suffix_capacities(Word(syms, k), n, index)[0]
                 half = n // 2
                 assert own[half + 1 :] == capacities[half + 1 :]
                 assert all(map(ge, own[1:], capacities[1:]))
-                assert floor == brute[syms[half + 1 :]]
                 tables = _step_tables(index, 0, n)
-                result = _branch_and_bound(syms, k, 0, capacities, tables, floor=capacities[1])
-                assert result == (brute[syms], None)
+                value, witness = brute[syms]
+                if value == capacities[1]:
+                    witness = ()
+                assert _branch_and_bound(syms, k, 0, capacities, tables, capacities[1]) == (
+                    value,
+                    witness,
+                )
 
 
 def test_search_matches_recursive_reference():
     # the explicit-stack kernel against the recursive one it replaced, on
     # seeded words up to n = 26: the same value and witness from the
-    # search, and from the kernel at every start, with and without the
-    # exact floor; suffix capacities exact for j > n // 2 and upper
+    # search, and from the kernel at every start, started at 1 and at
+    # the exact floor; suffix capacities exact for j > n // 2 and upper
     # bounds below
     rng = random.Random(20261019)
     for _ in range(60):
@@ -289,14 +294,14 @@ def test_search_matches_recursive_reference():
         w = Word(syms, k)
         index = _position_index(syms, k)
         caps = oracles.suffix_capacities(syms, k)
-        own, floor = _suffix_capacities(w, n, index)
-        assert own[n // 2 + 1 :] == caps[n // 2 + 1 :] and floor == caps[n // 2 + 1]
+        own = _suffix_capacities(w, n, index)[0]
+        assert own[n // 2 + 1 :] == caps[n // 2 + 1 :]
         assert all(map(ge, own, caps))
         assert _search_most_common(w) == oracles.search_most_common(syms, k)
         for start in range(n):
             tables = _step_tables(index, start, n)
             for floor in (None, caps[start + 1]):
-                assert _branch_and_bound(syms, k, start, caps, tables, floor) == (
+                assert _branch_and_bound(syms, k, start, caps, tables, floor or 1) == (
                     oracles.branch_and_bound(syms, k, start, caps, floor=floor)[:2]
                 )
 
@@ -304,20 +309,28 @@ def test_search_matches_recursive_reference():
 def test_suffix_capacities_exact_on_the_shorter_half():
     # every k=2 word of n <= 12 and k=3 word of n <= 8: capacities[j]
     # equals M(w[j:]) for j > n // 2 and bounds it from above below that,
-    # and the floor is the brute-force M(w[n // 2 + 1:]).  M of every
-    # suffix comes from the recursive reference, one floored search per
-    # word on the already known M of its own suffixes.
+    # with capacities[n // 2 + 1] the brute-force M(y), y = w[n // 2 + 1:].
+    # The pattern returned counts M(y) in y, and it is the lex-min
+    # witness of the shortest suffix of y whose top count is M(y).  M and
+    # the witness of every suffix come from the recursive reference, one
+    # floored search per word on the already known M of its own
+    # suffixes; the witness is () unless M beats the floor, which it does
+    # on that shortest suffix.
     for k, n_top in ((2, 12), (3, 8)):
-        top = {(): 1}
+        top = {(): (1, ())}
         for n in range(1, n_top + 1):
             for syms in product(range(k), repeat=n):
-                exact = [0] + [top[syms[j:]] for j in range(1, n + 1)]
-                top[syms] = oracles.branch_and_bound(syms, k, 0, exact, floor=exact[1])[0]
-                own, floor = _suffix_capacities(Word(syms, k), n, _position_index(syms, k))
+                exact = [0] + [top[syms[j:]][0] for j in range(1, n + 1)]
+                top[syms] = oracles.branch_and_bound(syms, k, 0, exact, floor=exact[1])[:2]
+                own, right = _suffix_capacities(Word(syms, k), n, _position_index(syms, k))
                 half = n // 2
+                y = syms[half + 1 :]
                 assert own[half + 1 :] == exact[half + 1 :]
                 assert all(map(ge, own[1:], exact[1:]))
-                assert floor == brute_max_over_patterns(syms[half + 1 :], k)
+                assert own[half + 1] == brute_max_over_patterns(y, k)
+                assert oracles.count_by_plain_dp(right, y) == own[half + 1]
+                shortest = max(j for j in range(half + 1, n + 1) if exact[j] == exact[half + 1])
+                assert right == top[syms[shortest:]][1]
 
 
 def test_search_long_pattern_does_not_recurse():
@@ -326,7 +339,10 @@ def test_search_long_pattern_does_not_recurse():
     syms = (0,) * n
     caps = [comb(n - j, (n - j) // 2) for j in range(n + 1)]
     tables = _step_tables(_position_index(syms, 1), 0, n)
-    assert _branch_and_bound(syms, 1, 0, caps, tables, floor=caps[1]) == (comb(n, n // 2), None)
+    assert _branch_and_bound(syms, 1, 0, caps, tables, caps[1]) == (
+        comb(n, n // 2),
+        (0,) * (n // 2),
+    )
 
 
 def _start_words(seed):
@@ -350,19 +366,27 @@ def _start_words(seed):
     yield (0, 1, 0), 2  # aba: floor = H < M(w)
 
 
+def _kernel_calls(n, plain):
+    """Kernel calls of one most-common search of n symbols: the suffix
+    chain's n - n // 2 - 1 and the root's, then the left half's search."""
+    return n - n // 2 + (_kernel_calls(n // 2 + 1, plain) if n > plain else 0)
+
+
 def test_search_start_matches_the_oracle(monkeypatch):
-    # the search starts just below H, the count of the halves' witnesses
-    # joined, with floor = M(w[h + 1:]) <= H <= M(w), h = n // 2; value
-    # and lex-min witness stay the recursive oracle's, at the package's
-    # plain-start length and with every word of 3 or more symbols on the
-    # H start, including H above the floor and H = M(w)
-    starts = []
+    # the search starts just below H, the count of the left half's
+    # witness joined with the top pattern of the right half y = w[h + 1:]
+    # that its suffix chain found, the witness of the shortest suffix of
+    # y whose top count is M(y), with floor = M(y) <= H <= M(w),
+    # h = n // 2; value and lex-min witness stay the recursive oracle's,
+    # at the package's plain-start length and with every word of 3 or
+    # more symbols on the H start, including H above the floor and
+    # H = M(w).  No kernel call searches y besides that chain.
+    calls = []
     kernel = counting_module._branch_and_bound
 
-    def spy(syms, k, start, capacities, tables, floor=None, low=1):
-        if start == 0:
-            starts.append(low)
-        return kernel(syms, k, start, capacities, tables, floor, low)
+    def spy(syms, k, start, capacities, tables, low):
+        calls.append((start, low))
+        return kernel(syms, k, start, capacities, tables, low)
 
     monkeypatch.setattr(counting_module, "_branch_and_bound", spy)
     edges = set()
@@ -371,19 +395,22 @@ def test_search_start_matches_the_oracle(monkeypatch):
         half = n // 2
         expected = oracles.search_most_common(syms, k)
         top = expected[0]
-        floor = brute_max_over_patterns(syms[half + 1 :], k)
+        caps = oracles.suffix_capacities(syms, k)
+        floor = caps[half + 1]
+        shortest = max(j for j in range(half + 1, n + 1) if caps[j] == floor)
         left = oracles.search_most_common(syms[: half + 1], k)[1]
-        right = oracles.search_most_common(syms[half + 1 :], k)[1]
+        right = oracles.search_most_common(syms[shortest:], k)[1]
         H = oracles.count_by_plain_dp(left + right, syms)
         assert floor <= H <= top
         if n > 2:
             edges.add((floor < H, H == top))
         for plain in (counting_module._PLAIN_START, 2):
             monkeypatch.setattr(counting_module, "_PLAIN_START", plain)
-            starts.clear()
+            calls.clear()
             assert _search_most_common(Word(syms, k)) == expected
+            assert len(calls) == _kernel_calls(n, plain)
             # the word's own search is the last one to run on w[0:]
-            assert starts[-1] == max(1, (H if n > plain else floor) - 1)
+            assert calls[-1] == (0, max(1, (H if n > plain else floor) - 1))
     assert edges == {(False, False), (False, True), (True, False), (True, True)}
 
 

@@ -125,7 +125,7 @@ def test_block_index_rejects_non_permutation_block(cw_t2_b3):
     bad = ConstructionWord(2, 3, 256, Word(tuple(syms), 256))
     with pytest.raises(ContractError, match="block 2 is not a permutation"):
         bad.block_offsets
-    v = Word(syms[:2], 256)
+    v = Word(tuple(syms[:2]), 256)
     with pytest.raises(ContractError, match="block 2 is not a permutation"):
         embedding_profile(v, (0, 1), bad)
     # a word too short for its declared blocks fails the same way

@@ -150,6 +150,13 @@ def test_non_int_arguments_are_contract_errors():
             call()
 
 
+def test_word_symbols_must_be_a_tuple():
+    # a list word compared unequal to its tuple twin and did not hash
+    for symbols in ([0, 1, 0], range(3), None):
+        with pytest.raises(ContractError, match="symbols must be a tuple"):
+            Word(symbols, 2)
+
+
 def test_non_word_arguments_are_contract_errors(tmp_path):
     for call in (
         lambda: to_text(5),
@@ -174,6 +181,8 @@ def test_non_word_arguments_are_contract_errors(tmp_path):
     junk=NOT_A_WORD,
 )
 @example(text=5, ids=["x"], alphabet_size=None, syms=[0, 1], m="2", junk="ab")
+# too long for a tuple: len() of the range overflows
+@example(text="", ids=range(10**30), alphabet_size=None, syms=[], m=0, junk=None)
 @settings(max_examples=300, deadline=None)
 def test_words_api_raises_only_documented_errors(text, ids, alphabet_size, syms, m, junk):
     w = Word(tuple(syms), 3)
