@@ -21,13 +21,19 @@ triple of the period once; the block caps are t raised to the sign
 caps, since agreeing exactly on J means a joint LCS of t^|J|.
 Every check returns a report of per-property results rather than
 raising, so callers can surface which instance failed and by how much.
+
+Agreement is read off masks: a sign vector is an int with bit c set
+where coordinate c + 1 is +1, so the coordinates where two vectors
+differ are the set bits of their XOR.  A pair agrees on r minus its
+popcount, a triple on r minus the popcount of the OR of two such XORs,
+and the last r - c coordinates are the XOR shifted down by c.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, repeat
 
 from .errors import BudgetError, ContractError, require_int
 from .lcs import lcs2, lcs3, multi_lcs
@@ -61,8 +67,18 @@ def signs_to_text(u: SignVector) -> str:
 
 
 def _check_sign_vector(u: SignVector) -> None:
-    if not isinstance(u, tuple) or not u or not all(map((1, -1).__contains__, u)):
-        raise ContractError("a sign vector is a nonempty tuple over {+1, -1}")
+    if (
+        not isinstance(u, tuple)
+        or not u
+        or not all(map(isinstance, u, repeat(int)))
+        or not all(map((1, -1).__contains__, u))
+    ):
+        raise ContractError("a sign vector is a nonempty tuple of ints over {+1, -1}")
+
+
+def _mask(u: SignVector) -> int:
+    """A checked sign vector as an int: bit c is set where coordinate c + 1 is +1."""
+    return sum(1 << c for c, s in enumerate(u) if s > 0)
 
 
 def _sign_family(vectors) -> tuple[SignVector, ...]:
@@ -106,11 +122,11 @@ def agreement_set(vectors) -> frozenset[int]:
     vs = _sign_family(vectors)
     if any(len(v) != len(vs[0]) for v in vs):
         raise ContractError("sign vectors must share one length")
-    return _agreement(vs)
-
-
-def _agreement(vs: tuple[SignVector, ...]) -> frozenset[int]:
-    return frozenset(j for j, col in enumerate(zip(*vs), 1) if col.count(col[0]) == len(vs))
+    first = _mask(vs[0])
+    differ = 0  # bit c set where some vector differs from the first at coordinate c + 1
+    for v in vs:
+        differ |= first ^ _mask(v)
+    return frozenset(c + 1 for c in range(len(vs[0])) if not differ >> c & 1)
 
 
 @dataclass(frozen=True)
@@ -159,13 +175,13 @@ def _family_sweeps(items, names, caps, pair, triple) -> list[PropertyResult]:
     """
 
     def measured(measure, size):
-        return {s: measure(*(items[x] for x in s)) for s in combinations(range(8), size)}
+        return {s: measure(*map(items.__getitem__, s)) for s in combinations(range(8), size)}
 
     def at(*positions):  # 1-based periodic positions -> sorted indices
         return tuple(sorted((p - 1) % 8 for p in positions))
 
     def distinct(*indices):
-        return all(items[a] != items[b] for a, b in combinations(indices, 2))
+        return len(set(map(items.__getitem__, indices))) == len(indices)
 
     pairs = measured(pair, 2)
     results = [
@@ -201,20 +217,20 @@ def verify_sign_properties(vectors) -> PropertyReport:
 
     Index-based facts quantify over the periodic sequence, so sweeping
     one period of start indices covers every instance; value-based
-    facts quantify over distinct vectors of the family.
+    facts quantify over distinct vectors of the family.  Each count is
+    read off the XOR of two masks, whose set bits are the coordinates
+    where two vectors differ.
     """
     vs = _sign_family(vectors)
     if len(vs) != 8 or any(len(v) != 8 for v in vs):
         raise ContractError("expected eight sign vectors of length 8")
+    masks = tuple(map(_mask, vs))
 
-    def agree(*family):
-        return len(_agreement(family))
-
-    def at(i):  # 1-based periodic
-        return vs[(i - 1) % 8]
+    def apart(i, j):  # coordinates where vectors i and i + j (1-based, periodic) differ
+        return masks[(i - 1) % 8] ^ masks[(i + j - 1) % 8]
 
     results = _family_sweeps(
-        vs,
+        masks,
         (
             "adjacent-pairs-agree-le2",
             "distinct-pairs-agree-le4",
@@ -223,34 +239,30 @@ def verify_sign_properties(vectors) -> PropertyReport:
             "distinct-triples-agree-le2",
         ),
         (2, 4, 0, 1, 2),
-        agree,
-        agree,
+        lambda a, b: 8 - (a ^ b).bit_count(),
+        lambda a, b, c: 8 - ((a ^ b) | (a ^ c)).bit_count(),
     )
     results += [
         _sweep(
             "last2-blocks-differ-within-gap3",
             1,
-            (
-                ((i, j), 2 if at(i)[6:] == at(i + j)[6:] else 0)
-                for i in range(1, 9)
-                for j in range(1, 4)
-            ),
+            (((i, j), 0 if apart(i, j) >> 6 else 2) for i in range(1, 9) for j in range(1, 4)),
             note="value 2 flags an equal last-2 projection",
         ),
         _sweep(
             "last3-blocks-differ-within-gap7",
             1,
-            (
-                ((i, j), 2 if at(i)[5:] == at(i + j)[5:] else 0)
-                for i in range(1, 9)
-                for j in range(1, 8)
-            ),
+            (((i, j), 0 if apart(i, j) >> 5 else 2) for i in range(1, 9) for j in range(1, 8)),
             note="value 2 flags an equal last-3 projection",
         ),
         _sweep(
             "last5-blocks-agree-le3-within-gap7",
             3,
-            (((i, j), agree(at(i)[3:], at(i + j)[3:])) for i in range(1, 9) for j in range(1, 8)),
+            (
+                ((i, j), 5 - (apart(i, j) >> 3).bit_count())
+                for i in range(1, 9)
+                for j in range(1, 8)
+            ),
         ),
     ]
     return PropertyReport(tuple(results))
@@ -347,6 +359,9 @@ def verify_lemma_intermediate(r: int, t: int, family) -> IntermediateReport:
     """For signed-lex permutations of [t]^r agreeing exactly on the
     coordinate set J, the joint LCS must equal t^|J|.  Computed by the
     independent product-space DP, not the permutation fast path."""
+    require_int(r=r)
+    if r < 1:
+        raise ContractError(f"need r >= 1, got {r}")
     vs = _sign_family(family)
     if any(len(v) != r for v in vs):
         raise ContractError(f"every sign vector must have length {r}")

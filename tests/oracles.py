@@ -434,6 +434,15 @@ def signed_lex_by_sort(u, t):
     return tuple(sorted(range(t**r), key=lambda s: tuple(map(mul, u, coords(s, t, r)))))
 
 
+def agreement_by_columns(vectors):
+    """1-based coordinates where every sign vector of the family agrees,
+    read off the family's columns: a column counts when all its entries
+    equal its first."""
+    return frozenset(
+        j for j, col in enumerate(zip(*vectors), 1) if col.count(col[0]) == len(vectors)
+    )
+
+
 def e_set(syms, t, r, x):
     """1-based positions z where the first-x-coordinate projection of a
     word over [t]^r changes between z and z+1."""

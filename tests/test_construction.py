@@ -29,7 +29,7 @@ from subseqlab.shapes import break_counts, check_break_bound
 from subseqlab.words import Word
 
 from contract_inputs import DOCUMENTED_ERRORS, JUNK, int_or_junk
-from oracles import coords, signed_lex_by_sort
+from oracles import agreement_by_columns, coords, signed_lex_by_sort
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +207,29 @@ def test_agreement_sets():
         agreement_set([])
     with pytest.raises(ContractError):
         agreement_set([(1, 1), (1, 1, 1)])
+    # entries are ints, bools included, as everywhere else in the package
+    for call in (lambda: agreement_set([(1.0,)]), lambda: signs_to_text((1.0, -1))):
+        with pytest.raises(ContractError, match="^a sign vector is a nonempty tuple of ints"):
+            call()
+    assert agreement_set([(True, -1), (1, -1)]) == frozenset({1, 2})
+    assert signs_to_text((True, -1)) == "+-"
+
+
+def test_agreement_sets_match_the_column_definition():
+    all_vs = list(product((1, -1), repeat=8))
+    for a, b in product(all_vs, repeat=2):
+        assert agreement_set([a, b]) == agreement_by_columns((a, b)), (a, b)
+    rng = random.Random(23)
+    for _ in range(3000):
+        family = rng.choices(all_vs, k=3)
+        assert agreement_set(family) == agreement_by_columns(family), family
+    # families of 1-9 vectors of length 1-9, some repeating a vector
+    for size in range(1, 10):
+        for r in range(1, 10):
+            for _ in range(20):
+                family = [tuple(rng.choice((1, -1)) for _ in range(r)) for _ in range(size)]
+                family[-1] = rng.choice(family)
+                assert agreement_set(family) == agreement_by_columns(family), family
 
 
 def _by_name(report: PropertyReport) -> dict[str, PropertyResult]:
@@ -249,6 +272,68 @@ def test_every_single_sign_flip_breaks_something():
     for (vi, ci), family in mutations:
         report = verify_sign_properties(family)
         assert not report.ok, f"flip at vector {vi}, coordinate {ci} broke nothing"
+
+
+def _column_sign_instances(vs):
+    """Every (label, value) each sign sweep should see, by name, with
+    each value read through the column definition of agreement."""
+
+    def agree(*family):
+        return len(agreement_by_columns(family))
+
+    def at(i):  # 1-based periodic
+        return vs[(i - 1) % 8]
+
+    def distinct(indices):
+        return len({vs[x] for x in indices}) == len(indices)
+
+    def gaps(j_max, value):
+        return [((i, j), value(at(i), at(i + j))) for i in range(1, 9) for j in range(1, j_max + 1)]
+
+    def equal_last(c):  # 2 flags vectors whose last c coordinates all agree
+        return lambda a, b: 2 if agree(a[-c:], b[-c:]) == c else 0
+
+    pairs, triples = combinations(range(8), 2), combinations(range(8), 3)
+    return {
+        "adjacent-pairs-agree-le2": [(i, agree(at(i), at(i + 1))) for i in range(1, 9)],
+        "distinct-pairs-agree-le4": [
+            (ab, agree(*(vs[x] for x in ab))) for ab in pairs if distinct(ab)
+        ],
+        "consecutive-triples-agree-nowhere": [
+            (i, agree(at(i), at(i + 1), at(i + 2))) for i in range(1, 9)
+        ],
+        "adjacent-plus-outsider-agree-le1": [
+            ((i, j), agree(at(i), at(i + 1), vs[j]))
+            for i in range(1, 9)
+            for j in range(8)
+            if vs[j] != at(i) and vs[j] != at(i + 1)
+        ],
+        "distinct-triples-agree-le2": [
+            (abc, agree(*(vs[x] for x in abc))) for abc in triples if distinct(abc)
+        ],
+        "last2-blocks-differ-within-gap3": gaps(3, equal_last(2)),
+        "last3-blocks-differ-within-gap7": gaps(7, equal_last(3)),
+        "last5-blocks-agree-le3-within-gap7": gaps(7, lambda a, b: agree(a[3:], b[3:])),
+    }
+
+
+def test_sign_sweeps_match_the_column_definition(monkeypatch):
+    # every instance each sweep checks, not only its worst value and
+    # first failures, on the block-verify families and random ones
+    seen = {}
+    real = construction_module._sweep
+
+    def recording(name, cap, instances, exact=False, note=""):
+        seen[name] = list(instances)
+        return real(name, cap, seen[name], exact, note)
+
+    monkeypatch.setattr(construction_module, "_sweep", recording)
+    base = base_sign_vectors()
+    families = [base, *(family for _, family in single_sign_mutations(base))]
+    for family in families + [((1,) * 8,) * 8, *_seeded_sign_families()]:
+        seen.clear()
+        verify_sign_properties(family)
+        assert seen == _column_sign_instances(family), family
 
 
 def test_sign_reports_are_pinned():
@@ -338,6 +423,12 @@ def test_intermediate_contracts():
         verify_lemma_intermediate(2, 2, [])
     with pytest.raises(ContractError):
         verify_lemma_intermediate(3, 2, [(1, 1)])
+    # r is checked before the family
+    with pytest.raises(ContractError, match="^r must be an int, got '3'$"):
+        verify_lemma_intermediate("3", 2, [(1, 1, 1)])
+    for r in (0, -1):
+        with pytest.raises(ContractError, match=f"^need r >= 1, got {r}$"):
+            verify_lemma_intermediate(r, 2, [(1,) * 3])
 
 
 # ---------------------------------------------------------------------------
