@@ -277,6 +277,7 @@ def _known_records() -> tuple[ExtremalRecord, ...]:
 
 
 def known_record(k: int, n: int) -> ExtremalRecord | None:
+    require_int(k=k, n=n)
     for r in _known_records():
         if (r.k, r.n) == (k, n):
             return r

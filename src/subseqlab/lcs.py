@@ -58,6 +58,8 @@ def support(w: Word) -> frozenset[int]:
 
 
 def _check_alphabets(ws: list[Word]) -> None:
+    if not isinstance(ws, (list, tuple)):
+        raise ContractError(f"words must come as a list or tuple, got {type(ws).__name__}")
     if not ws:
         raise ContractError("need at least one word")
     if not all(map(isinstance, ws, repeat(Word))):

@@ -18,7 +18,13 @@ and computes where a slice from a given start stops fitting a given
 block, in O(reach - start + 1), once per (block, start) pair.  Profiles
 take reach from it and their checks test block fit and reach
 maximality against it; the embeddings of one pattern share one table.
-The claim suite also scans the blocks greedily for each pattern's first
+
+The claim suite runs one loop per sampled pattern over its embeddings
+and checks every claim inline.  Two caches spare repeated work: the
+claims on a shape alone and its decomposition are made once per
+distinct shape, and the break bound of a block slice once per pattern
+and (entry, reach); their items are repeated for each embedding.  The
+suite also scans the blocks greedily for each pattern's first
 embedding, so a wrong table cannot vouch for itself.
 
 Classifying each overlap into six bands (thresholds 1, 10t, 10t^2,
@@ -472,13 +478,16 @@ class ShapeSuiteReport:
     seed: int
     patterns_checked: int = 0
     embeddings_checked: int = 0
-    distinct_shapes: int = 0
     shapes: tuple = ()
     violations: dict[str, list] = field(default_factory=dict)
 
     def add(self, category: str, items: list) -> None:
         if items:
             self.violations.setdefault(category, []).extend(items)
+
+    @property
+    def distinct_shapes(self) -> int:
+        return len(self.shapes)
 
     @property
     def total_violations(self) -> int:
@@ -502,39 +511,15 @@ def sample_pattern(rng: random.Random, cw: ConstructionWord, density: float) -> 
 _DENSITY_PALETTE = (0.003, 0.01, 0.03, 0.08, 0.2)
 
 
-class _ShapeVerdict:
-    """The claims on one shape alone, made once per distinct shape:
-    the category and items of each ALL_SHAPE_CLAIMS checker that flags
-    it, and the shape's decomposition."""
-
-    __slots__ = ("shape", "claims", "decomposition")
-
-    def __init__(self, s: tuple[int, ...]):
-        self.shape = s
-        claims = (
-            (checker.__name__.removeprefix("check_").replace("_", "-"), checker(s))
-            for checker in ALL_SHAPE_CLAIMS
-        )
-        self.claims = tuple((category, items) for category, items in claims if items)
-        self.decomposition = decompose_shape(s)
-
-
-class _SampledPattern:
-    """One sampled pattern of the claim suite: its reach table, and
-    what its per-pattern claims collect over its embeddings."""
-
-    def __init__(self, v: Word, cw: ConstructionWord, add):
-        self.v = v
-        self.cw = cw
-        self.reach = ReachTable(v, cw)
-        self.add = add  # ShapeSuiteReport.add
-        self.entries_seen: dict[tuple[int, ...], int] = {}
-        self.next_entry_choices: dict[tuple[int, int, int], set[int]] = {}
-        self.break_items: dict[tuple[int, int], list[dict]] = {}
-
-
-def _tagged(items: list[dict], tag: dict) -> list[dict]:
-    return [dict(item, **tag) for item in items]
+def _shape_verdict(s: tuple[int, ...]) -> tuple[tuple, ShapeDecomposition]:
+    """The claims on one shape alone: the category and items of each
+    ALL_SHAPE_CLAIMS checker that flags it, and the shape's
+    decomposition."""
+    claims = (
+        (checker.__name__.removeprefix("check_").replace("_", "-"), checker(s))
+        for checker in ALL_SHAPE_CLAIMS
+    )
+    return tuple((category, items) for category, items in claims if items), decompose_shape(s)
 
 
 def _scan_reach(v: Word, profile: EmbeddingProfile, cw: ConstructionWord) -> list[dict]:
@@ -553,79 +538,6 @@ def _scan_reach(v: Word, profile: EmbeddingProfile, cw: ConstructionWord) -> lis
     return out
 
 
-def _profile_invariant(p: _SampledPattern, tag, profile, verdict) -> None:
-    # reach maximality is spot-checked on each pattern's first embedding,
-    # also by a scan, as the table checks read what the reach came from
-    maximal = tag["embedding"] == 0
-    items = check_profile_invariants(p.v, profile, p.cw, maximality=maximal, reach=p.reach)
-    if maximal:
-        items += _scan_reach(p.v, profile, p.cw)
-    p.add("profile-invariant", _tagged(items, tag))
-
-
-def _shape_claims(p: _SampledPattern, tag, profile, verdict) -> None:
-    for category, items in verdict.claims:
-        p.add(category, _tagged(items, tag))
-
-
-def _big_interval_containment(p: _SampledPattern, tag, profile, verdict) -> None:
-    if 8 in verdict.shape:  # the claim starts only at a top-band overlap
-        items = check_big_interval_containment(profile, verdict.shape)
-        p.add("big-interval-containment", _tagged(items, tag))
-
-
-def _break_bound(p: _SampledPattern, tag, profile, verdict) -> None:
-    # per-block slices of the pattern live inside single blocks, so the
-    # prefix-break bound applies to each of them; a slice is checked
-    # once per pattern, its items repeated per block
-    v = p.v
-    for i, key in enumerate(zip(profile.entry, profile.reach)):
-        items = p.break_items.get(key)
-        if items is None:
-            piece = Word(v.symbols[key[0] - 1 : key[1]], v.alphabet_size)
-            items = p.break_items[key] = check_break_bound(piece, p.cw.t)
-        if items:
-            p.add("break-bound", [dict(item, **tag, block=i + 1) for item in items])
-
-
-def _determination(p: _SampledPattern, tag, profile, verdict) -> None:
-    # the full entry sequence must identify the embedding
-    first = p.entries_seen.setdefault(profile.entry, tag["embedding"])
-    if first != tag["embedding"]:
-        p.add("determination", [{**tag, "duplicate_of": first, "entries": profile.entry}])
-
-
-def _band_zero_pinch(p: _SampledPattern, tag, profile, verdict) -> None:
-    # the zero band pinches the overlap to -1 or 0; the other bands
-    # collect next-entry choices for the per-pattern band bound
-    ent, ove = profile.entry, profile.overlap
-    for i, x in enumerate(verdict.shape):
-        if x:
-            p.next_entry_choices.setdefault((i + 1, ent[i], x), set()).add(ent[i + 1])
-        elif ove[i] not in (-1, 0):
-            p.add("band-zero-pinch", [{**tag, "block": i + 1, "overlap": ove[i]}])
-
-
-def _decomposition(p: _SampledPattern, tag, profile, verdict) -> None:
-    dec = verdict.decomposition
-    if not dec.ok:
-        p.add("decomposition", [dict(dec.failure, **tag)])
-    elif len(verdict.shape) - dec.tail_start + 1 > 8:
-        p.add("decomposition", [{**tag, "tail": dec.tail_start}])
-
-
-# the claim suite's per-embedding claims, in report order
-_EMBEDDING_CLAIMS = (
-    _profile_invariant,
-    _shape_claims,
-    _big_interval_containment,
-    _break_bound,
-    _determination,
-    _band_zero_pinch,
-    _decomposition,
-)
-
-
 def run_claim_suite(
     t: int,
     blocks: int,
@@ -635,50 +547,86 @@ def run_claim_suite(
 ) -> ShapeSuiteReport:
     """Sample random patterns from a construction word, enumerate up to
     embed_cap embeddings each, and test every profile/shape claim on
-    every embedding; reach maximality is spot-checked on each pattern's
-    first embedding, whose block fits are also scanned without the
-    table.  Each pattern's embeddings share one reach table, and the
-    claims on a shape alone are made once per distinct shape, their
-    items repeated for each embedding of that shape.  Deterministic for
-    a fixed seed."""
+    every embedding, in one loop per pattern over its embeddings.
+
+    Each embedding's items are tagged with its sample and embedding
+    index and reported in this order: profile invariants (reach
+    maximality spot-checked on the pattern's first embedding, whose
+    block fits are also scanned without the table), the claims on the
+    shape alone, big-interval containment, the break bound per block,
+    determination by the entry sequence, the band-zero pinch, and the
+    decomposition.  After its embeddings a pattern adds the band
+    next-entry counts.  Each pattern's embeddings share one reach
+    table.  Two caches repeat items instead of recomputing them: the
+    claims on a shape alone and its decomposition, once per distinct
+    shape; and the break bound of a block slice, once per pattern and
+    (entry, reach).  Deterministic for a fixed seed."""
     require_int(patterns=patterns, seed=seed)
     if patterns < 0:
         raise ContractError(f"patterns must be >= 0, got {patterns}")
     cw = build_construction_word(t, blocks)
     rng = random.Random(seed)
     report = ShapeSuiteReport(t, blocks, seed)
-    verdicts: dict[tuple[int, ...], _ShapeVerdict] = {}
-    for sample_index in range(patterns):
+    add = report.add
+    verdicts: dict[tuple[int, ...], tuple[tuple, ShapeDecomposition]] = {}
+    for sample in range(patterns):
         v = sample_pattern(rng, cw, rng.choice(_DENSITY_PALETTE))
         enum = enumerate_embeddings(v, cw.word, cap=embed_cap)
         report.patterns_checked += 1
-        p = _SampledPattern(v, cw, report.add)
-        for e_index, positions in enumerate(enum):
+        reach = ReachTable(v, cw)
+        break_items: dict[tuple[int, int], list[dict]] = {}
+        entries_seen: dict[tuple[int, ...], int] = {}
+        next_entries: dict[tuple[int, int, int], set[int]] = {}
+        for e, positions in enumerate(enum):
             report.embeddings_checked += 1
-            tag = {"sample": sample_index, "embedding": e_index}
-            profile = embedding_profile(v, positions, cw, reach=p.reach)
+            tag = {"sample": sample, "embedding": e}
+            profile = embedding_profile(v, positions, cw, reach=reach)
+            ent, ove = profile.entry, profile.overlap
             s = shape_of(profile, t)
-            verdict = verdicts.get(s)
-            if verdict is None:
-                verdict = verdicts[s] = _ShapeVerdict(s)
-            for claim in _EMBEDDING_CLAIMS:
-                claim(p, tag, profile, verdict)
-        for (block, entry_value, x), nxt in p.next_entry_choices.items():
-            if len(nxt) > 10 * t**x:
-                report.add(
-                    "band-next-entry-count",
-                    [
-                        {
-                            "sample": sample_index,
-                            "block": block,
-                            "entry": entry_value,
-                            "band": x,
-                            "choices": len(nxt),
-                            "cap": 10 * t**x,
-                        }
-                    ],
-                )
-    report.distinct_shapes = len(verdicts)
+            if s not in verdicts:
+                verdicts[s] = _shape_verdict(s)
+            claims, dec = verdicts[s]
+            # reach maximality is spot-checked on each pattern's first
+            # embedding, also by a scan, as the table checks read what the
+            # reach came from
+            items = check_profile_invariants(v, profile, cw, maximality=e == 0, reach=reach)
+            if e == 0:
+                items += _scan_reach(v, profile, cw)
+            found = [("profile-invariant", items), *claims]
+            if 8 in s:  # the containment claim starts only at a top-band overlap
+                items = check_big_interval_containment(profile, s)
+                found.append(("big-interval-containment", items))
+            for category, items in found:
+                add(category, [dict(item, **tag) for item in items])
+            # per-block slices of the pattern live inside single blocks, so
+            # the prefix-break bound applies to each of them
+            for i, key in enumerate(zip(ent, profile.reach)):
+                items = break_items.get(key)
+                if items is None:
+                    piece = Word(v.symbols[key[0] - 1 : key[1]], v.alphabet_size)
+                    items = break_items[key] = check_break_bound(piece, t)
+                if items:
+                    add("break-bound", [dict(item, **tag, block=i + 1) for item in items])
+            # the full entry sequence must identify the embedding
+            first = entries_seen.setdefault(ent, e)
+            if first != e:
+                add("determination", [{**tag, "duplicate_of": first, "entries": ent}])
+            # the zero band pinches the overlap to -1 or 0; the other bands
+            # collect next-entry choices for the per-pattern band bound
+            for i, x in enumerate(s):
+                if x:
+                    next_entries.setdefault((i + 1, ent[i], x), set()).add(ent[i + 1])
+                elif ove[i] not in (-1, 0):
+                    add("band-zero-pinch", [{**tag, "block": i + 1, "overlap": ove[i]}])
+            if not dec.ok:
+                add("decomposition", [dict(dec.failure, **tag)])
+            elif len(s) - dec.tail_start + 1 > 8:
+                add("decomposition", [{**tag, "tail": dec.tail_start}])
+        for (block, entry, x), choices in next_entries.items():
+            cap = 10 * t**x
+            if len(choices) > cap:
+                item = {"sample": sample, "block": block, "entry": entry, "band": x}
+                add("band-next-entry-count", [{**item, "choices": len(choices), "cap": cap}])
     report.shapes = tuple(sorted(verdicts))
     return report
 

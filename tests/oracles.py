@@ -4,9 +4,12 @@ Everything here is deliberately naive and self-contained: counting by
 enumerating position combinations, maximising by sweeping every
 pattern or every position subset, orbits by applying every group
 element.  None of it shares code with the package, so agreement is
-evidence, not tautology.
+evidence, not tautology.  The one exception is ``claim_suite``, which
+drives the package's public shape checkers without the claim suite's
+caches, so it tests the caching and ordering, not the checkers.
 """
 
+import random
 from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, combinations, compress, permutations, product, repeat
@@ -415,6 +418,71 @@ def profile_invariants_one_embedding(v_syms, profile, offset_maps, maximality=Fa
             if _block_fit_end(extended, 0, offsets) == len(extended):
                 violations.append({"kind": "reach-maximality", "block": i + 1})
     return violations
+
+
+def claim_suite(shapes, t, blocks, patterns, seed, embed_cap=150):
+    """What ``shapes.run_claim_suite`` reports, computed with no cache.
+
+    The patterns are drawn as the suite draws them.  Every public
+    checker of the ``shapes`` module (looked up at call time) runs
+    afresh on every embedding, each profile with a fresh ReachTable, and
+    the first embedding's blocks are fitted by two pointers.  Returns
+    (embeddings checked, the sorted distinct shapes, the violations by
+    category in report order)."""
+    cw = shapes.build_construction_word(t, blocks)
+    w, L = cw.word.symbols, cw.block_length
+    rng = random.Random(seed)
+    embeddings, seen, found = 0, set(), {}
+
+    def add(category, items):
+        if items:
+            found.setdefault(category, []).extend(items)
+
+    for sample in range(patterns):
+        v = shapes.sample_pattern(rng, cw, rng.choice(shapes._DENSITY_PALETTE))
+        syms = v.symbols
+        entries_seen, next_entries = {}, {}
+        for e, positions in enumerate(shapes.enumerate_embeddings(v, cw.word, cap=embed_cap).maps):
+            embeddings += 1
+            tag = {"sample": sample, "embedding": e}
+            profile = shapes.embedding_profile(v, positions, cw)
+            ent, rea, ove = profile.entry, profile.reach, profile.overlap
+            s = shapes.shape_of(profile, t)
+            seen.add(s)
+            items = shapes.check_profile_invariants(v, profile, cw, maximality=e == 0)
+            for i, (a, b) in enumerate(zip(ent, rea) if e == 0 else ()):
+                block = w[i * L : (i + 1) * L]
+                if not subsequence_by_two_pointer(syms[a - 1 : b], block):
+                    items.append({"kind": "block-fit", "block": i + 1})
+                elif b < len(syms) and subsequence_by_two_pointer(syms[a - 1 : b + 1], block):
+                    items.append({"kind": "reach-maximality", "block": i + 1})
+            add("profile-invariant", [{**item, **tag} for item in items])
+            for checker in shapes.ALL_SHAPE_CLAIMS:
+                category = checker.__name__.removeprefix("check_").replace("_", "-")
+                add(category, [{**item, **tag} for item in checker(s)])
+            items = shapes.check_big_interval_containment(profile, s)
+            add("big-interval-containment", [{**item, **tag} for item in items])
+            for i, (a, b) in enumerate(zip(ent, rea)):
+                items = shapes.check_break_bound(shapes.Word(syms[a - 1 : b], v.alphabet_size), t)
+                add("break-bound", [{**item, **tag, "block": i + 1} for item in items])
+            first = entries_seen.setdefault(ent, e)
+            if first != e:
+                add("determination", [{**tag, "duplicate_of": first, "entries": ent}])
+            for i, x in enumerate(s):
+                if x:
+                    next_entries.setdefault((i + 1, ent[i], x), set()).add(ent[i + 1])
+                elif ove[i] not in (-1, 0):
+                    add("band-zero-pinch", [{**tag, "block": i + 1, "overlap": ove[i]}])
+            dec = shapes.decompose_shape(s)
+            if dec.failure is not None:
+                add("decomposition", [{**dec.failure, **tag}])
+            elif len(s) - dec.tail_start + 1 > 8:
+                add("decomposition", [{**tag, "tail": dec.tail_start}])
+        for (block, entry, x), choices in next_entries.items():
+            if len(choices) > 10 * t**x:
+                item = {"sample": sample, "block": block, "entry": entry, "band": x}
+                add("band-next-entry-count", [{**item, "choices": len(choices), "cap": 10 * t**x}])
+    return embeddings, tuple(sorted(seen)), found
 
 
 def coords(symbol, t, r):

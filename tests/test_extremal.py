@@ -510,6 +510,8 @@ def test_non_int_arguments_are_contract_errors():
         lambda: mu_window(None),
         lambda: best_window([None]),
         lambda: best_window(None),
+        lambda: known_record(2.0, 40),
+        lambda: known_record("2", 40),
     ):
         with pytest.raises(ContractError, match="must be"):
             call()

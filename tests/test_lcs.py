@@ -438,6 +438,13 @@ def test_multi_single_word_and_contracts():
         multi_lcs([])
     with pytest.raises(ContractError):
         multi_lcs([word("ab"), word("abc")])
+    # a container of words that is not a list or tuple is refused
+    p, q = Word((0, 1, 2), 3), Word((2, 0, 1), 3)
+    for f in (multi_lcs, permutation_chain_lcs):
+        assert f((p, q)) == f([p, q])
+        for ws in (iter([p, q]), {p, q}, {p: 1, q: 2}):
+            with pytest.raises(ContractError, match="list or tuple"):
+                f(ws)
 
 
 def test_multi_budget():

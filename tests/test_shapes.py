@@ -44,6 +44,7 @@ from subseqlab.words import Word
 from contract_inputs import DOCUMENTED_ERRORS, JUNK, NOT_A_WORD, int_or_junk
 from oracles import (
     block_offset_maps,
+    claim_suite,
     e_set,
     profile_by_definitions,
     profile_invariants_one_embedding,
@@ -508,7 +509,7 @@ def test_claim_suite_deterministic():
         assert _suite_digest(report) == digest, args
 
 
-def test_claim_suite_break_bound_items_keep_their_order(monkeypatch):
+def _flag_break_bounds(monkeypatch):
     # flag every third piece length, so the report carries break-bound
     # items whose order per embedding and block is pinned
     real = shapes_module.check_break_bound
@@ -518,6 +519,52 @@ def test_claim_suite_break_bound_items_keep_their_order(monkeypatch):
         return (flag if len(b) % 3 == 1 else []) + real(b, t)
 
     monkeypatch.setattr(shapes_module, "check_break_bound", flagging)
+
+
+def _flag_shapes(monkeypatch):
+    # flag shapes through one shape checker and through the decomposition
+    # (failures, and long tails), so every embedding of a flagged shape
+    # carries its own items, tagged and keyed in report order
+    real_claims = shapes_module.ALL_SHAPE_CLAIMS
+    real_decompose = shapes_module.decompose_shape
+
+    def check_no_double_big(s):
+        flag = [{"claim": "no-double-big", "index": 0, "window": s[:3]}]
+        return (flag if s.count(1) % 3 == 1 else []) + real_claims[1](s)
+
+    def flagging_decompose(s):
+        if sum(s) % 3 == 0:
+            failure = {"index": 1, "entry": s[:1], "next": s[1:2], "window": s[:9]}
+            return ShapeDecomposition((), 1, failure)
+        if sum(s) % 3 == 1:
+            return ShapeDecomposition((), 1, None)
+        return real_decompose(s)
+
+    flagged = (real_claims[0], check_no_double_big) + real_claims[2:]
+    monkeypatch.setattr(shapes_module, "ALL_SHAPE_CLAIMS", flagged)
+    monkeypatch.setattr(shapes_module, "decompose_shape", flagging_decompose)
+
+
+@pytest.mark.parametrize(
+    "flag", [None, _flag_break_bounds, _flag_shapes], ids=["plain", "break-bounds", "shapes"]
+)
+def test_claim_suite_matches_the_uncached_oracle(monkeypatch, flag):
+    # the suite's caches (per shape, and per pattern and block slice) and
+    # its big-interval shortcut must not change a report: same categories,
+    # and the same items in the same order, as every checker run afresh
+    if flag is not None:
+        flag(monkeypatch)
+    for args, kwargs, _ in _PINNED_SUITES:
+        r = run_claim_suite(*args, **kwargs)
+        embeddings, distinct, violations = claim_suite(shapes_module, *args, **kwargs)
+        assert (r.embeddings_checked, r.shapes) == (embeddings, distinct), args
+        assert list(r.violations) == list(violations), args
+        assert r.violations == violations, args
+        assert repr(r.violations) == repr(violations), args  # key order inside items too
+
+
+def test_claim_suite_break_bound_items_keep_their_order(monkeypatch):
+    _flag_break_bounds(monkeypatch)
     pinned = (
         ((2, 12, 20, 7), 7431, "04c5c37b0a951729739044543ac29f66abb662a6bcda365973b03c33cd26a0f2"),
         ((2, 10, 5, 11), 1568, "1f31bf9aa4fc3c7da06c7fab7f7b30f9b5b0968e36a81b4e5b8291e83441091a"),
@@ -605,27 +652,7 @@ def test_reach_table_of_another_pattern_or_word_is_refused(cw_t2_b3):
 
 
 def test_claim_suite_shape_items_repeat_per_embedding_in_order(monkeypatch):
-    # flag shapes through one shape checker and through the decomposition
-    # (failures, and long tails), so every embedding of a flagged shape
-    # carries its own items, tagged and keyed in report order
-    real_claims = shapes_module.ALL_SHAPE_CLAIMS
-    real_decompose = shapes_module.decompose_shape
-
-    def check_no_double_big(s):
-        flag = [{"claim": "no-double-big", "index": 0, "window": s[:3]}]
-        return (flag if s.count(1) % 3 == 1 else []) + real_claims[1](s)
-
-    def flagging_decompose(s):
-        if sum(s) % 3 == 0:
-            failure = {"index": 1, "entry": s[:1], "next": s[1:2], "window": s[:9]}
-            return ShapeDecomposition((), 1, failure)
-        if sum(s) % 3 == 1:
-            return ShapeDecomposition((), 1, None)
-        return real_decompose(s)
-
-    flagged = (real_claims[0], check_no_double_big) + real_claims[2:]
-    monkeypatch.setattr(shapes_module, "ALL_SHAPE_CLAIMS", flagged)
-    monkeypatch.setattr(shapes_module, "decompose_shape", flagging_decompose)
+    _flag_shapes(monkeypatch)
     pinned = (
         ((2, 12, 20, 7), 1778, "5b65eed419e159853fca200773e1e6df2bc9c46125b6b94182e93f4491e75c23"),
         ((2, 10, 5, 11), 384, "8f6ad475c5bf47bbde47f253845e7eed90d488bc292fe8521b3b4ea5a5c2e766"),
