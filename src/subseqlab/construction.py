@@ -18,7 +18,13 @@ pairwise/triple/prefix-class LCS bounds for the concatenated blocks.
 The sign and block verifiers share one sweep helper over the five
 pair and triple families, which measures each unordered index pair and
 triple of the period once; the block caps are t raised to the sign
-caps, since agreeing exactly on J means a joint LCS of t^|J|.
+caps, since agreeing exactly on J means a joint LCS of t^|J|.  The
+period is fixed at eight, so the index work of every sweep (which pair
+or triple each instance reads, under which label, and which pairs must
+hold distinct members) is a module-level plan built at import; a call
+only measures and filters.  The prefix-class bounds need LCS lengths
+alone, so they count the heights of the patience sweep that ``lcs2``
+runs on permutations and build no witness.
 Every check returns a report of per-property results rather than
 raising, so callers can surface which instance failed and by how much.
 
@@ -36,7 +42,7 @@ from functools import cached_property
 from itertools import combinations, repeat
 
 from .errors import BudgetError, ContractError, require_int
-from .lcs import lcs2, lcs3, multi_lcs
+from .lcs import _patience_sweep, lcs2, lcs3, multi_lcs
 from .words import Word
 
 SignVector = tuple[int, ...]
@@ -161,6 +167,36 @@ def _sweep(name, cap, instances, exact=False, note="") -> PropertyResult:
     return PropertyResult(name, not failures, True, worst, tuple(failures[:8]), note)
 
 
+# Instance plans for the 8-periodic family: every sweep's index work,
+# done once.  Positions are 1-based and periodic, family indices 0-based.
+_PAIRS = tuple(combinations(range(8), 2))  # 28
+_TRIPLES = tuple(combinations(range(8), 3))  # 56
+_PAIR_AT = {ab: n for n, ab in enumerate(_PAIRS)}
+_TRIPLE_AT = {abc: n for n, abc in enumerate(_TRIPLES)}
+
+
+def _at(plan, *positions):
+    """The plan index of the members at these periodic positions."""
+    return plan[tuple(sorted((p - 1) % 8 for p in positions))]
+
+
+# per triple, the indices of its three member pairs
+_TRIPLE_PAIRS = tuple(tuple(_PAIR_AT[ab] for ab in combinations(abc, 2)) for abc in _TRIPLES)
+# (start, pair) and (start, triple) of the adjacent and consecutive sweeps
+_ADJACENT = tuple((i, _at(_PAIR_AT, i, i + 1)) for i in range(1, 9))
+_CONSECUTIVE = tuple((i, _at(_TRIPLE_AT, i, i + 1, i + 2)) for i in range(1, 9))
+# ((start, outsider), triple, outsider's pair with each adjacent member),
+# for every outsider index other than the two adjacent ones
+_OUTSIDER = tuple(
+    ((i, j), _at(_TRIPLE_AT, i, i + 1, j + 1), _at(_PAIR_AT, i, j + 1), _at(_PAIR_AT, i + 1, j + 1))
+    for i in range(1, 9)
+    for j in range(8)
+    if j not in ((i - 1) % 8, i % 8)
+)
+# ((start, gap), pair) for the blocks at positions i and i + gap, gap 1..7
+_GAPS = tuple(((i, j), _at(_PAIR_AT, i, i + j)) for i in range(1, 9) for j in range(1, 8))
+
+
 def _family_sweeps(items, names, caps, pair, triple) -> list[PropertyResult]:
     """The five sweeps both verifiers share over the 8-periodic family
     ``items``: adjacent pairs, distinct pairs, consecutive triples (exact),
@@ -169,45 +205,38 @@ def _family_sweeps(items, names, caps, pair, triple) -> list[PropertyResult]:
     ``pair`` and ``triple`` are symmetric measures, taken once per
     unordered index pair (28) and index triple (56).  Labels give a
     periodic start i 1-based and a family index 0-based; the value
-    sweeps (distinct, outsider) skip instances with equal members.
-    When ``triple`` raises BudgetError, the three triple sweeps are
-    reported unchecked, with its message as the note.
+    sweeps (distinct, outsider) skip instances with equal members,
+    read off one equality test per index pair.  When ``triple`` raises
+    BudgetError, the three triple sweeps are reported unchecked, with
+    its message as the note.
     """
-
-    def measured(measure, size):
-        return {s: measure(*map(items.__getitem__, s)) for s in combinations(range(8), size)}
-
-    def at(*positions):  # 1-based periodic positions -> sorted indices
-        return tuple(sorted((p - 1) % 8 for p in positions))
-
-    def distinct(*indices):
-        return len(set(map(items.__getitem__, indices))) == len(indices)
-
-    pairs = measured(pair, 2)
+    pairs = [pair(items[a], items[b]) for a, b in _PAIRS]
+    same = [items[a] == items[b] for a, b in _PAIRS]
     results = [
-        _sweep(names[0], caps[0], ((i, pairs[at(i, i + 1)]) for i in range(1, 9))),
-        _sweep(names[1], caps[1], ((ab, pairs[ab]) for ab in pairs if distinct(*ab))),
+        _sweep(names[0], caps[0], [(i, pairs[p]) for i, p in _ADJACENT]),
+        _sweep(names[1], caps[1], [(ab, v) for ab, v, eq in zip(_PAIRS, pairs, same) if not eq]),
     ]
     try:
-        triples = measured(triple, 3)
+        triples = [triple(items[a], items[b], items[c]) for a, b, c in _TRIPLES]
     except BudgetError as exc:
         unchecked = [PropertyResult(name, True, False, None, (), str(exc)) for name in names[2:]]
         return results + unchecked
     return results + [
-        _sweep(
-            names[2], caps[2], ((i, triples[at(i, i + 1, i + 2)]) for i in range(1, 9)), exact=True
-        ),
+        _sweep(names[2], caps[2], [(i, triples[q]) for i, q in _CONSECUTIVE], exact=True),
         _sweep(
             names[3],
             caps[3],
-            (
-                ((i, j), triples[at(i, i + 1, j + 1)])
-                for i in range(1, 9)
-                for j in range(8)
-                if items[j] != items[(i - 1) % 8] and items[j] != items[i % 8]
-            ),
+            [(ij, triples[q]) for ij, q, p, r in _OUTSIDER if not (same[p] or same[r])],
         ),
-        _sweep(names[4], caps[4], ((abc, triples[abc]) for abc in triples if distinct(*abc))),
+        _sweep(
+            names[4],
+            caps[4],
+            [
+                (abc, v)
+                for abc, v, (p, q, r) in zip(_TRIPLES, triples, _TRIPLE_PAIRS)
+                if not (same[p] or same[q] or same[r])
+            ],
+        ),
     ]
 
 
@@ -225,10 +254,6 @@ def verify_sign_properties(vectors) -> PropertyReport:
     if len(vs) != 8 or any(len(v) != 8 for v in vs):
         raise ContractError("expected eight sign vectors of length 8")
     masks = tuple(map(_mask, vs))
-
-    def apart(i, j):  # coordinates where vectors i and i + j (1-based, periodic) differ
-        return masks[(i - 1) % 8] ^ masks[(i + j - 1) % 8]
-
     results = _family_sweeps(
         masks,
         (
@@ -242,27 +267,26 @@ def verify_sign_properties(vectors) -> PropertyReport:
         lambda a, b: 8 - (a ^ b).bit_count(),
         lambda a, b, c: 8 - ((a ^ b) | (a ^ c)).bit_count(),
     )
+    # where the vectors i and i + j differ, per gap instance
+    xors = [masks[a] ^ masks[b] for a, b in _PAIRS]
+    apart = [(ij, xors[p]) for ij, p in _GAPS]
     results += [
         _sweep(
             "last2-blocks-differ-within-gap3",
             1,
-            (((i, j), 0 if apart(i, j) >> 6 else 2) for i in range(1, 9) for j in range(1, 4)),
+            [(ij, 0 if x >> 6 else 2) for ij, x in apart if ij[1] <= 3],
             note="value 2 flags an equal last-2 projection",
         ),
         _sweep(
             "last3-blocks-differ-within-gap7",
             1,
-            (((i, j), 0 if apart(i, j) >> 5 else 2) for i in range(1, 9) for j in range(1, 8)),
+            [(ij, 0 if x >> 5 else 2) for ij, x in apart],
             note="value 2 flags an equal last-3 projection",
         ),
         _sweep(
             "last5-blocks-agree-le3-within-gap7",
             3,
-            (
-                ((i, j), 5 - (apart(i, j) >> 3).bit_count())
-                for i in range(1, 9)
-                for j in range(1, 8)
-            ),
+            [(ij, 5 - (x >> 3).bit_count()) for ij, x in apart],
         ),
     ]
     return PropertyReport(tuple(results))
@@ -292,6 +316,16 @@ class ConstructionWord:
         require_int(t=self.t, block_count=self.block_count, block_length=self.block_length)
         if not isinstance(self.word, Word):
             raise ContractError(f"word must be a Word, got {self.word!r}")
+        if self.block_count < 1 or self.block_length < 1:
+            raise ContractError(
+                f"need block_count >= 1 and block_length >= 1, "
+                f"got {self.block_count} and {self.block_length}"
+            )
+        if len(self.word) != self.block_count * self.block_length:
+            raise ContractError(
+                f"word has {len(self.word)} symbols, not block_count * block_length = "
+                f"{self.block_count * self.block_length}"
+            )
 
     @cached_property
     def block_offsets(self) -> tuple[tuple[int, ...], ...]:
@@ -372,17 +406,16 @@ def verify_lemma_intermediate(r: int, t: int, family) -> IntermediateReport:
     return IntermediateReport(t, r, len(unique), J, t ** len(J), computed)
 
 
-def _prefix_classes(perm: Word, t: int, prefix_len: int) -> list[Word]:
+def _prefix_classes(perm: Word, t: int, prefix_len: int) -> list[tuple[int, ...]]:
     """perm's symbols over [t]^r grouped by the packed value of their
     first prefix_len coordinates, one subsequence of perm per value in
     ascending order: with coordinate 1 most significant, that value is
     the symbol id shifted down by the other r - prefix_len digits."""
-    size = perm.alphabet_size
-    shift = size // t**prefix_len
+    shift = perm.alphabet_size // t**prefix_len
     groups: list[list[int]] = [[] for _ in range(t**prefix_len)]
     for s in perm.symbols:
         groups[s // shift].append(s)
-    return [Word(tuple(g), size) for g in groups]
+    return list(map(tuple, groups))
 
 
 def verify_permutation_properties(t: int, vectors=None) -> PropertyReport:
@@ -413,29 +446,27 @@ def verify_permutation_properties(t: int, vectors=None) -> PropertyReport:
         lambda a, b, c: lcs3(a, b, c)[0],
     )
 
-    def class_sweep(name, prefix_len, gaps, cap):
-        # each block's class words, built once
-        classes = [_prefix_classes(perm, t, prefix_len) for perm in perms]
-        worst: dict[frozenset[int], int] = {}  # per unordered block pair
+    distinct = [perms[a] != perms[b] for a, b in _PAIRS]
 
-        def worst_class(a, b):
-            key = frozenset((a, b))
-            if key not in worst:
-                worst[key] = max(lcs2(x, y)[0] for x, y in zip(classes[a], classes[b]))
-            return worst[key]
+    def class_sweep(name, prefix_len, max_gap, cap):
+        # each block's class symbols, built once; a pair's bound is the
+        # largest class LCS, the number of patience heights
+        classes = [_prefix_classes(perm, t, prefix_len) for perm in perms]
+        worst: dict[int, int] = {}  # per block pair index
+
+        def worst_class(p):
+            if p not in worst:
+                a, b = _PAIRS[p]
+                worst[p] = max(map(len, map(_patience_sweep, classes[a], classes[b])))
+            return worst[p]
 
         return _sweep(
             name,
             cap,
-            (
-                ((i, j), worst_class((i - 1) % 8, (i + j - 1) % 8))
-                for i in range(1, 9)
-                for j in gaps
-                if perms[(i - 1) % 8] != perms[(i + j - 1) % 8]
-            ),
+            [(ij, worst_class(p)) for ij, p in _GAPS if ij[1] <= max_gap and distinct[p]],
         )
 
-    results.append(class_sweep("fixed-prefix6-lcs-le-t", 6, range(1, 4), t))
-    results.append(class_sweep("fixed-prefix5-lcs-le-t2", 5, range(1, 8), t**2))
-    results.append(class_sweep("fixed-prefix3-lcs-le-t3", 3, range(1, 8), t**3))
+    results.append(class_sweep("fixed-prefix6-lcs-le-t", 6, 3, t))
+    results.append(class_sweep("fixed-prefix5-lcs-le-t2", 5, 7, t**2))
+    results.append(class_sweep("fixed-prefix3-lcs-le-t3", 3, 7, t**3))
     return PropertyReport(tuple(results))

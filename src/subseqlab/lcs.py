@@ -10,7 +10,10 @@ Words in which every symbol occurs at most once ("permutation words")
 make a common subsequence a chain in the poset of per-word positions:
 
 * two permutation words (``lcs2``): a patience sweep over the second
-  positions, O(m log m) time and O(m) memory for m common symbols;
+  positions, O(m log m) time and O(m) memory for m common symbols,
+  then a lex-min pick from its height buckets (callers that need only
+  the length, such as the block verifier's prefix classes, take the
+  number of buckets and skip the pick);
 * three or more permutation words (``lcs3``, ``permutation_chain_lcs``):
   a layer-mask kernel over Python ints, one m-bit "above in every other
   word" mask per point and one mask per chain height, so m^2 mask bits
@@ -50,6 +53,8 @@ CHAIN_MASK_BIT_BUDGET = 2**30
 
 
 def is_permutation_word(w: Word) -> bool:
+    """Whether every symbol of ``w`` occurs at most once."""
+    require_word(w=w)
     return len(set(w.symbols)) == len(w.symbols)
 
 
@@ -150,24 +155,7 @@ def _lex_min_witness(seqs, suffix_lcs) -> tuple[int, ...]:
 
 
 def _perm_lcs2(w1: Word, w2: Word) -> tuple[int, Word]:
-    pos2 = {c: p for p, c in enumerate(w2.symbols)}
-    elems = [(p1, pos2[c], c) for p1, c in enumerate(w1.symbols) if c in pos2]
-    # Patience sweep from right to left.  A chain read backwards has
-    # falling second positions, so with them negated it is an increasing
-    # run: tails[h] is the smallest negated second position that starts
-    # a chain of h + 1 points among those seen, and buckets[h] holds the
-    # points whose longest chain has h + 1 points.
-    tails: list[int] = []
-    buckets: list[list[tuple[int, int, int]]] = []
-    for e in reversed(elems):
-        q = -e[1]
-        h = bisect_left(tails, q)
-        if h == len(tails):
-            tails.append(q)
-            buckets.append([e])
-        else:
-            tails[h] = q
-            buckets[h].append(e)
+    buckets = _patience_sweep(w1.symbols, w2.symbols)
     # every point after and above a pick of height r + 1 has height at
     # most r, so the smallest such symbol of height r is lex-min
     out = []
@@ -180,6 +168,33 @@ def _perm_lcs2(w1: Word, w2: Word) -> tuple[int, Word]:
         out.append(pick[2])
         cur1, cur2 = pick[0], pick[1]
     return len(buckets), Word(tuple(out), w1.alphabet_size)
+
+
+def _patience_sweep(s1, s2) -> list[list[tuple[int, int, int]]]:
+    """The points (first position, second position, symbol) of the
+    symbols common to two permutation sequences, bucketed by height:
+    ``buckets[h]`` holds the points whose longest chain starting there
+    has h + 1 points, so there are as many buckets as the LCS length.
+
+    Patience sweep from right to left.  A chain read backwards has
+    falling second positions, so with them negated it is an increasing
+    run: tails[h] is the smallest negated second position that starts a
+    chain of h + 1 points among those seen.
+    """
+    pos2 = {c: p for p, c in enumerate(s2)}
+    elems = [(p1, pos2[c], c) for p1, c in enumerate(s1) if c in pos2]
+    tails: list[int] = []
+    buckets: list[list[tuple[int, int, int]]] = []
+    for e in reversed(elems):
+        q = -e[1]
+        h = bisect_left(tails, q)
+        if h == len(tails):
+            tails.append(q)
+            buckets.append([e])
+        else:
+            tails[h] = q
+            buckets[h].append(e)
+    return buckets
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ Everything here is deliberately naive and self-contained: counting by
 enumerating position combinations, maximising by sweeping every
 pattern or every position subset, orbits by applying every group
 element.  None of it shares code with the package, so agreement is
-evidence, not tautology.  The one exception is ``claim_suite``, which
-drives the package's public shape checkers without the claim suite's
-caches, so it tests the caching and ordering, not the checkers.
+evidence, not tautology.  The two exceptions drive package code
+without its caches or plans, so they test the caching and ordering, not
+the code they call: ``claim_suite`` runs the public shape checkers, and
+``block_sweep_instances`` measures blocks with ``lcs2`` and ``lcs3``.
 """
 
 import random
@@ -511,6 +512,77 @@ def agreement_by_columns(vectors):
     )
 
 
+def block_sweep_instances(lcs, vectors, t):
+    """Every (label, value) each sweep of the block verifier should see,
+    by name, straight from the definitions: blocks listed by
+    ``signed_lex_by_sort``, instances enumerated per sweep, each pair or
+    triple measured by ``lcs.lcs2(...)[0]`` / ``lcs.lcs3(...)[0]`` on
+    ``lcs.Word`` words, and a prefix-class bound the largest ``lcs2``
+    over the two blocks' class words, grouped by coordinate prefix.
+    Equal measurements are shared by member words, not by index."""
+    r, size = 8, t**8
+    perms = [lcs.Word(signed_lex_by_sort(u, t), size) for u in vectors]
+    prefix = {s: coords(s, t, r) for s in range(size)}
+    memo, bounds = {}, {}
+
+    def measure(*ws):
+        if ws not in memo:
+            memo[ws] = (lcs.lcs2 if len(ws) == 2 else lcs.lcs3)(*ws)[0]
+        return memo[ws]
+
+    def at(i):  # 1-based periodic
+        return perms[(i - 1) % 8]
+
+    def distinct(indices):
+        return len({perms[x] for x in indices}) == len(indices)
+
+    def classes(perm, x):
+        groups = {}
+        for s in perm.symbols:
+            groups.setdefault(prefix[s][:x], []).append(s)
+        return [lcs.Word(tuple(groups[key]), size) for key in sorted(groups)]
+
+    def class_bound(a, b, x):
+        key = frozenset((a, b)), x
+        if key not in bounds:
+            bounds[key] = max(map(measure, classes(a, x), classes(b, x)))
+        return bounds[key]
+
+    def class_sweep(x, max_gap):
+        return [
+            ((i, j), class_bound(at(i), at(i + j), x))
+            for i in range(1, 9)
+            for j in range(1, max_gap + 1)
+            if at(i) != at(i + j)
+        ]
+
+    return {
+        "adjacent-lcs-le-t2": [(i, measure(at(i), at(i + 1))) for i in range(1, 9)],
+        "distinct-pair-lcs-le-t4": [
+            (ab, measure(*(perms[x] for x in ab)))
+            for ab in combinations(range(8), 2)
+            if distinct(ab)
+        ],
+        "consecutive-triple-lcs-eq-1": [
+            (i, measure(at(i), at(i + 1), at(i + 2))) for i in range(1, 9)
+        ],
+        "adjacent-plus-outsider-lcs-le-t": [
+            ((i, j), measure(at(i), at(i + 1), perms[j]))
+            for i in range(1, 9)
+            for j in range(8)
+            if perms[j] != at(i) and perms[j] != at(i + 1)
+        ],
+        "distinct-triple-lcs-le-t2": [
+            (abc, measure(*(perms[x] for x in abc)))
+            for abc in combinations(range(8), 3)
+            if distinct(abc)
+        ],
+        "fixed-prefix6-lcs-le-t": class_sweep(6, 3),
+        "fixed-prefix5-lcs-le-t2": class_sweep(5, 7),
+        "fixed-prefix3-lcs-le-t3": class_sweep(3, 7),
+    }
+
+
 def e_set(syms, t, r, x):
     """1-based positions z where the first-x-coordinate projection of a
     word over [t]^r changes between z and z+1."""
@@ -592,11 +664,10 @@ def lex_min_lcs_witness(seqs, suffix_lcs):
     return tuple(out)
 
 
-def dp_lcs2(s1, s2):
-    """(length, lex-min witness) of two words by the quadratic table of
-    suffix LCS lengths, one Python step per cell."""
+def suffix_lcs_table(s1, s2):
+    """The quadratic table L[i][j] = LCS(s1[i:], s2[j:]), one Python step
+    per cell."""
     n1, n2 = len(s1), len(s2)
-    # suffix-LCS table: L[i][j] = LCS(s1[i:], s2[j:])
     L = [[0] * (n2 + 1) for _ in range(n1 + 1)]
     for i in range(n1 - 1, -1, -1):
         row, below = L[i], L[i + 1]
@@ -607,6 +678,13 @@ def dp_lcs2(s1, s2):
             else:
                 a, b = below[j], row[j + 1]
                 row[j] = a if a >= b else b
+    return L
+
+
+def dp_lcs2(s1, s2):
+    """(length, lex-min witness) of two words by the quadratic table of
+    suffix LCS lengths."""
+    L = suffix_lcs_table(s1, s2)
     witness = lex_min_lcs_witness((s1, s2), lambda i, j: L[i][j])
     return L[0][0], witness
 

@@ -29,7 +29,7 @@ from subseqlab.shapes import break_counts, check_break_bound
 from subseqlab.words import Word
 
 from contract_inputs import DOCUMENTED_ERRORS, JUNK, int_or_junk
-from oracles import agreement_by_columns, coords, signed_lex_by_sort
+from oracles import agreement_by_columns, block_sweep_instances, coords, signed_lex_by_sort
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +69,7 @@ def test_prefix_class_matches_coords():
                     value = value * 3 + (ci - 1)
                 if value == packed:
                     want.append(s)
-            assert cls == Word(tuple(want), 81)
+            assert cls == tuple(want)
 
 
 def test_alphabet_contract_errors():
@@ -378,6 +378,14 @@ def test_construction_word_contracts():
         ConstructionWord(2, "3", 256, w)
     with pytest.raises(ContractError, match="^word must be a Word"):
         ConstructionWord(2, 3, 256, w.symbols)
+    # the declared blocks must tile the word exactly
+    for blocks, length in ((0, 256), (3, 0), (-1, -768)):
+        with pytest.raises(ContractError, match="^need block_count >= 1 and block_length >= 1"):
+            ConstructionWord(2, blocks, length, w)
+    with pytest.raises(ContractError, match="^word has 7 symbols, not .* = 6$"):
+        ConstructionWord(2, 2, 3, Word((0, 1, 2, 2, 1, 0, 1), 3))
+    with pytest.raises(ContractError, match="^word has 768 symbols, not .* = 512$"):
+        ConstructionWord(2, 2, 256, w)
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +493,10 @@ def test_block_properties_t2_every_mutation_is_pinned():
 
 
 def test_family_sweeps_measure_each_instance_once(monkeypatch):
-    # 28 pairs and 56 triples; then, per prefix length, one lcs2 per
-    # class of each unordered block pair: 28 + 24*64 + 28*32 + 28*8 = 2684
-    calls = {"lcs2": 0, "lcs3": 0}
+    # 28 pairs through lcs2 and 56 triples through lcs3; then, per prefix
+    # length, one patience sweep per class of each unordered block pair:
+    # 24*64 + 28*32 + 28*8 = 2656, so 2684 pair measurements in all
+    calls = {"lcs2": 0, "lcs3": 0, "_patience_sweep": 0}
 
     def counted(name):
         real = getattr(construction_module, name)
@@ -501,7 +510,29 @@ def test_family_sweeps_measure_each_instance_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(construction_module, name, counted(name))
     assert verify_permutation_properties(2).ok
-    assert calls == {"lcs2": 2684, "lcs3": 56}
+    assert calls == {"lcs2": 28, "lcs3": 56, "_patience_sweep": 2656}
+
+
+def test_block_sweeps_match_the_definitions(monkeypatch):
+    # every instance each block sweep checks, against blocks, instances
+    # and class words built from the definitions and measured through
+    # lcs2 / lcs3, on the base family, its 64 mutations and a family
+    # repeating vectors
+    seen = {}
+    real = construction_module._sweep
+
+    def recording(name, cap, instances, exact=False, note=""):
+        seen[name] = list(instances)
+        return real(name, cap, seen[name], exact, note)
+
+    monkeypatch.setattr(construction_module, "_sweep", recording)
+    b = base_sign_vectors()
+    families = [b, *(family for _, family in single_sign_mutations(b))]
+    families.append((b[0], b[1], b[1], b[3], b[0], b[5], b[6], b[3]))
+    for family in families:
+        seen.clear()
+        verify_permutation_properties(2, vectors=family)
+        assert seen == block_sweep_instances(lcs_module, family, 2), family
 
 
 def test_block_properties_t3():

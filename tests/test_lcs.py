@@ -14,6 +14,7 @@ from subseqlab.errors import BudgetError, ContractError
 from subseqlab.lcs import (
     _dp_lcs2,
     _dp_lcs3,
+    _patience_sweep,
     _perm_lcs2,
     check_triple_product,
     is_permutation_word,
@@ -34,6 +35,7 @@ from oracles import (
     lis_by_patience,
     quadratic_chain_lcs,
     subsequence_by_two_pointer,
+    suffix_lcs_table,
 )
 
 
@@ -61,6 +63,14 @@ def test_empty_and_disjoint():
     e = word("", alphabet_size=4)
     assert lcs2(e, word("abc", alphabet_size=4)) == (0, e)
     assert lcs2(word("aa", alphabet_size=4), word("bb", alphabet_size=4)) == (0, e)
+
+
+def test_is_permutation_word():
+    assert is_permutation_word(Word((2, 0, 1), 3)) and is_permutation_word(Word((), 1))
+    assert not is_permutation_word(word("aba"))
+    for junk in (5, (0, 1), "ab"):
+        with pytest.raises(ContractError, match="^w must be a Word, got "):
+            is_permutation_word(junk)
 
 
 def test_alphabet_mismatch_rejected():
@@ -109,6 +119,37 @@ def test_permutation_route_matches_dp_route():
         assert (result[0], result[1].symbols) == quadratic_chain_lcs([a.symbols, b.symbols])
         # public entry dispatches to the fast route for these inputs
         assert lcs2(a, b) == result
+
+
+def test_patience_sweep_heights_match_the_dp():
+    # the kernel the block verifier reads class bounds from: its height
+    # count is the LCS length, and each common symbol sits once, in the
+    # bucket of the longest chain starting at it, on disjoint, partly
+    # overlapping and identical permutation sequences of length 0..64
+    rng = random.Random(20261020)
+    kinds = ("disjoint", "overlapping", "identical")
+    for trial in range(300):
+        kind = kinds[trial % 3]
+        a = tuple(rng.sample(range(130), rng.randrange(0, 65)))
+        others = [s for s in range(130) if s not in a]
+        if kind == "disjoint":
+            b = tuple(rng.sample(others, rng.randrange(0, 65)))
+        elif kind == "overlapping":
+            kept = rng.sample(a, rng.randrange(0, len(a) + 1))
+            b = [*kept, *rng.sample(others, rng.randrange(0, 65 - len(kept)))]
+            rng.shuffle(b)
+            b = tuple(b)
+        else:
+            b = a
+        L = suffix_lcs_table(a, b)
+        buckets = _patience_sweep(a, b)
+        assert len(buckets) == L[0][0], (kind, a, b)
+        points = sorted(e for bucket in buckets for e in bucket)
+        assert points == sorted((p1, b.index(c), c) for p1, c in enumerate(a) if c in b)
+        for h, bucket in enumerate(buckets):
+            for p1, p2, c in bucket:
+                assert a[p1] == c == b[p2]
+                assert 1 + L[p1 + 1][p2 + 1] == h + 1, (kind, a, b, c)
 
 
 def _rand_syms(rng, k, n):
@@ -394,6 +435,8 @@ def _any_word(draw):
 @settings(max_examples=400, deadline=None)
 def test_lcs_api_raises_only_documented_errors(ws, budget, mask_bits, junk, slot):
     calls = [
+        lambda: [is_permutation_word(w) for w in ws],
+        lambda: is_permutation_word(junk),
         lambda: multi_lcs(ws),
         lambda: permutation_chain_lcs(ws),
         lambda: multi_lcs([*ws[:slot], junk, *ws[slot:]]),

@@ -129,10 +129,9 @@ def test_block_index_rejects_non_permutation_block(cw_t2_b3):
     v = Word(tuple(syms[:2]), 256)
     with pytest.raises(ContractError, match="block 2 is not a permutation"):
         embedding_profile(v, (0, 1), bad)
-    # a word too short for its declared blocks fails the same way
-    short = ConstructionWord(2, 3, 256, Word(cw_t2_b3.word.symbols[:700], 256))
-    with pytest.raises(ContractError, match="block 3 is not a permutation"):
-        short.block_offsets
+    # a word too short for its declared blocks is refused when built
+    with pytest.raises(ContractError, match="^word has 700 symbols, not block_count"):
+        ConstructionWord(2, 3, 256, Word(cw_t2_b3.word.symbols[:700], 256))
 
 
 def test_profile_invariants_on_samples(cw_t2_b3):
