@@ -59,8 +59,8 @@ of at most ``_PLAIN_START`` symbols start just below M(y).  Any start
 below M(w), and at least 1, keeps the lex-min witness.  Every search
 here runs to the end.  The extremal scan's node searches, which know
 their exact suffix capacities and stop once a count reaches the scan's
-threshold, run on packed integers in ``extremal._node_search``; only
-its seed searches come here.
+threshold, run on packed integers in ``extremal._node_search``, and so
+do the searches that seed each table row.
 
 The fixed-length maximisers are one more explicit-stack DFS with the
 same step and dominance test, which keeps the top count and the lex-min

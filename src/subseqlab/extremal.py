@@ -16,19 +16,25 @@ the lexicographically first.  Reversal keeps every count too, and a
 leaf whose reversal has a smaller form meets that twin's count as the
 best, so it is always cut.  A table starts each row at best = U + 1, U
 the smallest top count of the previous row's minimizer extended by one
-symbol.
+symbol.  A scan returns its minimizer's path counts, the exact top
+counts of its prefixes, which every node on that path kept on the stack;
+they are the capacities of the extensions' searches, so the next row
+prices each extension with the scan's own node search (see _seed_bound).
 
 A node search is the branch-and-bound step of ``counting``, floored at
 the parent's count and stopped at the node's threshold, run on packed
 integers (see _node_search): a count vector over rev(x) is one int of
 W-bit fields, W = n + n.bit_length(), so a step is one mask, two
-multiplications and a shift, and a pointwise dominance test one
-subtraction against each field's guard bit.  Counts of a length-L word
-stay below 2^L and each field of a capacity product below L * 2^(L-1),
-so every field stays below 2^(W-1).  The stack keeps the search's
-inputs per depth: a child's symbol masks are its parent's shifted up one
-field, with field 0 set for the new symbol, and its packed capacities
-are its parent's with the parent's exact count in one more field.
+multiplications and a shift.  Counts of a length-L word stay below 2^L
+and each field of a capacity product below L * 2^(L-1), so no field
+carries into the next.  It keeps no dominance store: a dominated state
+never beats the count its dominator's subtree already reached, so the
+store only cost time; the recursive reference in tests/oracles.py keeps
+its dominance test as a reference only.  The stack keeps the search's
+inputs per depth, built only for a node that is searched or expanded: a
+child's symbol masks are its parent's shifted up one field, with field
+0 set for the new symbol, and its packed capacities are its parent's
+with the parent's exact count in one more field.
 
 Relabelling and reversal keep every count, so the scan memoizes searches
 by orbit: the key of x[:d+1] is min(x[:d+1], first-occurrence form of
@@ -58,7 +64,9 @@ from dataclasses import dataclass
 from functools import cache, cmp_to_key
 from math import comb
 
-from .counting import _DOMINANCE_STORE_CAP, _search_most_common, sum_over_lengths
+# perfbench/layers.py wraps this binding and perfbench/test_perfbench.py
+# reads it, although the scan no longer calls it
+from .counting import _search_most_common, sum_over_lengths
 from .errors import BudgetError, ContractError, require_int, require_word
 from .words import Word
 
@@ -91,6 +99,16 @@ class MuWindow:
     places: int
 
     def __post_init__(self) -> None:
+        for name, pair in (("lower", self.lower), ("upper", self.upper)):
+            if not (
+                isinstance(pair, tuple)
+                and len(pair) == 2
+                and all(isinstance(v, int) for v in pair)
+                and pair[1] >= 1
+            ):
+                raise ContractError(
+                    f"{name} must be an (int, int) pair with a positive root, got {pair!r}"
+                )
         a, n1 = self.lower
         b, n2 = self.upper
         if cross_compare(a, n1, b, n2) > 0:
@@ -98,11 +116,15 @@ class MuWindow:
 
 
 def _min_scan(
-    k: int, n: int, seed: Word | None, memo: dict[tuple[int, ...], tuple[int, bool]]
-) -> tuple[int, tuple[int, ...]]:
-    """(value, lex-first minimizer); ``seed`` is a word of length n - 1
-    whose extensions bound the minimum from above.
+    k: int,
+    n: int,
+    seed: tuple[tuple[int, ...], tuple[int, ...]] | None,
+    memo: dict[tuple[int, ...], tuple[int, bool]],
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(value, lex-first minimizer x, path counts M(x[:i]) for i = 0..n).
 
+    ``seed`` is the (minimizer, path counts) pair of row n - 1, whose
+    one-symbol extensions bound the minimum from above (see _seed_bound).
     The top patterns of u and v concatenate, so M(uv) >= M(u) * M(v).  A
     word of length r has a letter occurring c >= ceil(r / k) times, whose
     half power occurs half[c] = C(c, c // 2) times, so M >= L(r) =
@@ -110,7 +132,9 @@ def _min_scan(
     least M(y) * L(n - d - 1), so y is cut once M(y) reaches ceil(best /
     L(n - d - 1)): before its search if vals[j] * half[top letter count
     of y[j:]] does for some j <= d (j = d is the parent), else when its
-    search aborts.  At a leaf L(0) = 1, so the threshold is best.
+    search aborts.  At a leaf L(0) = 1, so the threshold is best.  Every
+    node on the minimizer's path was expanded, not cut, so its vals
+    entries are exact counts: the path counts the next row's seed needs.
 
     ``memo`` maps the orbit key min(y, first-occurrence form of rev(y))
     to (M(y), True) after a finished search and to (a lower bound >= the
@@ -120,19 +144,19 @@ def _min_scan(
     leave them.
     """
     if n == 0:
-        return 1, ()
-    best = 2**n + 1  # above every count: a word has 2^n position subsets
-    if seed is not None:
-        best = 1 + min(_search_most_common(Word((*seed.symbols, s), k))[0] for s in range(k))
-    best_syms = ()
-    half = [comb(c, c // 2) for c in range(n + 1)]
-    x = [0] * n
-    vals = [1] * (n + 1)  # vals[d]: exact top count of x[:d]
+        return 1, (), (1,)
     # the _node_search inputs of x[:d], kept per depth: masks[d][t] has
     # field b set where rev(x[:d])[b] == t, and packed[d] holds vals[i]
     # in field i + 1 for i < d
     width = n + n.bit_length()
     field = (1 << width) - 1
+    best = 2**n + 1  # above every count: a word has 2^n position subsets
+    if seed is not None:
+        best = _seed_bound(k, *seed, width)
+    best_syms = best_path = ()
+    half = [comb(c, c // 2) for c in range(n + 1)]
+    x = [0] * n
+    vals = [1] * (n + 1)  # vals[d]: exact top count of x[:d]
     masks = [[0] * k] * (n + 1)
     packed = [0] * (n + 1)
     # pending nodes (d, x[d], distinct symbols in x[:d]), popped in lex order
@@ -143,25 +167,54 @@ def _min_scan(
         threshold = -(-best // half[-(-(n - d - 1) // k)])
         if _product_reaches(x, vals, d, k, half, threshold):
             continue
-        # rev(x[:d + 1]) is s before rev(x[:d]): every field moves up one
-        masks[d + 1] = m = [t << width for t in masks[d]]
-        m[s] |= field
-        packed[d + 1] = caps = packed[d] | vals[d] << (d + 1) * width
         code: dict[int, int] = {}
         key = min(tuple(x[: d + 1]), tuple([code.setdefault(t, len(code)) for t in x[d::-1]]))
         value, exact = memo.get(key, (0, False))
-        if not exact and value < threshold:
-            value, aborted = _node_search(m, s, caps, d + 1, width, threshold)
-            memo[key] = (value, not aborted)
-        if value >= threshold:  # an aborted search returns a count >= threshold
+        if value >= threshold:  # settled: an exact count or a bound at the threshold
             continue
+        if not exact or d + 1 < n:  # searched or expanded: build its inputs
+            # rev(x[:d + 1]) is s before rev(x[:d]): every field moves up one
+            masks[d + 1] = m = [t << width for t in masks[d]]
+            m[s] |= field
+            packed[d + 1] = packed[d] | vals[d] << (d + 1) * width
+        if not exact:
+            value, aborted = _node_search(masks[d + 1], s, packed[d + 1], d + 1, width, threshold)
+            memo[key] = (value, not aborted)
+            if aborted:  # with a count >= threshold
+                continue
         if d + 1 == n:
-            best, best_syms = value, tuple(x)
+            best, best_syms, best_path = value, tuple(x), (*vals[:n], value)
             continue
         vals[d + 1] = value
         used = max(used, s + 1)
         stack += [(d + 1, t, used) for t in reversed(range(min(used + 1, k)))]
-    return best, best_syms
+    return best, best_syms, best_path
+
+
+def _seed_bound(k: int, syms: tuple[int, ...], path: tuple[int, ...], width: int) -> int:
+    """1 + min over t of M(syms.t), for a word ``syms`` whose prefixes
+    have the exact top counts ``path``, by one _node_search per symbol.
+
+    The search inputs are those the scan's stack would hold for syms.t.
+    Each search aborts at best - 1, the smallest count found so far, and
+    runs only while that exceeds the floor M(syms) = path[-1], below
+    which no extension counts."""
+    field = (1 << width) - 1
+    masks = [0] * k
+    for b, s in enumerate(reversed(syms), start=1):
+        masks[s] |= field << b * width
+    caps = sum(c << i * width for i, c in enumerate(path, start=1))
+    length = len(syms) + 1
+    best = 2**length + 1
+    for t in range(k):
+        if best - 1 <= path[-1]:
+            break
+        m = masks.copy()
+        m[t] |= field
+        value, aborted = _node_search(m, t, caps, length, width, best - 1)
+        if not aborted:
+            best = value + 1
+    return best
 
 
 def _node_search(
@@ -176,9 +229,12 @@ def _node_search(
     tests/oracles.branch_and_bound(u, k, 0, capacities, abort_at,
     floor=capacities[1]), which also tries roots other than u[0] =
     ``root``, whose patterns count at most the floor; from u[0] on it
-    has the same DFS order, capacity bound and dominance store per
-    depth, capped at _DOMINANCE_STORE_CAP.  The step and bound are
-    those of counting._branch_and_bound, on another state.  A count vector
+    has the same DFS order and capacity bound.  The reference also drops
+    pointwise-dominated states, which never changes the result: the
+    dominating state's subtree was searched first and counts at least as
+    much, so the running maximum already covers the dominated one.  So
+    this kernel keeps no store.  The step and bound are those of
+    counting._branch_and_bound, on another state.  A count vector
     c[0..L], L = length, is one int whose field i, bits [i*W, (i+1)*W)
     for W = ``width``, holds c[i]; ``masks[t]`` has every bit of field b
     set where u[b] == t, and field f of ``caps`` holds M(u[L - f + 1:])
@@ -189,28 +245,22 @@ def _node_search(
     * p = cm * ONES, ONES a 1 in every field: field i of p is the sum of
       cm[b] over b <= i, so field L is the child's count and
       (p << W) & FULL its vector;
-    * field L of cm * caps is the capacity bound, sum of cm[b] * M(u[b + 1:]);
-    * a stored vector t dominates nc when ((t | G) - nc) & G == G, G the
-      top bit of every field: a field borrows its guard bit exactly when
-      t's entry is below nc's.
+    * field L of cm * caps is the capacity bound, sum of cm[b] * M(u[b + 1:]).
 
-    The fields read are exact, and the guard test sound, while every
-    field stays below 2^(W-1).  An entry of a count vector is at most
-    2^L - 1, so W >= L + 1 keeps it there.  Field i <= L of cm * caps
+    The fields read are exact while no field carries into the next, that
+    is while every field stays below 2^W.  An entry of a count vector is
+    at most 2^L - 1, so W >= L keeps it there.  Field i <= L of cm * caps
     sums, over b < i, cm[b] <= 2^b times a top count of i - b - 1
     symbols, at most 2^(i-b-1): i terms of at most 2^(i-1), so below
     L * 2^(L-1) < 2^(L - 1 + L.bit_length()).  Fields above L only carry
     upwards.  So W = n + n.bit_length() serves every node of a length-n
-    scan.  Needs floor < abort_at, which the scan's cut ensures.
+    scan.  Needs floor < abort_at, which the scan's cut and _seed_bound ensure.
     """
     lw = length * width
     field = (1 << width) - 1
     full = (1 << lw + width) - 1
     ones = full // field
-    guards = ones << width - 1
     best = caps >> lw
-    # by_depth[d]: guarded states kept for dominance tests of (d + 1)-symbol patterns
-    by_depth: list[list[int]] = [[] for _ in range(length + 1)]
     states = [ones] * (length + 1)
     nxt = [0] * (length + 1)
     stop = [len(masks)] * (length + 1)
@@ -229,18 +279,9 @@ def _node_search(
             best = v
             if v >= abort_at:
                 return best, True
-        if (cm * caps) >> lw & field <= best:
-            continue
-        nc = (p << width) & full
-        store = by_depth[depth]
-        for t in store:
-            if (t - nc) & guards == guards:
-                break
-        else:
-            if len(store) < _DOMINANCE_STORE_CAP:
-                store.append(nc | guards)
+        if (cm * caps) >> lw & field > best:
             depth += 1
-            states[depth] = nc
+            states[depth] = (p << width) & full
             nxt[depth] = 0
     return best, False
 
@@ -295,7 +336,8 @@ def extremal_value(
     Registry hits are returned as-is (method ``verified-external``);
     everything else is searched exhaustively within the per-k budget.
     """
-    return _record(k, n, budgets, use_registry, None, {})
+    limits = _check_request(k, n, budgets, "n")
+    return _row(k, n, limits, use_registry, None, {})[0]
 
 
 def extremal_table(
@@ -306,29 +348,30 @@ def extremal_table(
 ) -> list[ExtremalRecord]:
     """Records for n = 1..n_max; each searched row seeds the next one,
     and all rows share one orbit memo (see _min_scan)."""
-    _check_request(k, n_max, budgets, "n_max")
+    limits = _check_request(k, n_max, budgets, "n_max")
     records: list[ExtremalRecord] = []
     memo: dict = {}
+    seed = None
     for n in range(1, n_max + 1):
-        seed = records[-1].minimizer if records else None
-        records.append(_record(k, n, budgets, use_registry, seed, memo))
+        record, seed = _row(k, n, limits, use_registry, seed, memo)
+        records.append(record)
     return records
 
 
-def _record(k, n, budgets, use_registry, seed: Word | None, memo: dict) -> ExtremalRecord:
-    """One checked table row; a searched row starts from ``seed`` and
-    reads and fills ``memo`` (see _min_scan)."""
-    hit = _checked_row(k, n, budgets, use_registry)
+def _row(k, n, limits, use_registry, seed, memo: dict) -> tuple[ExtremalRecord, tuple | None]:
+    """(record, seed of row n + 1) of row (k, n), for arguments already
+    checked; a searched row starts from ``seed`` and reads and fills
+    ``memo``, and a registry record seeds nothing (see _min_scan)."""
+    hit = _checked_row(k, n, limits, use_registry)
     if hit is not None:
-        return hit
-    value, syms = _min_scan(k, n, seed, memo)
-    return ExtremalRecord(k, n, value, Word(syms, k), "exhaustive")
+        return hit, None
+    value, syms, path = _min_scan(k, n, seed, memo)
+    return ExtremalRecord(k, n, value, Word(syms, k), "exhaustive"), (syms, path)
 
 
-def _checked_row(k, n, budgets, use_registry) -> ExtremalRecord | None:
+def _checked_row(k, n, limits: dict[int, int], use_registry) -> ExtremalRecord | None:
     """The registry record of row (k, n), or None once the row is known
     to be searchable within its budget."""
-    limits = _check_request(k, n, budgets, "n")
     hit = known_record(k, n) if use_registry else None
     if hit is not None:
         return hit
@@ -489,10 +532,11 @@ def check_submultiplicativity(
     require_int(m=m, n=n)
     if m < 1 or n < 1:
         raise ContractError("need m >= 1 and n >= 1")
-    _checked_row(k, m * n, budgets, False)  # over budget: fail before any search
+    limits = _check_request(k, m * n, budgets, "n")
+    _checked_row(k, m * n, limits, False)  # over budget: fail before any search
     memo: dict = {}
-    base = _record(k, n, budgets, False, None, memo).value
-    lhs = _record(k, m * n, budgets, False, None, memo).value
+    base = _row(k, n, limits, False, None, memo)[0].value
+    lhs = _row(k, m * n, limits, False, None, memo)[0].value
     binom = comb(m * n + m - 1, m - 1)
     rhs = binom * base**m
     return SubmultReport(k, m, n, lhs, binom, base, rhs, lhs <= rhs)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subseqlab import extremal as extremal_module
-from subseqlab.counting import max_occurrences, sum_over_lengths
+from subseqlab.counting import _search_most_common, max_occurrences, sum_over_lengths
 from subseqlab.errors import BudgetError, ContractError
 from subseqlab.extremal import (
     ExtremalRecord,
@@ -137,23 +137,20 @@ def _unpacked(masks, caps, length, width):
     return tuple(syms), capacities
 
 
+def _seed_of(k, n):
+    """The (minimizer, path counts) seed that row (k, n) passes to row n + 1."""
+    return extremal_module._min_scan(k, n, None, {})[1:]
+
+
 def _traced_scan(monkeypatch, k, n, seed, exact=False):
     """Run one scan on a fresh memo and return (searches, aborted
     searches, memo hits), searches being node and seed searches and a
-    hit a lookup that needed no search.  Every node search must get a
-    floor below its threshold and, with ``exact``, the oracle's top
-    counts as capacities."""
+    hit a lookup that needed no search.  Every search must get a floor
+    below its threshold and, with ``exact``, the oracle's top counts as
+    capacities."""
     node_search = extremal_module._node_search
-    seed_search = extremal_module._search_most_common
     brute = {}
     seen = [0, 0, 0]  # searches, aborted, node searches
-
-    def seeded(w):
-        # a one-symbol extension of the seed, searched in full
-        assert w.symbols[:-1] == seed.symbols
-        result = seed_search(w)
-        seen[0] += 1
-        return result
 
     def checked(masks, root, caps, length, width, abort_at):
         assert len(masks) == k and width == n + n.bit_length()
@@ -166,15 +163,18 @@ def _traced_scan(monkeypatch, k, n, seed, exact=False):
                 brute[suffix] = brute_max_over_patterns(suffix, k)
             assert capacities[j] == brute[suffix]
         assert capacities[1] < abort_at
+        seed_search = memo.lookups == 0  # seed searches come before the walk
+        if seed_search:
+            # a one-symbol extension of the seed, reversed
+            assert syms[1:] == seed[0][::-1] and length == n
         result = node_search(masks, root, caps, length, width, abort_at)
         seen[0] += 1
         seen[1] += result[1]
-        seen[2] += 1
+        seen[2] += not seed_search
         return result
 
     memo = _CountingMemo()
     monkeypatch.setattr(extremal_module, "_node_search", checked)
-    monkeypatch.setattr(extremal_module, "_search_most_common", seeded)
     try:
         extremal_module._min_scan(k, n, seed, memo)
     finally:
@@ -185,22 +185,56 @@ def _traced_scan(monkeypatch, k, n, seed, exact=False):
 
 def test_scan_searches_get_exact_capacities_and_a_floor_below_the_threshold(monkeypatch):
     for k, n in ((2, 9), (3, 6), (4, 5)):
-        seed = extremal_value(k, n - 1, use_registry=False).minimizer
         _traced_scan(monkeypatch, k, n, None, exact=True)
-        _traced_scan(monkeypatch, k, n, seed, exact=True)
+        _traced_scan(monkeypatch, k, n, _seed_of(k, n - 1), exact=True)
 
 
 def test_scan_node_searches_pinned(monkeypatch):
     # (searches, aborted, memo hits) of the pruned walk: the
     # depth-scaled threshold, the product cut, the abort test, the seed
     # threshold and the orbit memo each change these counts; searches
-    # plus hits is the node count of a scan without the memo
-    seed12 = extremal_value(2, 12, use_registry=False).minimizer
-    seed6 = extremal_value(3, 6, use_registry=False).minimizer
+    # plus hits is the node count of a scan without the memo, plus the
+    # seed searches, which abort at the smallest seed count so far
     assert _traced_scan(monkeypatch, 2, 13, None) == (2332, 724, 1135)
-    assert _traced_scan(monkeypatch, 2, 13, seed12) == (1667, 603, 936)
+    assert _traced_scan(monkeypatch, 2, 13, _seed_of(2, 12)) == (1667, 604, 936)
     assert _traced_scan(monkeypatch, 3, 7, None) == (81, 21, 5)
-    assert _traced_scan(monkeypatch, 3, 7, seed6) == (62, 23, 4)
+    assert _traced_scan(monkeypatch, 3, 7, _seed_of(3, 6)) == (62, 25, 4)
+
+
+def test_seed_bounds_and_path_counts_match_the_witness_search_and_brute_force(monkeypatch):
+    # every row of each table: the bound a row starts from is 1 + the
+    # smallest full witness-search count of the seed's one-symbol
+    # extensions, each seed search gets a floor below its abort count,
+    # and the path counts a row returns are the brute-force top counts of
+    # its minimizer's prefixes
+    scan = extremal_module._min_scan
+    node_search = extremal_module._node_search
+
+    def kept(k, n, seed, memo):
+        result = scan(k, n, seed, memo)
+        rows.append((n, seed, result))
+        return result
+
+    def floored(masks, root, caps, length, width, abort_at):
+        assert caps >> length * width < abort_at
+        return node_search(masks, root, caps, length, width, abort_at)
+
+    monkeypatch.setattr(extremal_module, "_node_search", floored)
+    for k, n_max in ((1, 20), (2, 12), (3, 8), (4, 7)):
+        rows = []
+        monkeypatch.setattr(extremal_module, "_min_scan", kept)
+        extremal_table(k, n_max, budgets={k: n_max})
+        monkeypatch.setattr(extremal_module, "_min_scan", scan)
+        assert [n for n, _, _ in rows] == list(range(1, n_max + 1))
+        for n, seed, (value, syms, path) in rows:
+            assert path == tuple(brute_max_over_patterns(syms[:i], k) for i in range(n + 1))
+            assert path[-1] == value
+            if n == 1:
+                assert seed is None
+                continue
+            assert seed == rows[n - 2][2][1:]
+            full = min(_search_most_common(Word((*seed[0], t), k))[0] for t in range(k))
+            assert extremal_module._seed_bound(k, *seed, n + n.bit_length()) == 1 + full, (k, n)
 
 
 def _scan_memos(monkeypatch, call):

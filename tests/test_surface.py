@@ -6,16 +6,21 @@ every private top-level name must be referenced in the package outside
 its own definition, and every public method or property of a package
 class must be read as an attribute in the package or a demo.  Code that
 only tests reach belongs in ``tests/oracles.py``.  ``import subseqlab``
-loads no engine module; a name loads its own module and what that imports."""
+loads no engine module; a name loads its own module and what that imports.
+Every callable export, fed junk arguments, raises only the documented
+error types."""
 
 import ast
+import inspect
 import os
+import signal
 import subprocess
 import sys
 from importlib import import_module
 from pathlib import Path
 
 import subseqlab
+from subseqlab.errors import BudgetError, ContractError
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "subseqlab"
@@ -167,3 +172,46 @@ def test_import_loads_only_the_engines_a_caller_uses():
         "assert 'known_record' in vars(subseqlab)"
     )
     assert {"json", "importlib.resources"} <= set(loaded)
+
+
+class _Slow(BaseException):
+    """Raised by the alarm in a call that runs past its time."""
+
+
+def _on_alarm(signum, frame):
+    raise _Slow
+
+
+def test_junk_arguments_raise_only_documented_errors():
+    # every callable export, called with junk positional arguments, may
+    # raise only ContractError or BudgetError; a call that runs past its
+    # short alarm is stopped and passes
+    junk = [None, 1.5, "3", (2,), -1, [0, 1], subseqlab.word("ab"), 5]
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    calls = 0
+    try:
+        for name in sorted(_export_table()):
+            f = getattr(subseqlab, name)
+            if not callable(f):
+                continue
+            try:
+                params = inspect.signature(f).parameters.values()
+                arity = sum(p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD) for p in params)
+            except ValueError:  # a builtin type such as an exception class
+                arity = 1
+            rows = [[j] * arity for j in junk]
+            rows += [[junk[(i + r) % len(junk)] for i in range(arity)] for r in range(len(junk))]
+            for args in rows:
+                calls += 1
+                signal.setitimer(signal.ITIMER_REAL, 0.5)
+                try:
+                    f(*args)
+                except (ContractError, BudgetError, _Slow):
+                    pass
+                except Exception as e:
+                    raise AssertionError(f"{name}{tuple(args)!r} raised {e!r}") from e
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert calls >= 16 * 40
