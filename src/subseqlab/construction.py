@@ -15,16 +15,21 @@ combinatorial facts the analysis leans on: agreement patterns among the
 eight sign vectors, the exact LCS value t^|J| for a family of
 signed-lex permutations agreeing on the coordinate set J, and the
 pairwise/triple/prefix-class LCS bounds for the concatenated blocks.
-The sign and block verifiers share one sweep helper over the five
-pair and triple families, which measures each unordered index pair and
-triple of the period once; the block caps are t raised to the sign
+The sign and block verifiers share one helper for the five pair and
+triple sweeps, over lists holding one measurement per unordered index
+pair (28) and triple (56) of the period; the block caps are t raised to the sign
 caps, since agreeing exactly on J means a joint LCS of t^|J|.  The
-period is fixed at eight, so the index work of every sweep (which pair
-or triple each instance reads, under which label, and which pairs must
-hold distinct members) is a module-level plan built at import; a call
-only measures and filters.  The prefix-class bounds need LCS lengths
-alone, so they count the heights of the patience sweep that ``lcs2``
-runs on permutations and build no witness.
+period is fixed at eight, so every sweep has a module-level plan built
+at import: its labels, an ``itemgetter`` that reads its values straight
+out of the lists of pair and triple measurements, and, for a sweep over
+distinct members, getters for the member pairs whose sign-mask XORs
+drive a ``compress`` that drops instances with equal members.  A call
+measures, then reads each sweep off its plan; the worst value is one
+``max``, and (label, value) failures are built only when the worst value
+breaks the cap (or, for the exact sweep, some value differs from it).
+The prefix-class bounds need LCS lengths alone, so they count the
+heights of the patience sweep that ``lcs2`` runs on permutations and
+build no witness.
 Every check returns a report of per-property results rather than
 raising, so callers can surface which instance failed and by how much.
 
@@ -32,14 +37,20 @@ Agreement is read off masks: a sign vector is an int with bit c set
 where coordinate c + 1 is +1, so the coordinates where two vectors
 differ are the set bits of their XOR.  A pair agrees on r minus its
 popcount, a triple on r minus the popcount of the OR of two such XORs,
-and the last r - c coordinates are the XOR shifted down by c.
+and the last r - c coordinates are the XOR shifted down by c.  For the
+period's length-8 vectors, one lookup in a table of the 256 +-1 tuples
+(after a type test that passes only ints and bools) both checks a
+vector and gives its mask, and a 256-entry table gives 8 minus a
+popcount; any miss falls back to the general checks, which name the
+fault.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, repeat
+from itertools import chain, combinations, compress, product, repeat
+from operator import itemgetter
 
 from .errors import BudgetError, ContractError, require_int
 from .lcs import _patience_sweep, lcs2, lcs3, multi_lcs
@@ -87,17 +98,51 @@ def _mask(u: SignVector) -> int:
     return sum(1 << c for c, s in enumerate(u) if s > 0)
 
 
-def _sign_family(vectors) -> tuple[SignVector, ...]:
-    """A nonempty family of sign vectors as a tuple of tuples."""
+# every length-8 sign vector to its mask, and the agreement of two
+# length-8 vectors by the XOR of their masks
+_MASK_OF = {u: _mask(u) for u in product((1, -1), repeat=8)}
+_AGREE = tuple(8 - x.bit_count() for x in range(256))
+# the entry types a vector may have to be looked up: a float 1.0 equals,
+# and hashes like, a key's entry 1
+_SIGN_TYPES = frozenset((int, bool))
+
+
+def _sign_tuples(vectors) -> tuple:
+    """A family of sign vectors as a tuple of tuples, unchecked."""
     try:
-        vs = tuple(map(tuple, vectors))
+        return tuple(map(tuple, vectors))
     except TypeError:
         raise ContractError(f"expected a family of sign vectors, got {vectors!r}") from None
+
+
+def _sign_family(vectors) -> tuple[SignVector, ...]:
+    """A nonempty family of sign vectors as a tuple of tuples."""
+    vs = _sign_tuples(vectors)
     if not vs:
         raise ContractError("need a nonempty family of sign vectors")
     for v in vs:
         _check_sign_vector(v)
     return vs
+
+
+def _period_family(vectors) -> tuple[tuple[SignVector, ...], tuple[int, ...]]:
+    """A family of eight length-8 sign vectors, and their masks.
+
+    Each vector is checked and masked by one lookup in ``_MASK_OF``,
+    after one type test over all 64 entries.  If anything misses, the
+    general checks run on the same tuple and raise the error naming the
+    fault (an int subclass over {+1, -1} passes them, and is masked the
+    long way)."""
+    vs = _sign_tuples(vectors)
+    masks = ()
+    if len(vs) == 8 and _SIGN_TYPES.issuperset(map(type, chain.from_iterable(vs))):
+        masks = tuple(map(_MASK_OF.get, vs))
+    if len(masks) != 8 or None in masks:
+        _sign_family(vs)
+        if len(vs) != 8 or any(len(v) != 8 for v in vs):
+            raise ContractError("expected eight sign vectors of length 8")
+        masks = tuple(map(_mask, vs))
+    return vs, masks
 
 
 def build_permutation(
@@ -154,17 +199,18 @@ class PropertyReport:
         return all(r.ok for r in self.results if r.checked)
 
 
-def _sweep(name, cap, instances, exact=False, note="") -> PropertyResult:
-    """Check every (label, value) instance: value == cap when ``exact``,
-    else value <= cap; the worst value and first eight failures are kept."""
-    worst = None
-    failures = []
-    for label, value in instances:
-        if worst is None or value > worst:
-            worst = value
-        if (value != cap) if exact else (value > cap):
-            failures.append((label, value))
-    return PropertyResult(name, not failures, True, worst, tuple(failures[:8]), note)
+def _sweep(name, cap, labels, values, exact=False, note="") -> PropertyResult:
+    """Check a sweep's instance values, whose labels run in step with
+    them: value == cap when ``exact``, else value <= cap.  The worst value
+    and the first eight failures, as (label, value), are kept; failures
+    are built only when the worst value breaks the cap or, for an exact
+    sweep, some value differs from it."""
+    worst = max(values) if values else None
+    failures = ()
+    if values and (worst > cap or exact and min(values) < cap):
+        failed = [(label, v) for label, v in zip(labels, values) if v > cap or exact and v < cap]
+        failures = tuple(failed[:8])
+    return PropertyResult(name, not failures, True, worst, failures, note)
 
 
 # Instance plans for the 8-periodic family: every sweep's index work,
@@ -180,64 +226,85 @@ def _at(plan, *positions):
     return plan[tuple(sorted((p - 1) % 8 for p in positions))]
 
 
-# per triple, the indices of its three member pairs
+def _plan(instances):
+    """A sweep plan from (label, value index, member pair indices...)
+    instances: the labels, a getter that reads every instance's value
+    out of a list of measurements in one call, and one getter per member
+    slot that reads that member pair's XOR.  Index sweeps name no member
+    pairs; a distinct-member sweep keeps only the instances whose member
+    pairs all differ (a nonzero XOR)."""
+    labels, at, *members = zip(*instances)
+    return labels, itemgetter(*at), tuple(itemgetter(*pairs) for pairs in members)
+
+
+def _planned(plan, values, xors):
+    """The labels and values a sweep checks, read off its plan."""
+    labels, get, members = plan
+    values = get(values)
+    if not members or all(xors):  # no two vectors of the family are equal
+        return labels, values
+    keep = list(map(all, zip(*(pair_xors(xors) for pair_xors in members))))
+    return tuple(compress(labels, keep)), tuple(compress(values, keep))
+
+
+# adjacent pairs and consecutive triples, by start
+_ADJACENT = _plan((i, _at(_PAIR_AT, i, i + 1)) for i in range(1, 9))
+_CONSECUTIVE = _plan((i, _at(_TRIPLE_AT, i, i + 1, i + 2)) for i in range(1, 9))
+# per triple abc, the indices of its member pairs ab, ac and bc
 _TRIPLE_PAIRS = tuple(tuple(_PAIR_AT[ab] for ab in combinations(abc, 2)) for abc in _TRIPLES)
-# (start, pair) and (start, triple) of the adjacent and consecutive sweeps
-_ADJACENT = tuple((i, _at(_PAIR_AT, i, i + 1)) for i in range(1, 9))
-_CONSECUTIVE = tuple((i, _at(_TRIPLE_AT, i, i + 1, i + 2)) for i in range(1, 9))
-# ((start, outsider), triple, outsider's pair with each adjacent member),
-# for every outsider index other than the two adjacent ones
-_OUTSIDER = tuple(
+# distinct pairs and triples of the family, by family indices
+_DISTINCT_PAIRS = _plan((ab, n, n) for n, ab in enumerate(_PAIRS))
+_DISTINCT_TRIPLES = _plan((abc, n, *_TRIPLE_PAIRS[n]) for n, abc in enumerate(_TRIPLES))
+# by (start, outsider): an adjacent pair and an outsider distinct from
+# both, for every outsider index other than the two adjacent ones
+_OUTSIDER = _plan(
     ((i, j), _at(_TRIPLE_AT, i, i + 1, j + 1), _at(_PAIR_AT, i, j + 1), _at(_PAIR_AT, i + 1, j + 1))
     for i in range(1, 9)
     for j in range(8)
     if j not in ((i - 1) % 8, i % 8)
 )
-# ((start, gap), pair) for the blocks at positions i and i + gap, gap 1..7
-_GAPS = tuple(((i, j), _at(_PAIR_AT, i, i + j)) for i in range(1, 9) for j in range(1, 8))
+# by (start, gap): the blocks at positions i and i + gap, gap 1..3 or
+# 1..7, and the same keeping only distinct blocks
+_GAP_ROWS = tuple(((i, j), _at(_PAIR_AT, i, i + j)) for i in range(1, 9) for j in range(1, 8))
+_GAPS3 = _plan(row for row in _GAP_ROWS if row[0][1] <= 3)
+_GAPS7 = _plan(_GAP_ROWS)
+_DISTINCT_GAPS3 = _plan((*row, row[1]) for row in _GAP_ROWS if row[0][1] <= 3)
+_DISTINCT_GAPS7 = _plan((*row, row[1]) for row in _GAP_ROWS)
 
 
-def _family_sweeps(items, names, caps, pair, triple) -> list[PropertyResult]:
-    """The five sweeps both verifiers share over the 8-periodic family
-    ``items``: adjacent pairs, distinct pairs, consecutive triples (exact),
-    an adjacent pair with an outsider, and distinct triples.
+def _family_sweeps(names, caps, xors, pairs, triples) -> list[PropertyResult]:
+    """The five sweeps both verifiers share over an 8-periodic family:
+    adjacent pairs, distinct pairs, consecutive triples (exact), an
+    adjacent pair with an outsider, and distinct triples.
 
-    ``pair`` and ``triple`` are symmetric measures, taken once per
-    unordered index pair (28) and index triple (56).  Labels give a
-    periodic start i 1-based and a family index 0-based; the value
-    sweeps (distinct, outsider) skip instances with equal members,
-    read off one equality test per index pair.  When ``triple`` raises
-    BudgetError, the three triple sweeps are reported unchecked, with
-    its message as the note.
+    ``pairs`` holds a symmetric measure of each unordered index pair
+    (28, in ``_PAIRS`` order), and ``triples()`` returns one of each
+    index triple (56, in ``_TRIPLES`` order).  Labels give a periodic
+    start i 1-based and a family index 0-based; the value sweeps
+    (distinct, outsider) skip instances with equal members, read off
+    ``xors``, the sign-mask XOR per index pair (0 for equal vectors).
+    When ``triples()`` raises BudgetError, the three triple sweeps are
+    reported unchecked, with its message as the note.
     """
-    pairs = [pair(items[a], items[b]) for a, b in _PAIRS]
-    same = [items[a] == items[b] for a, b in _PAIRS]
     results = [
-        _sweep(names[0], caps[0], [(i, pairs[p]) for i, p in _ADJACENT]),
-        _sweep(names[1], caps[1], [(ab, v) for ab, v, eq in zip(_PAIRS, pairs, same) if not eq]),
+        _sweep(names[0], caps[0], *_planned(_ADJACENT, pairs, xors)),
+        _sweep(names[1], caps[1], *_planned(_DISTINCT_PAIRS, pairs, xors)),
     ]
     try:
-        triples = [triple(items[a], items[b], items[c]) for a, b, c in _TRIPLES]
+        triples = triples()
     except BudgetError as exc:
         unchecked = [PropertyResult(name, True, False, None, (), str(exc)) for name in names[2:]]
         return results + unchecked
     return results + [
-        _sweep(names[2], caps[2], [(i, triples[q]) for i, q in _CONSECUTIVE], exact=True),
-        _sweep(
-            names[3],
-            caps[3],
-            [(ij, triples[q]) for ij, q, p, r in _OUTSIDER if not (same[p] or same[r])],
-        ),
-        _sweep(
-            names[4],
-            caps[4],
-            [
-                (abc, v)
-                for abc, v, (p, q, r) in zip(_TRIPLES, triples, _TRIPLE_PAIRS)
-                if not (same[p] or same[q] or same[r])
-            ],
-        ),
+        _sweep(names[2], caps[2], *_planned(_CONSECUTIVE, triples, xors), exact=True),
+        _sweep(names[3], caps[3], *_planned(_OUTSIDER, triples, xors)),
+        _sweep(names[4], caps[4], *_planned(_DISTINCT_TRIPLES, triples, xors)),
     ]
+
+
+def _pair_xors(masks) -> list[int]:
+    """Per index pair, the coordinates where its two vectors differ."""
+    return [masks[a] ^ masks[b] for a, b in _PAIRS]
 
 
 def verify_sign_properties(vectors) -> PropertyReport:
@@ -250,12 +317,9 @@ def verify_sign_properties(vectors) -> PropertyReport:
     read off the XOR of two masks, whose set bits are the coordinates
     where two vectors differ.
     """
-    vs = _sign_family(vectors)
-    if len(vs) != 8 or any(len(v) != 8 for v in vs):
-        raise ContractError("expected eight sign vectors of length 8")
-    masks = tuple(map(_mask, vs))
+    _, masks = _period_family(vectors)
+    xors = _pair_xors(masks)
     results = _family_sweeps(
-        masks,
         (
             "adjacent-pairs-agree-le2",
             "distinct-pairs-agree-le4",
@@ -264,30 +328,31 @@ def verify_sign_properties(vectors) -> PropertyReport:
             "distinct-triples-agree-le2",
         ),
         (2, 4, 0, 1, 2),
-        lambda a, b: 8 - (a ^ b).bit_count(),
-        lambda a, b, c: 8 - ((a ^ b) | (a ^ c)).bit_count(),
+        xors,
+        [_AGREE[x] for x in xors],
+        # a triple's vectors differ where those of its pairs ab or ac do
+        lambda: [_AGREE[xors[ab] | xors[ac]] for ab, ac, _ in _TRIPLE_PAIRS],
     )
-    # where the vectors i and i + j differ, per gap instance
-    xors = [masks[a] ^ masks[b] for a, b in _PAIRS]
-    apart = [(ij, xors[p]) for ij, p in _GAPS]
+    # per index pair: 2 flags an equal last-2 / last-3 projection, and the
+    # last five coordinates agree where the XOR shifted down by 3 is clear
+    # (the table counts the 3 vacated top bits as agreements too)
+    last2 = [0 if x >> 6 else 2 for x in xors]
+    last3 = [0 if x >> 5 else 2 for x in xors]
+    last5 = [_AGREE[x >> 3] - 3 for x in xors]
     results += [
         _sweep(
             "last2-blocks-differ-within-gap3",
             1,
-            [(ij, 0 if x >> 6 else 2) for ij, x in apart if ij[1] <= 3],
+            *_planned(_GAPS3, last2, xors),
             note="value 2 flags an equal last-2 projection",
         ),
         _sweep(
             "last3-blocks-differ-within-gap7",
             1,
-            [(ij, 0 if x >> 5 else 2) for ij, x in apart],
+            *_planned(_GAPS7, last3, xors),
             note="value 2 flags an equal last-3 projection",
         ),
-        _sweep(
-            "last5-blocks-agree-le3-within-gap7",
-            3,
-            [(ij, 5 - (x >> 3).bit_count()) for ij, x in apart],
-        ),
+        _sweep("last5-blocks-agree-le3-within-gap7", 3, *_planned(_GAPS7, last5, xors)),
     ]
     return PropertyReport(tuple(results))
 
@@ -427,13 +492,11 @@ def verify_permutation_properties(t: int, vectors=None) -> PropertyReport:
     triple properties are all reported as unchecked, with its message
     as the note, rather than guessed.
     """
-    vs = _BASE_SIGNS if vectors is None else _sign_family(vectors)
-    if len(vs) != 8 or any(len(v) != 8 for v in vs):
-        raise ContractError("expected eight sign vectors of length 8")
+    vs, masks = _period_family(_BASE_SIGNS if vectors is None else vectors)
     perms = [build_permutation(u, t) for u in vs]
+    xors = _pair_xors(masks)
 
     results = _family_sweeps(
-        perms,
         (
             "adjacent-lcs-le-t2",
             "distinct-pair-lcs-le-t4",
@@ -442,31 +505,26 @@ def verify_permutation_properties(t: int, vectors=None) -> PropertyReport:
             "distinct-triple-lcs-le-t2",
         ),
         tuple(t**c for c in (2, 4, 0, 1, 2)),
-        lambda a, b: lcs2(a, b)[0],
-        lambda a, b, c: lcs3(a, b, c)[0],
+        xors,
+        [lcs2(perms[a], perms[b])[0] for a, b in _PAIRS],
+        lambda: [lcs3(perms[a], perms[b], perms[c])[0] for a, b, c in _TRIPLES],
     )
 
-    distinct = [perms[a] != perms[b] for a, b in _PAIRS]
-
-    def class_sweep(name, prefix_len, max_gap, cap):
+    def class_sweep(name, prefix_len, plan, cap):
         # each block's class symbols, built once; a pair's bound is the
-        # largest class LCS, the number of patience heights
+        # largest class LCS, the number of patience heights, measured
+        # once per distinct block pair the sweep reads
         classes = [_prefix_classes(perm, t, prefix_len) for perm in perms]
+        # the pair index of each instance the sweep keeps
+        labels, at = _planned(plan, range(len(_PAIRS)), xors)
         worst: dict[int, int] = {}  # per block pair index
-
-        def worst_class(p):
+        for p in at:
             if p not in worst:
                 a, b = _PAIRS[p]
                 worst[p] = max(map(len, map(_patience_sweep, classes[a], classes[b])))
-            return worst[p]
+        return _sweep(name, cap, labels, [worst[p] for p in at])
 
-        return _sweep(
-            name,
-            cap,
-            [(ij, worst_class(p)) for ij, p in _GAPS if ij[1] <= max_gap and distinct[p]],
-        )
-
-    results.append(class_sweep("fixed-prefix6-lcs-le-t", 6, 3, t))
-    results.append(class_sweep("fixed-prefix5-lcs-le-t2", 5, 7, t**2))
-    results.append(class_sweep("fixed-prefix3-lcs-le-t3", 3, 7, t**3))
+    results.append(class_sweep("fixed-prefix6-lcs-le-t", 6, _DISTINCT_GAPS3, t))
+    results.append(class_sweep("fixed-prefix5-lcs-le-t2", 5, _DISTINCT_GAPS7, t**2))
+    results.append(class_sweep("fixed-prefix3-lcs-le-t3", 3, _DISTINCT_GAPS7, t**3))
     return PropertyReport(tuple(results))

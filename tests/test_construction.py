@@ -323,9 +323,9 @@ def test_sign_sweeps_match_the_column_definition(monkeypatch):
     seen = {}
     real = construction_module._sweep
 
-    def recording(name, cap, instances, exact=False, note=""):
-        seen[name] = list(instances)
-        return real(name, cap, seen[name], exact, note)
+    def recording(name, cap, labels, values, exact=False, note=""):
+        seen[name] = list(zip(labels, values))
+        return real(name, cap, labels, values, exact, note)
 
     monkeypatch.setattr(construction_module, "_sweep", recording)
     base = base_sign_vectors()
@@ -521,9 +521,9 @@ def test_block_sweeps_match_the_definitions(monkeypatch):
     seen = {}
     real = construction_module._sweep
 
-    def recording(name, cap, instances, exact=False, note=""):
-        seen[name] = list(instances)
-        return real(name, cap, seen[name], exact, note)
+    def recording(name, cap, labels, values, exact=False, note=""):
+        seen[name] = list(zip(labels, values))
+        return real(name, cap, labels, values, exact, note)
 
     monkeypatch.setattr(construction_module, "_sweep", recording)
     b = base_sign_vectors()
@@ -585,6 +585,64 @@ def test_block_properties_budget_skips_triples(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # contracts
+
+
+_PERIOD_VERIFIERS = pytest.mark.parametrize(
+    "verify",
+    [verify_sign_properties, lambda vectors: verify_permutation_properties(2, vectors=vectors)],
+    ids=["signs", "permutations"],
+)
+_VECTOR_ERROR = "a sign vector is a nonempty tuple of ints over {+1, -1}"
+_SHAPE_ERROR = "expected eight sign vectors of length 8"
+
+
+def _with_entry(entry):
+    """The base family with coordinate 5 of its third vector replaced."""
+    family = list(base_sign_vectors())
+    family[2] = (*family[2][:4], entry, *family[2][5:])
+    return family
+
+
+def _junk_families():
+    """(family, the error both period verifiers raise for it)."""
+    b = list(base_sign_vectors())
+    with_none = b[:5] + [None] + b[6:]
+    return [
+        (5, "expected a family of sign vectors, got 5"),
+        ([], "need a nonempty family of sign vectors"),
+        (b[:7], _SHAPE_ERROR),
+        (b + [b[0]], _SHAPE_ERROR),
+        (b[:3] + [b[3][:7]] + b[4:], _SHAPE_ERROR),
+        *((_with_entry(entry), _VECTOR_ERROR) for entry in (0, 2, 1.0, "1")),
+        (with_none, f"expected a family of sign vectors, got {with_none!r}"),
+        ("abcdefgh", _VECTOR_ERROR),
+        # read once: a check that consumed it before falling back to the
+        # general checks would find an empty family
+        ((v for v in _with_entry(1.0)), _VECTOR_ERROR),
+    ]
+
+
+@_PERIOD_VERIFIERS
+def test_period_verifiers_reject_junk_families_with_the_general_errors(verify):
+    for family, message in _junk_families():
+        with pytest.raises(ContractError) as info:
+            verify(family)
+        assert str(info.value) == message, family
+
+
+class _Sign(int):
+    """An int subclass: the general checks accept it, the table does not."""
+
+
+@_PERIOD_VERIFIERS
+def test_period_verifiers_take_any_iterable_of_int_or_bool_signs(verify):
+    b = base_sign_vectors()
+    for family in (b, next(single_sign_mutations(b))[1]):
+        want = verify(family)
+        assert verify([list(v) for v in family]) == want
+        assert verify(iter(map(iter, family))) == want
+        assert verify([tuple(s > 0 or s for s in v) for v in family]) == want  # True for +1
+        assert verify([tuple(map(_Sign, v)) for v in family]) == want
 
 
 def _draw_family(draw):
