@@ -9,6 +9,20 @@ most frequent pattern of a given length, the most frequent pattern
 overall, and the sum of the per-length maxima.  All counts are plain
 Python ints, so they are exact at any magnitude.
 
+The enumeration walks the maps in order without backtracking.  Each
+pattern index i has a limit, its rightmost position that leaves room
+for the rest of v, so every position up to it completes to a map.  The
+maps sharing a prefix of the first m - 1 positions differ only in the
+last one, and its candidates after the prefix, up to its limit, are
+emitted in one loop.  The next prefix advances the deepest index that
+has a candidate left within its limit (a stack holds those indices)
+and places each later index greedily, at its first position after the
+one before it, found by bisection.  Most of the old tail was placed the
+same way from the same positions: once an index comes out at its old
+position, every later index that has not been advanced since it was
+placed keeps its position too, so the walk jumps to the next index that
+has been advanced, and stops when none is left.
+
 The maximisers run a depth-first search over *prefix-count states*:
 the vector ``c`` with ``c[j]`` = number of embeddings of the current
 pattern prefix into ``w[:j]``.  Appending a symbol transforms the
@@ -78,11 +92,11 @@ among the maximisers", which the DFS order delivers for free.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
-from operator import ge, lt, mul
+from operator import ge, itemgetter, lt, mul
 
 from .errors import BudgetError, ContractError, require_int, require_int_tuple, require_word
 from .words import Word
@@ -90,6 +104,7 @@ from .words import Word
 _DOMINANCE_STORE_CAP = 512  # per-depth cap on states kept for dominance tests
 _PLAIN_START = 16  # longest prefix whose most-common search starts below M(y), not H
 FIXED_LENGTH_WITNESS_BUDGET = 10**6  # symbols in the 0^length witness of a length above |w|
+ENUMERATION_BUDGET = 10**6  # symbols in the maps enumerate_embeddings returns, maps x |v|
 
 
 def _check_shared_alphabet(v: Word, w: Word) -> None:
@@ -137,13 +152,14 @@ def validate_embedding(v: Word, w: Word, positions: tuple[int, ...]) -> None:
         raise ContractError("embedding length does not match pattern length")
     if not all(map(lt, positions, positions[1:])):
         raise ContractError("positions must be strictly increasing")
-    # positions increase, so both ends in range puts all of them in range
-    if not positions or (
-        0 <= positions[0]
-        and positions[-1] < len(w)
-        and tuple(map(w.symbols.__getitem__, positions)) == v.symbols
-    ):
+    # positions increase, so both ends in range puts all of them in range;
+    # itemgetter of one position returns the symbol, not a 1-tuple
+    if not positions:
         return
+    if 0 <= positions[0] and positions[-1] < len(w):
+        got = itemgetter(*positions)(w.symbols)
+        if (got if len(positions) > 1 else (got,)) == v.symbols:
+            return
     # rejected: find the first bad position for the message
     for j, p in zip(v.symbols, positions):
         if not (0 <= p < len(w)):
@@ -170,7 +186,14 @@ def enumerate_embeddings(v: Word, w: Word, cap: int | None = None) -> EmbeddingE
     """All embeddings of v into w in lexicographic order of position tuples.
 
     With ``cap`` set, at most that many maps are returned and
-    ``truncated`` reports whether more exist.
+    ``truncated`` reports whether more exist.  Returning more than
+    ENUMERATION_BUDGET symbols (maps times |v|) is refused with
+    BudgetError; the count is taken only when ``cap`` alone does not
+    keep the maps under it.  The walk is the one the module docstring
+    describes: one loop per prefix over the last index's candidates, and
+    the next prefix placed greedily after the advanced index, reusing the
+    old tail from each index that keeps its position up to the next one
+    that had been advanced.
     """
     _check_shared_alphabet(v, w)
     if cap is not None:
@@ -178,52 +201,96 @@ def enumerate_embeddings(v: Word, w: Word, cap: int | None = None) -> EmbeddingE
         if cap < 0:
             raise ContractError(f"cap must be >= 0, got {cap}")
     m = len(v)
-    want = None if cap is None else cap + 1  # one extra to detect truncation
-    out: list[tuple[int, ...]] = []
-    if m == 0:
-        out.append(())
-    else:
-        occ: dict[int, list[int]] = {s: [] for s in set(v.symbols)}
-        for p, s in enumerate(w.symbols):
-            if s in occ:
-                occ[s].append(p)
-        # rightmost viable position per pattern index: choosing beyond it
-        # strands the suffix, so the search never walks into dead subtrees
-        limit = [0] * m
-        horizon = len(w.symbols)
-        feasible = True
-        for i in range(m - 1, -1, -1):
-            positions = occ[v.symbols[i]]
-            t = bisect_left(positions, horizon) - 1
-            if t < 0:
-                feasible = False
-                break
-            limit[i] = horizon = positions[t]
-        if feasible:
-            # depth-first over pattern indices with an explicit stack:
-            # nxt[i] is the next candidate in lists[i] for index i
-            lists = [occ[s] for s in v.symbols]
-            cur = [0] * m
-            nxt = [0] * m
-            i = 0
-            while i >= 0:
-                positions, t = lists[i], nxt[i]
-                if t == len(positions) or positions[t] > limit[i]:
-                    i -= 1
-                    continue
-                p = cur[i] = positions[t]
-                nxt[i] = t + 1
-                if i + 1 == m:
-                    out.append(tuple(cur))
-                    if want is not None and len(out) >= want:
-                        break
-                else:
-                    i += 1
-                    nxt[i] = bisect_left(lists[i], p + 1)
-    truncated = cap is not None and len(out) > cap
+    size = cap  # the most maps returned
+    if m and (cap is None or cap * m > ENUMERATION_BUDGET):
+        size = _count(v.symbols, w.symbols)
+        if cap is not None:
+            size = min(size, cap)
+        if size * m > ENUMERATION_BUDGET:
+            raise BudgetError(
+                f"{size} maps of {m} positions are over the budget of "
+                f"{ENUMERATION_BUDGET} symbols (ENUMERATION_BUDGET)"
+            )
+    # one map past the cap shows whether more exist
+    maps = _lex_walk(v.symbols, w.symbols, size + 1) if m else [()]
+    truncated = cap is not None and len(maps) > cap
     if truncated:
-        out.pop()
-    return EmbeddingEnumeration(out, truncated)
+        maps.pop()
+    return EmbeddingEnumeration(maps, truncated)
+
+
+def _lex_walk(v: tuple[int, ...], w: tuple[int, ...], room: int) -> list[tuple[int, ...]]:
+    """The first ``room`` embeddings of v, m = |v| >= 1, into w in
+    lexicographic order."""
+    m = len(v)
+    occ: dict[int, list[int]] = {s: [] for s in set(v)}
+    for p, s in enumerate(w):
+        if s in occ:
+            occ[s].append(p)
+    lists = [occ[s] for s in v]
+    # limit[i]: rightmost viable position of index i, the latest one that
+    # leaves room for the suffix; stops[i] counts its candidates up to it
+    limit = [0] * m
+    horizon = len(w)
+    for i in range(m - 1, -1, -1):
+        t = bisect_left(lists[i], horizon) - 1
+        if t < 0:
+            return []
+        limit[i] = horizon = lists[i][t]
+    stops = list(map(bisect_right, lists, limit))
+    # cur is the prefix of the current maps, nxt[i] the index in
+    # lists[i] of index i's next candidate, and stack the indices below
+    # m - 1 that have one within their limit, deepest last
+    cur = [0] * (m - 1)
+    nxt = [0] * (m - 1)
+    stack = []
+    p = -1
+    for i in range(m - 1):
+        t = bisect_right(lists[i], p)
+        p = cur[i] = lists[i][t]
+        nxt[i] = t + 1
+        if t + 1 < stops[i]:
+            stack.append(i)
+    # the last index's candidates tail[lo:stop] each complete a map,
+    # appended to the prefix as the 1-tuples ends[lo:stop]
+    tail, stop = lists[m - 1], stops[m - 1]
+    ends = [(q,) for q in tail]
+    lo = bisect_right(tail, p)
+    # moved[i]: index i was advanced since it was last placed; True at
+    # m - 1 ends the search for the next one
+    moved = [False] * (m - 1) + [True]
+    out: list[tuple[int, ...]] = []
+    while True:
+        prefix = tuple(cur)
+        for end in ends[lo : min(stop, lo + room)]:
+            out.append(prefix + end)
+        room -= stop - lo
+        if room <= 0 or not stack:
+            return out
+        # advance the deepest index that can move, and place the ones after
+        # it greedily: one that keeps its old position keeps the old ones
+        # after it too, up to the next one that was advanced
+        d = stack[-1]
+        t = nxt[d]
+        p = cur[d] = lists[d][t]
+        nxt[d] = t + 1
+        if t + 1 == stops[d]:
+            stack.pop()
+        moved[d] = True
+        i = d + 1
+        while i < m - 1:
+            t = bisect_right(lists[i], p)
+            moved[i] = False
+            if t + 1 == nxt[i]:
+                i = moved.index(True, i + 1)
+                p = cur[i - 1]
+                continue
+            p = cur[i] = lists[i][t]
+            nxt[i] = t + 1
+            if t + 1 < stops[i]:
+                stack.append(i)
+            i += 1
+        lo = bisect_right(tail, p)
 
 
 # ---------------------------------------------------------------------------

@@ -19,16 +19,25 @@ block, in O(reach - start + 1), once per (block, start) pair.  Profiles
 take reach from it and their checks test block fit and reach
 maximality against it; the embeddings of one pattern share one table.
 
+``embedding_profile``, ``shape_of`` and ``check_profile_invariants``
+check their arguments and then run one internal route per embedding:
+entries by bisecting the positions at the block starts, reach read off
+the table, bands by bisecting each overlap among the band thresholds,
+and the per-block invariant loop.
+
 The claim suite runs one loop per sampled pattern over its embeddings
-and checks every claim inline.  Two caches spare repeated work: the
-claims on a shape alone and its decomposition are made once per
-distinct shape, and the break bound of a block slice once per pattern
-and (entry, reach); their items are repeated for each embedding.  The
-suite also scans the blocks greedily for each pattern's first
-embedding, so a wrong table cannot vouch for itself.
+and checks every claim inline.  Each pattern's first embedding goes
+through the public entries, and its blocks are also scanned greedily,
+so a wrong table cannot vouch for itself; every other embedding is
+validated and then takes the internal route directly, and gets an
+``EmbeddingProfile`` only when a top-band overlap needs the containment
+check.  Two caches spare repeated work: the claims on a shape alone and
+its decomposition are made once per distinct shape, and the break bound
+of a block slice once per pattern and (entry, reach); their items are
+repeated for each embedding.
 
 Classifying each overlap into six bands (thresholds 1, 10t, 10t^2,
-10t^3, 10t^4 for alphabet [t]^8) gives the embedding's *shape*.  The
+10t^3, 10t^4 for alphabet [t]^8, t >= 2) gives the embedding's *shape*.  The
 checkers in this module test, on enumerated embeddings, the structural
 facts that make shapes countable: monotonicity and range invariants of
 the profile, forced calm spells after large overlaps, the bound on
@@ -41,9 +50,9 @@ report violations instead of raising, so sweeps can aggregate.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import sub
 
 from .construction import (
@@ -138,11 +147,19 @@ def embedding_profile(
     _require("cw", cw, ConstructionWord)
     validate_embedding(v, cw.word, positions)
     reach = _table_of(v, cw, reach)
-    B = cw.block_count
-    L = cw.block_length
-    entry = tuple(bisect_left(positions, i * L) + 1 for i in range(B))
-    rea = tuple(reach[i, e - 1] for i, e in enumerate(entry))
-    return EmbeddingProfile(len(v), B, entry, rea, tuple(map(sub, rea, entry[1:])))
+    B, L = cw.block_count, cw.block_length
+    return EmbeddingProfile(len(v), B, *_profile(positions, range(0, B * L, L), reach))
+
+
+def _profile(
+    positions: tuple[int, ...], block_starts: range, reach: ReachTable
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(entry, reach, overlap) of a valid embedding, block i starting at
+    block_starts[i] in the word: the route of embedding_profile."""
+    starts = tuple(map(bisect_left, repeat(positions, len(block_starts)), block_starts))
+    rea = tuple(map(reach.__getitem__, zip(range(len(starts)), starts)))
+    entry = tuple([j + 1 for j in starts])
+    return entry, rea, tuple(map(sub, rea, entry[1:]))
 
 
 def check_profile_invariants(
@@ -167,62 +184,81 @@ def check_profile_invariants(
     _require("cw", cw, ConstructionWord)
     try:
         B = profile.block_count
-        m = profile.pattern_length
         ent, rea, ove = profile.entry, profile.reach, profile.overlap
         if B != cw.block_count or (len(ent), len(rea), len(ove)) != (B, B, B - 1):
             raise ContractError(
                 f"profile of {B} blocks with {len(ent)}/{len(rea)}/{len(ove)} "
                 f"entry/reach/overlap values does not fit a {cw.block_count}-block word"
             )
-        violations = []
-        for i in range(B - 1):
-            if ent[i] > ent[i + 1]:
-                violations.append({"kind": "entry-monotone", "block": i + 1})
-            if ove[i] != rea[i] - ent[i + 1]:
-                violations.append({"kind": "overlap-definition", "block": i + 1})
-            if ove[i] < -1:
-                violations.append({"kind": "overlap-floor", "block": i + 1})
         reach = _table_of(v, cw, reach)
-        n = len(v)
-        for i in range(B):
-            e, r = ent[i], rea[i]
-            if r < e - 1:
-                violations.append({"kind": "reach-floor", "block": i + 1})
-            # the slice v[e-1 : r] fits block i when the table's fit from its
-            # start runs to its stop; with maximality v[e-1 : r+1] must not
-            start, stop, _ = slice(e - 1, r).indices(n)
-            end = reach[i, start]
-            if end < stop:
-                violations.append({"kind": "block-fit", "block": i + 1})
-            if maximality and r < m and end >= slice(e - 1, r + 1).indices(n)[1]:
-                violations.append({"kind": "reach-maximality", "block": i + 1})
-        return violations
+        return _invariants(profile.pattern_length, ent, rea, ove, reach, maximality)
     except TypeError:
         raise ContractError(f"profile entries must be ints, got {profile!r}") from None
 
 
+def _invariants(
+    m: int,
+    ent: tuple[int, ...],
+    rea: tuple[int, ...],
+    ove: tuple[int, ...],
+    reach: ReachTable,
+    maximality: bool,
+) -> list[dict]:
+    """The items of check_profile_invariants on a profile of pattern
+    length m whose tuples fit the word: its route."""
+    violations = []
+    for i in range(len(ove)):
+        if ent[i] > ent[i + 1]:
+            violations.append({"kind": "entry-monotone", "block": i + 1})
+        if ove[i] != rea[i] - ent[i + 1]:
+            violations.append({"kind": "overlap-definition", "block": i + 1})
+        if ove[i] < -1:
+            violations.append({"kind": "overlap-floor", "block": i + 1})
+    n = len(reach.symbols)
+    for i in range(len(ent)):
+        e, r = ent[i], rea[i]
+        if r < e - 1:
+            violations.append({"kind": "reach-floor", "block": i + 1})
+        # the slice v[e-1 : r] fits block i when the table's fit from its
+        # start runs to its stop; with maximality v[e-1 : r+1] must not
+        start, stop, _ = slice(e - 1, r).indices(n)
+        end = reach[i, start]
+        if end < stop:
+            violations.append({"kind": "block-fit", "block": i + 1})
+        if maximality and r < m and end >= slice(e - 1, r + 1).indices(n)[1]:
+            violations.append({"kind": "reach-maximality", "block": i + 1})
+    return violations
+
+
+def _band_thresholds(t: int) -> tuple[int, ...]:
+    """Where the bands 1, 2, 3, 4 and 8 of alphabet [t]^8 start: 1, 10t,
+    10t^2, 10t^3 and 10t^4, increasing for t >= 2 only."""
+    require_int(t=t)
+    if t < 2:
+        raise ContractError(f"need t >= 2 for the overlap bands, got {t}")
+    return (1, 10 * t, 10 * t**2, 10 * t**3, 10 * t**4)
+
+
+def _bands(overlap, thresholds: tuple[int, ...]) -> tuple[int, ...]:
+    """The band of each overlap: the route of classify_overlap and shape_of."""
+    return tuple(map(SHAPE_CLASSES.__getitem__, map(bisect_right, repeat(thresholds), overlap)))
+
+
 def classify_overlap(d: int, t: int) -> int:
+    """The band of overlap d for alphabet [t]^8, t >= 2: 0 below 1, then
+    1, 2, 3, 4 and 8 from 1, 10t, 10t^2, 10t^3 and 10t^4 on."""
+    thresholds = _band_thresholds(t)
     try:
-        if d >= 10 * t**4:
-            return 8
-        if d >= 10 * t**3:
-            return 4
-        if d >= 10 * t**2:
-            return 3
-        if d >= 10 * t:
-            return 2
-        if d >= 1:
-            return 1
-        return 0
+        return _bands((d,), thresholds)[0]
     except TypeError:
-        raise ContractError(f"overlap and t must be ints, got {d!r} and {t!r}") from None
+        raise ContractError(f"overlap must be an int, got {d!r}") from None
 
 
 def shape_of(profile: EmbeddingProfile, t: int) -> tuple[int, ...]:
     _require("profile", profile, EmbeddingProfile)
-    require_int(t=t)
+    thresholds = _band_thresholds(t)
     try:
-        return tuple(classify_overlap(d, t) for d in profile.overlap)
+        return _bands(profile.overlap, thresholds)
     except TypeError:
         raise ContractError(f"overlap must be a tuple of ints, got {profile.overlap!r}") from None
 
@@ -502,7 +538,8 @@ def sample_pattern(rng: random.Random, cw: ConstructionWord, density: float) -> 
     """Random subsequence of the host word (never empty), so at least
     one embedding is guaranteed to exist."""
     syms = cw.word.symbols
-    kept = tuple(s for s in syms if rng.random() < density)
+    draw = rng.random
+    kept = tuple([s for s in syms if draw() < density])
     if not kept:
         kept = (syms[rng.randrange(len(syms))],)
     return Word(kept, cw.word.alphabet_size)
@@ -511,15 +548,22 @@ def sample_pattern(rng: random.Random, cw: ConstructionWord, density: float) -> 
 _DENSITY_PALETTE = (0.003, 0.01, 0.03, 0.08, 0.2)
 
 
-def _shape_verdict(s: tuple[int, ...]) -> tuple[tuple, ShapeDecomposition]:
-    """The claims on one shape alone: the category and items of each
-    ALL_SHAPE_CLAIMS checker that flags it, and the shape's
-    decomposition."""
+def _shape_verdict(s: tuple[int, ...]) -> tuple:
+    """What the suite checks on one shape alone: the category and items
+    of each ALL_SHAPE_CLAIMS checker that flags it; its decomposition if
+    that fails or leaves a tail over eight entries, else None; the
+    (index, band) of each nonzero entry; and the indices of the zeros."""
     claims = (
         (checker.__name__.removeprefix("check_").replace("_", "-"), checker(s))
         for checker in ALL_SHAPE_CLAIMS
     )
-    return tuple((category, items) for category, items in claims if items), decompose_shape(s)
+    dec = decompose_shape(s)
+    return (
+        tuple((category, items) for category, items in claims if items),
+        dec if not dec.ok or len(s) - dec.tail_start + 1 > 8 else None,
+        tuple((i, x) for i, x in enumerate(s) if x),
+        tuple(i for i, x in enumerate(s) if not x),
+    )
 
 
 def _scan_reach(v: Word, profile: EmbeddingProfile, cw: ConstructionWord) -> list[dict]:
@@ -549,18 +593,22 @@ def run_claim_suite(
     embed_cap embeddings each, and test every profile/shape claim on
     every embedding, in one loop per pattern over its embeddings.
 
-    Each embedding's items are tagged with its sample and embedding
-    index and reported in this order: profile invariants (reach
-    maximality spot-checked on the pattern's first embedding, whose
-    block fits are also scanned without the table), the claims on the
-    shape alone, big-interval containment, the break bound per block,
-    determination by the entry sequence, the band-zero pinch, and the
-    decomposition.  After its embeddings a pattern adds the band
-    next-entry counts.  Each pattern's embeddings share one reach
-    table.  Two caches repeat items instead of recomputing them: the
-    claims on a shape alone and its decomposition, once per distinct
-    shape; and the break bound of a block slice, once per pattern and
-    (entry, reach).  Deterministic for a fixed seed."""
+    The first embedding of each pattern goes through the public
+    ``embedding_profile``, ``shape_of`` and ``check_profile_invariants``;
+    the others are checked by ``validate_embedding`` and then take the
+    same internal route without the argument checks.  Each embedding's
+    items are tagged with its sample and embedding index and reported in
+    this order: profile invariants (reach maximality spot-checked on the
+    pattern's first embedding, whose block fits are also scanned without
+    the table), the claims on the shape alone, big-interval
+    containment, the break bound per block, determination by the entry
+    sequence, the band-zero pinch, and the decomposition.  After its
+    embeddings a pattern adds the band next-entry counts.  Each
+    pattern's embeddings share one reach table.  Two caches repeat items
+    instead of recomputing them: the claims on a shape alone and its
+    decomposition, once per distinct shape; and the break bound of a
+    block slice, once per pattern and (entry, reach).  Deterministic for
+    a fixed seed."""
     require_int(patterns=patterns, seed=seed)
     if patterns < 0:
         raise ContractError(f"patterns must be >= 0, got {patterns}")
@@ -568,39 +616,51 @@ def run_claim_suite(
     rng = random.Random(seed)
     report = ShapeSuiteReport(t, blocks, seed)
     add = report.add
-    verdicts: dict[tuple[int, ...], tuple[tuple, ShapeDecomposition]] = {}
+    thresholds = _band_thresholds(t)
+    B, L = cw.block_count, cw.block_length
+    block_starts = range(0, B * L, L)
+    verdicts: dict[tuple[int, ...], tuple] = {}
     for sample in range(patterns):
         v = sample_pattern(rng, cw, rng.choice(_DENSITY_PALETTE))
         enum = enumerate_embeddings(v, cw.word, cap=embed_cap)
         report.patterns_checked += 1
+        report.embeddings_checked += len(enum)
+        m = len(v)
         reach = ReachTable(v, cw)
         break_items: dict[tuple[int, int], list[dict]] = {}
         entries_seen: dict[tuple[int, ...], int] = {}
         next_entries: dict[tuple[int, int, int], set[int]] = {}
         for e, positions in enumerate(enum):
-            report.embeddings_checked += 1
             tag = {"sample": sample, "embedding": e}
-            profile = embedding_profile(v, positions, cw, reach=reach)
-            ent, ove = profile.entry, profile.overlap
-            s = shape_of(profile, t)
+            if e == 0:
+                # the public entries, with reach maximality spot-checked
+                # and the blocks also scanned without the table, as the
+                # table checks read what the reach came from
+                profile = embedding_profile(v, positions, cw, reach=reach)
+                ent, rea, ove = profile.entry, profile.reach, profile.overlap
+                s = shape_of(profile, t)
+                items = check_profile_invariants(v, profile, cw, maximality=True, reach=reach)
+                items += _scan_reach(v, profile, cw)
+            else:
+                validate_embedding(v, cw.word, positions)
+                ent, rea, ove = _profile(positions, block_starts, reach)
+                s = _bands(ove, thresholds)
+                items = _invariants(m, ent, rea, ove, reach, False)
             if s not in verdicts:
                 verdicts[s] = _shape_verdict(s)
-            claims, dec = verdicts[s]
-            # reach maximality is spot-checked on each pattern's first
-            # embedding, also by a scan, as the table checks read what the
-            # reach came from
-            items = check_profile_invariants(v, profile, cw, maximality=e == 0, reach=reach)
-            if e == 0:
-                items += _scan_reach(v, profile, cw)
-            found = [("profile-invariant", items), *claims]
-            if 8 in s:  # the containment claim starts only at a top-band overlap
-                items = check_big_interval_containment(profile, s)
-                found.append(("big-interval-containment", items))
-            for category, items in found:
+            claims, dec, bands, zeros = verdicts[s]
+            if items:
+                add("profile-invariant", [dict(item, **tag) for item in items])
+            for category, items in claims:
                 add(category, [dict(item, **tag) for item in items])
+            if 8 in s:  # the containment claim starts only at a top-band overlap
+                if e:
+                    profile = EmbeddingProfile(m, B, ent, rea, ove)
+                items = check_big_interval_containment(profile, s)
+                add("big-interval-containment", [dict(item, **tag) for item in items])
             # per-block slices of the pattern live inside single blocks, so
             # the prefix-break bound applies to each of them
-            for i, key in enumerate(zip(ent, profile.reach)):
+            for i, key in enumerate(zip(ent, rea)):
                 items = break_items.get(key)
                 if items is None:
                     piece = Word(v.symbols[key[0] - 1 : key[1]], v.alphabet_size)
@@ -613,15 +673,16 @@ def run_claim_suite(
                 add("determination", [{**tag, "duplicate_of": first, "entries": ent}])
             # the zero band pinches the overlap to -1 or 0; the other bands
             # collect next-entry choices for the per-pattern band bound
-            for i, x in enumerate(s):
-                if x:
-                    next_entries.setdefault((i + 1, ent[i], x), set()).add(ent[i + 1])
-                elif ove[i] not in (-1, 0):
+            for i in zeros:
+                if ove[i] not in (-1, 0):
                     add("band-zero-pinch", [{**tag, "block": i + 1, "overlap": ove[i]}])
-            if not dec.ok:
-                add("decomposition", [dict(dec.failure, **tag)])
-            elif len(s) - dec.tail_start + 1 > 8:
-                add("decomposition", [{**tag, "tail": dec.tail_start}])
+            for i, x in bands:
+                next_entries.setdefault((i + 1, ent[i], x), set()).add(ent[i + 1])
+            if dec is not None:
+                if not dec.ok:
+                    add("decomposition", [dict(dec.failure, **tag)])
+                else:
+                    add("decomposition", [{**tag, "tail": dec.tail_start}])
         for (block, entry, x), choices in next_entries.items():
             cap = 10 * t**x
             if len(choices) > cap:

@@ -284,6 +284,64 @@ def canonical_representatives(k, n):
     yield from rec(0, 0)
 
 
+def _capped(maps, cap):
+    """(maps, truncated) as enumerate_embeddings reports them under cap."""
+    if cap is not None and len(maps) > cap:
+        return maps[:cap], True
+    return maps, False
+
+
+def embeddings_by_combinations(v_syms, w_syms, cap=None):
+    """(maps, truncated) of the embeddings of v into w in lexicographic
+    order: every position combination, which ``combinations`` yields in
+    that order, kept when it spells v."""
+    maps = [
+        pos
+        for pos in combinations(range(len(w_syms)), len(v_syms))
+        if all(w_syms[p] == s for p, s in zip(pos, v_syms))
+    ]
+    return _capped(maps, cap)
+
+
+def embeddings_by_scanning(v_syms, w_syms, cap=None):
+    """(maps, truncated) of the embeddings of v into w in lexicographic
+    order, for hosts too long for ``embeddings_by_combinations``: a
+    depth-first walk that tries each index's positions one by one, up to
+    the latest one from which the rest of v still fits, and stops one map
+    past the cap."""
+    m, n = len(v_syms), len(w_syms)
+    if m == 0:
+        return _capped([()], cap)
+    latest = [n] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        p = latest[i + 1] - 1
+        while p >= 0 and w_syms[p] != v_syms[i]:
+            p -= 1
+        if p < 0:
+            return [], False
+        latest[i] = p
+    maps = []
+    # stack[i]: the next position to try for index i
+    stack, cur = [0], []
+    while stack and (cap is None or len(maps) <= cap):
+        i = len(stack) - 1
+        p = stack[i]
+        while p <= latest[i] and w_syms[p] != v_syms[i]:
+            p += 1
+        if p > latest[i]:
+            stack.pop()
+            if cur:
+                cur.pop()
+            continue
+        stack[i] = p + 1
+        if i + 1 == m:
+            maps.append((*cur, p))
+        else:
+            cur.append(p)
+            stack.append(p + 1)
+    return _capped(maps, cap)
+
+
 def subsequence_by_two_pointer(v_syms, w_syms):
     i = 0
     for s in w_syms:

@@ -24,7 +24,9 @@ from subseqlab.counting import (
     sum_over_lengths,
     validate_embedding,
 )
+from subseqlab.construction import build_construction_word
 from subseqlab.errors import BudgetError, ContractError
+from subseqlab.shapes import _DENSITY_PALETTE, run_claim_suite, sample_pattern
 from subseqlab.words import Word, from_ids, power, word
 
 from contract_inputs import DOCUMENTED_ERRORS, JUNK, NOT_A_WORD, int_or_junk
@@ -36,6 +38,8 @@ from oracles import (
     brute_profile,
     count_by_combinations,
     dominated,
+    embeddings_by_combinations,
+    embeddings_by_scanning,
     extend_counts,
 )
 
@@ -138,6 +142,81 @@ def test_enumeration_size_equals_count():
         assert len(res) == count_occurrences(v, w)
         for e in res:
             validate_embedding(v, w, e)
+
+
+def _enumeration_agrees(v, w):
+    """enumerate_embeddings against the brute-force order at caps around
+    the count: same maps, order and truncation."""
+    maps, _ = embeddings_by_combinations(v.symbols, w.symbols)
+    count = len(maps)
+    for cap in {None, 0, 1, count - 1, count, count + 1} - {-1}:
+        res = enumerate_embeddings(v, w, cap)
+        want = (maps, False) if cap is None or count <= cap else (maps[:cap], True)
+        assert (res.maps, res.truncated) == want, (v, w, cap)
+
+
+def test_enumeration_matches_the_brute_force_order():
+    # every k <= 2 host of at most nine symbols with every pattern of at
+    # most four symbols
+    for k in (1, 2):
+        patterns = [Word(v, k) for size in range(5) for v in product(range(k), repeat=size)]
+        for n in range(10):
+            for host in product(range(k), repeat=n):
+                for v in patterns:
+                    _enumeration_agrees(v, Word(host, k))
+
+
+def test_enumeration_reuses_tails_and_walks_last_index_like_brute_force():
+    # (01)^j: advancing one index moves the greedy tail by whole periods,
+    # so tails are both re-placed and kept; 0^n: every prefix has a run of
+    # last-index candidates
+    for j in range(1, 8):
+        for size in range(6):
+            for v in product(range(2), repeat=size):
+                _enumeration_agrees(Word(v, 2), Word((0, 1) * j, 2))
+    for n in range(17):
+        for size in range(min(n, 8) + 2):
+            _enumeration_agrees(Word((0,) * size, 2), Word((0,) * n, 2))
+
+
+def test_enumeration_of_the_claim_suite_patterns_matches_a_scanning_walk():
+    # the 20 patterns of run_claim_suite(2, 12, 20, 7), drawn as it draws
+    # them, against a walk that tries positions one by one
+    cw = build_construction_word(2, 12)
+    rng = random.Random(7)
+    for _ in range(20):
+        v = sample_pattern(rng, cw, rng.choice(_DENSITY_PALETTE))
+        for cap in (0, 1, 150, 400):
+            res = enumerate_embeddings(v, cw.word, cap)
+            want = embeddings_by_scanning(v.symbols, cw.word.symbols, cap)
+            assert (res.maps, res.truncated) == want, (v, cap)
+
+
+def test_enumeration_budget(monkeypatch):
+    # the real budget refuses C(60, 10) maps of 10 positions at once, and
+    # the 51,200 maps of the first 20-symbol pattern of an uncapped suite
+    with pytest.raises(BudgetError, match="ENUMERATION_BUDGET"):
+        enumerate_embeddings(Word((0,) * 10, 2), Word((0,) * 60, 2))
+    with pytest.raises(BudgetError, match="51200 maps of 20 positions"):
+        run_claim_suite(2, 12, 1, 1, embed_cap=None)
+    # both sides of a budget of 60 symbols: C(6, 3) = 20 maps of 3 fit it
+    # and C(7, 3) = 35 do not, unless a cap keeps them to 20
+    monkeypatch.setattr(counting_module, "ENUMERATION_BUDGET", 60)
+    v = Word((0,) * 3, 2)
+    assert len(enumerate_embeddings(v, Word((0,) * 6, 2))) == 20
+    assert len(enumerate_embeddings(v, Word((0,) * 6, 2), cap=25)) == 20
+    res = enumerate_embeddings(v, Word((0,) * 7, 2), cap=20)
+    assert len(res) == 20 and res.truncated
+    for cap in (None, 21):
+        with pytest.raises(BudgetError, match="35 maps|21 maps"):
+            enumerate_embeddings(v, Word((0,) * 7, 2), cap=cap)
+    # a cap that keeps the maps under the budget needs no count
+    def no_count(v, w):
+        raise AssertionError("counted")
+
+    monkeypatch.setattr(counting_module, "_count", no_count)
+    assert len(enumerate_embeddings(v, Word((0,) * 7, 2), cap=20)) == 20
+    assert len(enumerate_embeddings(Word((), 2), Word((0,) * 7, 2))) == 1
 
 
 def test_validate_embedding_rejects_junk():

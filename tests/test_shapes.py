@@ -17,6 +17,10 @@ from subseqlab.counting import enumerate_embeddings
 from subseqlab.errors import ContractError
 from subseqlab.shapes import (
     _DENSITY_PALETTE,
+    _band_thresholds,
+    _bands,
+    _invariants,
+    _profile,
     SHAPE_CLASSES,
     EmbeddingProfile,
     ReachTable,
@@ -221,6 +225,16 @@ def test_classify_overlap_boundaries():
     assert classify_overlap(10 * t**4 - 1, t) == 4
     assert classify_overlap(10 * t**4, t) == 8
     assert classify_overlap(10**9, t) == 8
+
+
+def test_bands_refuse_t_below_two():
+    # below t = 2 the thresholds 1, 10t, ..., 10t^4 stop increasing
+    p = EmbeddingProfile(3, 2, (1, 2), (1, 3), (-1,))
+    for t in (-1, 0, 1):
+        with pytest.raises(ContractError, match="need t >= 2"):
+            classify_overlap(5, t)
+        with pytest.raises(ContractError, match="need t >= 2"):
+            shape_of(p, t)
 
 
 def test_claim_window_indices_margin():
@@ -631,6 +645,38 @@ def test_reach_table_matches_the_per_embedding_route():
                     assert _table_route(cw, v, q, maximality, None) == want
             checked += 1
     assert checked == sum(pinned[0] for _, _, pinned in _PINNED_SUITES)
+
+
+def test_shared_route_matches_the_public_entries(monkeypatch):
+    # the suite sends only each pattern's first embedding through the
+    # public entries; every embedding of the pinned suites gets the same
+    # profile, shape and invariant items from the route the others take
+    checked = 0
+    for cw, v, maps, _ in _pinned_samples():
+        reach = ReachTable(v, cw)
+        block_starts = range(0, cw.block_count * cw.block_length, cw.block_length)
+        thresholds = _band_thresholds(cw.t)
+        for f in maps:
+            p = embedding_profile(v, f, cw, reach=reach)
+            ent, rea, ove = _profile(f, block_starts, reach)
+            assert (ent, rea, ove) == (p.entry, p.reach, p.overlap)
+            assert _bands(ove, thresholds) == shape_of(p, cw.t)
+            for maximality in (False, True):
+                items = check_profile_invariants(v, p, cw, maximality=maximality, reach=reach)
+                assert _invariants(len(v), ent, rea, ove, reach, maximality) == items
+            checked += 1
+    assert checked == sum(pinned[0] for _, _, pinned in _PINNED_SUITES)
+    # and the suite calls the public profile entry once per pattern
+    calls = []
+    real = shapes_module.embedding_profile
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shapes_module, "embedding_profile", counted)
+    assert run_claim_suite(2, 12, 20, 7).embeddings_checked == 1408
+    assert len(calls) == 20
 
 
 def test_reach_table_of_another_pattern_or_word_is_refused(cw_t2_b3):
