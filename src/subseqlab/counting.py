@@ -200,10 +200,29 @@ def enumerate_embeddings(v: Word, w: Word, cap: int | None = None) -> EmbeddingE
         require_int(cap=cap)
         if cap < 0:
             raise ContractError(f"cap must be >= 0, got {cap}")
+    return _enumerate(v.symbols, w.symbols, _positions_by_symbol(w.symbols, set(v.symbols)), cap)
+
+
+def _positions_by_symbol(w: tuple[int, ...], symbols) -> dict[int, list[int]]:
+    """The positions in w of each of ``symbols``, in increasing order."""
+    occ: dict[int, list[int]] = {s: [] for s in symbols}
+    for p, s in enumerate(w):
+        if s in occ:
+            occ[s].append(p)
+    return occ
+
+
+def _enumerate(
+    v: tuple[int, ...], w: tuple[int, ...], occ: dict[int, list[int]], cap: int | None
+) -> EmbeddingEnumeration:
+    """enumerate_embeddings on checked arguments, given as symbol tuples,
+    with ``occ[s]`` the positions in w of each symbol s of v: the route
+    of every enumeration, so a caller that enumerates many patterns in
+    one host indexes the host once."""
     m = len(v)
     size = cap  # the most maps returned
     if m and (cap is None or cap * m > ENUMERATION_BUDGET):
-        size = _count(v.symbols, w.symbols)
+        size = _count(v, w)
         if cap is not None:
             size = min(size, cap)
         if size * m > ENUMERATION_BUDGET:
@@ -212,26 +231,22 @@ def enumerate_embeddings(v: Word, w: Word, cap: int | None = None) -> EmbeddingE
                 f"{ENUMERATION_BUDGET} symbols (ENUMERATION_BUDGET)"
             )
     # one map past the cap shows whether more exist
-    maps = _lex_walk(v.symbols, w.symbols, size + 1) if m else [()]
+    maps = _lex_walk([occ[s] for s in v], len(w), size + 1) if m else [()]
     truncated = cap is not None and len(maps) > cap
     if truncated:
         maps.pop()
     return EmbeddingEnumeration(maps, truncated)
 
 
-def _lex_walk(v: tuple[int, ...], w: tuple[int, ...], room: int) -> list[tuple[int, ...]]:
-    """The first ``room`` embeddings of v, m = |v| >= 1, into w in
-    lexicographic order."""
-    m = len(v)
-    occ: dict[int, list[int]] = {s: [] for s in set(v)}
-    for p, s in enumerate(w):
-        if s in occ:
-            occ[s].append(p)
-    lists = [occ[s] for s in v]
+def _lex_walk(lists: list[list[int]], horizon: int, room: int) -> list[tuple[int, ...]]:
+    """The first ``room`` embeddings, in lexicographic order, of a
+    pattern of m = len(lists) >= 1 symbols into a word of ``horizon``
+    symbols, where lists[i] holds the positions of the pattern's i-th
+    symbol in the word."""
+    m = len(lists)
     # limit[i]: rightmost viable position of index i, the latest one that
     # leaves room for the suffix; stops[i] counts its candidates up to it
     limit = [0] * m
-    horizon = len(w)
     for i in range(m - 1, -1, -1):
         t = bisect_left(lists[i], horizon) - 1
         if t < 0:

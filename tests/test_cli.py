@@ -228,6 +228,13 @@ _TABLE_DIGESTS = {
 }
 
 
+def test_table_of_a_wide_alphabet_runs_on_the_default_budget(capsys):
+    # every k >= 5 has a default budget (n <= 13), so no flag is needed
+    code, out, _ = run(["table", "--k", "5", "--n-max", "3"], capsys)
+    assert code == EXIT_OK
+    assert [r["value"] for r in json.loads(out)["rows"]] == ["1", "1", "1"]
+
+
 def test_table_artifacts_pinned(tmp_path, capsys):
     for (k, n_max), (json_digest, csv_digest) in _TABLE_DIGESTS.items():
         out_path = tmp_path / f"table{k}.json"

@@ -12,7 +12,9 @@ from subseqlab import counting as counting_module
 from subseqlab.counting import (
     FIXED_LENGTH_WITNESS_BUDGET,
     _branch_and_bound,
+    _enumerate,
     _position_index,
+    _positions_by_symbol,
     _search_most_common,
     _step_tables,
     _suffix_capacities,
@@ -181,15 +183,20 @@ def test_enumeration_reuses_tails_and_walks_last_index_like_brute_force():
 
 def test_enumeration_of_the_claim_suite_patterns_matches_a_scanning_walk():
     # the 20 patterns of run_claim_suite(2, 12, 20, 7), drawn as it draws
-    # them, against a walk that tries positions one by one
+    # them, against a walk that tries positions one by one; the suite's
+    # own walk, fed from one index of the whole host, lists the same maps
     cw = build_construction_word(2, 12)
+    host = cw.word.symbols
+    index = _positions_by_symbol(host, set(host))
     rng = random.Random(7)
     for _ in range(20):
         v = sample_pattern(rng, cw, rng.choice(_DENSITY_PALETTE))
         for cap in (0, 1, 150, 400):
             res = enumerate_embeddings(v, cw.word, cap)
-            want = embeddings_by_scanning(v.symbols, cw.word.symbols, cap)
+            want = embeddings_by_scanning(v.symbols, host, cap)
             assert (res.maps, res.truncated) == want, (v, cap)
+            fed = _enumerate(v.symbols, host, index, cap)
+            assert (fed.maps, fed.truncated) == want, (v, cap)
 
 
 def test_enumeration_budget(monkeypatch):

@@ -363,10 +363,16 @@ def test_scan_cuts_rest_on_product_bounds_the_oracle_confirms():
 def test_budget_errors_name_the_limit():
     with pytest.raises(BudgetError, match="n <= 16"):
         extremal_value(2, 17, use_registry=False)
-    with pytest.raises(BudgetError, match="n <= 0"):
-        extremal_value(5, 1)
+    with pytest.raises(BudgetError, match="n <= 100"):
+        extremal_value(1, 101)
+    # every k >= 5 is budgeted to n <= 13, unless budgets says otherwise
+    with pytest.raises(BudgetError, match="n <= 13"):
+        extremal_value(7, 14)
+    with pytest.raises(BudgetError, match=r"n <= 1 \(asked n=2\)"):
+        extremal_value(5, 2, budgets={5: 1})
     rec = extremal_value(5, 2, budgets={5: 2})
     assert rec.value == 1
+    assert [r.value for r in extremal_table(5, 3)] == [1, 1, 1]
 
 
 def test_registry_record_is_external_and_not_recomputed():

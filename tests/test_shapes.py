@@ -13,14 +13,16 @@ from hypothesis import given, settings, strategies as st
 
 from subseqlab import shapes as shapes_module
 from subseqlab.construction import ConstructionWord, build_construction_word
-from subseqlab.counting import enumerate_embeddings
+from subseqlab.counting import EmbeddingEnumeration, enumerate_embeddings, validate_embedding
 from subseqlab.errors import ContractError
 from subseqlab.shapes import (
     _DENSITY_PALETTE,
     _band_thresholds,
     _bands,
+    _columns,
+    _crowded_entries,
     _invariants,
-    _profile,
+    _row,
     SHAPE_CLASSES,
     EmbeddingProfile,
     ReachTable,
@@ -34,7 +36,6 @@ from subseqlab.shapes import (
     check_profile_invariants,
     check_single_medium_after_big,
     claim_window_indices,
-    classify_overlap,
     break_counts,
     decompose_shape,
     embedding_profile,
@@ -213,18 +214,17 @@ def test_invariant_checker_flags_corrupted_profile(cw_t2_b3):
 # bands and claim checkers
 
 
-def test_classify_overlap_boundaries():
-    t = 2
-    assert classify_overlap(-1, t) == 0
-    assert classify_overlap(0, t) == 0
-    assert classify_overlap(1, t) == 1
-    assert classify_overlap(10 * t - 1, t) == 1
-    assert classify_overlap(10 * t, t) == 2
-    assert classify_overlap(10 * t**2, t) == 3
-    assert classify_overlap(10 * t**3, t) == 4
-    assert classify_overlap(10 * t**4 - 1, t) == 4
-    assert classify_overlap(10 * t**4, t) == 8
-    assert classify_overlap(10**9, t) == 8
+def _banded(overlaps, t):
+    """shape_of a profile whose overlaps are ``overlaps``."""
+    B = len(overlaps) + 1
+    return shape_of(EmbeddingProfile(1, B, (1,) * B, (0,) * B, tuple(overlaps)), t)
+
+
+def test_shape_of_band_boundaries():
+    for t in (2, 3):
+        overlaps = (-1, 0, 1, 10 * t - 1, 10 * t, 10 * t**2, 10 * t**3, 10 * t**4 - 1, 10 * t**4)
+        assert _banded(overlaps + (10**9,), t) == (0, 0, 1, 1, 2, 3, 4, 4, 8, 8)
+        assert _banded((), t) == ()
 
 
 def test_bands_refuse_t_below_two():
@@ -232,7 +232,7 @@ def test_bands_refuse_t_below_two():
     p = EmbeddingProfile(3, 2, (1, 2), (1, 3), (-1,))
     for t in (-1, 0, 1):
         with pytest.raises(ContractError, match="need t >= 2"):
-            classify_overlap(5, t)
+            _banded((5,), t)
         with pytest.raises(ContractError, match="need t >= 2"):
             shape_of(p, t)
 
@@ -522,6 +522,34 @@ def test_claim_suite_deterministic():
         assert _suite_digest(report) == digest, args
 
 
+def test_crowded_entries_match_a_per_map_count():
+    # no pinned suite comes near a band's cap, so random columns crowd
+    # the entries: each (block, entry, band) is counted as the maps come
+    # and reported in the order it first appeared
+    rng = random.Random(2907)
+    found = 0
+    for _ in range(40):
+        n, B = rng.randrange(1, 300), rng.randrange(1, 6)
+        entry = [[rng.randrange(1, 4 + 40 * (i % 2)) for _ in range(n)] for i in range(B)]
+        bands = [
+            tuple(rng.choice((0, 0, 1, 1, 1, 2)) for _ in range(n)) for _ in range(B - 1)
+        ]
+        next_entries = {}
+        for e in range(n):
+            for i in range(B - 1):
+                if bands[i][e]:
+                    key = (i + 1, entry[i][e], bands[i][e])
+                    next_entries.setdefault(key, set()).add(entry[i + 1][e])
+        want = [
+            (*key, len(choices))
+            for key, choices in next_entries.items()
+            if len(choices) > 10 * 2 ** key[2]
+        ]
+        assert _crowded_entries(entry, bands, 2) == want
+        found += len(want)
+    assert found > 10
+
+
 def _flag_break_bounds(monkeypatch):
     # flag every third piece length, so the report carries break-bound
     # items whose order per embedding and block is pinned
@@ -647,25 +675,52 @@ def test_reach_table_matches_the_per_embedding_route():
     assert checked == sum(pinned[0] for _, _, pinned in _PINNED_SUITES)
 
 
+class _SkewedTable(ReachTable):
+    """A ReachTable whose every reach is moved by a fixed amount per key,
+    from -4 to +2: some fall below their slice's start or below 0, and
+    some run past the pattern's end."""
+
+    def __missing__(self, key):
+        end = self[key] = super().__missing__(key) + hash(key) % 7 - 4
+        return end
+
+
+class _SunkTable(ReachTable):
+    """A ReachTable whose every reach is one below its slice's start, so
+    -1 at the pattern's start."""
+
+    def __missing__(self, key):
+        end = self[key] = key[1] - 1
+        return end
+
+
 def test_shared_route_matches_the_public_entries(monkeypatch):
     # the suite sends only each pattern's first embedding through the
-    # public entries; every embedding of the pinned suites gets the same
-    # profile, shape and invariant items from the route the others take
-    checked = 0
+    # public entries; on every embedding of the pinned suites the column
+    # route gives the same profile and shape, and flags exactly the
+    # embeddings with invariant items, whose items it then produces in
+    # the same order, also when the reach table is wrong
+    checked = flagged_total = 0
     for cw, v, maps, _ in _pinned_samples():
-        reach = ReachTable(v, cw)
         block_starts = range(0, cw.block_count * cw.block_length, cw.block_length)
         thresholds = _band_thresholds(cw.t)
-        for f in maps:
-            p = embedding_profile(v, f, cw, reach=reach)
-            ent, rea, ove = _profile(f, block_starts, reach)
-            assert (ent, rea, ove) == (p.entry, p.reach, p.overlap)
-            assert _bands(ove, thresholds) == shape_of(p, cw.t)
-            for maximality in (False, True):
-                items = check_profile_invariants(v, p, cw, maximality=maximality, reach=reach)
-                assert _invariants(len(v), ent, rea, ove, reach, maximality) == items
-            checked += 1
-    assert checked == sum(pinned[0] for _, _, pinned in _PINNED_SUITES)
+        for table in (ReachTable(v, cw), _SkewedTable(v, cw), _SunkTable(v, cw)):
+            entry, rea, overlap, flagged = _columns(maps, block_starts, table)
+            bands = [_bands(o, thresholds) for o in overlap]
+            for e, f in enumerate(maps):
+                p = embedding_profile(v, f, cw, reach=table)
+                ent, rea_e, ove = _row(entry, e), _row(rea, e), _row(overlap, e)
+                assert (ent, rea_e, ove) == (p.entry, p.reach, p.overlap)
+                assert _row(bands, e) == shape_of(p, cw.t)
+                items = check_profile_invariants(v, p, cw, reach=table)
+                assert (e in flagged) == (items != [])
+                assert _invariants(len(v), ent, rea_e, ove, table, False) == items
+                checked += 1
+            flagged_total += len(flagged)
+    embeddings = sum(pinned[0] for _, _, pinned in _PINNED_SUITES)
+    assert checked == 3 * embeddings
+    # the sunk table flags every embedding, the skewed one some
+    assert embeddings < flagged_total < 2 * embeddings
     # and the suite calls the public profile entry once per pattern
     calls = []
     real = shapes_module.embedding_profile
@@ -677,6 +732,59 @@ def test_shared_route_matches_the_public_entries(monkeypatch):
     monkeypatch.setattr(shapes_module, "embedding_profile", counted)
     assert run_claim_suite(2, 12, 20, 7).embeddings_checked == 1408
     assert len(calls) == 20
+
+
+def _wrong_symbol(p, w):
+    q = next(q for q in range(p[-1] + 1, len(w)) if w[q] != w[p[-1]])
+    return p[:-1] + (q,)
+
+
+def _first_moved_past_second(p, w):
+    # the first symbol again, at its next place after the second position
+    return (next(q for q in range(p[1] + 1, len(w)) if w[q] == w[p[0]]),) + p[1:]
+
+
+def _last_moved_before_second_last(p, w):
+    # the last symbol again, at its place before the second-last position
+    return p[:-1] + (next(q for q in range(p[-2] - 1, -1, -1) if w[q] == w[p[-1]]),)
+
+
+_BAD_MAPS = {
+    "wrong-symbol": _wrong_symbol,
+    "out-of-range": lambda p, w: p[:-1] + (len(w),),
+    "repeated-position": lambda p, w: p[:-1] + (p[-2],),
+    "out-of-order-first": _first_moved_past_second,
+    "out-of-order-last": _last_moved_before_second_last,
+    "float": lambda p, w: (5.0,) + p[1:],
+    "list": lambda p, w: list(p),
+    "wrong-length": lambda p, w: p[:-1],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_MAPS))
+def test_claim_suite_validates_each_map_against_the_one_before(monkeypatch, kind):
+    # the suite checks a map only where it differs from the one before;
+    # a bad map after good ones still fails with validate_embedding's own
+    # message
+    real = shapes_module._enumerate
+    expected = []
+
+    def walk(v, w, occ, cap):
+        res = real(v, w, occ, cap)
+        if len(v) < 2 or len(res.maps) < 3 or expected:
+            return res
+        maps = list(res.maps)
+        maps[2] = _BAD_MAPS[kind](maps[2], w)
+        try:
+            validate_embedding(Word(v, 256), Word(w, 256), maps[2])
+        except ContractError as exc:
+            expected.append(str(exc))
+        return EmbeddingEnumeration(maps, res.truncated)
+
+    monkeypatch.setattr(shapes_module, "_enumerate", walk)
+    with pytest.raises(ContractError) as caught:
+        run_claim_suite(2, 12, 20, 7)
+    assert [str(caught.value)] == expected
 
 
 def test_reach_table_of_another_pattern_or_word_is_refused(cw_t2_b3):
@@ -881,8 +989,8 @@ def test_junk_arguments_are_contract_errors(cw_t2_b3):
         lambda: break_counts(None, 2),
         lambda: break_counts(Word((0,), 8), "2"),
         # non-int profile entries and band arguments
-        lambda: classify_overlap(3, "2"),
-        lambda: classify_overlap(None, 2),
+        lambda: _banded((3,), "2"),
+        lambda: _banded((None,), 2),
         lambda: shape_of(EmbeddingProfile(1, 2, (1, 1), (0, 0), ("x",)), 2),
         lambda: shape_of(replace(p, overlap=None), 2),
         lambda: check_profile_invariants(v, replace(p, entry=(p.entry[0], "x", *p.entry[2:])), cw),
